@@ -4,8 +4,8 @@ simplicity oracles and executable simplicity criteria."""
 from .actions import (ActionMap, RingAutomorphism, action_from_descriptor, fixed_ring,
                       is_G_simple, is_inner, is_outer_action, kernel, trivial_action)
 from .config import Caps
-from .errors import (ActionValidationError, CapacityError, CriterionViolation, DomainError,
-                     InstanceParseError, PreconditionError, SkewSimpleError)
+from .errors import (ActionValidationError, CapacityError, DomainError, InstanceParseError,
+                     PreconditionError, SkewSimpleError)
 from .groups import GroupTable, Subgroup, stabilizer
 from .rings import (FunctionRing, MatrixRing, ModularRing, RingElement, RingSpec,
                     TwoSidedIdeal, center, enumerate_elements, ideal_closure, is_field,
@@ -17,7 +17,7 @@ from .skew import (SkewContext, SkewElement, SkewIdeal, augmentation, central_wi
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionMap", "ActionValidationError", "CapacityError", "Caps", "CriterionViolation",
+    "ActionMap", "ActionValidationError", "CapacityError", "Caps",
     "DomainError", "FunctionRing", "GroupTable", "InstanceParseError", "MatrixRing",
     "ModularRing", "PreconditionError", "RingAutomorphism", "RingElement", "RingSpec",
     "SkewContext", "SkewElement", "SkewIdeal", "SkewSimpleError", "Subgroup",

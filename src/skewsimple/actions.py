@@ -15,11 +15,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .closure import abelian_span
+from .closure import ClosureEngine
 from .errors import ActionValidationError, DomainError
 from .groups import GroupTable, Subgroup
 from .rings import (FunctionRing, ModularRing, RingElement, RingSpec, TwoSidedIdeal,
-                    _ideal_operators)
+                    ideal_from_basis)
 
 _TABLE_CACHE_LIMIT = 4096
 _PAIR_SAMPLE = 10_000
@@ -240,6 +240,15 @@ class ActionMap:
                 for _ in range(_PAIR_SAMPLE)]
 
     @cached_property
+    def ideal_engine(self) -> ClosureEngine:
+        """Closures under the ring's ideal operators and the automorphisms of
+        a generating set of the group (stability under those gives the rest)."""
+        ring = self.ring
+        ops = ring.ideal_engine.operators + [self.autos[g].matrix()
+                                             for g in self.group.generators]
+        return ClosureEngine(ring.char, ring.dim, ops)
+
+    @cached_property
     def descriptor(self) -> tuple:
         return tuple((a.kind, a.params) for a in self.autos)
 
@@ -289,9 +298,8 @@ def invariant_ideal_closure(action: ActionMap, generators) -> TwoSidedIdeal:
     ring = action.ring
     ring.check_enumerable("invariant ideal closure")
     gens = tuple(g.payload if isinstance(g, RingElement) else g for g in generators)
-    sigma_ops = [auto.apply for auto in action.autos[1:]]
-    span = abelian_span(gens, _ideal_operators(ring, sigma_ops), ring.add, ring.zero)
-    return TwoSidedIdeal(ring, frozenset(span), gens)
+    basis = action.ideal_engine.closure([ring.to_vec(a) for a in gens])
+    return ideal_from_basis(ring, basis, gens)
 
 
 def is_G_simple(action: ActionMap) -> GSimplicity:
@@ -303,14 +311,12 @@ def is_G_simple(action: ActionMap) -> GSimplicity:
     action.ensure_valid()
     ring = action.ring
     ring.check_enumerable("G-simplicity sweep")
-    sigma_ops = [auto.apply for auto in action.autos[1:]]
-    ops = _ideal_operators(ring, sigma_ops)
+    engine = action.ideal_engine
     for i in range(1, ring.size):
         a = ring.unrank(i)
-        span = abelian_span((a,), ops, ring.add, ring.zero)
-        if len(span) != ring.size:
-            ideal = TwoSidedIdeal(ring, frozenset(span), (a,))
-            return GSimplicity(False, ring.element(a), ideal)
+        basis = engine.closure([ring.to_vec(a)])
+        if not basis.is_full:
+            return GSimplicity(False, ring.element(a), ideal_from_basis(ring, basis, (a,)))
     return GSimplicity(True)
 
 

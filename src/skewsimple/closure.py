@@ -1,112 +1,189 @@
-"""Closure engines for additive spans stable under linear operators.
+"""Closures of submodules of (Z/n)^dim stable under linear operators.
 
 Two-sided ideals of the finite rings handled here are exactly the additive
 subgroups closed under left/right multiplication by a module generating set,
 so ideal closures reduce to "span + operator worklist" fixed points.
 
-Two interchangeable engines:
-
-* ``PrimeClosureEngine``: echelon bases over F_p with operators as matrices
-  (numpy). Used whenever the additive characteristic is prime.
-* ``abelian_span``: generic finite-abelian-group span over payload tuples with
-  operator callables. Works for composite Z/n, and doubles as an independent
-  cross-check for the linear engine.
+``ClosureEngine`` computes them for any modulus n, keeping the span as a
+``HowellBasis``: the Howell normal form of the span (Howell 1986, "Spans in
+the module (Z_m)^s"). Its rows are in echelon form with pivot entries that
+divide n, entries above a pivot reduced modulo it, and the span's elements
+vanishing on the first k coordinates spanned by the rows with pivot column at
+least k. That last property makes the form canonical and gives every member
+exactly one expansion sum(c_i row_i) with 0 <= c_i < n / pivot_i. Over a
+prime n every pivot is 1 and the form is the reduced row echelon form.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from bisect import bisect_left
+from math import gcd
+from typing import Iterable, Sequence
 
 import numpy as np
 
-Vector = tuple[int, ...]
+
+def _normalizer(c: int, n: int) -> tuple[int, int]:
+    """(u, g): a unit u modulo n with u*c = g = gcd(c, n) modulo n."""
+    g = gcd(c, n)
+    m = n // g   # c is nonzero mod n, so m > 1 and c // g is a unit mod m
+    u = pow(c // g, -1, m)
+    while gcd(u, n) != 1:
+        u += m  # some lift of u mod n/g is a unit mod n (CRT)
+    return u, g
 
 
-def abelian_span(
-    seeds: Iterable[Vector],
-    operators: Sequence[Callable[[Vector], Vector]],
-    add: Callable[[Vector, Vector], Vector],
-    zero: Vector,
-) -> set[Vector]:
-    """Smallest additive subgroup containing seeds and stable under operators.
+class HowellBasis:
+    """A submodule of (Z/n)^dim held as its Howell normal form."""
 
-    Operators must be additive maps; stability on a generating set then
-    extends to the whole span, so each operator is only ever applied to the
-    generators actually inserted.
-    """
-    span = {zero}
-    pending = list(seeds)
-    while pending:
-        x = pending.pop()
-        if x in span:
-            continue
-        # Fold the new generator in: the enlarged span is the union of the
-        # cosets span + k*x until the cycle closes.
-        base = list(span)
-        y = x
-        while y not in span:
-            span.update(add(b, y) for b in base)
-            y = add(y, x)
-        pending.extend(op(x) for op in operators)
-    return span
-
-
-class PrimeClosureEngine:
-    """Echelonized submodule closures over F_p.
-
-    Bases are kept in reduced row echelon form (pivot entries 1, pivot columns
-    cleared), so membership tests and the basis itself are canonical.
-    """
-
-    def __init__(self, p: int, dim: int, operators: Sequence[np.ndarray]) -> None:
-        self.p = p
+    def __init__(self, n: int, dim: int) -> None:
+        self.n = n
         self.dim = dim
-        self.operators = [np.asarray(op, dtype=np.int64) % p for op in operators]
-        self._inv = [0] * p
-        for a in range(1, p):
-            self._inv[a] = pow(a, -1, p)
+        self.rows: list[np.ndarray] = []
+        self.pivots: list[int] = []
+        self.divs: list[int] = []      # pivot entries; each divides n
+        self._nonunit = 0              # rows whose pivot entry is not 1
 
-    def _reduce(self, vec: np.ndarray, rows: list[np.ndarray], pivots: list[int]) -> np.ndarray:
-        v = vec % self.p
-        for row, piv in zip(rows, pivots):
-            c = v[piv]
-            if c:
-                v = (v - c * row) % self.p
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    @property
+    def is_full(self) -> bool:
+        return len(self.rows) == self.dim and not self._nonunit
+
+    @property
+    def size(self) -> int:
+        out = 1
+        for d in self.divs:
+            out *= self.n // d
+        return out
+
+    def _reduce(self, v: np.ndarray) -> np.ndarray:
+        """v minus the largest multiples of the rows it allows, pivot by pivot."""
+        n = self.n
+        if not self._nonunit:
+            for row, piv in zip(self.rows, self.pivots):
+                c = v[piv]
+                if c:
+                    v = (v - c * row) % n
+            return v
+        for row, piv, d in zip(self.rows, self.pivots, self.divs):
+            q = int(v[piv]) // d
+            if q:
+                v = (v - q * row) % n
         return v
 
-    def _insert(self, vec: np.ndarray, rows: list[np.ndarray], pivots: list[int]) -> bool:
-        v = self._reduce(vec, rows, pivots)
-        nz = np.flatnonzero(v)
-        if nz.size == 0:
+    def contains(self, vec: Sequence[int]) -> bool:
+        return not np.count_nonzero(self._reduce(np.asarray(vec, dtype=np.int64) % self.n))
+
+    def insert(self, vec: np.ndarray) -> bool:
+        """Fold vec (entries in 0..n-1) into the span; False if already a member."""
+        v = self._reduce(vec)
+        if not np.count_nonzero(v):
             return False
-        piv = int(nz[0])
-        v = (v * self._inv[int(v[piv])]) % self.p
-        # clear the new pivot column in existing rows to stay in RREF
-        for i, row in enumerate(rows):
-            c = row[piv]
-            if c:
-                rows[i] = (row - c * v) % self.p
-        pos = 0
-        while pos < len(pivots) and pivots[pos] < piv:
-            pos += 1
-        rows.insert(pos, v)
-        pivots.insert(pos, piv)
+        pending = self._place(v)
+        while pending:
+            v = self._reduce(pending.pop())
+            if np.count_nonzero(v):
+                pending.extend(self._place(v))
         return True
 
-    def closure(self, seeds: Iterable[Sequence[int]], *, stop_at_full: bool = True):
-        """RREF basis of the operator-stable span of the seed vectors."""
-        rows: list[np.ndarray] = []
-        pivots: list[int] = []
-        pending = [np.asarray(s, dtype=np.int64) % self.p for s in seeds]
-        while pending:
-            vec = pending.pop()
-            if not self._insert(vec, rows, pivots):
+    def _place(self, v: np.ndarray) -> list[np.ndarray]:
+        """Make the reduced nonzero vector v a row; returns the vectors still
+        to be folded in (all vanish up to v's first nonzero column)."""
+        n, rows, pivots, divs = self.n, self.rows, self.pivots, self.divs
+        col = int(v.nonzero()[0][0])
+        c = int(v[col])
+        i = bisect_left(pivots, col)
+        rest = []
+        if i < len(pivots) and pivots[i] == col:
+            # col already carries pivot d and 0 < c < d: replace that row by
+            # the Bezout combination with pivot gcd(d, c), keep what is left
+            row, d = rows.pop(i), divs.pop(i)
+            pivots.pop(i)
+            self._nonunit -= 1
+            g = gcd(d, c)
+            t = pow(c // g, -1, d // g)   # Bezout: s*d + t*c = g
+            s = (g - t * c) // d
+            new = self._reduce((s * row + t * v) % n)
+            rest.append((row - (d // g) * new) % n)
+            rest.append((v - (c // g) * new) % n)
+        else:
+            u, g = _normalizer(c, n)
+            new = (v * u) % n
+            if self._nonunit:
+                new = self._reduce(new)
+        unit_rows = g == 1 and not self._nonunit
+        rows.insert(i, new)
+        pivots.insert(i, col)
+        divs.insert(i, g)
+        if g != 1:
+            self._nonunit += 1
+            rest.append((new * (n // g)) % n)  # the row's annihilator multiple
+        # reduce the rows above at the new pivot column (rows below vanish
+        # there); with non-unit pivots the new row's nonzero entries at later
+        # pivot columns call for re-reducing those columns too
+        for k in range(i):
+            row = rows[k]
+            if unit_rows:
+                c = row[col]
+                if c:
+                    rows[k] = (row - c * new) % n
                 continue
-            if stop_at_full and len(rows) == self.dim:
+            for m in range(i, len(rows)):
+                q = int(row[pivots[m]]) // divs[m]
+                if q:
+                    row = (row - q * rows[m]) % n
+            rows[k] = row
+        return rest
+
+    def iter_vectors(self):
+        """All members, each once, deterministically (coefficient vectors in lex order)."""
+        if not self.rows:
+            yield (0,) * self.dim
+            return
+        mat = np.stack(self.rows)
+        radix = [self.n // d for d in self.divs]
+        coeff = np.zeros(len(self.rows), dtype=np.int64)
+        for idx in range(self.size):
+            k = idx
+            for i in range(len(radix) - 1, -1, -1):
+                coeff[i] = k % radix[i]
+                k //= radix[i]
+            yield tuple(int(x) for x in (coeff @ mat) % self.n)
+
+    def key(self) -> tuple:
+        """Hashable canonical form (the Howell rows)."""
+        return tuple(tuple(int(x) for x in row) for row in self.rows)
+
+
+class ClosureEngine:
+    """Operator-stable submodule closures over Z/n."""
+
+    def __init__(self, n: int, dim: int, operators: Sequence[np.ndarray]) -> None:
+        self.n = n
+        self.dim = dim
+        self.operators = [np.asarray(op, dtype=np.int64) % n for op in operators]
+
+    def closure(self, seeds: Iterable[Sequence[int]], *, stop_at_full: bool = True) -> HowellBasis:
+        """Howell basis of the operator-stable span of the seed vectors."""
+        n = self.n
+        basis = HowellBasis(n, self.dim)
+        pending = [np.asarray(s, dtype=np.int64) for s in seeds]
+        while pending:
+            vec = pending.pop() % n
+            if not basis.insert(vec):
+                continue
+            if stop_at_full and basis.is_full:
                 break
-            # operators act on the raw inserted vector; linearity covers the rest
+            # operators act on the inserted vector; linearity covers the rest
             pending.extend(op @ vec for op in self.operators)
-        return SubmoduleBasis(self.p, self.dim, rows, pivots)
+        return basis
+
+
+# ``bench/tracer.py`` wraps the engine's closure under this name
+PrimeClosureEngine = ClosureEngine
 
 
 def gauss_solve(p: int, A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -137,52 +214,3 @@ def gauss_solve(p: int, A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     for r, c in pivots:
         x[c] = aug[r, n]
     return x if not ((A @ x - b) % p).any() else None
-
-
-class SubmoduleBasis:
-    """A canonical RREF basis of a submodule of (F_p)^dim."""
-
-    def __init__(self, p: int, dim: int, rows: list[np.ndarray], pivots: list[int]) -> None:
-        self.p = p
-        self.dim = dim
-        self.rows = rows
-        self.pivots = pivots
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    @property
-    def is_full(self) -> bool:
-        return len(self.rows) == self.dim
-
-    @property
-    def size(self) -> int:
-        return self.p**len(self.rows)
-
-    def contains(self, vec: Sequence[int]) -> bool:
-        v = np.asarray(vec, dtype=np.int64) % self.p
-        for row, piv in zip(self.rows, self.pivots):
-            c = v[piv]
-            if c:
-                v = (v - c * row) % self.p
-        return not np.any(v)
-
-    def iter_vectors(self):
-        """All members, deterministically (coefficient vectors in lex order)."""
-        if not self.rows:
-            yield (0,) * self.dim
-            return
-        mat = np.stack(self.rows)
-        coeff = np.zeros(len(self.rows), dtype=np.int64)
-        total = self.p ** len(self.rows)
-        for idx in range(total):
-            k = idx
-            for i in range(len(self.rows) - 1, -1, -1):
-                coeff[i] = k % self.p
-                k //= self.p
-            yield tuple(int(x) for x in (coeff @ mat) % self.p)
-
-    def key(self) -> tuple:
-        """Hashable canonical form (RREF rows)."""
-        return tuple(tuple(int(x) for x in row) for row in self.rows)

@@ -7,7 +7,6 @@ from dataclasses import dataclass, replace
 
 DEFAULT_ENUMERATION_CAP = 1 << 16
 DEFAULT_GROUP_ORDER_CAP = 64
-DEFAULT_WITNESS_SUPPORT_CAP = 2
 DEFAULT_WITNESS_CANDIDATE_BUDGET = 20000
 
 _ENV_PREFIX = "SKEWSIMPLE_"
@@ -32,7 +31,6 @@ class Caps:
 
     enumeration: int = DEFAULT_ENUMERATION_CAP
     group_order: int = DEFAULT_GROUP_ORDER_CAP
-    witness_support: int = DEFAULT_WITNESS_SUPPORT_CAP
     witness_candidates: int = DEFAULT_WITNESS_CANDIDATE_BUDGET
 
     @classmethod
@@ -41,7 +39,6 @@ class Caps:
         return cls(
             enumeration=_env_int("ENUMERATION_CAP", DEFAULT_ENUMERATION_CAP),
             group_order=_env_int("GROUP_ORDER_CAP", DEFAULT_GROUP_ORDER_CAP),
-            witness_support=_env_int("WITNESS_SUPPORT_CAP", DEFAULT_WITNESS_SUPPORT_CAP),
             witness_candidates=_env_int(
                 "WITNESS_CANDIDATE_BUDGET", DEFAULT_WITNESS_CANDIDATE_BUDGET
             ),

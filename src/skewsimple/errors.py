@@ -43,17 +43,6 @@ class ActionValidationError(DomainError):
         super().__init__(message)
 
 
-class CriterionViolation(SkewSimpleError, AssertionError):
-    """A verified implication failed: criterion and oracle disagree."""
-
-    def __init__(self, assertion: str, detail: str = "") -> None:
-        self.assertion = assertion
-        msg = f"asserted implication failed: {assertion}"
-        if detail:
-            msg += f"; {detail}"
-        super().__init__(msg)
-
-
 class InstanceParseError(SkewSimpleError, ValueError):
     """Instance file rejected, with location information when available."""
 

@@ -186,6 +186,25 @@ class GroupTable:
             classes.append(cls_)
         return tuple(classes)
 
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """A generating set, chosen greedily in index order."""
+        gens: list[int] = []
+        span = {0}
+        for g in range(self.order):
+            if g in span:
+                continue
+            gens.append(g)
+            frontier = list(span)
+            while frontier:
+                x = frontier.pop()
+                for s in gens:
+                    y = self.mul_table[x][s]
+                    if y not in span:
+                        span.add(y)
+                        frontier.append(y)
+        return tuple(gens)
+
     def class_sizes(self) -> list[int]:
         return [len(c) for c in self.conjugacy_classes]
 

@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 
 import jsonschema
+from jsonschema.exceptions import best_match
 
 from .actions import action_from_descriptor
 from .config import Caps
@@ -52,6 +53,8 @@ INSTANCE_SCHEMA = {
     "required": ["name"],
     "additionalProperties": False,
 }
+
+_VALIDATOR = jsonschema.Draft202012Validator(INSTANCE_SCHEMA)
 
 _GROUP_SCHEMA = {
     "cyclic_product": {"orders"},
@@ -166,11 +169,10 @@ def parse_instance(text: str) -> InstanceSpec:
     except json.JSONDecodeError as exc:
         raise InstanceParseError(f"invalid JSON: {exc.msg}", line=exc.lineno,
                                  column=exc.colno) from exc
-    try:
-        jsonschema.validate(raw, INSTANCE_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = ".".join(str(p) for p in exc.absolute_path)
-        raise InstanceParseError(f"schema violation: {exc.message}", path=path) from exc
+    error = best_match(_VALIDATOR.iter_errors(raw))
+    if error is not None:
+        path = ".".join(str(p) for p in error.absolute_path)
+        raise InstanceParseError(f"schema violation: {error.message}", path=path) from error
     has_algebra = any(k in raw for k in ("ring", "group", "action"))
     has_dynamics = "dynamics" in raw
     if has_algebra == has_dynamics:

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .closure import abelian_span
+import numpy as np
+
+from .closure import ClosureEngine, HowellBasis
 from .config import Caps
 from .errors import CapacityError, DomainError
 from .gf import GaloisField, field, prime_power
@@ -99,6 +101,19 @@ class RingSpec:
         """Canonical additive generating payloads (a Z/char module basis)."""
         return [self.from_vec(tuple(1 if j == i else 0 for j in range(self.dim)))
                 for i in range(self.dim)]
+
+    @cached_property
+    def ideal_engine(self) -> ClosureEngine:
+        """Closures under left/right multiplication by each additive generator
+        (left alone when the ring is commutative)."""
+        gens = self.additive_generators()
+        ops = []
+        for b in gens:
+            ops.append(np.array([self.to_vec(self.mul(b, e)) for e in gens], dtype=np.int64).T)
+            if not self.is_commutative:
+                ops.append(np.array([self.to_vec(self.mul(e, b)) for e in gens],
+                                    dtype=np.int64).T)
+        return ClosureEngine(self.char, self.dim, ops)
 
     # presentation --------------------------------------------------------
     def label(self, a) -> str:
@@ -432,7 +447,8 @@ def try_invert(a: RingElement) -> RingElement | None:
 
 @dataclass(frozen=True)
 class TwoSidedIdeal:
-    """A two-sided ideal stored as its full payload set."""
+    """A two-sided ideal stored as its full payload set (materialized from a
+    closure basis by the ideal oracles)."""
 
     ring: RingSpec
     elements: frozenset
@@ -458,27 +474,22 @@ class TwoSidedIdeal:
         return [self.ring.element(a) for a in sorted(self.elements, key=self.ring.rank)]
 
 
-def _ideal_operators(ring: RingSpec, extra=()):
-    ops = []
-    for b in ring.additive_generators():
-        ops.append(lambda x, b=b: ring.mul(b, x))
-        ops.append(lambda x, b=b: ring.mul(x, b))
-    ops.extend(extra)
-    return ops
+def ideal_from_basis(ring: RingSpec, basis: HowellBasis, generators: tuple) -> TwoSidedIdeal:
+    """Materialize a closure basis over the ring's additive coordinates."""
+    return TwoSidedIdeal(ring, frozenset(ring.from_vec(v) for v in basis.iter_vectors()),
+                         generators)
 
 
-def ideal_closure(ring: RingSpec, generators: Iterable, extra_operators=()) -> TwoSidedIdeal:
+def ideal_closure(ring: RingSpec, generators: Iterable) -> TwoSidedIdeal:
     """Smallest two-sided ideal containing the generators.
 
-    Worklist fixed point: additive span closed under left/right multiplication
-    by the ring's canonical additive generators, which suffices by
-    distributivity. ``extra_operators`` lets callers close under additional
-    additive maps (the G-invariant closure passes the action here).
+    The additive span closed under left/right multiplication by the ring's
+    canonical additive generators, which suffices by distributivity.
     """
     ring.check_enumerable("ideal closure")
     gens = tuple(g.payload if isinstance(g, RingElement) else g for g in generators)
-    span = abelian_span(gens, _ideal_operators(ring, extra_operators), ring.add, ring.zero)
-    return TwoSidedIdeal(ring, frozenset(span), gens)
+    basis = ring.ideal_engine.closure([ring.to_vec(a) for a in gens])
+    return ideal_from_basis(ring, basis, gens)
 
 
 def center(ring: RingSpec) -> list[RingElement]:
@@ -529,11 +540,10 @@ class RingSimplicity:
 def is_simple_ring(ring: RingSpec) -> RingSimplicity:
     """Brute-force oracle: every nonzero element must generate the full ring."""
     ring.check_enumerable("simplicity sweep")
-    ops = _ideal_operators(ring)
+    engine = ring.ideal_engine
     for i in range(1, ring.size):
         a = ring.unrank(i)
-        span = abelian_span((a,), ops, ring.add, ring.zero)
-        if len(span) != ring.size:
-            ideal = TwoSidedIdeal(ring, frozenset(span), (a,))
-            return RingSimplicity(False, ring.element(a), ideal)
+        basis = engine.closure([ring.to_vec(a)])
+        if not basis.is_full:
+            return RingSimplicity(False, ring.element(a), ideal_from_basis(ring, basis, (a,)))
     return RingSimplicity(True)

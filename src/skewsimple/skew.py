@@ -17,11 +17,11 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .actions import ActionMap, is_G_simple
-from .closure import PrimeClosureEngine, SubmoduleBasis, abelian_span, gauss_solve
+from .closure import ClosureEngine, HowellBasis, gauss_solve
 from .config import Caps
 from .errors import CapacityError, DomainError, PreconditionError
 from .groups import GroupTable
-from .rings import RingElement, RingSpec, _is_prime
+from .rings import RingElement, RingSpec
 
 
 class SkewContext:
@@ -143,10 +143,8 @@ class SkewContext:
         return mats
 
     @cached_property
-    def prime_engine(self) -> PrimeClosureEngine | None:
-        if not _is_prime(self.char):
-            return None
-        return PrimeClosureEngine(self.char, self.dim, self.ideal_operator_matrices)
+    def engine(self) -> ClosureEngine:
+        return ClosureEngine(self.char, self.dim, self.ideal_operator_matrices)
 
     @cached_property
     def unit_monomial_matrices(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -180,20 +178,6 @@ class SkewContext:
         for g in range(self.group.order):
             value = value * size_a + lookup[tuple(int(x) for x in vec[g * d:(g + 1) * d])]
         return value
-
-    # set-engine helpers (composite characteristic) ----------------------------
-    def _vec_add(self, u: tuple, v: tuple) -> tuple:
-        n = self.char
-        return tuple((x + y) % n for x, y in zip(u, v))
-
-    def _set_operators(self):
-        ops = []
-        for b, h in self.module_generators:
-            ops.append(lambda vec, b=b, h=h: self.vec_of(
-                self.monomial(b, h) * self.element_of_vec(vec)))
-            ops.append(lambda vec, b=b, h=h: self.vec_of(
-                self.element_of_vec(vec) * self.monomial(b, h)))
-        return ops
 
     def __repr__(self) -> str:
         return f"SkewContext({self.ring!r} x| {self.group!r}, size={self.size})"
@@ -332,13 +316,6 @@ def centralizer_components(ctx: SkewContext) -> list[list]:
     return comps
 
 
-def centralizer_size(ctx: SkewContext) -> int:
-    size = 1
-    for comp in centralizer_components(ctx):
-        size *= len(comp)
-    return size
-
-
 def centralizer_of_A(ctx: SkewContext) -> list[SkewElement]:
     """All elements of R commuting with the coefficient ring, materialized."""
     comps = centralizer_components(ctx)
@@ -427,38 +404,29 @@ def skew_center(ctx: SkewContext) -> list[SkewElement]:
 
 @dataclass(frozen=True)
 class SkewIdeal:
-    """A two-sided ideal of R, held as an F_p basis or an explicit set."""
+    """A two-sided ideal of R, held as a Howell basis over Z/char."""
 
     ctx: SkewContext
     generators: tuple
-    basis: SubmoduleBasis | None = None
-    vec_set: frozenset | None = None
+    basis: HowellBasis
 
     @property
     def size(self) -> int:
-        if self.basis is not None:
-            return self.basis.size
-        return len(self.vec_set)
+        return self.basis.size
 
     @property
     def is_full(self) -> bool:
-        return self.size == self.ctx.size
+        return self.basis.is_full
 
     @property
     def is_zero(self) -> bool:
         return self.size == 1
 
     def contains(self, r: SkewElement) -> bool:
-        vec = self.ctx.vec_of(r)
-        if self.basis is not None:
-            return self.basis.contains(vec)
-        return vec in self.vec_set
+        return self.basis.contains(self.ctx.vec_of(r))
 
     def iter_vectors(self) -> Iterator[tuple]:
-        if self.basis is not None:
-            yield from self.basis.iter_vectors()
-        else:
-            yield from sorted(self.vec_set)
+        return self.basis.iter_vectors()
 
     def elements(self) -> list[SkewElement]:
         if self.size > self.ctx.caps.enumeration:
@@ -486,22 +454,12 @@ class SkewIdeal:
 
 
 def skew_ideal_closure(ctx: SkewContext, generators: Iterable[SkewElement]) -> SkewIdeal:
-    """Two-sided ideal generated by the given elements.
-
-    Prime characteristic uses the echelon engine (no materialization needed),
-    composite characteristic falls back to the generic span within the cap.
-    """
+    """Two-sided ideal generated by the given elements (no materialization)."""
     gens = tuple(generators)
     for r in gens:
         if r.ctx is not ctx:
             raise DomainError("generator belongs to a different context")
-    vecs = [ctx.vec_of(r) for r in gens]
-    if ctx.prime_engine is not None:
-        basis = ctx.prime_engine.closure(vecs)
-        return SkewIdeal(ctx, gens, basis=basis)
-    ctx.check_within_cap("ideal closure over composite characteristic")
-    span = abelian_span(vecs, ctx._set_operators(), ctx._vec_add, (0,) * ctx.dim)
-    return SkewIdeal(ctx, gens, vec_set=frozenset(span))
+    return SkewIdeal(ctx, gens, ctx.engine.closure([ctx.vec_of(r) for r in gens]))
 
 
 @dataclass(frozen=True)
@@ -530,9 +488,7 @@ def is_simple(ctx: SkewContext, *, witness_search: bool | None = None) -> SkewSi
     size <= 2 are searched and simplicity is never claimed.
     """
     if ctx.size <= ctx.caps.enumeration:
-        if ctx.prime_engine is not None:
-            return _sweep_prime(ctx)
-        return _sweep_generic(ctx)
+        return _sweep_prime(ctx)
     allowed = witness_search if witness_search is not None else ctx.witness_search
     if allowed is False:
         raise CapacityError("enumeration", ctx.caps.enumeration, ctx.size,
@@ -541,14 +497,15 @@ def is_simple(ctx: SkewContext, *, witness_search: bool | None = None) -> SkewSi
 
 
 def _sweep_prime(ctx: SkewContext) -> SkewSimplicity:
-    engine = ctx.prime_engine
+    """The in-cap sweep, for prime and composite characteristic alike."""
+    engine = ctx.engine
     size = ctx.size
     skip = bytearray(size)
     skip[0] = 1
-    p = ctx.char
+    n = ctx.char
     lefts, rights = ctx.unit_monomial_matrices
-    scalars = _scalar_units(p)
-    transforms = [(c * (lg @ rh)) % p for lg in lefts for rh in rights for c in scalars]
+    scalars = _scalar_units(n)
+    transforms = [(c * (lg @ rh)) % n for lg in lefts for rh in rights for c in scalars]
     for i in range(1, size):
         if skip[i]:
             continue
@@ -556,44 +513,14 @@ def _sweep_prime(ctx: SkewContext) -> SkewSimplicity:
         vec = np.asarray(ctx.vec_of(r), dtype=np.int64)
         basis = engine.closure([vec])
         if not basis.is_full:
-            ideal = SkewIdeal(ctx, (r,), basis=basis)
-            return SkewSimplicity(False, "full_sweep", r, ideal)
+            return SkewSimplicity(False, "full_sweep", r, SkewIdeal(ctx, (r,), basis))
         for t in transforms:
-            skip[ctx.rank_of_vec((t @ vec) % p)] = 1
+            skip[ctx.rank_of_vec((t @ vec) % n)] = 1
     return SkewSimplicity(True, "full_sweep")
 
 
-def _sweep_generic(ctx: SkewContext) -> SkewSimplicity:
-    ctx.check_within_cap("simplicity sweep")
-    ops = ctx._set_operators()
-    zero = (0,) * ctx.dim
-    size = ctx.size
-    skip: set[int] = {0}
-    group_order = ctx.group.order
-    scalars = _scalar_units(ctx.char)
-    for i in range(1, size):
-        if i in skip:
-            continue
-        r = ctx.element_of_rank(i)
-        span = abelian_span([ctx.vec_of(r)], ops, ctx._vec_add, zero)
-        if len(span) != size:
-            ideal = SkewIdeal(ctx, (r,), vec_set=frozenset(span))
-            return SkewSimplicity(False, "full_sweep", r, ideal)
-        for g in range(group_order):
-            for h in range(group_order):
-                moved = ctx.unit_monomial(g) * r * ctx.unit_monomial(h)
-                for c in scalars:
-                    scaled = ctx.element({k: _int_scale(ctx.ring, c, a)
-                                          for k, a in moved.coeffs.items()})
-                    skip.add(ctx.rank_of(scaled))
-    return SkewSimplicity(True, "full_sweep")
-
-
-def _int_scale(ring: RingSpec, c: int, a):
-    out = ring.zero
-    for _ in range(c):
-        out = ring.add(out, a)
-    return out
+# ``bench/tracer.py`` wraps the sweep under both names
+_sweep_generic = _sweep_prime
 
 
 def _witness_search(ctx: SkewContext) -> SkewSimplicity:
@@ -604,10 +531,7 @@ def _witness_search(ctx: SkewContext) -> SkewSimplicity:
     kernel member, one for each nonzero commuting component), then the
     exhaustive {e,g} pairs under the candidate budget.
     """
-    if ctx.prime_engine is None:
-        raise CapacityError("enumeration", ctx.caps.enumeration, ctx.size,
-                            "witness search needs prime characteristic above the cap")
-    engine = ctx.prime_engine
+    engine = ctx.engine
     ring, group = ctx.ring, ctx.group
     budget = ctx.caps.witness_candidates
     tried = 0
@@ -616,7 +540,7 @@ def _witness_search(ctx: SkewContext) -> SkewSimplicity:
         vec = ctx.vec_of(r)
         basis = engine.closure([vec])
         if not basis.is_full:
-            return SkewIdeal(ctx, (r,), basis=basis)
+            return SkewIdeal(ctx, (r,), basis)
         return None
 
     candidates: list[SkewElement] = []
@@ -712,37 +636,34 @@ def support_reduce(ctx: SkewContext, r: SkewElement) -> SkewElement:
 def _find_support_slice(ctx: SkewContext, ideal: SkewIdeal,
                         allowed_support: frozenset[int]) -> SkewElement | None:
     """First element of the ideal with support inside the allowed set and
-    identity coefficient equal to 1."""
+    identity coefficient equal to 1.
+
+    Solved over F_p: a G-simple coefficient ring has prime characteristic.
+    """
     d = ctx.ring.dim
-    if ideal.basis is not None:
-        # solve linearly: coefficients c with c.B zero outside the allowed
-        # blocks and equal to vec(1) on the identity block
-        rows = ideal.basis.rows
-        if not rows:
-            return None
-        B = np.stack(rows)
-        cols = []
-        target = []
-        one_vec = ctx.ring.to_vec(ctx.ring.one)
-        for g in range(ctx.group.order):
-            block = range(g * d, (g + 1) * d)
-            if g == 0:
-                cols.extend(block)
-                target.extend(one_vec)
-            elif g not in allowed_support:
-                cols.extend(block)
-                target.extend([0] * d)
-        A = B[:, cols].T % ctx.char
-        sol = gauss_solve(ctx.char, A, np.array(target, dtype=np.int64))
-        if sol is None:
-            return None
-        vec = (sol @ B) % ctx.char
-        return ctx.element_of_vec(tuple(int(x) for x in vec))
-    for vec in ideal.iter_vectors():
-        cand = ctx.element_of_vec(vec)
-        if cand.support <= allowed_support and cand.coeffs.get(0) == ctx.ring.one:
-            return cand
-    return None
+    # solve linearly: coefficients c with c.B zero outside the allowed
+    # blocks and equal to vec(1) on the identity block
+    rows = ideal.basis.rows
+    if not rows:
+        return None
+    B = np.stack(rows)
+    cols = []
+    target = []
+    one_vec = ctx.ring.to_vec(ctx.ring.one)
+    for g in range(ctx.group.order):
+        block = range(g * d, (g + 1) * d)
+        if g == 0:
+            cols.extend(block)
+            target.extend(one_vec)
+        elif g not in allowed_support:
+            cols.extend(block)
+            target.extend([0] * d)
+    A = B[:, cols].T % ctx.char
+    sol = gauss_solve(ctx.char, A, np.array(target, dtype=np.int64))
+    if sol is None:
+        return None
+    vec = (sol @ B) % ctx.char
+    return ctx.element_of_vec(tuple(int(x) for x in vec))
 
 
 def central_witness(ctx: SkewContext, ideal: SkewIdeal) -> SkewElement:

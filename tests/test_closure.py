@@ -1,12 +1,11 @@
+import itertools
+
 import numpy as np
-import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from skewsimple.closure import PrimeClosureEngine, abelian_span, gauss_solve
+from skewsimple.closure import ClosureEngine, gauss_solve
 
-
-def tuple_add_mod(n):
-    return lambda u, v: tuple((x + y) % n for x, y in zip(u, v))
+from naive import abelian_span, tuple_add_mod
 
 
 def test_abelian_span_plain_subgroup():
@@ -40,7 +39,7 @@ def test_prime_engine_matches_set_span():
     # operator closure over F_3 in dimension 3, cross-checked elementwise
     p, dim = 3, 3
     shift = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
-    engine = PrimeClosureEngine(p, dim, [shift])
+    engine = ClosureEngine(p, dim, [shift])
     basis = engine.closure([(1, 0, 0)])
     add = tuple_add_mod(p)
     op = lambda v: tuple(int(x) for x in (shift @ np.array(v)) % p)
@@ -49,7 +48,7 @@ def test_prime_engine_matches_set_span():
 
 
 def test_prime_engine_rank_and_membership():
-    engine = PrimeClosureEngine(2, 4, [])
+    engine = ClosureEngine(2, 4, [])
     basis = engine.closure([(1, 1, 0, 0), (0, 0, 1, 1)])
     assert basis.rank == 2
     assert basis.size == 4
@@ -59,10 +58,64 @@ def test_prime_engine_rank_and_membership():
 
 
 def test_prime_engine_canonical_rref():
-    engine = PrimeClosureEngine(5, 3, [])
+    engine = ClosureEngine(5, 3, [])
     a = engine.closure([(2, 1, 0), (0, 0, 3)])
     b = engine.closure([(4, 2, 3), (0, 0, 1), (2, 1, 3)])
     assert a.key() == b.key()  # same subspace, same canonical basis
+
+
+def test_composite_engine_howell_form():
+    # over Z/12 the cyclic span of (4, 2) has order 6: the row (4, 2) with
+    # pivot 4 plus its annihilator multiple 3*(4, 2) = (0, 6) with pivot 6
+    engine = ClosureEngine(12, 2, [])
+    basis = engine.closure([(4, 2)])
+    assert basis.key() == ((4, 2), (0, 6))
+    assert basis.divs == [4, 6]
+    assert basis.size == 6
+    assert len(set(basis.iter_vectors())) == basis.size
+    assert basis.contains((8, 4)) and basis.contains((0, 6))
+    assert not basis.contains((0, 3)) and not basis.contains((2, 1))
+    # insertion order does not change the canonical form
+    again = engine.closure([(0, 6), (8, 4), (4, 2)])
+    assert again.key() == basis.key()
+
+
+def test_composite_engine_full_needs_unit_pivots():
+    engine = ClosureEngine(4, 2, [])
+    half = engine.closure([(2, 0), (0, 2)])
+    assert half.rank == 2 and not half.is_full and half.size == 4
+    full = engine.closure([(2, 0), (1, 1), (0, 1)])
+    assert full.is_full and full.size == 16
+
+
+def _matrix(n, dim, entries):
+    return np.array(entries[:dim * dim], dtype=np.int64).reshape(dim, dim) % n
+
+
+@st.composite
+def closure_problems(draw):
+    n = draw(st.integers(2, 12))
+    dim = draw(st.integers(1, 3))
+    entry = st.integers(0, n - 1)
+    ops = draw(st.lists(st.lists(entry, min_size=dim * dim, max_size=dim * dim),
+                        max_size=2))
+    seeds = draw(st.lists(st.tuples(*[entry] * dim), max_size=3))
+    return n, dim, [_matrix(n, dim, op) for op in ops], seeds
+
+
+@settings(max_examples=150)
+@given(closure_problems(), st.booleans())
+def test_engine_matches_naive_span(problem, stop_at_full):
+    n, dim, ops, seeds = problem
+    basis = ClosureEngine(n, dim, ops).closure(seeds, stop_at_full=stop_at_full)
+    maps = [lambda v, m=m: tuple(int(x) for x in (m @ np.array(v)) % n) for m in ops]
+    span = abelian_span(seeds, maps, tuple_add_mod(n), (0,) * dim)
+    members = list(basis.iter_vectors())
+    assert len(members) == len(set(members)) == basis.size == len(span)
+    assert set(members) == span
+    assert basis.is_full == (len(span) == n**dim)
+    for v in itertools.product(range(n), repeat=dim):
+        assert basis.contains(v) == (v in span)
 
 
 def test_gauss_solve_consistent_and_inconsistent():

@@ -5,10 +5,17 @@ import pytest
 
 from skewsimple import CapacityError, InstanceParseError
 from skewsimple.dynamics import TransformationGroup
-from skewsimple.instances import load_instance, parse_instance
+from skewsimple.instances import INSTANCE_SCHEMA, load_instance, parse_instance
 from skewsimple.skew import SkewContext
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def test_instance_schema_is_a_valid_schema():
+    # parse_instance validates against a validator built once, without
+    # re-checking the schema itself
+    import jsonschema
+    jsonschema.Draft202012Validator.check_schema(INSTANCE_SCHEMA)
 
 
 def test_parse_minimal_algebra_instance():

@@ -10,35 +10,54 @@ import pytest
 
 from skewsimple import GroupTable, ModularRing
 from skewsimple.actions import trivial_action
+from skewsimple.rings import _is_prime
 from skewsimple.skew import SkewContext, is_simple
 
 from conftest import (conj_f2_context, rotation_z3_context, swap_context,
                       trivial_f2_z2_context, two_two_cycles_context)
+from naive import naive_skew_span, skew_operators
 
 
 def naive_simplicity(ctx):
-    """Reference sweep: no unit-orbit skipping, no shared state."""
-    engine = ctx.prime_engine
-    if engine is not None:
+    """Reference sweep: no unit-orbit skipping, no shared state.
+
+    Over a field each element is closed with the engine; in composite
+    characteristic with the naive set span, whose operators are products of
+    skew elements.
+    """
+    if _is_prime(ctx.char):
         for i in range(1, ctx.size):
             vec = np.asarray(ctx.vec_of(ctx.element_of_rank(i)), dtype=np.int64)
-            if not engine.closure([vec]).is_full:
+            if not ctx.engine.closure([vec]).is_full:
                 return False, i
         return True, None
-    from skewsimple.closure import abelian_span
-    ops = ctx._set_operators()
+    ops = skew_operators(ctx)
     for i in range(1, ctx.size):
-        span = abelian_span([ctx.vec_of(ctx.element_of_rank(i))], ops,
-                            ctx._vec_add, (0,) * ctx.dim)
-        if len(span) != ctx.size:
+        if len(naive_skew_span(ctx, [ctx.element_of_rank(i)], ops)) != ctx.size:
             return False, i
     return True, None
 
 
-def _z4_ctx():
-    ring = ModularRing(4)
-    grp = GroupTable.cyclic_product([2])
+def _trivial_ctx(n, grp):
+    # the identity is the only automorphism of Z/n
+    ring = ModularRing(n)
     return SkewContext(ring, grp, trivial_action(grp, ring))
+
+
+def _z4_ctx():
+    return _trivial_ctx(4, GroupTable.cyclic_product([2]))
+
+
+def _z6_z2_ctx():
+    return _trivial_ctx(6, GroupTable.cyclic_product([2]))
+
+
+def _z9_z3_ctx():
+    return _trivial_ctx(9, GroupTable.cyclic_product([3]))
+
+
+def _z4_s3_ctx():
+    return _trivial_ctx(4, GroupTable.symmetric(3))
 
 
 CASES = [
@@ -48,13 +67,16 @@ CASES = [
     two_two_cycles_context,
     rotation_z3_context,
     _z4_ctx,
+    _z6_z2_ctx,
+    _z9_z3_ctx,
+    _z4_s3_ctx,
 ]
 
 
 @pytest.mark.parametrize("make", CASES)
 def test_optimized_sweep_matches_naive_reference(make):
     ctx = make()
-    assert ctx.size <= 1024, "keep the naive reference affordable"
+    assert ctx.size <= 4096, "keep the naive reference affordable"
     expected, first_bad = naive_simplicity(ctx)
     verdict = is_simple(ctx)
     assert verdict.value is expected

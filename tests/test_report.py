@@ -85,3 +85,23 @@ def test_dynamics_report_runs_all_checks():
     assert report["checks"]["dynamics_simplicity"]["status"] == "ran"
     assert report["checks"]["abelian_freeness"]["status"] == "not_applicable"
     assert any("compact Hausdorff" in note for note in report["notes"])
+
+
+@pytest.mark.parametrize("n,p", [(10, 2), (15, 3)])
+def test_composite_characteristic_above_cap_has_scalar_witness(n, p):
+    # Z/n x| S3 has n^6 elements, above the enumeration cap; p*1 generates
+    # a proper ideal, which the witness search must find and report
+    from skewsimple.instances import parse_instance
+    doc = {"name": f"z{n}_s3", "witness_search": True,
+           "ring": {"kind": "modular", "n": n},
+           "group": {"kind": "symmetric", "degree": 3},
+           "action": {"kind": "trivial"}}
+    spec = parse_instance(json.dumps(doc))
+    assert spec.build().size > spec.caps().enumeration
+    report = json.loads(canonical_json(run_checks(spec)))
+    for name in ("necessary_conditions", "abelian_simplicity", "commutative_simplicity"):
+        assert report["checks"][name]["status"] == "ran"
+        assert report["checks"][name]["verdicts"]["simple"]["value"] is False
+    witness = report["checks"]["abelian_simplicity"]["verdicts"]["simple"]["witness"]
+    assert witness == {"element": [["e", p]]}
+    assert revalidate_report(report) == []
