@@ -249,6 +249,24 @@ class ActionMap:
         return ClosureEngine(ring.char, ring.dim, ops)
 
     @cached_property
+    def g_simplicity(self) -> "GSimplicity":
+        """The G-simplicity verdict with its witness (see ``is_G_simple``).
+
+        Closes every nonzero element under the ring operations and all
+        automorphisms; the ring is G-simple iff each closure is everything.
+        """
+        self.ensure_valid()
+        ring = self.ring
+        ring.check_enumerable("G-simplicity sweep")
+        engine = self.ideal_engine
+        for i in range(1, ring.size):
+            a = ring.unrank(i)
+            basis = engine.closure([ring.to_vec(a)])
+            if not basis.is_full:
+                return GSimplicity(False, ring.element(a), ideal_from_basis(ring, basis, (a,)))
+        return GSimplicity(True)
+
+    @cached_property
     def descriptor(self) -> tuple:
         return tuple((a.kind, a.params) for a in self.autos)
 
@@ -305,19 +323,9 @@ def invariant_ideal_closure(action: ActionMap, generators) -> TwoSidedIdeal:
 def is_G_simple(action: ActionMap) -> GSimplicity:
     """Whether the only action-stable ideals are zero and the whole ring.
 
-    Sweeps every nonzero element and closes it under the ring operations and
-    all automorphisms; the ring is G-simple iff each closure is everything.
+    The verdict is swept once per action and kept as ``ActionMap.g_simplicity``.
     """
-    action.ensure_valid()
-    ring = action.ring
-    ring.check_enumerable("G-simplicity sweep")
-    engine = action.ideal_engine
-    for i in range(1, ring.size):
-        a = ring.unrank(i)
-        basis = engine.closure([ring.to_vec(a)])
-        if not basis.is_full:
-            return GSimplicity(False, ring.element(a), ideal_from_basis(ring, basis, (a,)))
-    return GSimplicity(True)
+    return action.g_simplicity
 
 
 def is_inner(auto: RingAutomorphism) -> RingElement | None:

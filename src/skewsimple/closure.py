@@ -22,6 +22,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+# transient memory of one chunk of enumerated members (``iter_chunks``)
+CHUNK_BYTES = 1 << 17
+
 
 def _normalizer(c: int, n: int) -> tuple[int, int]:
     """(u, g): a unit u modulo n with u*c = g = gcd(c, n) modulo n."""
@@ -138,20 +141,32 @@ class HowellBasis:
             rows[k] = row
         return rest
 
-    def iter_vectors(self):
-        """All members, each once, deterministically (coefficient vectors in lex order)."""
+    def iter_chunks(self):
+        """All members, each once, as int64 arrays of consecutive rows of about
+        CHUNK_BYTES each; members come in the lex order of their coefficient
+        vectors (the last coefficient varies fastest)."""
         if not self.rows:
-            yield (0,) * self.dim
+            yield np.zeros((1, self.dim), dtype=np.int64)
             return
         mat = np.stack(self.rows)
         radix = [self.n // d for d in self.divs]
-        coeff = np.zeros(len(self.rows), dtype=np.int64)
-        for idx in range(self.size):
-            k = idx
-            for i in range(len(radix) - 1, -1, -1):
-                coeff[i] = k % radix[i]
-                k //= radix[i]
-            yield tuple(int(x) for x in (coeff @ mat) % self.n)
+        place = [1] * len(radix)   # members between steps of coefficient i
+        for i in range(len(radix) - 2, -1, -1):
+            place[i] = place[i + 1] * radix[i + 1]
+        place_arr = np.array(place, dtype=np.int64)
+        radix_arr = np.array(radix, dtype=np.int64)
+        step = max(1, CHUNK_BYTES // (8 * (len(radix) + self.dim)))
+        size = self.size
+        for start in range(0, size, step):
+            idx = np.arange(start, min(start + step, size), dtype=np.int64)
+            coeff = (idx[:, None] // place_arr) % radix_arr
+            yield (coeff @ mat) % self.n
+
+    def iter_vectors(self):
+        """All members as tuples, in the order of ``iter_chunks``."""
+        for chunk in self.iter_chunks():
+            for row in chunk.tolist():
+                yield tuple(row)
 
     def key(self) -> tuple:
         """Hashable canonical form (the Howell rows)."""

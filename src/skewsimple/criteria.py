@@ -19,7 +19,7 @@ from .groups import GroupTable
 from .rings import FunctionRing, MatrixRing, ModularRing, RingSpec, center
 from .skew import (SkewContext, SkewElement, _payload_json, augmentation,
                    centralizer_components, coeff_at_e, commuting_witness_outside_A,
-                   is_max_commutative_A, is_simple, skew_center)
+                   is_center_unit, is_max_commutative_A, is_simple, skew_center)
 
 
 @dataclass
@@ -62,13 +62,15 @@ class CheckReport:
         }
 
 
-def field_obstruction(elements, *, zero, one):
-    """A nonzero member with no inverse in the set, or None when it is a field."""
-    members = set(elements)
-    for a in members:
-        if a == zero:
-            continue
-        if not any(a * b == one for b in members):
+def field_obstruction(center_elements) -> SkewElement | None:
+    """A nonzero element of the centre that is not a unit of the centre, or
+    None when the centre is a field.
+
+    ``center_elements`` lists the whole centre (as ``skew_center`` returns
+    it); its members are tried in the order of ``set(center_elements)``.
+    """
+    for a in set(center_elements):
+        if not a.is_zero() and not is_center_unit(a):
             return a
     return None
 
@@ -93,7 +95,7 @@ class InstanceEvaluation:
 
     @cached_property
     def center_obstruction(self) -> SkewElement | None:
-        return field_obstruction(self.center, zero=self.ctx.zero, one=self.ctx.one)
+        return field_obstruction(self.center)
 
     @property
     def center_is_field(self) -> bool:
@@ -340,18 +342,23 @@ def center_structure_check(ev: InstanceEvaluation | SkewContext) -> CheckReport:
     report = CheckReport("center_structure")
     gens = ring.additive_generators()
     fixed = fixed_payloads(action)
+    ctx.check_center_within_cap()
     laws_ok = True
     fixed_ok = True
-    for z in ev.center:
-        for g, a in z.coeffs.items():
-            if a not in fixed:
-                fixed_ok = False
-            if any(ring.mul(b, a) != ring.mul(a, action.apply(g, b)) for b in gens):
-                laws_ok = False
-            for h in range(group.order):
-                tgt = group.mul_table[group.mul_table[h][g]][group.inv_table[h]]
-                if z.coeffs.get(tgt, ring.zero) != action.apply(h, a):
+    # every central element is a disjoint-support sum of one class choice
+    # per class, every choice occurs in one, and the transport law stays
+    # inside a class: checking the choices checks the whole centre
+    for choices in ctx.center_classes:
+        for coeffs in choices:
+            for g, a in coeffs.items():
+                if a not in fixed:
+                    fixed_ok = False
+                if any(ring.mul(b, a) != ring.mul(a, action.apply(g, b)) for b in gens):
                     laws_ok = False
+                for h in range(group.order):
+                    tgt = group.mul_table[group.mul_table[h][g]][group.inv_table[h]]
+                    if coeffs.get(tgt, ring.zero) != action.apply(h, a):
+                        laws_ok = False
     report.conclusions["center_coefficient_laws"] = laws_ok
     report.verdicts["coefficients_in_fixed_ring"] = CriterionVerdict(
         "coefficients_in_fixed_ring", fixed_ok,

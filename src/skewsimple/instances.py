@@ -76,6 +76,7 @@ class InstanceSpec:
     group_desc: dict | None = None
     action_desc: dict | None = None
     dynamics_desc: dict | None = None
+    _built: object = dc_field(default=None, init=False, repr=False, compare=False)
 
     @property
     def kind(self) -> str:
@@ -95,11 +96,17 @@ class InstanceSpec:
         return group_from_descriptor(desc, self.caps())
 
     def build(self):
-        """Live objects: a SkewContext or a TransformationGroup.
+        """Live objects: a SkewContext or a TransformationGroup, built (and
+        validated) on the first call; later calls return the same objects.
 
         Above the enumeration cap the simplicity oracle refuses unless this
         instance sets witness_search; the flag is threaded onto the context.
         """
+        if self._built is None:
+            self._built = self._construct()
+        return self._built
+
+    def _construct(self):
         caps = self.caps()
         group = self.build_group()
         allow_search = None if self.witness_search else False

@@ -20,8 +20,9 @@ from .dynamics import (TransformationGroup, abelian_freeness_check, dynamics_sim
                        faithful_minimal_check)
 from .errors import CapacityError, DomainError, InstanceParseError, PreconditionError
 from .instances import InstanceSpec, parse_instance
-from .skew import (SkewContext, SkewElement, augmentation, is_central, skew_center,
+from .skew import (SkewContext, SkewElement, augmentation, is_center_unit, is_central,
                    skew_ideal_closure)
+from .skew import skew_center  # noqa: F401  (``bench/tracer.py`` wraps it under this name)
 
 ALGEBRA_CHECKS = (
     "necessary_conditions",
@@ -194,10 +195,11 @@ def _check_witness(ctx: SkewContext, assertion: str, value, witness: dict) -> st
             return None if (not elem.is_zero() and not ideal.is_full) else \
                 "claimed non-simplicity witness generates the full ring"
         if assertion == "center_is_field" and value is False:
+            if elem.is_zero():
+                return "claimed centre obstruction is zero"
             if not is_central(elem):
                 return "claimed centre obstruction is not central"
-            centre = skew_center(ctx)
-            if any(elem * b == ctx.one for b in centre):
+            if is_center_unit(elem):
                 return "claimed centre obstruction is invertible in the centre"
             return None
         if assertion == "max_commutative" and value is False:

@@ -170,6 +170,21 @@ class SkewContext:
     def _payload_rank_by_vec(self) -> dict:
         return {self.ring.to_vec(self.ring.unrank(i)): i for i in range(self.ring.size)}
 
+    @cached_property
+    def _block_code_weights(self) -> np.ndarray:
+        """Base-char place values turning a coefficient block into an integer code."""
+        d = self.ring.dim
+        return np.array([self.char**(d - 1 - t) for t in range(d)], dtype=np.int64)
+
+    @cached_property
+    def _payload_rank_by_code(self) -> np.ndarray:
+        """Payload rank indexed by the block code of the payload's vector."""
+        lookup = self._payload_rank_by_vec
+        table = np.zeros(self.char**self.ring.dim, dtype=np.int64)
+        table[np.array(list(lookup), dtype=np.int64) @ self._block_code_weights] = list(
+            lookup.values())
+        return table
+
     def rank_of_vec(self, vec: Sequence[int]) -> int:
         d = self.ring.dim
         lookup = self._payload_rank_by_vec
@@ -178,6 +193,63 @@ class SkewContext:
         for g in range(self.group.order):
             value = value * size_a + lookup[tuple(int(x) for x in vec[g * d:(g + 1) * d])]
         return value
+
+    # centre ------------------------------------------------------------------
+    @cached_property
+    def center_classes(self) -> list[list[dict]]:
+        """Per conjugacy class of G, the coefficient maps (zero entries left
+        out) that a central element can carry on that class.
+
+        r is central iff it commutes with every coefficient (each a_g then
+        satisfies b a_g = a_g sigma_g(b)) and with every u_h (the twisted
+        conjugacy law a_{hgh^-1} = sigma_h(a_g)); R is generated by those two
+        families, so the conditions are also sufficient. The law ties
+        coefficients inside one class only, so the centre is exactly the sums
+        of one choice per class, and every choice (the empty map included)
+        occurs in some central element.
+        """
+        ring, group, action = self.ring, self.group, self.action
+        comps = centralizer_components(self)
+        comp_sets = [set(c) for c in comps]
+        classes: list[list[dict]] = []
+        for cls in group.conjugacy_classes:
+            rep = min(cls)
+            choices = []
+            for a in comps[rep]:
+                assignment: dict[int, object] = {}
+                ok = True
+                for h in range(group.order):
+                    target = group.mul_table[group.mul_table[h][rep]][group.inv_table[h]]
+                    image = action.apply(h, a)
+                    if assignment.get(target, image) != image:
+                        ok = False
+                        break
+                    assignment[target] = image
+                if ok and all(val in comp_sets[g] for g, val in assignment.items()):
+                    choices.append({g: val for g, val in assignment.items()
+                                    if val != ring.zero})
+            classes.append(choices)
+        return classes
+
+    def check_center_within_cap(self) -> None:
+        """Refuse a centre with more elements than the enumeration cap."""
+        total = 1
+        for choices in self.center_classes:
+            total *= len(choices)
+        if total > self.caps.enumeration:
+            raise CapacityError("enumeration", self.caps.enumeration, total,
+                                "centre materialization")
+
+    @cached_property
+    def center_basis(self) -> HowellBasis:
+        """The centre as a submodule of (Z/char)^dim, spanned by the class choices."""
+        basis = HowellBasis(self.char, self.dim)
+        for choices in self.center_classes:
+            for coeffs in choices:
+                if coeffs:
+                    basis.insert(np.array(self.vec_of(SkewElement(self, coeffs)),
+                                          dtype=np.int64))
+        return basis
 
     def __repr__(self) -> str:
         return f"SkewContext({self.ring!r} x| {self.group!r}, size={self.size})"
@@ -358,46 +430,46 @@ def commuting_witness_outside_A(ctx: SkewContext) -> SkewElement | None:
 
 
 def skew_center(ctx: SkewContext) -> list[SkewElement]:
-    """The centre of R, solved coefficientwise.
+    """The centre of R in canonical rank order, assembled from the per-class
+    choices of ``SkewContext.center_classes``; cap-checked.
 
-    r is central iff it commutes with every coefficient (forcing each a_g to
-    satisfy b a_g = a_g sigma_g(b)) and with every u_h (forcing the twisted
-    conjugacy law a_{hgh^-1} = sigma_h(a_g)); R is generated by those two
-    families, so the conditions are also sufficient. Solutions are assembled
-    per conjugacy class of the group.
+    Supports of different classes are disjoint, so an element's rank is the
+    sum of the ranks of its choices.
     """
-    ring, group, action = ctx.ring, ctx.group, ctx.action
-    comps = centralizer_components(ctx)
-    comp_sets = [set(c) for c in comps]
-    class_choices: list[list[dict]] = []
-    for cls in group.conjugacy_classes:
-        rep = min(cls)
-        choices = []
-        for a in comps[rep]:
-            assignment: dict[int, object] = {}
-            ok = True
-            for h in range(group.order):
-                target = group.mul_table[group.mul_table[h][rep]][group.inv_table[h]]
-                image = action.apply(h, a)
-                if assignment.get(target, image) != image:
-                    ok = False
-                    break
-                assignment[target] = image
-            if ok and all(val in comp_sets[g] for g, val in assignment.items()):
-                choices.append(assignment)
-        class_choices.append(choices)
-    total = 1
-    for choices in class_choices:
-        total *= len(choices)
-    if total > ctx.caps.enumeration:
-        raise CapacityError("enumeration", ctx.caps.enumeration, total,
-                            "centre materialization")
-    out: list[dict] = [{}]
-    for choices in class_choices:
-        out = [{**base, **extra} for base in out for extra in choices]
-    elements = [ctx.element(coeffs) for coeffs in out]
-    elements.sort(key=ctx.rank_of)
-    return elements
+    ctx.check_center_within_cap()
+    ring = ctx.ring
+    order, size_a = ctx.group.order, ring.size
+    out: list[tuple[int, dict]] = [(0, {})]
+    for choices in ctx.center_classes:
+        ranked = [(sum(ring.rank(a) * size_a**(order - 1 - g) for g, a in coeffs.items()),
+                   coeffs) for coeffs in choices]
+        out = [(rank + extra_rank, {**base, **extra})
+               for rank, base in out for extra_rank, extra in ranked]
+    out.sort(key=lambda pair: pair[0])
+    return [SkewElement(ctx, coeffs) for _, coeffs in out]
+
+
+def is_center_unit(r: SkewElement) -> bool:
+    """Whether the central element r is a unit of the centre Z.
+
+    Z is a finite commutative ring, so r is a unit exactly when x -> r x is
+    injective on Z, that is when the products of r with the rows of Z's Howell
+    basis span a submodule as large as Z. Left multiplication by r is the sum
+    of the left-multiplication matrices of r's coordinates.
+    """
+    ctx = r.ctx
+    n = ctx.char
+    lefts = ctx.ideal_operator_matrices[0::2]   # in coordinate order
+    op = np.zeros((ctx.dim, ctx.dim), dtype=np.int64)
+    for i, c in enumerate(ctx.vec_of(r)):
+        if c:
+            op += c * lefts[i]
+    op %= n
+    centre = ctx.center_basis
+    image = HowellBasis(n, ctx.dim)
+    for row in centre.rows:
+        image.insert((op @ row) % n)
+    return image.size == centre.size
 
 
 # ideals and the simplicity oracle ---------------------------------------------
@@ -666,6 +738,30 @@ def _find_support_slice(ctx: SkewContext, ideal: SkewIdeal,
     return ctx.element_of_vec(tuple(int(x) for x in vec))
 
 
+def smallest_member(ideal: SkewIdeal) -> SkewElement:
+    """The nonzero member of smallest (support size, rank).
+
+    Members are enumerated chunkwise as vectors; each coefficient block is
+    read as a base-char code, and the rank is compared as the tuple of the
+    blocks' payload ranks (identity slot first), which orders like the rank.
+    """
+    ctx = ideal.ctx
+    order, d = ctx.group.order, ctx.ring.dim
+    weights, rank_by_code = ctx._block_code_weights, ctx._payload_rank_by_code
+    best_key, best_vec = None, None
+    for chunk in ideal.basis.iter_chunks():
+        ranks = rank_by_code[chunk.reshape(len(chunk), order, d) @ weights]
+        support = np.count_nonzero(ranks, axis=1)
+        support[support == 0] = order + 1   # the zero member never wins
+        i = np.lexsort([ranks[:, g] for g in range(order - 1, -1, -1)] + [support])[0]
+        key = (int(support[i]), *ranks[i].tolist())
+        if best_key is None or key < best_key:
+            best_key, best_vec = key, chunk[i]
+    if best_key[0] > order:
+        raise DomainError("the zero ideal has no nonzero member")
+    return ctx.element_of_vec(best_vec)
+
+
 def central_witness(ctx: SkewContext, ideal: SkewIdeal) -> SkewElement:
     """A central element of the ideal with identity coefficient 1.
 
@@ -681,16 +777,7 @@ def central_witness(ctx: SkewContext, ideal: SkewIdeal) -> SkewElement:
     if ideal.size > ctx.caps.enumeration:
         raise CapacityError("enumeration", ctx.caps.enumeration, ideal.size,
                             "central witness search")
-    best = None
-    best_key = None
-    for vec in ideal.iter_vectors():
-        r = ctx.element_of_vec(vec)
-        if r.is_zero():
-            continue
-        key = (len(r.support), ctx.rank_of(r))
-        if best_key is None or key < best_key:
-            best, best_key = r, key
-    reduced = support_reduce(ctx, best)
+    reduced = support_reduce(ctx, smallest_member(ideal))
     assert ideal.contains(reduced)
     assert coeff_at_e(reduced).payload == ctx.ring.one
     assert is_central(reduced)

@@ -1,8 +1,13 @@
-"""Naive references for the closure engine: spans as explicit sets.
+"""Naive references: spans as explicit sets, and the centre work done
+element by element.
 
 Deliberately independent of ``skewsimple.closure``: sets of payload tuples,
 operators as callables, and skew ideal operators computed from
 ``SkewElement`` products rather than from the context's operator matrices.
+The centre references run over every element of the materialized centre or
+ideal: the field test multiplies every pair of central elements, the
+coefficient laws visit every central element, and the smallest ideal member
+is found by building each member as a ``SkewElement``.
 """
 
 from __future__ import annotations
@@ -60,3 +65,47 @@ def naive_skew_span(ctx, generators, ops=None) -> set[Vector]:
     return abelian_span([ctx.vec_of(r) for r in generators],
                         ops if ops is not None else skew_operators(ctx),
                         tuple_add_mod(ctx.char), (0,) * ctx.dim)
+
+
+def naive_field_obstruction(elements, *, zero, one):
+    """A nonzero member with no inverse in the set, or None when it is a field."""
+    members = set(elements)
+    for a in members:
+        if a == zero:
+            continue
+        if not any(a * b == one for b in members):
+            return a
+    return None
+
+
+def naive_center_laws(ctx, centre) -> tuple[bool, bool]:
+    """(coefficient and transport laws hold, coefficients lie in the fixed
+    ring), checked on every element of the given centre."""
+    ring, group, action = ctx.ring, ctx.group, ctx.action
+    gens = ring.additive_generators()
+    fixed = {a for a in ring.payloads() if all(auto.apply(a) == a for auto in action.autos)}
+    laws_ok = fixed_ok = True
+    for z in centre:
+        for g, a in z.coeffs.items():
+            if a not in fixed:
+                fixed_ok = False
+            if any(ring.mul(b, a) != ring.mul(a, action.apply(g, b)) for b in gens):
+                laws_ok = False
+            for h in range(group.order):
+                tgt = group.mul_table[group.mul_table[h][g]][group.inv_table[h]]
+                if z.coeffs.get(tgt, ring.zero) != action.apply(h, a):
+                    laws_ok = False
+    return laws_ok, fixed_ok
+
+
+def naive_smallest_member(ctx, ideal):
+    """The nonzero member of smallest (support size, rank), member by member."""
+    best = best_key = None
+    for vec in ideal.iter_vectors():
+        r = ctx.element_of_vec(vec)
+        if r.is_zero():
+            continue
+        key = (len(r.support), ctx.rank_of(r))
+        if best_key is None or key < best_key:
+            best, best_key = r, key
+    return best

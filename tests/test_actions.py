@@ -14,6 +14,19 @@ def swap_action():
                                  RingAutomorphism.coordinate_permutation(ring, [1, 0])])
 
 
+def test_g_simplicity_swept_once_per_action():
+    action = swap_action()
+    engine = action.ideal_engine
+    closures = []
+    sweep = engine.closure
+    engine.closure = lambda *args, **kwargs: closures.append(1) or sweep(*args, **kwargs)
+    first = is_G_simple(action)
+    swept = len(closures)
+    assert first.value and swept >= 1
+    assert is_G_simple(action) is first
+    assert len(closures) == swept
+
+
 def test_trivial_action_validates():
     action = trivial_action(GroupTable.symmetric(3), ModularRing(6))
     assert action.validate() is None

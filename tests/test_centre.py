@@ -1,0 +1,69 @@
+"""The centre work on bases against the element-by-element references.
+
+The field test, the centre laws and the smallest-member selection of
+``central_witness`` must answer exactly as the loops in ``naive.py`` on the
+dynamics catalogue, sampled instances and residue group rings in composite
+characteristic.
+"""
+
+import pytest
+
+from skewsimple import GroupTable, ModularRing
+from skewsimple.actions import is_G_simple, trivial_action
+from skewsimple.criteria import InstanceSampler, center_structure_check, field_obstruction
+from skewsimple.dynamics import catalogue
+from skewsimple.skew import (SkewContext, central_witness, skew_center, skew_ideal_closure,
+                             smallest_member, support_reduce)
+
+from conftest import swap_context
+from naive import naive_center_laws, naive_field_obstruction, naive_smallest_member
+
+# ideals up to this size are enumerated member by member for the reference
+_NAIVE_IDEAL_LIMIT = 1024
+
+
+def _cases():
+    cases = [(f"catalogue-{tg.name}", tg.context) for tg in catalogue()]
+    cases += [(f"sampler-{inst.name}", inst.ctx)
+              for inst in InstanceSampler(0, max_size=1024).draw_many(60)]
+    groups = {"Z2": GroupTable.cyclic_product([2]), "Z3": GroupTable.cyclic_product([3]),
+              "Z2xZ2": GroupTable.cyclic_product([2, 2]), "S3": GroupTable.symmetric(3)}
+    for n in range(4, 13):
+        for tag, group in groups.items():
+            ring = ModularRing(n)
+            cases.append((f"Z{n}-{tag}", SkewContext(ring, group, trivial_action(group, ring))))
+    return cases
+
+
+CASES = _cases()
+
+
+@pytest.mark.parametrize("ctx", [ctx for _, ctx in CASES], ids=[name for name, _ in CASES])
+def test_centre_work_matches_naive(ctx):
+    centre = skew_center(ctx)
+    assert field_obstruction(centre) == naive_field_obstruction(
+        centre, zero=ctx.zero, one=ctx.one)
+    report = center_structure_check(ctx)
+    assert (report.conclusions["center_coefficient_laws"],
+            report.verdicts["coefficients_in_fixed_ring"].value) == naive_center_laws(ctx, centre)
+    if ctx.size > ctx.caps.enumeration:
+        return
+    ideal = skew_ideal_closure(ctx, [ctx.element_of_rank(1 + (ctx.size - 1) // 2)])
+    if ideal.size > _NAIVE_IDEAL_LIMIT:
+        return
+    best = naive_smallest_member(ctx, ideal)
+    assert smallest_member(ideal) == best
+    if ctx.group.is_abelian and is_G_simple(ctx.action).value:
+        assert central_witness(ctx, ideal) == support_reduce(ctx, best)
+
+
+def test_center_laws_detect_injected_non_central_choice():
+    ctx = swap_context()
+    assert center_structure_check(ctx).conclusions["center_coefficient_laws"] is True
+    # (1,0) u_e commutes with the coefficients but not with the swap
+    classes = [list(choices) for choices in ctx.center_classes]
+    classes[0].append({0: (1, 0)})
+    ctx.__dict__["center_classes"] = classes
+    report = center_structure_check(ctx)
+    assert report.conclusions["center_coefficient_laws"] is False
+    assert report.conclusions["abelian_coefficients_fixed"] is False

@@ -9,6 +9,7 @@ from skewsimple.criteria import (InstanceEvaluation, InstanceSampler,
 
 from conftest import (conj_f2_context, conj_f3_context, swap_context,
                       trivial_f2_z2_context, two_two_cycles_context)
+from naive import naive_field_obstruction
 
 
 def test_necessary_conditions_simple_instance(swap_ctx):
@@ -166,9 +167,10 @@ def test_center_structure_augmentation_clause():
 def test_field_obstruction(conj_f2_ctx):
     from skewsimple.skew import skew_center
     centre = skew_center(conj_f2_ctx)
-    bad = field_obstruction(centre, zero=conj_f2_ctx.zero, one=conj_f2_ctx.one)
+    bad = field_obstruction(centre)
     assert bad is not None
     assert (bad * bad).is_zero()  # the obstruction is nilpotent here
+    assert bad == naive_field_obstruction(centre, zero=conj_f2_ctx.zero, one=conj_f2_ctx.one)
 
 
 def test_sampler_deterministic():

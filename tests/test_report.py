@@ -105,3 +105,38 @@ def test_composite_characteristic_above_cap_has_scalar_witness(n, p):
     witness = report["checks"]["abelian_simplicity"]["verdicts"]["simple"]["witness"]
     assert witness == {"element": [["e", p]]}
     assert revalidate_report(report) == []
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
+def test_fixture_reports_match_golden_bytes(path):
+    golden = Path(__file__).parent / "golden" / path.name
+    assert canonical_json(run_checks(load_instance(path))) == golden.read_text()
+
+
+@pytest.mark.parametrize("obstruction,problem", [
+    ("one", "invertible in the centre"), ("zero", "is zero")])
+def test_centre_obstruction_revalidation_rejects_tampering(obstruction, problem):
+    # the centre of M2(F2) x| Z/2 is not a field; claim a unit (or zero) instead
+    spec = load_instance(FIXTURES / "inner_conjugation_f2.json")
+    report = json.loads(canonical_json(run_checks(spec)))
+    verdict = report["checks"]["necessary_conditions"]["verdicts"]["center_is_field"]
+    assert verdict["value"] is False
+    assert revalidate_report(report) == []
+    ctx = spec.build()
+    verdict["witness"] = {"element": getattr(ctx, obstruction).serialize()}
+    problems = revalidate_report(report)
+    assert len(problems) == 1
+    assert problems[0].startswith("necessary_conditions.center_is_field")
+    assert problem in problems[0]
+
+
+def test_check_and_report_build_the_instance_twice(monkeypatch):
+    from skewsimple.instances import InstanceSpec
+    builds = []
+    construct = InstanceSpec._construct
+    monkeypatch.setattr(InstanceSpec, "_construct",
+                        lambda spec: builds.append(spec.name) or construct(spec))
+    spec = load_instance(FIXTURES / "natural_s3.json")
+    report = json.loads(canonical_json(run_checks(spec)))
+    assert revalidate_report(report) == []
+    assert builds == ["natural_s3", "natural_s3"]  # one per parse
