@@ -11,15 +11,20 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import isqrt
+
+import numpy as np
 
 from .actions import (ActionMap, RingAutomorphism, fixed_payloads, is_G_simple,
                       is_outer_action, kernel, trivial_action)
+from .closure import HowellBasis, gauss_solve
 from .errors import DomainError, PreconditionError
 from .groups import GroupTable
 from .rings import FunctionRing, MatrixRing, ModularRing, RingSpec, center
 from .skew import (SkewContext, SkewElement, _payload_json, augmentation,
-                   centralizer_components, coeff_at_e, commuting_witness_outside_A,
-                   is_center_unit, is_max_commutative_A, is_simple, skew_center)
+                   centralizer_components, commuting_witness_outside_A, is_max_commutative_A,
+                   is_simple, left_multiplication)
+from .skew import skew_center  # noqa: F401  (``bench/tracer.py`` wraps it under this name)
 
 
 @dataclass
@@ -62,17 +67,84 @@ class CheckReport:
         }
 
 
-def field_obstruction(center_elements) -> SkewElement | None:
-    """A nonzero element of the centre that is not a unit of the centre, or
-    None when the centre is a field.
+def field_obstruction(ctx: SkewContext) -> SkewElement | None:
+    """A nonzero element of the centre Z that is not a unit of Z, or None
+    when Z is a field; decided on Z's Howell basis, without enumerating Z.
 
-    ``center_elements`` lists the whole centre (as ``skew_center`` returns
-    it); its members are tried in the order of ``set(center_elements)``.
+    In composite characteristic n the obstruction is p*1, with p the least
+    prime dividing n. Over a prime p, phi(z) = z^p is F_p-linear on Z, and Z
+    is a field exactly when phi is injective and its fixed space is the
+    scalars (Berlekamp 1967). The obstruction is then the first RREF row of
+    ker phi when that kernel is nonzero; otherwise it is z - c*1, with z the
+    first RREF row of ker(phi - id) that is not a scalar and c the least
+    value making z - c*1 a non-unit (the least root of z's minimal
+    polynomial).
     """
-    for a in set(center_elements):
-        if not a.is_zero() and not is_center_unit(a):
-            return a
-    return None
+    centre = ctx.center_basis   # refuses, as every centre check does, an |A| above the cap
+    n, dim = ctx.char, ctx.dim
+    one = np.array(ctx.vec_of(ctx.one), dtype=np.int64)
+    p = next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
+    if p != n:
+        return ctx.element_of_vec((p * one) % n)
+    images = [_power(ctx, z, p) for z in centre.rows]
+    nilpotent = _kernel_rows(p, centre.rows, images)
+    if nilpotent:
+        return ctx.element_of_vec(nilpotent[0])
+    fixed = _kernel_rows(p, centre.rows, [(f - z) % p for f, z in zip(images, centre.rows)])
+    if len(fixed) == 1:
+        return None
+    scalars = HowellBasis(p, dim)
+    scalars.insert(one)
+    z = next(f for f in fixed if not scalars.contains(f))
+    c = _least_root(p, _minimal_polynomial(ctx, z, one))
+    return ctx.element_of_vec((z - c * one) % p)
+
+
+def _power(ctx: SkewContext, z: np.ndarray, e: int) -> np.ndarray:
+    """The coordinates of z^e (e >= 2) for central z, by square-and-multiply."""
+    n = ctx.char
+    by_z = left_multiplication(ctx, z)
+    out = z
+    for k, bit in enumerate(bin(e)[3:]):
+        out = ((by_z if k == 0 else left_multiplication(ctx, out)) @ out) % n
+        if bit == "1":
+            out = (by_z @ out) % n
+    return out
+
+
+def _kernel_rows(p: int, rows, images) -> list[np.ndarray]:
+    """The RREF rows of the kernel of the F_p-linear map rows[i] -> images[i].
+
+    In the echelon form of the graph {(image, row)}, the rows whose pivot
+    lies in the second half are exactly the kernel, in RREF.
+    """
+    dim = len(rows[0])
+    graph = HowellBasis(p, 2 * dim)
+    for row, image in zip(rows, images):
+        graph.insert(np.concatenate([image, row]))
+    return [row[dim:] for row, piv in zip(graph.rows, graph.pivots) if piv >= dim]
+
+
+def _minimal_polynomial(ctx: SkewContext, z: np.ndarray, one: np.ndarray) -> list[int]:
+    """Coefficients s_0..s_{k-1} with z^k = sum s_i z^i and k least, over F_p."""
+    p = ctx.char
+    by_z = left_multiplication(ctx, z)
+    powers = [one]
+    while True:
+        nxt = (by_z @ powers[-1]) % p
+        sol = gauss_solve(p, np.stack(powers, axis=1), nxt)
+        if sol is not None:
+            return [int(c) for c in sol]
+        powers.append(nxt)
+
+
+def _least_root(p: int, coeffs: list[int]) -> int:
+    """The least root in F_p of x^k - sum coeffs[i] x^i, evaluated at all of F_p."""
+    xs = np.arange(p, dtype=np.int64)
+    value = np.ones(p, dtype=np.int64)
+    for c in reversed(coeffs):
+        value = (value * xs - c) % p
+    return int(np.flatnonzero(value == 0)[0])
 
 
 class InstanceEvaluation:
@@ -90,12 +162,8 @@ class InstanceEvaluation:
         return is_G_simple(self.ctx.action)
 
     @cached_property
-    def center(self) -> list[SkewElement]:
-        return skew_center(self.ctx)
-
-    @cached_property
     def center_obstruction(self) -> SkewElement | None:
-        return field_obstruction(self.center)
+        return field_obstruction(self.ctx)
 
     @property
     def center_is_field(self) -> bool:
@@ -268,14 +336,19 @@ def center_containment_check(ev: InstanceEvaluation | SkewContext) -> CheckRepor
     ev = _as_evaluation(ev)
     ctx = ev.ctx
     report = CheckReport("center_containment")
-    contained = all(z.support <= {0} for z in ev.center)
+    # the class of e comes first; the centre is the sums of one choice per class
+    identity_choices, *other_classes = ctx.center_classes
+    outside = [SkewElement(ctx, coeffs) for choices in other_classes
+               for coeffs in choices if coeffs]
+    contained = not outside
     fixed_central = fixed_payloads(ctx.action) & {e.payload for e in center(ctx.ring)}
-    center_payloads = {coeff_at_e(z).payload for z in ev.center if z.support <= {0}}
+    center_payloads = {coeffs.get(0, ctx.ring.zero) for coeffs in identity_choices}
     equals_fixed_central = contained and center_payloads == fixed_central
+    # ranks add over the disjoint class supports, so the least-rank central
+    # element outside the identity component is a single choice
     report.verdicts["center_in_identity_component"] = CriterionVerdict(
         "center_in_identity_component", contained,
-        witness=None if contained else _element_json(
-            next(z for z in ev.center if not z.support <= {0})))
+        witness=None if contained else _element_json(min(outside, key=ctx.rank_of)))
     report.verdicts["center_equals_fixed_central"] = CriterionVerdict(
         "center_equals_fixed_central", equals_fixed_central)
     report.verdicts["center_is_field"] = CriterionVerdict("center_is_field", ev.center_is_field)
@@ -342,7 +415,6 @@ def center_structure_check(ev: InstanceEvaluation | SkewContext) -> CheckReport:
     report = CheckReport("center_structure")
     gens = ring.additive_generators()
     fixed = fixed_payloads(action)
-    ctx.check_center_within_cap()
     laws_ok = True
     fixed_ok = True
     # every central element is a disjoint-support sum of one class choice

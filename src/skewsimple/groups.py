@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from math import prod
 from typing import Sequence
 
 from .config import Caps
@@ -90,6 +91,10 @@ class GroupTable:
         orders = [int(n) for n in orders]
         if not orders or any(n < 1 for n in orders):
             raise DomainError(f"cyclic factors must be positive, got {orders}")
+        caps = caps or Caps.from_env()
+        order = prod(orders)
+        if order > caps.group_order:
+            raise CapacityError("group_order", caps.group_order, order, "group table")
         elems = list(product(*[range(n) for n in orders]))
         index = {e: i for i, e in enumerate(elems)}
         mul = [[index[tuple((x + y) % n for x, y, n in zip(a, b, orders))] for b in elems]

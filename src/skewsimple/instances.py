@@ -17,7 +17,7 @@ from jsonschema.exceptions import best_match
 from .actions import action_from_descriptor
 from .config import Caps
 from .dynamics import TransformationGroup
-from .errors import ActionValidationError, DomainError, InstanceParseError
+from .errors import CapacityError, InstanceParseError
 from .groups import GroupTable
 from .rings import ring_from_descriptor
 from .skew import SkewContext
@@ -200,10 +200,15 @@ def parse_instance(text: str) -> InstanceSpec:
         action_desc=raw.get("action"),
         dynamics_desc=raw.get("dynamics"),
     )
-    # surface semantic problems (unknown kinds, bad tables) at parse time
+    # surface semantic problems (unknown kinds, bad tables, missing fields,
+    # values out of range, groups above the cap) at parse time
     try:
         spec.build()
-    except (DomainError, ActionValidationError) as exc:
+    except InstanceParseError:
+        raise
+    except KeyError as exc:
+        raise InstanceParseError(f"invalid instance: missing field {exc}") from exc
+    except (ValueError, TypeError, CapacityError) as exc:   # DomainError is a ValueError
         raise InstanceParseError(f"invalid instance: {exc}") from exc
     return spec
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -167,10 +168,6 @@ class SkewContext:
         return lefts, rights
 
     @cached_property
-    def _payload_rank_by_vec(self) -> dict:
-        return {self.ring.to_vec(self.ring.unrank(i)): i for i in range(self.ring.size)}
-
-    @cached_property
     def _block_code_weights(self) -> np.ndarray:
         """Base-char place values turning a coefficient block into an integer code."""
         d = self.ring.dim
@@ -179,20 +176,11 @@ class SkewContext:
     @cached_property
     def _payload_rank_by_code(self) -> np.ndarray:
         """Payload rank indexed by the block code of the payload's vector."""
-        lookup = self._payload_rank_by_vec
-        table = np.zeros(self.char**self.ring.dim, dtype=np.int64)
-        table[np.array(list(lookup), dtype=np.int64) @ self._block_code_weights] = list(
-            lookup.values())
+        ring = self.ring
+        vecs = np.array([ring.to_vec(ring.unrank(i)) for i in range(ring.size)], dtype=np.int64)
+        table = np.zeros(self.char**ring.dim, dtype=np.int64)
+        table[vecs @ self._block_code_weights] = np.arange(ring.size, dtype=np.int64)
         return table
-
-    def rank_of_vec(self, vec: Sequence[int]) -> int:
-        d = self.ring.dim
-        lookup = self._payload_rank_by_vec
-        size_a = self.ring.size
-        value = 0
-        for g in range(self.group.order):
-            value = value * size_a + lookup[tuple(int(x) for x in vec[g * d:(g + 1) * d])]
-        return value
 
     # centre ------------------------------------------------------------------
     @cached_property
@@ -230,15 +218,6 @@ class SkewContext:
                                     if val != ring.zero})
             classes.append(choices)
         return classes
-
-    def check_center_within_cap(self) -> None:
-        """Refuse a centre with more elements than the enumeration cap."""
-        total = 1
-        for choices in self.center_classes:
-            total *= len(choices)
-        if total > self.caps.enumeration:
-            raise CapacityError("enumeration", self.caps.enumeration, total,
-                                "centre materialization")
 
     @cached_property
     def center_basis(self) -> HowellBasis:
@@ -436,7 +415,10 @@ def skew_center(ctx: SkewContext) -> list[SkewElement]:
     Supports of different classes are disjoint, so an element's rank is the
     sum of the ranks of its choices.
     """
-    ctx.check_center_within_cap()
+    total = prod(len(choices) for choices in ctx.center_classes)
+    if total > ctx.caps.enumeration:
+        raise CapacityError("enumeration", ctx.caps.enumeration, total,
+                            "centre materialization")
     ring = ctx.ring
     order, size_a = ctx.group.order, ring.size
     out: list[tuple[int, dict]] = [(0, {})]
@@ -449,22 +431,27 @@ def skew_center(ctx: SkewContext) -> list[SkewElement]:
     return [SkewElement(ctx, coeffs) for _, coeffs in out]
 
 
+def left_multiplication(ctx: SkewContext, vec: Sequence[int]) -> np.ndarray:
+    """The matrix of x -> r x over Z/char, for r with coordinate vector vec:
+    the sum of the left-multiplication matrices of r's coordinates."""
+    lefts = ctx.ideal_operator_matrices[0::2]   # in coordinate order
+    op = np.zeros((ctx.dim, ctx.dim), dtype=np.int64)
+    for i, c in enumerate(vec):
+        if c:
+            op += int(c) * lefts[i]
+    return op % ctx.char
+
+
 def is_center_unit(r: SkewElement) -> bool:
     """Whether the central element r is a unit of the centre Z.
 
     Z is a finite commutative ring, so r is a unit exactly when x -> r x is
     injective on Z, that is when the products of r with the rows of Z's Howell
-    basis span a submodule as large as Z. Left multiplication by r is the sum
-    of the left-multiplication matrices of r's coordinates.
+    basis span a submodule as large as Z.
     """
     ctx = r.ctx
     n = ctx.char
-    lefts = ctx.ideal_operator_matrices[0::2]   # in coordinate order
-    op = np.zeros((ctx.dim, ctx.dim), dtype=np.int64)
-    for i, c in enumerate(ctx.vec_of(r)):
-        if c:
-            op += c * lefts[i]
-    op %= n
+    op = left_multiplication(ctx, ctx.vec_of(r))
     centre = ctx.center_basis
     image = HowellBasis(n, ctx.dim)
     for row in centre.rows:
@@ -574,10 +561,17 @@ def _sweep_prime(ctx: SkewContext) -> SkewSimplicity:
     size = ctx.size
     skip = bytearray(size)
     skip[0] = 1
+    marks = np.frombuffer(skip, dtype=np.uint8)   # writes through to ``skip``
     n = ctx.char
+    order, d = ctx.group.order, ctx.ring.dim
     lefts, rights = ctx.unit_monomial_matrices
     scalars = _scalar_units(n)
-    transforms = [(c * (lg @ rh)) % n for lg in lefts for rh in rights for c in scalars]
+    # every unit-monomial and scalar transform, stacked: one product maps vec
+    # to all its images, whose blocks are ranked through the code table
+    transforms = np.concatenate([(c * (lg @ rh)) % n
+                                 for lg in lefts for rh in rights for c in scalars])
+    weights, rank_by_code = ctx._block_code_weights, ctx._payload_rank_by_code
+    place = ctx.ring.size ** np.arange(order - 1, -1, -1, dtype=np.int64)
     for i in range(1, size):
         if skip[i]:
             continue
@@ -586,8 +580,8 @@ def _sweep_prime(ctx: SkewContext) -> SkewSimplicity:
         basis = engine.closure([vec])
         if not basis.is_full:
             return SkewSimplicity(False, "full_sweep", r, SkewIdeal(ctx, (r,), basis))
-        for t in transforms:
-            skip[ctx.rank_of_vec((t @ vec) % n)] = 1
+        images = ((transforms @ vec) % n).reshape(-1, order, d)
+        marks[rank_by_code[images @ weights] @ place] = 1
     return SkewSimplicity(True, "full_sweep")
 
 

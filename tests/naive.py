@@ -6,8 +6,9 @@ operators as callables, and skew ideal operators computed from
 ``SkewElement`` products rather than from the context's operator matrices.
 The centre references run over every element of the materialized centre or
 ideal: the field test multiplies every pair of central elements, the
-coefficient laws visit every central element, and the smallest ideal member
-is found by building each member as a ``SkewElement``.
+coefficient laws and the containment check visit every central element, and
+the smallest ideal member is found by building each member as a
+``SkewElement``.
 """
 
 from __future__ import annotations
@@ -67,15 +68,51 @@ def naive_skew_span(ctx, generators, ops=None) -> set[Vector]:
                         tuple_add_mod(ctx.char), (0,) * ctx.dim)
 
 
+def naive_has_inverse(a, elements, *, one) -> bool:
+    """Whether some member b of the set has a * b == one."""
+    return any(a * b == one for b in elements)
+
+
 def naive_field_obstruction(elements, *, zero, one):
     """A nonzero member with no inverse in the set, or None when it is a field."""
     members = set(elements)
     for a in members:
         if a == zero:
             continue
-        if not any(a * b == one for b in members):
+        if not naive_has_inverse(a, members, one=one):
             return a
     return None
+
+
+def naive_center_containment(ctx, centre) -> dict:
+    """``center_containment_check(ctx).as_json()``, computed by visiting every
+    element of the given centre (in rank order); the field verdict comes from
+    ``naive_field_obstruction``."""
+    from skewsimple.actions import fixed_payloads, is_G_simple
+    from skewsimple.criteria import CheckReport, CriterionVerdict
+    from skewsimple.rings import center
+
+    report = CheckReport("center_containment")
+    contained = all(z.support <= {0} for z in centre)
+    fixed_central = fixed_payloads(ctx.action) & {e.payload for e in center(ctx.ring)}
+    center_payloads = {z.coeffs.get(0, ctx.ring.zero) for z in centre if z.support <= {0}}
+    equals_fixed_central = contained and center_payloads == fixed_central
+    is_field = naive_field_obstruction(centre, zero=ctx.zero, one=ctx.one) is None
+    report.verdicts["center_in_identity_component"] = CriterionVerdict(
+        "center_in_identity_component", contained,
+        witness=None if contained else {
+            "element": next(z for z in centre if not z.support <= {0}).serialize()})
+    report.verdicts["center_equals_fixed_central"] = CriterionVerdict(
+        "center_equals_fixed_central", equals_fixed_central)
+    report.verdicts["center_is_field"] = CriterionVerdict("center_is_field", is_field)
+    report.conclusions["containment_equivalence"] = contained == equals_fixed_central
+    if bool(is_G_simple(ctx.action).value) and contained:
+        report.conclusions["containment_gives_field"] = is_field
+    else:
+        report.conclusions["containment_gives_field"] = None
+    report.notes.append("orderable-group converse: out of finite scope "
+                        "(the only finite orderable group is trivial)")
+    return report.as_json()
 
 
 def naive_center_laws(ctx, centre) -> tuple[bool, bool]:

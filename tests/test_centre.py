@@ -1,22 +1,26 @@
 """The centre work on bases against the element-by-element references.
 
-The field test, the centre laws and the smallest-member selection of
-``central_witness`` must answer exactly as the loops in ``naive.py`` on the
-dynamics catalogue, sampled instances and residue group rings in composite
-characteristic.
+On the dynamics catalogue, sampled instances and residue group rings in
+composite characteristic, the Frobenius field test must give the verdict of
+the pairwise loop in ``naive.py``, with an obstruction that is nonzero,
+central and has no inverse in the enumerated centre; the centre laws, the
+containment check and the smallest-member selection of ``central_witness``
+must answer exactly as the loops in ``naive.py``.
 """
 
 import pytest
 
 from skewsimple import GroupTable, ModularRing
 from skewsimple.actions import is_G_simple, trivial_action
-from skewsimple.criteria import InstanceSampler, center_structure_check, field_obstruction
+from skewsimple.criteria import (InstanceSampler, center_containment_check,
+                                 center_structure_check, field_obstruction)
 from skewsimple.dynamics import catalogue
-from skewsimple.skew import (SkewContext, central_witness, skew_center, skew_ideal_closure,
-                             smallest_member, support_reduce)
+from skewsimple.skew import (SkewContext, central_witness, is_central, skew_center,
+                             skew_ideal_closure, smallest_member, support_reduce)
 
 from conftest import swap_context
-from naive import naive_center_laws, naive_field_obstruction, naive_smallest_member
+from naive import (naive_center_containment, naive_center_laws, naive_field_obstruction,
+                   naive_has_inverse, naive_smallest_member)
 
 # ideals up to this size are enumerated member by member for the reference
 _NAIVE_IDEAL_LIMIT = 1024
@@ -41,8 +45,12 @@ CASES = _cases()
 @pytest.mark.parametrize("ctx", [ctx for _, ctx in CASES], ids=[name for name, _ in CASES])
 def test_centre_work_matches_naive(ctx):
     centre = skew_center(ctx)
-    assert field_obstruction(centre) == naive_field_obstruction(
-        centre, zero=ctx.zero, one=ctx.one)
+    bad = field_obstruction(ctx)
+    assert (bad is None) == (naive_field_obstruction(centre, zero=ctx.zero, one=ctx.one) is None)
+    if bad is not None:
+        assert not bad.is_zero() and is_central(bad)
+        assert not naive_has_inverse(bad, centre, one=ctx.one)
+    assert center_containment_check(ctx).as_json() == naive_center_containment(ctx, centre)
     report = center_structure_check(ctx)
     assert (report.conclusions["center_coefficient_laws"],
             report.verdicts["coefficients_in_fixed_ring"].value) == naive_center_laws(ctx, centre)

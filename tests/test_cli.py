@@ -1,14 +1,25 @@
 import json
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import pytest
+
+from skewsimple import InstanceParseError
+from skewsimple.instances import parse_instance
+
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run_cli(*args):
+    # the package is imported from the source tree, installed or not
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "skewsimple.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def test_check_green_instance_exits_zero():
@@ -46,6 +57,38 @@ def test_check_rejects_bad_input_with_exit_2(tmp_path):
 
     missing = run_cli("check", str(tmp_path / "nope.json"))
     assert missing.returncode == 2
+
+
+_Z2 = {"kind": "cyclic_product", "orders": [2]}
+BUILD_ERRORS = {
+    "modular_ring_without_n": {"name": "no_n", "ring": {"kind": "modular"},
+                               "group": _Z2, "action": {"kind": "trivial"}},
+    "modular_ring_n_null": {"name": "null_n", "ring": {"kind": "modular", "n": None},
+                            "group": _Z2, "action": {"kind": "trivial"}},
+    "function_ring_q_not_prime_power": {
+        "name": "q6", "dynamics": {"points": 2, "q": 6, "group": _Z2, "act": [[0, 1], [1, 0]]}},
+    "group_above_cap": {"name": "z300", "ring": {"kind": "modular", "n": 2},
+                        "group": {"kind": "cyclic_product", "orders": [300]},
+                        "action": {"kind": "trivial"}},
+    "group_far_above_cap": {"name": "z2000", "ring": {"kind": "modular", "n": 2},
+                            "group": {"kind": "cyclic_product", "orders": [2000]},
+                            "action": {"kind": "trivial"}},
+}
+
+
+@pytest.mark.parametrize("doc", list(BUILD_ERRORS.values()), ids=list(BUILD_ERRORS))
+def test_check_maps_build_errors_to_exit_2(tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    result = run_cli("check", str(path))
+    assert result.returncode == 2
+    assert "input error: invalid instance" in result.stderr
+    assert "Traceback" not in result.stderr
+    # the group-order cap is checked before the table is built
+    start = time.perf_counter()
+    with pytest.raises(InstanceParseError):
+        parse_instance(json.dumps(doc))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_check_rejects_unknown_check_name():

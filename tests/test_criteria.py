@@ -9,7 +9,7 @@ from skewsimple.criteria import (InstanceEvaluation, InstanceSampler,
 
 from conftest import (conj_f2_context, conj_f3_context, swap_context,
                       trivial_f2_z2_context, two_two_cycles_context)
-from naive import naive_field_obstruction
+from naive import naive_field_obstruction, naive_has_inverse
 
 
 def test_necessary_conditions_simple_instance(swap_ctx):
@@ -165,12 +165,13 @@ def test_center_structure_augmentation_clause():
 
 
 def test_field_obstruction(conj_f2_ctx):
-    from skewsimple.skew import skew_center
+    from skewsimple.skew import is_central, skew_center
     centre = skew_center(conj_f2_ctx)
-    bad = field_obstruction(centre)
-    assert bad is not None
-    assert (bad * bad).is_zero()  # the obstruction is nilpotent here
-    assert bad == naive_field_obstruction(centre, zero=conj_f2_ctx.zero, one=conj_f2_ctx.one)
+    assert naive_field_obstruction(centre, zero=conj_f2_ctx.zero, one=conj_f2_ctx.one)
+    bad = field_obstruction(conj_f2_ctx)
+    assert bad is not None and not bad.is_zero() and is_central(bad)
+    assert (bad * bad).is_zero()  # a nonzero kernel of z -> z^2 gives a nilpotent
+    assert not naive_has_inverse(bad, centre, one=conj_f2_ctx.one)
 
 
 def test_sampler_deterministic():

@@ -107,6 +107,28 @@ def test_composite_characteristic_above_cap_has_scalar_witness(n, p):
     assert revalidate_report(report) == []
 
 
+@pytest.mark.parametrize("n,orders", [(2, [17]), (257, [2])])
+def test_centre_above_cap_is_decided(n, orders):
+    # the group ring (Z/n)[G] is commutative, so its centre has more elements
+    # than the enumeration cap; the field test works on the centre's basis
+    from skewsimple.instances import parse_instance
+    doc = {"name": f"z{n}_centre", "witness_search": True,
+           "ring": {"kind": "modular", "n": n},
+           "group": {"kind": "cyclic_product", "orders": orders},
+           "action": {"kind": "trivial"}}
+    spec = parse_instance(json.dumps(doc))
+    ctx = spec.build()
+    assert ctx.size > spec.caps().enumeration
+    report = json.loads(canonical_json(run_checks(spec)))
+    for name in ("necessary_conditions", "abelian_simplicity", "center_containment",
+                 "center_structure"):
+        assert report["checks"][name]["status"] == "ran"
+    field = report["checks"]["necessary_conditions"]["verdicts"]["center_is_field"]
+    assert field["value"] is False and "witness" in field
+    assert report["violations"] == []
+    assert revalidate_report(report) == []
+
+
 @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
 def test_fixture_reports_match_golden_bytes(path):
     golden = Path(__file__).parent / "golden" / path.name
