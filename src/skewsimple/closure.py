@@ -22,8 +22,21 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import CapacityError
+
 # transient memory of one chunk of enumerated members (``iter_chunks``)
 CHUNK_BYTES = 1 << 17
+INT64_LIMIT = 1 << 63
+
+
+def check_int64(n: int, dim: int) -> None:
+    """Refuse a modulus whose int64 arithmetic can wrap: a product of two
+    reduced vectors of length dim, the largest intermediate of the engine,
+    reaches dim*(n-1)^2."""
+    need = dim * (n - 1) ** 2
+    if need >= INT64_LIMIT:
+        raise CapacityError("int64", INT64_LIMIT - 1, need,
+                            f"arithmetic over Z/{n} in dimension {dim}")
 
 
 def _normalizer(c: int, n: int) -> tuple[int, int]:
@@ -40,6 +53,7 @@ class HowellBasis:
     """A submodule of (Z/n)^dim held as its Howell normal form."""
 
     def __init__(self, n: int, dim: int) -> None:
+        check_int64(n, dim)
         self.n = n
         self.dim = dim
         self.rows: list[np.ndarray] = []
@@ -177,6 +191,7 @@ class ClosureEngine:
     """Operator-stable submodule closures over Z/n."""
 
     def __init__(self, n: int, dim: int, operators: Sequence[np.ndarray]) -> None:
+        check_int64(n, dim)
         self.n = n
         self.dim = dim
         self.operators = [np.asarray(op, dtype=np.int64) % n for op in operators]
@@ -199,6 +214,19 @@ class ClosureEngine:
 
 # ``bench/tracer.py`` wraps the engine's closure under this name
 PrimeClosureEngine = ClosureEngine
+
+
+def kernel_rows(p: int, rows, images) -> list[np.ndarray]:
+    """The RREF rows of the kernel of the F_p-linear map rows[i] -> images[i].
+
+    In the echelon form of the graph {(image, row)}, the rows whose pivot
+    lies in the second half are exactly the kernel, in RREF.
+    """
+    split = len(images[0])
+    graph = HowellBasis(p, split + len(rows[0]))
+    for row, image in zip(rows, images):
+        graph.insert(np.concatenate([image, row]))
+    return [row[split:] for row, piv in zip(graph.rows, graph.pivots) if piv >= split]
 
 
 def gauss_solve(p: int, A: np.ndarray, b: np.ndarray) -> np.ndarray | None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .actions import (ActionMap, RingAutomorphism, fixed_payloads, is_G_simple,
                       is_outer_action, kernel, trivial_action)
-from .closure import HowellBasis, gauss_solve
+from .closure import HowellBasis, gauss_solve, kernel_rows
 from .errors import DomainError, PreconditionError
 from .groups import GroupTable
 from .rings import FunctionRing, MatrixRing, ModularRing, RingSpec, center
@@ -87,10 +87,10 @@ def field_obstruction(ctx: SkewContext) -> SkewElement | None:
     if p != n:
         return ctx.element_of_vec((p * one) % n)
     images = [_power(ctx, z, p) for z in centre.rows]
-    nilpotent = _kernel_rows(p, centre.rows, images)
+    nilpotent = kernel_rows(p, centre.rows, images)
     if nilpotent:
         return ctx.element_of_vec(nilpotent[0])
-    fixed = _kernel_rows(p, centre.rows, [(f - z) % p for f, z in zip(images, centre.rows)])
+    fixed = kernel_rows(p, centre.rows, [(f - z) % p for f, z in zip(images, centre.rows)])
     if len(fixed) == 1:
         return None
     scalars = HowellBasis(p, dim)
@@ -110,19 +110,6 @@ def _power(ctx: SkewContext, z: np.ndarray, e: int) -> np.ndarray:
         if bit == "1":
             out = (by_z @ out) % n
     return out
-
-
-def _kernel_rows(p: int, rows, images) -> list[np.ndarray]:
-    """The RREF rows of the kernel of the F_p-linear map rows[i] -> images[i].
-
-    In the echelon form of the graph {(image, row)}, the rows whose pivot
-    lies in the second half are exactly the kernel, in RREF.
-    """
-    dim = len(rows[0])
-    graph = HowellBasis(p, 2 * dim)
-    for row, image in zip(rows, images):
-        graph.insert(np.concatenate([image, row]))
-    return [row[dim:] for row, piv in zip(graph.rows, graph.pivots) if piv >= dim]
 
 
 def _minimal_polynomial(ctx: SkewContext, z: np.ndarray, one: np.ndarray) -> list[int]:

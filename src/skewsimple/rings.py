@@ -18,17 +18,40 @@ import numpy as np
 from .closure import ClosureEngine, HowellBasis
 from .config import Caps
 from .errors import CapacityError, DomainError
-from .gf import GaloisField, field, prime_power
+from .gf import GaloisField, field
+
+
+# The first 13 primes as Miller-Rabin bases decide primality exactly below
+# 3317044064679887385961981, the least strong pseudoprime to all of them
+# (Sorenson & Webster 2017, "Strong pseudoprimes to twelve prime bases"); the
+# first 12 are fooled by 318665857834031151167461.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
+    """Primality by deterministic Miller-Rabin, exact for every n below
+    PRIME_TEST_BOUND; larger n is refused."""
+    if n >= PRIME_TEST_BOUND:
+        raise CapacityError("modulus", PRIME_TEST_BOUND - 1, n, "primality test")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while not d % 2:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -294,7 +317,6 @@ class FunctionRing(RingSpec):
     """
 
     def __init__(self, points: int | Sequence[str], q: int, caps: Caps | None = None) -> None:
-        prime_power(q)  # validates q
         if isinstance(points, int):
             if points < 1:
                 raise DomainError(f"point set must be non-empty, got {points} points")

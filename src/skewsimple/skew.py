@@ -1,6 +1,7 @@
 """The skew product ring R = A x| G: elements, multiplication, centre and
-centralizer structure, ideal closures, the brute-force simplicity oracle, and
-the constructive support-reduction / central-witness procedures.
+centralizer structure, ideal closures, the simplicity oracle (a sweep or
+witness search for proper ideals, and Norton's criterion to certify that there
+are none), and the constructive support-reduction / central-witness procedures.
 
 Elements are finite-support maps from group indices to nonzero coefficient
 payloads. |R| = |A|^|G| is finite, and every element has a canonical rank
@@ -10,6 +11,7 @@ fixes sweep order, witness choice and report determinism.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
@@ -18,11 +20,11 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .actions import ActionMap, is_G_simple
-from .closure import ClosureEngine, HowellBasis, gauss_solve
+from .closure import ClosureEngine, HowellBasis, gauss_solve, kernel_rows
 from .config import Caps
 from .errors import CapacityError, DomainError, PreconditionError
 from .groups import GroupTable
-from .rings import RingElement, RingSpec
+from .rings import RingElement, RingSpec, _is_prime
 
 
 class SkewContext:
@@ -146,6 +148,12 @@ class SkewContext:
     @cached_property
     def engine(self) -> ClosureEngine:
         return ClosureEngine(self.char, self.dim, self.ideal_operator_matrices)
+
+    @cached_property
+    def dual_engine(self) -> ClosureEngine:
+        """Closures under the transposed operators; the annihilator of an
+        ideal (its orthogonal complement) is stable under them."""
+        return ClosureEngine(self.char, self.dim, [op.T for op in self.ideal_operator_matrices])
 
     @cached_property
     def unit_monomial_matrices(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -434,11 +442,21 @@ def skew_center(ctx: SkewContext) -> list[SkewElement]:
 def left_multiplication(ctx: SkewContext, vec: Sequence[int]) -> np.ndarray:
     """The matrix of x -> r x over Z/char, for r with coordinate vector vec:
     the sum of the left-multiplication matrices of r's coordinates."""
-    lefts = ctx.ideal_operator_matrices[0::2]   # in coordinate order
+    return _combine(ctx, ctx.ideal_operator_matrices[0::2], vec)
+
+
+def right_multiplication(ctx: SkewContext, vec: Sequence[int]) -> np.ndarray:
+    """The matrix of x -> x r over Z/char, for r with coordinate vector vec."""
+    return _combine(ctx, ctx.ideal_operator_matrices[1::2], vec)
+
+
+def _combine(ctx: SkewContext, mats: Sequence[np.ndarray], vec: Sequence[int]) -> np.ndarray:
+    """sum(vec[i] * mats[i]) over Z/char (mats in coordinate order), one
+    dim x dim matrix at a time."""
     op = np.zeros((ctx.dim, ctx.dim), dtype=np.int64)
     for i, c in enumerate(vec):
         if c:
-            op += int(c) * lefts[i]
+            op += int(c) * mats[i]
     return op % ctx.char
 
 
@@ -523,7 +541,11 @@ def skew_ideal_closure(ctx: SkewContext, generators: Iterable[SkewElement]) -> S
 
 @dataclass(frozen=True)
 class SkewSimplicity:
-    """Simplicity verdict. value None means undetermined (witness search only)."""
+    """Simplicity verdict. value None means undetermined (witness search only).
+
+    method is "full_sweep" or "witness_search" for a verdict found by closing
+    elements, "certificate" for simplicity proved by ``certify_simple``.
+    """
 
     value: bool | None
     method: str
@@ -538,13 +560,18 @@ def _scalar_units(char: int) -> list[int]:
 
 
 def is_simple(ctx: SkewContext, *, witness_search: bool | None = None) -> SkewSimplicity:
-    """Brute-force oracle: R is simple iff every nonzero element generates R.
+    """Simplicity oracle: R is simple iff every nonzero element generates R.
 
     Within the enumeration cap this sweeps all nonzero elements in canonical
     rank order, skipping unit-monomial multiples of elements already seen to
-    generate everything. Above the cap, ``witness_search`` must be enabled
-    (or left as None for automatic fallback): only generators of support
-    size <= 2 are searched and simplicity is never claimed.
+    generate everything; once SWEEP_BEFORE_CERTIFICATE elements have
+    generated R it tries ``certify_simple`` once and stops if that proves R
+    simple. Above the cap, ``witness_search`` must be enabled (or left as None
+    for automatic fallback): support-<=2 generators are searched for a proper
+    ideal, the certificate is tried before the exhaustive pairs, and the
+    answer is undetermined when neither decides. The certificate only ever
+    proves simplicity, so a False verdict and its witness come from the
+    search alone.
     """
     if ctx.size <= ctx.caps.enumeration:
         return _sweep_prime(ctx)
@@ -572,6 +599,7 @@ def _sweep_prime(ctx: SkewContext) -> SkewSimplicity:
                                  for lg in lefts for rh in rights for c in scalars])
     weights, rank_by_code = ctx._block_code_weights, ctx._payload_rank_by_code
     place = ctx.ring.size ** np.arange(order - 1, -1, -1, dtype=np.int64)
+    closed = 0
     for i in range(1, size):
         if skip[i]:
             continue
@@ -580,6 +608,9 @@ def _sweep_prime(ctx: SkewContext) -> SkewSimplicity:
         basis = engine.closure([vec])
         if not basis.is_full:
             return SkewSimplicity(False, "full_sweep", r, SkewIdeal(ctx, (r,), basis))
+        closed += 1
+        if closed == SWEEP_BEFORE_CERTIFICATE and certify_simple(ctx):
+            return SkewSimplicity(True, "certificate")
         images = ((transforms @ vec) % n).reshape(-1, order, d)
         marks[rank_by_code[images @ weights] @ place] = 1
     return SkewSimplicity(True, "full_sweep")
@@ -590,12 +621,15 @@ _sweep_generic = _sweep_prime
 
 
 def _witness_search(ctx: SkewContext) -> SkewSimplicity:
-    """Search support-<=2 generators for a proper ideal; never claims simplicity.
+    """Search support-<=2 generators for a proper ideal, and claim simplicity
+    only by ``certify_simple``.
 
     Any support-<=2 element is a unit-monomial translate of one supported on
-    {e, g}, so only those are tried: structured candidates first (one for each
-    kernel member, one for each nonzero commuting component), then the
-    exhaustive {e,g} pairs under the candidate budget.
+    {e, g}, so only those are tried: structured candidates first (a member of
+    a proper invariant ideal, one for each kernel member, one for each nonzero
+    commuting component), each family skipped when its coefficient ring is
+    too large to enumerate; then the certificate; then the exhaustive {e,g}
+    pairs under the candidate budget. Undetermined when none decides.
     """
     engine = ctx.engine
     ring, group = ctx.ring, ctx.group
@@ -609,25 +643,28 @@ def _witness_search(ctx: SkewContext) -> SkewSimplicity:
             return SkewIdeal(ctx, (r,), basis)
         return None
 
-    candidates: list[SkewElement] = []
-    try:
-        # invariant-ideal witnesses: a proper action-stable ideal J of A gives
-        # the proper ideal of R generated by any nonzero member of J
+    def invariant_ideal() -> list[SkewElement]:
+        # a proper action-stable ideal J of A gives the proper ideal of R
+        # generated by any nonzero member of J
         g_simple = is_G_simple(ctx.action)
-        if not g_simple.value:
-            candidates.append(ctx.monomial(g_simple.witness.payload, 0))
-        # augmentation-style witnesses for kernel members
-        for g in range(1, group.order):
-            if ctx.action.autos[g].is_identity():
-                candidates.append(ctx.one - ctx.unit_monomial(g))
-        # commuting-coefficient candidates
+        return [] if g_simple.value else [ctx.monomial(g_simple.witness.payload, 0)]
+
+    def kernel_members() -> list[SkewElement]:
+        # augmentation-style witnesses
+        return [ctx.one - ctx.unit_monomial(g) for g in range(1, group.order)
+                if ctx.action.autos[g].is_identity()]
+
+    def commuting_components() -> list[SkewElement]:
         comps = centralizer_components(ctx)
-        for g in range(1, group.order):
-            for a in comps[g]:
-                if a != ring.zero:
-                    candidates.append(ctx.monomial(a, 0) - ctx.monomial(a, g))
-    except CapacityError:
-        pass  # coefficient ring too large to enumerate; fall through to pairs
+        return [ctx.monomial(a, 0) - ctx.monomial(a, g) for g in range(1, group.order)
+                for a in comps[g] if a != ring.zero]
+
+    candidates: list[SkewElement] = []
+    for family in (invariant_ideal, kernel_members, commuting_components):
+        try:
+            candidates.extend(family())
+        except CapacityError:
+            pass  # coefficient ring too large to enumerate for this family
     for r in candidates:
         if tried >= budget:
             break
@@ -637,6 +674,8 @@ def _witness_search(ctx: SkewContext) -> SkewSimplicity:
         ideal = check(r)
         if ideal is not None:
             return SkewSimplicity(False, "witness_search", r, ideal)
+    if certify_simple(ctx):
+        return SkewSimplicity(True, "certificate")
     # exhaustive support {e, g} pairs, canonical order, budget-limited
     ring.check_enumerable("witness search coefficient sweep")
     for i in range(1, ring.size):
@@ -659,6 +698,57 @@ def _witness_search(ctx: SkewContext) -> SkewSimplicity:
     return SkewSimplicity(None, "witness_search", note=(
         f"no proper ideal found among {tried} support-<=2 generators; "
         "simplicity undetermined"))
+
+
+# Norton's criterion --------------------------------------------------------------
+
+SWEEP_BEFORE_CERTIFICATE = 32   # full closures the in-cap sweep makes first
+CERTIFICATE_DRAWS = 16          # elements theta of E tried
+CERTIFICATE_TERMS = 3           # products L_a R_b summed into one theta
+CERTIFICATE_SEED = 0
+
+
+def certificate_draws(ctx: SkewContext) -> Iterator[np.ndarray]:
+    """The seeded elements theta = sum_k L_{a_k} R_{b_k} of the enveloping
+    algebra E, as matrices over F_char (x -> sum_k a_k x b_k)."""
+    p, dim = ctx.char, ctx.dim
+    rng = random.Random(CERTIFICATE_SEED)
+    for _ in range(CERTIFICATE_DRAWS):
+        theta = np.zeros((dim, dim), dtype=np.int64)
+        for _ in range(CERTIFICATE_TERMS):
+            a = [rng.randrange(p) for _ in range(dim)]
+            b = [rng.randrange(p) for _ in range(dim)]
+            theta += (left_multiplication(ctx, a) @ right_multiplication(ctx, b)) % p
+        yield theta % p
+
+
+def certify_simple(ctx: SkewContext) -> bool:
+    """True only when Norton's criterion proves R simple; False means "not
+    certified" and never carries a witness.
+
+    Two-sided ideals of R are the submodules of R under the algebra E
+    generated by the left and right multiplications, so R is simple exactly
+    when it is an irreducible E-module (Parker 1984, "The computer calculation
+    of modular characters"; Holt & Rees 1994, "Testing modules for
+    irreducibility"). At the first drawn theta in E with a one-dimensional
+    kernel, spanned by v, with ker theta^T spanned by w, R is simple if both
+    the ideal generated by v and the closure of w under the transposed
+    operators are everything. For a proper nonzero ideal U either U meets
+    ker theta and so holds v, or theta is injective on U, hence singular on
+    R/U, and then w lies in the annihilator of U, which is stable under the
+    transposed operators. R is never simple in composite characteristic.
+    """
+    p = ctx.char
+    if not _is_prime(p):
+        return False
+    engine = ctx.engine   # refuses moduli whose int64 products can wrap
+    identity = np.eye(ctx.dim, dtype=np.int64)
+    for theta in certificate_draws(ctx):
+        kernel = kernel_rows(p, identity, theta.T)   # theta e_i is column i
+        if len(kernel) == 1:
+            (w,) = kernel_rows(p, identity, theta)
+            return engine.closure(kernel).is_full and ctx.dual_engine.closure([w]).is_full
+    return False
 
 
 # constructive procedures -------------------------------------------------------

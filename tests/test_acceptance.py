@@ -146,6 +146,10 @@ def test_criterion_7_dynamics_suite(dynamics_catalogue):
             ds = dynamics_simplicity_check(T)
             assert ds.conclusions["injective_iff_minimal_faithful"] is True, T.name
             assert not ds.violations, T.name
+            # simplicity is decided everywhere, so the full equivalence holds
+            assert ds.verdicts["simple"].value is not None, T.name
+            assert ds.conclusions["simple_iff_max_commutative"] is True, T.name
+            assert ds.conclusions["simple_implies_rest"] is True, T.name
             if T.group.is_abelian:
                 assert ds.conclusions["abelian_all_equivalent"] is True, T.name
                 fr = abelian_freeness_check(T)

@@ -67,6 +67,9 @@ BUILD_ERRORS = {
                             "group": _Z2, "action": {"kind": "trivial"}},
     "function_ring_q_not_prime_power": {
         "name": "q6", "dynamics": {"points": 2, "q": 6, "group": _Z2, "act": [[0, 1], [1, 0]]}},
+    "function_ring_q_large_prime": {
+        "name": "q1000000007",
+        "dynamics": {"points": 2, "q": 1000000007, "group": _Z2, "act": [[0, 1], [1, 0]]}},
     "group_above_cap": {"name": "z300", "ring": {"kind": "modular", "n": 2},
                         "group": {"kind": "cyclic_product", "orders": [300]},
                         "action": {"kind": "trivial"}},

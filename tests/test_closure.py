@@ -1,9 +1,11 @@
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewsimple.closure import ClosureEngine, gauss_solve
+from skewsimple import CapacityError
+from skewsimple.closure import ClosureEngine, HowellBasis, gauss_solve, kernel_rows
 
 from naive import abelian_span, tuple_add_mod
 
@@ -116,6 +118,26 @@ def test_engine_matches_naive_span(problem, stop_at_full):
     assert basis.is_full == (len(span) == n**dim)
     for v in itertools.product(range(n), repeat=dim):
         assert basis.contains(v) == (v in span)
+
+
+def test_int64_wrap_is_refused():
+    # a product of two reduced vectors of length dim reaches dim*(n-1)^2
+    ClosureEngine(2147483647, 2, [])
+    HowellBasis(3037000499, 1)
+    for n, dim in ((2147483647, 3), (4294967311, 2), (3037000501, 1), (10**15 + 37, 1)):
+        with pytest.raises(CapacityError):
+            ClosureEngine(n, dim, [])
+        with pytest.raises(CapacityError):
+            HowellBasis(n, dim)
+
+
+def test_kernel_rows_of_a_matrix():
+    # over F_5, x -> M x with M of rank 2 on F_5^3
+    m = np.array([[1, 2, 3], [0, 1, 4], [1, 3, 2]], dtype=np.int64)
+    kernel = kernel_rows(5, np.eye(3, dtype=np.int64), m.T)
+    assert len(kernel) == 1
+    assert not ((m @ kernel[0]) % 5).any()
+    assert kernel_rows(5, np.eye(2, dtype=np.int64), np.eye(2, dtype=np.int64)) == []
 
 
 def test_gauss_solve_consistent_and_inconsistent():

@@ -8,10 +8,13 @@ the first proper ideal, mirroring the oracle's definition word for word.
 import numpy as np
 import pytest
 
-from skewsimple import GroupTable, ModularRing
+from skewsimple import GroupTable, ModularRing, skew
 from skewsimple.actions import trivial_action
+from skewsimple.closure import kernel_rows
+from skewsimple.criteria import InstanceSampler
+from skewsimple.dynamics import catalogue
 from skewsimple.rings import _is_prime
-from skewsimple.skew import SkewContext, is_simple
+from skewsimple.skew import SkewContext, certificate_draws, certify_simple, is_simple
 
 from conftest import (conj_f2_context, rotation_z3_context, swap_context,
                       trivial_f2_z2_context, two_two_cycles_context)
@@ -84,6 +87,71 @@ def test_optimized_sweep_matches_naive_reference(make):
         # the optimized sweep must find the same canonical first witness:
         # skipping only removes elements whose closure is known full
         assert ctx.rank_of(verdict.witness) == first_bad
+
+
+def swept_simplicity(ctx, monkeypatch):
+    """The in-cap sweep with the certificate switched off: the reference for
+    contexts too large for ``naive_simplicity`` (its skipping is checked
+    against that one above)."""
+    with monkeypatch.context() as patch:
+        patch.setattr(skew, "certify_simple", lambda ctx: False)
+        return is_simple(ctx).value
+
+
+def assert_certificate_sound(ctx, monkeypatch):
+    # a True certificate must be a simple ring, so every non-simple context
+    # comes back uncertified
+    if certify_simple(ctx):
+        if ctx.size <= 4096:
+            assert naive_simplicity(ctx)[0] is True
+        else:
+            assert swept_simplicity(ctx, monkeypatch) is True
+
+
+@pytest.mark.parametrize("make", CASES)
+def test_certificate_implies_naive_simplicity(make, monkeypatch):
+    assert_certificate_sound(make(), monkeypatch)
+
+
+def test_certificate_sound_on_in_cap_catalogue(monkeypatch):
+    certified = 0
+    for T in catalogue():
+        ctx = T.context
+        if ctx.size <= ctx.caps.enumeration:
+            assert_certificate_sound(ctx, monkeypatch)
+            certified += certify_simple(ctx)
+    # regular_Z2, _Z3, _Z4, _Z2xZ2, swap_2pts, rotation_Z3 and rotation_Z3_q3
+    assert certified == 7
+
+
+def test_certificate_sound_on_sampler_contexts(monkeypatch):
+    certified = 0
+    for inst in InstanceSampler(0, 4096).draw_many(200):
+        assert_certificate_sound(inst.ctx, monkeypatch)
+        certified += certify_simple(inst.ctx)
+    assert certified == 4
+
+
+def test_certificate_needs_the_closures():
+    # swap_plus_fixed is not simple, yet several drawn theta have a
+    # one-dimensional kernel; only the closure of its spanning vector refuses
+    T = next(T for T in catalogue() if T.name == "swap_plus_fixed")
+    ctx = T.context
+    p = ctx.char
+    identity = np.eye(ctx.dim, dtype=np.int64)
+    nullity_one = 0
+    for theta in certificate_draws(ctx):
+        kernel = kernel_rows(p, identity, theta.T)
+        if len(kernel) == 1:
+            nullity_one += 1
+            assert not ctx.engine.closure([kernel[0]]).is_full
+    assert nullity_one >= 1
+    assert certify_simple(ctx) is False
+
+
+def test_certificate_refuses_composite_characteristic():
+    for make in (_z4_ctx, _z6_z2_ctx, _z9_z3_ctx):
+        assert certify_simple(make()) is False
 
 
 def test_witness_search_results_always_verify():

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 from skewsimple import (CapacityError, Caps, DomainError, FunctionRing, MatrixRing,
                         ModularRing, center, enumerate_elements, ideal_closure, is_field,
                         is_simple_ring, try_invert)
+from skewsimple.rings import PRIME_TEST_BOUND, _is_prime
 
 RINGS_SMALL = [ModularRing(6), MatrixRing(2, 2), FunctionRing(3, 2), FunctionRing(2, 4)]
 
@@ -207,3 +209,32 @@ def test_vec_roundtrip():
         for a in ring.payloads():
             assert ring.from_vec(ring.to_vec(a)) == a
             assert ring.unrank(ring.rank(a)) == a
+
+
+def _trial_division(n, primes):
+    return n >= 2 and all(n % p for p in primes if p * p <= n)
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    small = [p for p in range(2, 317) if all(p % d for d in range(2, p))]
+    for n in range(100000):
+        assert _is_prime(n) is _trial_division(n, small), n
+
+
+def test_is_prime_rejects_pseudoprimes():
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+                  5394826801, 232250619601, 9746347772161]
+    # 2047 fools base 2; 3215031751 fools 2, 3, 5 and 7; 318665857834031151167461
+    # fools all of the first twelve prime bases
+    for n in carmichael + [2047, 3215031751, 318665857834031151167461]:
+        assert not _is_prime(n), n
+    for p in (2147483647, 1000000007, 10**15 + 37, 2**61 - 1):
+        assert _is_prime(p), p
+
+
+def test_is_prime_is_fast_and_bounded():
+    start = time.perf_counter()
+    assert _is_prime(10**15 + 37)
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(CapacityError):
+        _is_prime(PRIME_TEST_BOUND)

@@ -1,18 +1,22 @@
 import random
 
+import numpy as np
 import pytest
 
 from skewsimple import (CapacityError, Caps, DomainError, FunctionRing, GroupTable,
-                        MatrixRing, ModularRing, PreconditionError)
+                        MatrixRing, ModularRing, PreconditionError, skew)
 from skewsimple.actions import ActionMap, RingAutomorphism, trivial_action
+from skewsimple.closure import kernel_rows
 from skewsimple.skew import (SkewContext, augmentation, central_witness,
                              centralizer_components, centralizer_of_A, coeff_at_e,
                              commuting_witness_outside_A, is_central,
-                             is_max_commutative_A, is_simple, skew_center,
-                             skew_ideal_closure, support, support_reduce)
+                             is_max_commutative_A, is_simple, left_multiplication,
+                             right_multiplication, skew_center, skew_ideal_closure,
+                             support, support_reduce)
 
-from conftest import (conj_f3_context, natural_s3_context, rotation_z3_context,
-                      swap_context, trivial_f2_z2_context, two_two_cycles_context)
+from conftest import (conj_f2_context, conj_f3_context, natural_s3_context,
+                      rotation_z3_context, swap_context, trivial_f2_z2_context,
+                      two_two_cycles_context)
 from naive import naive_skew_span
 
 
@@ -313,15 +317,88 @@ def test_oracle_refuses_over_cap_without_flag():
     assert is_simple(ctx2, witness_search=True).value is False
 
 
-def test_witness_search_never_claims_simplicity():
-    # the regular rotation context is simple, but above a tiny cap the search
-    # must come back undetermined rather than claim anything
+def test_witness_search_claims_simplicity_only_by_certificate(monkeypatch):
+    # the regular rotation context is simple: above a tiny cap the
+    # certificate proves it, and without the certificate the search comes
+    # back undetermined rather than claim anything
     caps = Caps(enumeration=16, witness_candidates=50)
-    ctx = rotation_z3_context(caps=caps)
-    verdict = is_simple(ctx)
+    verdict = is_simple(rotation_z3_context(caps=caps))
+    assert (verdict.value, verdict.method) == (True, "certificate")
+    assert verdict.witness is None
+    monkeypatch.setattr(skew, "certify_simple", lambda ctx: False)
+    verdict = is_simple(rotation_z3_context(caps=caps))
     assert verdict.value is None
     assert verdict.method == "witness_search"
     assert "undetermined" in verdict.note
+    monkeypatch.undo()
+    for ctx in (two_two_cycles_context(caps), conj_f2_context(caps),
+                natural_s3_context(caps=caps)):
+        assert ctx.size > caps.enumeration
+        assert skew.certify_simple(ctx) is False
+        assert is_simple(ctx).value is False
+
+
+@pytest.mark.parametrize("name", ["regular_Z4", "regular_Z2xZ2", "rotation_Z3_q3"])
+def test_certificate_decides_in_cap_simple_actions(dynamics_catalogue, name):
+    T = next(T for T in dynamics_catalogue if T.name == name)
+    ctx = T.context
+    assert ctx.size <= ctx.caps.enumeration
+    verdict = is_simple(ctx)
+    assert (verdict.value, verdict.method) == (True, "certificate")
+
+
+def test_right_multiplication_matches_products(conj_f3_ctx):
+    ctx = conj_f3_ctx
+    rng = random.Random(3)
+    for _ in range(10):
+        r = ctx.element_of_rank(rng.randrange(ctx.size))
+        x = ctx.element_of_rank(rng.randrange(ctx.size))
+        vec = np.array(ctx.vec_of(x), dtype=np.int64)
+        right = right_multiplication(ctx, ctx.vec_of(r))
+        left = left_multiplication(ctx, ctx.vec_of(r))
+        assert tuple((right @ vec) % ctx.char) == ctx.vec_of(x * r)
+        assert tuple((left @ vec) % ctx.char) == ctx.vec_of(r * x)
+
+
+def test_dual_engine_keeps_annihilators_of_ideals(conj_f2_ctx):
+    # the annihilator of a proper ideal U is stable under the transposed
+    # operators, so its closure there is itself
+    ctx = conj_f2_ctx
+    ideal = is_simple(ctx).witness_ideal
+    rows = np.stack(ideal.basis.rows)
+    annihilator = kernel_rows(ctx.char, np.eye(ctx.dim, dtype=np.int64), rows.T)
+    assert len(annihilator) == ctx.dim - ideal.basis.rank > 0
+    closed = ctx.dual_engine.closure(annihilator, stop_at_full=False)
+    assert closed.rank == len(annihilator)
+
+
+def test_witness_search_guards_each_candidate_family():
+    # |A| = 2147483647 is above the cap, so the invariant-ideal and the
+    # commuting families are skipped; the kernel family still decides
+    n = 2147483647
+    ring = ModularRing(n)
+    grp = GroupTable.cyclic_product([2])
+    ctx = SkewContext(ring, grp, trivial_action(grp, ring))
+    verdict = is_simple(ctx, witness_search=True)
+    assert (verdict.value, verdict.method) == (False, "witness_search")
+    assert verdict.witness == ctx.one - ctx.unit_monomial(1)
+    assert verdict.witness.serialize() == [["0", 1], ["1", n - 1]]
+    assert verdict.witness_ideal.size == n
+
+
+def test_moduli_whose_products_wrap_are_refused():
+    grp = GroupTable.cyclic_product([2])
+    fits = ModularRing(2147483647)   # 2 * (n-1)^2 < 2^63
+    ctx = SkewContext(fits, grp, trivial_action(grp, fits))
+    augmentation_ideal = skew_ideal_closure(ctx, [ctx.one - ctx.unit_monomial(1)])
+    assert augmentation_ideal.size == fits.n
+    assert not augmentation_ideal.contains(ctx.one)
+    for n in (4294967311, 10**15 + 37):
+        ring = ModularRing(n)
+        ctx = SkewContext(ring, grp, trivial_action(grp, ring))
+        with pytest.raises(CapacityError) as err:
+            skew_ideal_closure(ctx, [ctx.one - ctx.unit_monomial(1)])
+        assert err.value.cap_name == "int64"
 
 
 def test_witness_search_finds_invariant_ideal_witness():
