@@ -18,7 +18,7 @@ from .criteria import CheckReport, CriterionVerdict, InstanceEvaluation
 from .errors import DomainError
 from .groups import GroupTable, Subgroup, validate_action_table
 from .rings import FunctionRing, TwoSidedIdeal
-from .skew import SkewContext
+from .skew import SkewContext, check_dimension
 
 
 @dataclass
@@ -101,6 +101,7 @@ class TransformationGroup:
 def induce_sigma(T: TransformationGroup) -> ActionMap:
     """The induced automorphism action: g sends f to f composed with g^-1."""
     group = T.group
+    check_dimension(T.ring, group)
     autos = [RingAutomorphism.coordinate_permutation(T.ring, T.act[group.inv_table[g]])
              for g in group.elements()]
     action = ActionMap(group, T.ring, autos)

@@ -20,7 +20,7 @@ from .dynamics import TransformationGroup
 from .errors import CapacityError, InstanceParseError
 from .groups import GroupTable
 from .rings import ring_from_descriptor
-from .skew import SkewContext
+from .skew import SkewContext, check_dimension
 
 INSTANCE_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -112,6 +112,7 @@ class InstanceSpec:
         allow_search = None if self.witness_search else False
         if self.kind == "algebra":
             ring = ring_from_descriptor(self.ring_desc, caps)
+            check_dimension(ring, group)
             action = action_from_descriptor(group, ring, self.action_desc)
             action.ensure_valid()
             ctx = SkewContext(ring, group, action, caps)

@@ -20,11 +20,22 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .actions import ActionMap, is_G_simple
-from .closure import ClosureEngine, HowellBasis, gauss_solve, kernel_rows
+from .closure import ClosureEngine, HowellBasis, check_int64, gauss_solve, kernel_rows
 from .config import Caps
 from .errors import CapacityError, DomainError, PreconditionError
 from .groups import GroupTable
 from .rings import RingElement, RingSpec, _is_prime
+
+
+MAX_DIM = 256   # the most coordinates |G| * dim_A of a skew ring built here
+
+
+def check_dimension(ring: RingSpec, group: GroupTable) -> None:
+    """Refuse A x| G with more than MAX_DIM coordinates; callers check this
+    before they build or validate the action, whose cost grows with dim_A."""
+    dim = group.order * ring.dim
+    if dim > MAX_DIM:
+        raise CapacityError("dimension", MAX_DIM, dim, "skew ring coordinates")
 
 
 class SkewContext:
@@ -34,6 +45,7 @@ class SkewContext:
                  caps: Caps | None = None) -> None:
         if action.ring != ring or action.group is not group:
             raise DomainError("action does not match the given ring and group")
+        check_dimension(ring, group)
         action.ensure_valid()
         self.ring = ring
         self.group = group
@@ -120,30 +132,45 @@ class SkewContext:
                 for b in self.ring.additive_generators()]
 
     @cached_property
-    def _basis_payloads(self) -> list:
-        return self.ring.additive_generators()
+    def structure_constants(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lefts, rights, autos) over Z/char. Row s of lefts (of rights) is
+        the dim_A x dim_A matrix of a -> b_s a (of a -> a b_s) on A, for the
+        basis payload b_s, read row by row, so that (x @ lefts) holds the
+        matrix of left multiplication by x; autos[g] is the matrix of sigma_g.
+        """
+        ring = self.ring
+        d = ring.dim
+        basis = ring.additive_generators()
+        lefts = [[ring.to_vec(ring.mul(b, c)) for c in basis] for b in basis]
+        rights = [[ring.to_vec(ring.mul(c, b)) for c in basis] for b in basis]
+        autos = [auto.matrix() for auto in self.action.autos]
+        return (np.array(lefts, dtype=np.int64).transpose(0, 2, 1).reshape(d, d * d) % self.char,
+                np.array(rights, dtype=np.int64).transpose(0, 2, 1).reshape(d, d * d) % self.char,
+                np.stack(autos))
+
+    @cached_property
+    def _block_sources(self) -> tuple[np.ndarray, np.ndarray]:
+        """(left, right) gather indices: block (k, g) of L_r is the block of
+        h = left[k, g] = k g^-1 (so hg = k), and block (k, g) of R_r is the
+        block of (g, h) with h = g^-1 k (so gh = k), at index right[g, k] of
+        the flattened (g, h) grid."""
+        mul = np.array(self.group.mul_table, dtype=np.int64)
+        inv = np.array(self.group.inv_table, dtype=np.int64)
+        order = self.group.order
+        return mul[:, inv], np.arange(order)[:, None] * order + mul[inv, :]
 
     @cached_property
     def ideal_operator_matrices(self) -> list[np.ndarray]:
-        """Left/right multiplication by each module generator, over Z/char."""
-        ring, group = self.ring, self.group
-        d = ring.dim
-        mats = []
-        for b, h in self.module_generators:
-            left = np.zeros((self.dim, self.dim), dtype=np.int64)
-            right = np.zeros((self.dim, self.dim), dtype=np.int64)
-            for g in range(group.order):
-                hg = group.mul_table[h][g]
-                gh = group.mul_table[g][h]
-                for t, beta in enumerate(self._basis_payloads):
-                    col = g * d + t
-                    left[hg * d:(hg + 1) * d, col] = ring.to_vec(
-                        ring.mul(b, self.action.apply(h, beta)))
-                    right[gh * d:(gh + 1) * d, col] = ring.to_vec(
-                        ring.mul(beta, self.action.apply(g, b)))
-            mats.append(left)
-            mats.append(right)
-        return mats
+        """Left/right multiplication by each ring generator of R: b_t u_e for
+        the basis payloads b_t, and u_g for g in ``group.generators``.
+
+        L_{xy} = L_x L_y, so a submodule stable under these is stable under
+        multiplication by all of R, that is, it is a two-sided ideal.
+        """
+        gens = [tuple(int(i == t) for i in range(self.dim)) for t in range(self.ring.dim)]
+        gens += [self.vec_of(self.unit_monomial(g)) for g in self.group.generators]
+        pairs = zip(left_multiplications(self, gens), right_multiplications(self, gens))
+        return [op for pair in pairs for op in pair]
 
     @cached_property
     def engine(self) -> ClosureEngine:
@@ -158,22 +185,8 @@ class SkewContext:
     @cached_property
     def unit_monomial_matrices(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Matrices of r -> u_g r and r -> r u_h (used to mark unit orbits)."""
-        ring, group = self.ring, self.group
-        d = ring.dim
-        lefts, rights = [], []
-        for k in range(group.order):
-            left = np.zeros((self.dim, self.dim), dtype=np.int64)
-            right = np.zeros((self.dim, self.dim), dtype=np.int64)
-            for g in range(group.order):
-                kg = group.mul_table[k][g]
-                gk = group.mul_table[g][k]
-                for t, beta in enumerate(self._basis_payloads):
-                    col = g * d + t
-                    left[kg * d:(kg + 1) * d, col] = ring.to_vec(self.action.apply(k, beta))
-                    right[gk * d:(gk + 1) * d, col] = ring.to_vec(beta)
-            lefts.append(left % self.char)
-            rights.append(right % self.char)
-        return lefts, rights
+        units = [self.vec_of(self.unit_monomial(g)) for g in range(self.group.order)]
+        return list(left_multiplications(self, units)), list(right_multiplications(self, units))
 
     @cached_property
     def _block_code_weights(self) -> np.ndarray:
@@ -440,24 +453,50 @@ def skew_center(ctx: SkewContext) -> list[SkewElement]:
 
 
 def left_multiplication(ctx: SkewContext, vec: Sequence[int]) -> np.ndarray:
-    """The matrix of x -> r x over Z/char, for r with coordinate vector vec:
-    the sum of the left-multiplication matrices of r's coordinates."""
-    return _combine(ctx, ctx.ideal_operator_matrices[0::2], vec)
+    """The matrix of x -> r x over Z/char, for r with coordinate vector vec."""
+    return left_multiplications(ctx, [vec])[0]
 
 
 def right_multiplication(ctx: SkewContext, vec: Sequence[int]) -> np.ndarray:
     """The matrix of x -> x r over Z/char, for r with coordinate vector vec."""
-    return _combine(ctx, ctx.ideal_operator_matrices[1::2], vec)
+    return right_multiplications(ctx, [vec])[0]
 
 
-def _combine(ctx: SkewContext, mats: Sequence[np.ndarray], vec: Sequence[int]) -> np.ndarray:
-    """sum(vec[i] * mats[i]) over Z/char (mats in coordinate order), one
-    dim x dim matrix at a time."""
-    op = np.zeros((ctx.dim, ctx.dim), dtype=np.int64)
-    for i, c in enumerate(vec):
-        if c:
-            op += int(c) * mats[i]
-    return op % ctx.char
+# r = sum_h r_h u_h sends a u_g to r_h sigma_h(a) u_{hg} on the left and to
+# a sigma_g(r_h) u_{gh} on the right. So block (hg, g) of L_r is L(r_h) S_h and
+# block (gh, g) of R_r is R(S_g r_h), with L and R the multiplications of A
+# (its structure constants) and S_g the matrix of sigma_g.
+
+def left_multiplications(ctx: SkewContext, vecs: Sequence[Sequence[int]]) -> np.ndarray:
+    """The matrices of x -> r x over Z/char for each r in vecs, stacked."""
+    n, d = ctx.char, ctx.ring.dim
+    x = _coefficient_blocks(ctx, vecs)
+    lefts, _, autos = ctx.structure_constants
+    m, order = x.shape[:2]
+    blocks = ((x.reshape(-1, d) @ lefts) % n).reshape(m, order, d, d)   # [r, h] = L(r_h)
+    blocks = (blocks @ autos) % n   # [r, h] = L(r_h) S_h
+    source = ctx._block_sources[0]
+    return blocks[:, source].transpose(0, 1, 3, 2, 4).reshape(m, ctx.dim, ctx.dim)
+
+
+def right_multiplications(ctx: SkewContext, vecs: Sequence[Sequence[int]]) -> np.ndarray:
+    """The matrices of x -> x r over Z/char for each r in vecs, stacked."""
+    n, d = ctx.char, ctx.ring.dim
+    x = _coefficient_blocks(ctx, vecs)
+    _, rights, autos = ctx.structure_constants
+    m, order = x.shape[:2]
+    images = (x[:, None] @ autos.transpose(0, 2, 1)[None]) % n   # [r, g, h] = S_g r_h
+    blocks = ((images.reshape(-1, d) @ rights) % n).reshape(m, order * order, d, d)
+    source = ctx._block_sources[1]
+    return blocks[:, source].transpose(0, 2, 3, 1, 4).reshape(m, ctx.dim, ctx.dim)
+
+
+def _coefficient_blocks(ctx: SkewContext, vecs: Sequence[Sequence[int]]) -> np.ndarray:
+    """vecs as an array [r, h] of coefficient vectors reduced modulo char;
+    refuses moduli whose int64 products can wrap (every product in the
+    builders sums at most dim terms)."""
+    check_int64(ctx.char, ctx.dim)
+    return np.asarray(vecs, dtype=np.int64).reshape(-1, ctx.group.order, ctx.ring.dim) % ctx.char
 
 
 def is_center_unit(r: SkewElement) -> bool:
@@ -737,18 +776,47 @@ def certify_simple(ctx: SkewContext) -> bool:
     ker theta and so holds v, or theta is injective on U, hence singular on
     R/U, and then w lies in the annihilator of U, which is stable under the
     transposed operators. R is never simple in composite characteristic.
+
+    Every theta commutes with multiplication by the centre Z, so ker theta
+    and ker theta^T are Z-spaces and, when Z is a field of F_p-dimension k,
+    their F_p-dimensions are multiples of k. A theta of nullity k then serves
+    as well, with v and w the first kernel rows: its kernels are
+    one-dimensional over Z, and every ideal and every annihilator is a
+    Z-space, so the argument above holds word for word over Z. k is found
+    once the first theta of nullity above 1 is drawn; a centre that is not a
+    field ends the search (R is then not simple), and a centre too large to
+    compute leaves nullity 1 as the only one accepted.
     """
     p = ctx.char
     if not _is_prime(p):
         return False
     engine = ctx.engine   # refuses moduli whose int64 products can wrap
     identity = np.eye(ctx.dim, dtype=np.int64)
+    accepted, degree = {1}, None   # the nullities that certify: 1, and k once known
     for theta in certificate_draws(ctx):
         kernel = kernel_rows(p, identity, theta.T)   # theta e_i is column i
-        if len(kernel) == 1:
-            (w,) = kernel_rows(p, identity, theta)
-            return engine.closure(kernel).is_full and ctx.dual_engine.closure([w]).is_full
+        if len(kernel) > 1 and degree is None:
+            degree = _center_field_degree(ctx)
+            if degree == 0:
+                return False
+            accepted.add(degree)
+        if len(kernel) in accepted:
+            w = kernel_rows(p, identity, theta)[0]
+            return engine.closure(kernel[:1]).is_full and ctx.dual_engine.closure([w]).is_full
     return False
+
+
+def _center_field_degree(ctx: SkewContext) -> int:
+    """The F_p-dimension of the centre Z when Z is a field, 0 when it is not,
+    and 1 when Z is too large to compute."""
+    from .criteria import field_obstruction   # criteria builds on this module
+
+    try:
+        if field_obstruction(ctx) is not None:
+            return 0
+        return ctx.center_basis.rank
+    except CapacityError:
+        return 1
 
 
 # constructive procedures -------------------------------------------------------

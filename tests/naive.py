@@ -2,8 +2,9 @@
 element by element.
 
 Deliberately independent of ``skewsimple.closure``: sets of payload tuples,
-operators as callables, and skew ideal operators computed from
-``SkewElement`` products rather than from the context's operator matrices.
+operators as callables, and skew ideal operators (callables or matrices, for
+every module generator) computed from ``SkewElement`` products rather than
+from the context's operator matrices.
 The centre references run over every element of the materialized centre or
 ideal: the field test multiplies every pair of central elements, the
 coefficient laws and the containment check visit every central element, and
@@ -14,6 +15,8 @@ the smallest ideal member is found by building each member as a
 from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 Vector = tuple[int, ...]
 
@@ -59,6 +62,20 @@ def skew_operators(ctx):
         ops.append(lambda vec, m=mono: ctx.vec_of(m * ctx.element_of_vec(vec)))
         ops.append(lambda vec, m=mono: ctx.vec_of(ctx.element_of_vec(vec) * m))
     return ops
+
+
+def module_generator_operators(ctx) -> list:
+    """The matrices of left and right multiplication by each module generator
+    b*u_h, over Z/char: column j is the product with the j-th coordinate
+    vector, computed as a ``SkewElement`` product."""
+    basis = [ctx.element_of_vec(tuple(int(i == j) for i in range(ctx.dim)))
+             for j in range(ctx.dim)]
+    mats = []
+    for b, h in ctx.module_generators:
+        mono = ctx.monomial(b, h)
+        mats.append(np.array([ctx.vec_of(mono * e) for e in basis], dtype=np.int64).T)
+        mats.append(np.array([ctx.vec_of(e * mono) for e in basis], dtype=np.int64).T)
+    return mats
 
 
 def naive_skew_span(ctx, generators, ops=None) -> set[Vector]:

@@ -9,7 +9,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from skewsimple import is_field
+from skewsimple import is_field, skew
 from skewsimple.criteria import (InstanceEvaluation, abelian_simplicity_check,
                                  center_structure_check, necessary_conditions)
 from skewsimple.dynamics import (abelian_freeness_check, dynamics_simplicity_check,
@@ -50,9 +50,9 @@ def test_criterion_1_swap_instance():
         assert time.perf_counter() - start < 1.0
 
 
-def test_criterion_2_order_four_conjugation_over_f3():
+def test_criterion_2_order_four_conjugation_over_f3(monkeypatch):
     with criterion(2, "2x2 matrices over F3 with order-4 conjugation: centre is a "
-                      "9-element field, ring simple by oracle"):
+                      "9-element field, ring simple by certificate and by full sweep"):
         start = time.perf_counter()
         ctx = conj_f3_context()
         M = (0, 1, 2, 0)
@@ -65,8 +65,13 @@ def test_criterion_2_order_four_conjugation_over_f3():
             assert z.coeffs.get(0, ring.zero) in scalars | {ring.zero}
             assert z.coeffs.get(1, ring.zero) in scalar_multiples_of_M | {ring.zero}
         assert is_field(centre, zero=ctx.zero, one=ctx.one)
+        # the centre F_9 has F_3-dimension 2: certified at a theta of nullity 2
         verdict = is_simple(ctx)
-        assert verdict.value is True and verdict.method == "full_sweep"
+        assert (verdict.value, verdict.method) == (True, "certificate")
+        with monkeypatch.context() as patch:
+            patch.setattr(skew, "certify_simple", lambda ctx: False)
+            verdict = skew._sweep_prime(conj_f3_context())
+        assert (verdict.value, verdict.method) == (True, "full_sweep")
         report = abelian_simplicity_check(InstanceEvaluation(ctx))
         assert report.conclusions["abelian_equivalence"] is True
         assert time.perf_counter() - start < 300.0

@@ -76,6 +76,13 @@ BUILD_ERRORS = {
     "group_far_above_cap": {"name": "z2000", "ring": {"kind": "modular", "n": 2},
                             "group": {"kind": "cyclic_product", "orders": [2000]},
                             "action": {"kind": "trivial"}},
+    # |G| * dim_A is checked before the action is built and validated
+    "function_ring_2000_points": {"name": "f2000", "ring": {"kind": "function", "points": 2000,
+                                                            "q": 2},
+                                  "group": _Z2, "action": {"kind": "trivial"}},
+    "function_ring_5000_points": {"name": "f5000", "ring": {"kind": "function", "points": 5000,
+                                                            "q": 2},
+                                  "group": _Z2, "action": {"kind": "trivial"}},
 }
 
 
@@ -87,7 +94,7 @@ def test_check_maps_build_errors_to_exit_2(tmp_path, doc):
     assert result.returncode == 2
     assert "input error: invalid instance" in result.stderr
     assert "Traceback" not in result.stderr
-    # the group-order cap is checked before the table is built
+    # the group-order and dimension caps are checked before anything large is built
     start = time.perf_counter()
     with pytest.raises(InstanceParseError):
         parse_instance(json.dumps(doc))

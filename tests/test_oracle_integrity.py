@@ -10,15 +10,15 @@ import pytest
 
 from skewsimple import GroupTable, ModularRing, skew
 from skewsimple.actions import trivial_action
-from skewsimple.closure import kernel_rows
+from skewsimple.closure import ClosureEngine, kernel_rows
 from skewsimple.criteria import InstanceSampler
 from skewsimple.dynamics import catalogue
 from skewsimple.rings import _is_prime
 from skewsimple.skew import SkewContext, certificate_draws, certify_simple, is_simple
 
-from conftest import (conj_f2_context, rotation_z3_context, swap_context,
+from conftest import (conj_f2_context, conj_f3_context, rotation_z3_context, swap_context,
                       trivial_f2_z2_context, two_two_cycles_context)
-from naive import naive_skew_span, skew_operators
+from naive import module_generator_operators, naive_skew_span, skew_operators
 
 
 def naive_simplicity(ctx):
@@ -149,6 +149,38 @@ def test_certificate_needs_the_closures():
     assert certify_simple(ctx) is False
 
 
+def test_certificate_over_the_centre_field(monkeypatch):
+    # Z = F_9 has F_3-dimension 2, so every theta has even nullity: the
+    # certificate needs nullity 2, and a centre too large to compute leaves
+    # nullity 1 as the only one accepted
+    from skewsimple.config import Caps
+    ctx = conj_f3_context()
+    assert skew._center_field_degree(ctx) == 2
+    assert certify_simple(ctx) is True
+    assert swept_simplicity(ctx, monkeypatch) is True
+    small = conj_f3_context()
+    # the centre is refused once |A| = 81 is above the ring's enumeration cap
+    monkeypatch.setattr(small.ring, "caps", Caps(enumeration=64))
+    assert skew._center_field_degree(small) == 1
+    assert certify_simple(small) is False
+
+
+def test_certificate_refuses_a_centre_that_is_not_a_field():
+    # Z/3 x| Z2 with the trivial action is F_3 x F_3, and so is its centre:
+    # the first theta is zero, whose kernels are everything, and both
+    # closures of the first kernel rows are full; only the field test refuses
+    ctx = _trivial_ctx(3, GroupTable.cyclic_product([2]))
+    identity = np.eye(ctx.dim, dtype=np.int64)
+    theta = next(certificate_draws(ctx))
+    kernel = kernel_rows(3, identity, theta.T)
+    assert len(kernel) == ctx.center_basis.rank == 2
+    assert ctx.engine.closure(kernel[:1]).is_full
+    assert ctx.dual_engine.closure(kernel_rows(3, identity, theta)[:1]).is_full
+    assert skew._center_field_degree(ctx) == 0
+    assert certify_simple(ctx) is False
+    assert naive_simplicity(ctx)[0] is False
+
+
 def test_certificate_refuses_composite_characteristic():
     for make in (_z4_ctx, _z6_z2_ctx, _z9_z3_ctx):
         assert certify_simple(make()) is False
@@ -190,3 +222,38 @@ def test_sampled_instances_satisfy_basic_laws():
             t = ctx.element_of_rank(rng.randrange(ctx.size))
             assert (r * s) * t == r * (s * t)
             assert augmentation(r + s) == augmentation(r) + augmentation(s)
+
+
+def reference_contexts():
+    """The 20 catalogue actions, 200 sampled instances and Z/n x| G with the
+    trivial action for n in 4..12 and G in Z2, Z3, Z2xZ2, S3: 256 contexts."""
+    for T in catalogue():
+        yield T.context
+    for inst in InstanceSampler(0, 4096).draw_many(200):
+        yield inst.ctx
+    groups = (GroupTable.cyclic_product([2]), GroupTable.cyclic_product([3]),
+              GroupTable.cyclic_product([2, 2]), GroupTable.symmetric(3))
+    for n in range(4, 13):
+        for grp in groups:
+            yield _trivial_ctx(n, grp)
+
+
+def test_engines_match_module_generator_closures():
+    # the engines close under the ring generators b_t u_e and u_g (g a group
+    # generator); the reference closes under L and R of every module
+    # generator b*u_h, built from SkewElement products. Both must give the
+    # same ideal, and the transposed operators the same annihilator closures.
+    rng = np.random.default_rng(8)
+    count = 0
+    for ctx in reference_contexts():
+        count += 1
+        n, dim = ctx.char, ctx.dim
+        ops = module_generator_operators(ctx)
+        reference = ClosureEngine(n, dim, ops)
+        dual_reference = ClosureEngine(n, dim, [op.T for op in ops])
+        seeds = [[tuple(int(i == 0) for i in range(dim))], list(rng.integers(0, n, size=(1, dim)))]
+        seeds += [[ctx.vec_of(ctx.one - ctx.unit_monomial(g))] for g in ctx.group.generators[:1]]
+        for seed in seeds:
+            for engine, ref in ((ctx.engine, reference), (ctx.dual_engine, dual_reference)):
+                assert engine.closure(seed).key() == ref.closure(seed).key()
+    assert count == 256

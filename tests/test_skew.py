@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from skewsimple import (CapacityError, Caps, DomainError, FunctionRing, GroupTab
                         MatrixRing, ModularRing, PreconditionError, skew)
 from skewsimple.actions import ActionMap, RingAutomorphism, trivial_action
 from skewsimple.closure import kernel_rows
+from skewsimple.dynamics import TransformationGroup
 from skewsimple.skew import (SkewContext, augmentation, central_witness,
                              centralizer_components, centralizer_of_A, coeff_at_e,
                              commuting_witness_outside_A, is_central,
@@ -347,17 +349,79 @@ def test_certificate_decides_in_cap_simple_actions(dynamics_catalogue, name):
     assert (verdict.value, verdict.method) == (True, "certificate")
 
 
-def test_right_multiplication_matches_products(conj_f3_ctx):
-    ctx = conj_f3_ctx
+def _natural_action(ring, grp):
+    autos = [RingAutomorphism.coordinate_permutation(ring, grp.permutations[grp.inv(g)])
+             for g in grp.elements()]
+    return SkewContext(ring, grp, ActionMap(grp, ring, autos))
+
+
+def _gf4_frobenius_table_context():
+    # GF(4) as functions on one point, Z2 given as a table, Frobenius by table
+    ring = FunctionRing(1, 4)
+    grp = GroupTable([[0, 1], [1, 0]], tag="table")
+    frobenius = [(ring.gf.mul(a[0], a[0]),) for a in ring.payloads()]
+    autos = [RingAutomorphism.identity(ring), RingAutomorphism.from_table(ring, frobenius)]
+    return SkewContext(ring, grp, ActionMap(grp, ring, autos))
+
+
+def _gf4_swap_context():
+    ring = FunctionRing(2, 4)
+    grp = GroupTable.cyclic_product([2])
+    autos = [RingAutomorphism.identity(ring), RingAutomorphism.coordinate_permutation(ring, [1, 0])]
+    return SkewContext(ring, grp, ActionMap(grp, ring, autos))
+
+
+def _identity_scaling_context(n, order):
+    # scaling by a unit other than 1 moves 1, so only the identity scaling is valid
+    ring = ModularRing(n)
+    grp = GroupTable.cyclic_product([order])
+    autos = [RingAutomorphism.unit_scaling(ring, 1) for _ in grp.elements()]
+    return SkewContext(ring, grp, ActionMap(grp, ring, autos))
+
+
+def _trivial_context(ring, grp):
+    return SkewContext(ring, grp, trivial_action(grp, ring))
+
+
+# every ring kind (GF(4) functions, matrices, composite Z/n), group kind
+# (cyclic product, permutation, symmetric, table) and action kind (trivial,
+# coordinate permutation, conjugation, unit scaling, table)
+OPERATOR_CASES = {
+    "gf4_functions_swap": _gf4_swap_context,
+    "gf4_frobenius_table": _gf4_frobenius_table_context,
+    "matrix_f3_conjugation": conj_f3_context,
+    "matrix_f2_trivial_permutation_group": lambda: _trivial_context(
+        MatrixRing(2, 2), GroupTable.from_permutations(3, [[1, 2, 0]])),
+    "f3_functions_natural_s3": lambda: natural_s3_context(q=3),
+    "f2_functions_permutation_z2xz2": lambda: _natural_action(
+        FunctionRing(4, 2), GroupTable.from_permutations(4, [[1, 0, 3, 2], [2, 3, 0, 1]])),
+    "z6_trivial_z2xz3": lambda: _trivial_context(ModularRing(6), GroupTable.cyclic_product([2, 3])),
+    "z9_unit_scaling_z3": lambda: _identity_scaling_context(9, 3),
+}
+
+
+@pytest.mark.parametrize("make", list(OPERATOR_CASES.values()), ids=list(OPERATOR_CASES))
+def test_right_multiplication_matches_products(make):
+    ctx = make()
+    n = ctx.char
+    lefts, rights = ctx.unit_monomial_matrices
     rng = random.Random(3)
     for _ in range(10):
-        r = ctx.element_of_rank(rng.randrange(ctx.size))
-        x = ctx.element_of_rank(rng.randrange(ctx.size))
+        r = ctx.element_of_vec([rng.randrange(n) for _ in range(ctx.dim)])
+        x = ctx.element_of_vec([rng.randrange(n) for _ in range(ctx.dim)])
         vec = np.array(ctx.vec_of(x), dtype=np.int64)
         right = right_multiplication(ctx, ctx.vec_of(r))
         left = left_multiplication(ctx, ctx.vec_of(r))
-        assert tuple((right @ vec) % ctx.char) == ctx.vec_of(x * r)
-        assert tuple((left @ vec) % ctx.char) == ctx.vec_of(r * x)
+        assert tuple((right @ vec) % n) == ctx.vec_of(x * r)
+        assert tuple((left @ vec) % n) == ctx.vec_of(r * x)
+        for g in ctx.group.elements():
+            u = ctx.unit_monomial(g)
+            assert tuple((lefts[g] @ vec) % n) == ctx.vec_of(u * x)
+            assert tuple((rights[g] @ vec) % n) == ctx.vec_of(x * u)
+    # one left and one right operator per ring generator: b_t u_e and u_g
+    # for each group generator g
+    generators = ctx.ring.dim + len(ctx.group.generators)
+    assert len(ctx.ideal_operator_matrices) == 2 * generators
 
 
 def test_dual_engine_keeps_annihilators_of_ideals(conj_f2_ctx):
@@ -399,6 +463,26 @@ def test_moduli_whose_products_wrap_are_refused():
         with pytest.raises(CapacityError) as err:
             skew_ideal_closure(ctx, [ctx.one - ctx.unit_monomial(1)])
         assert err.value.cap_name == "int64"
+
+
+def test_oversized_skew_rings_are_refused_before_validation():
+    # |G| * dim_A above MAX_DIM is refused before the action is validated,
+    # which would otherwise check every coordinate against every group pair
+    grp = GroupTable.cyclic_product([2])
+    start = time.perf_counter()
+    for points in (2000, 5000):
+        ring = FunctionRing(points, 2)
+        action = trivial_action(grp, ring)
+        with pytest.raises(CapacityError) as err:
+            SkewContext(ring, grp, action)
+        assert (err.value.cap_name, err.value.requested) == ("dimension", 2 * points)
+        assert not action._validated
+        T = TransformationGroup(points, grp, [list(range(points))] * 2)
+        with pytest.raises(CapacityError):
+            T.context
+    assert time.perf_counter() - start < 1.0
+    ring = FunctionRing(skew.MAX_DIM // 2, 2)
+    assert SkewContext(ring, grp, trivial_action(grp, ring)).dim == skew.MAX_DIM
 
 
 def test_witness_search_finds_invariant_ideal_witness():
