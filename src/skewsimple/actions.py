@@ -105,9 +105,12 @@ class RingAutomorphism:
         return self._apply(a)
 
     def materialize(self) -> None:
-        """Cache the full image table for small rings (speeds hot loops)."""
-        if self._table is None and self.ring.size <= _TABLE_CACHE_LIMIT:
-            self._table = {a: self._apply(a) for a in self.ring.payloads()}
+        """Cache the full image table for small rings (speeds hot loops). The
+        table is a cache, so it is bounded by _TABLE_CACHE_LIMIT alone, not
+        by the enumeration cap."""
+        ring = self.ring
+        if self._table is None and ring.size <= _TABLE_CACHE_LIMIT:
+            self._table = {a: self._apply(a) for a in map(ring.unrank, range(ring.size))}
 
     @property
     def structural(self) -> bool:

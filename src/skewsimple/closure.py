@@ -216,17 +216,31 @@ class ClosureEngine:
 PrimeClosureEngine = ClosureEngine
 
 
-def kernel_rows(p: int, rows, images) -> list[np.ndarray]:
-    """The RREF rows of the kernel of the F_p-linear map rows[i] -> images[i].
+def kernel_basis(n: int, rows, images) -> HowellBasis:
+    """The kernel of the Z/n-linear map rows[i] -> images[i] on the span of
+    the rows, as a Howell basis.
 
-    In the echelon form of the graph {(image, row)}, the rows whose pivot
-    lies in the second half are exactly the kernel, in RREF.
+    The graph {(image, row)} spans {(f(x), x)}. By the Howell property its
+    members vanishing on the first half, the kernel, are spanned by the rows
+    whose pivot lies in the second half, and those rows are in Howell form.
     """
-    split = len(images[0])
-    graph = HowellBasis(p, split + len(rows[0]))
+    split, dim = len(images[0]), len(rows[0])
+    graph = HowellBasis(n, split + dim)
     for row, image in zip(rows, images):
         graph.insert(np.concatenate([image, row]))
-    return [row[split:] for row, piv in zip(graph.rows, graph.pivots) if piv >= split]
+    kernel = HowellBasis(n, dim)
+    for row, piv, div in zip(graph.rows, graph.pivots, graph.divs):
+        if piv >= split:
+            kernel.rows.append(row[split:])
+            kernel.pivots.append(piv - split)
+            kernel.divs.append(div)
+            kernel._nonunit += div != 1
+    return kernel
+
+
+def kernel_rows(n: int, rows, images) -> list[np.ndarray]:
+    """The Howell rows of ``kernel_basis`` (over a prime n, its RREF rows)."""
+    return kernel_basis(n, rows, images).rows
 
 
 def gauss_solve(p: int, A: np.ndarray, b: np.ndarray) -> np.ndarray | None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 from functools import cached_property
 from math import prod
 from typing import Iterable, Iterator, Sequence
@@ -20,7 +21,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .actions import ActionMap, is_G_simple
-from .closure import ClosureEngine, HowellBasis, check_int64, gauss_solve, kernel_rows
+from .closure import (ClosureEngine, HowellBasis, check_int64, gauss_solve, kernel_basis,
+                      kernel_rows)
 from .config import Caps
 from .errors import CapacityError, DomainError, PreconditionError
 from .groups import GroupTable
@@ -161,8 +163,9 @@ class SkewContext:
 
     @cached_property
     def ideal_operator_matrices(self) -> list[np.ndarray]:
-        """Left/right multiplication by each ring generator of R: b_t u_e for
-        the basis payloads b_t, and u_g for g in ``group.generators``.
+        """Left/right multiplication by each ring generator of R, as
+        interleaved (L, R) pairs: first b_t u_e for the basis payloads b_t,
+        then u_g for g in ``group.generators``.
 
         L_{xy} = L_x L_y, so a submodule stable under these is stable under
         multiplication by all of R, that is, it is a two-sided ideal.
@@ -203,53 +206,93 @@ class SkewContext:
         table[vecs @ self._block_code_weights] = np.arange(ring.size, dtype=np.int64)
         return table
 
-    # centre ------------------------------------------------------------------
+    # centralizer of A and centre --------------------------------------------------
     @cached_property
-    def center_classes(self) -> list[list[dict]]:
-        """Per conjugacy class of G, the coefficient maps (zero entries left
-        out) that a central element can carry on that class.
+    def centralizer_slots(self) -> list[HowellBasis]:
+        """Per slot g, C_g = {a : b a = a sigma_g(b) for all b} as a Howell
+        basis over Z/char in A's coordinates.
 
-        r is central iff it commutes with every coefficient (each a_g then
-        satisfies b a_g = a_g sigma_g(b)) and with every u_h (the twisted
-        conjugacy law a_{hgh^-1} = sigma_h(a_g)); R is generated by those two
-        families, so the conditions are also sufficient. The law ties
-        coefficients inside one class only, so the centre is exactly the sums
-        of one choice per class, and every choice (the empty map included)
-        occurs in some central element.
+        The centralizer of A in R is the kernel of z -> b_t z - z b_t over the
+        basis payloads b_t, the first dim_A operator pairs. Each of these maps
+        keeps every slot, acting on slot g by a -> b_t a - a sigma_g(b_t), so
+        the centralizer is the direct sum of the C_g u_g.
         """
-        ring, group, action = self.ring, self.group, self.action
-        comps = centralizer_components(self)
-        comp_sets = [set(c) for c in comps]
-        classes: list[list[dict]] = []
-        for cls in group.conjugacy_classes:
-            rep = min(cls)
-            choices = []
-            for a in comps[rep]:
-                assignment: dict[int, object] = {}
-                ok = True
-                for h in range(group.order):
-                    target = group.mul_table[group.mul_table[h][rep]][group.inv_table[h]]
-                    image = action.apply(h, a)
-                    if assignment.get(target, image) != image:
-                        ok = False
-                        break
-                    assignment[target] = image
-                if ok and all(val in comp_sets[g] for g, val in assignment.items()):
-                    choices.append({g: val for g, val in assignment.items()
-                                    if val != ring.zero})
-            classes.append(choices)
-        return classes
+        n, d = self.char, self.ring.dim
+        ops = self.ideal_operator_matrices[:2 * d]
+        identity = np.eye(d, dtype=np.int64)
+        slots = []
+        for g in range(self.group.order):
+            block = slice(g * d, (g + 1) * d)
+            commutators = np.stack([ops[2 * t][block, block] - ops[2 * t + 1][block, block]
+                                    for t in range(d)])
+            # row i of the images is the commutators applied to e_i, side by side
+            images = commutators.transpose(2, 0, 1).reshape(d, d * d) % n
+            slots.append(kernel_basis(n, identity, images))
+        return slots
 
     @cached_property
     def center_basis(self) -> HowellBasis:
-        """The centre as a submodule of (Z/char)^dim, spanned by the class choices."""
-        basis = HowellBasis(self.char, self.dim)
-        for choices in self.center_classes:
-            for coeffs in choices:
-                if coeffs:
-                    basis.insert(np.array(self.vec_of(SkewElement(self, coeffs)),
-                                          dtype=np.int64))
-        return basis
+        """The centre as a submodule of (Z/char)^dim: the kernel of
+        z -> x z - z x over the ring generators x, since commuting with a
+        ring-generating set is being central. It is found inside the
+        centralizer of A, against the unit monomials u_g, g in
+        ``group.generators``."""
+        n, d = self.char, self.ring.dim
+        rows = []
+        for g, slot in enumerate(self.centralizer_slots):
+            for row in slot.rows:
+                lifted = np.zeros(self.dim, dtype=np.int64)
+                lifted[g * d:(g + 1) * d] = row
+                rows.append(lifted)
+        ops = self.ideal_operator_matrices[2 * d:]
+        images = np.zeros((len(rows), 0), dtype=np.int64)
+        if ops:
+            commutators = np.concatenate([ops[k] - ops[k + 1] for k in range(0, len(ops), 2)])
+            images = (np.stack(rows) @ commutators.T) % n
+        return kernel_basis(n, rows, images)
+
+    @cached_property
+    def center_classes(self) -> list[list[dict]]:
+        """Per conjugacy class of G, every coefficient map (zero entries left
+        out) that a central element carries on that class, read off the rows
+        of ``center_basis``; cap-checked per class.
+
+        r is central iff it commutes with every coefficient (each a_g then
+        satisfies b a_g = a_g sigma_g(b)) and with every u_h (the twisted
+        conjugacy law a_{hgh^-1} = sigma_h(a_g)). The law ties coefficients
+        inside one class only, so the centre is the direct sum of its class
+        parts, the sums of one choice per class; its Howell form is then the
+        union of theirs, and every basis row lies in one class.
+        """
+        n, ring, group, d = self.char, self.ring, self.group, self.ring.dim
+        centre = self.center_basis
+        classes = group.conjugacy_classes
+        class_of = {g: c for c, cls in enumerate(classes) for g in cls}
+        rows: list[list[np.ndarray]] = [[] for _ in classes]
+        radix: list[list[int]] = [[] for _ in classes]
+        for row, div in zip(centre.rows, centre.divs):
+            support = {class_of[g] for g in range(group.order) if row[g * d:(g + 1) * d].any()}
+            assert len(support) == 1, "a centre basis row spans two conjugacy classes"
+            c = support.pop()
+            rows[c].append(row)
+            radix[c].append(n // div)
+        cap = ring.caps.enumeration
+        out = []
+        for cls, part_rows, part_radix in zip(classes, rows, radix):
+            size = prod(part_radix)
+            if size > cap:
+                raise CapacityError("enumeration", cap, size, "centre class enumeration")
+            # a class part's rows are its Howell form: each member is
+            # sum c_i row_i for exactly one c with 0 <= c_i < n / pivot_i
+            coeffs = np.array(list(product(*map(range, part_radix))), dtype=np.int64)
+            members = (coeffs.reshape(size, -1) @ np.array(part_rows, dtype=np.int64)
+                       .reshape(-1, self.dim)) % n
+            choices = []
+            for vec in members.tolist():
+                payloads = {g: ring.from_vec(vec[g * d:(g + 1) * d]) for g in sorted(cls)}
+                choices.append({g: a for g, a in payloads.items() if a != ring.zero})
+            out.append(choices)
+        return out
 
     def __repr__(self) -> str:
         return f"SkewContext({self.ring!r} x| {self.group!r}, size={self.size})"
@@ -371,32 +414,32 @@ def support(r: SkewElement) -> frozenset[int]:
 
 # centralizer and centre ------------------------------------------------------
 
+def _slot_payloads(ctx: SkewContext, g: int) -> list:
+    """The members of C_g (see ``SkewContext.centralizer_slots``) in
+    canonical payload order; cap-checked on |C_g|."""
+    ring, slot = ctx.ring, ctx.centralizer_slots[g]
+    if slot.size > ring.caps.enumeration:
+        raise CapacityError("enumeration", ring.caps.enumeration, slot.size,
+                            "centralizer component")
+    return sorted((ring.from_vec(v) for v in slot.iter_vectors()), key=ring.rank)
+
+
 def centralizer_components(ctx: SkewContext) -> list[list]:
     """Per-slot payload sets C_g = {a : a sigma_g(b) = b a for all b}.
 
     The centralizer of the coefficient ring inside R is exactly the set of
     elements whose g-coefficient lies in C_g for every g.
     """
-    ring = ctx.ring
-    ring.check_enumerable("centralizer components")
-    gens = ring.additive_generators()
-    comps = []
-    for g in range(ctx.group.order):
-        auto = ctx.action.autos[g]
-        comps.append([a for a in ring.payloads()
-                      if all(ring.mul(a, auto.apply(b)) == ring.mul(b, a) for b in gens)])
-    return comps
+    return [_slot_payloads(ctx, g) for g in range(ctx.group.order)]
 
 
 def centralizer_of_A(ctx: SkewContext) -> list[SkewElement]:
     """All elements of R commuting with the coefficient ring, materialized."""
-    comps = centralizer_components(ctx)
-    total = 1
-    for comp in comps:
-        total *= len(comp)
+    total = prod(slot.size for slot in ctx.centralizer_slots)
     if total > ctx.caps.enumeration:
         raise CapacityError("enumeration", ctx.caps.enumeration, total,
                             "centralizer materialization")
+    comps = centralizer_components(ctx)
     out = [ctx.zero]
     for g, comp in enumerate(comps):
         new = []
@@ -415,17 +458,15 @@ def is_max_commutative_A(ctx: SkewContext) -> bool:
     """Whether A u_e is its own centralizer (A must be commutative)."""
     if not ctx.ring.is_commutative:
         raise DomainError("maximal commutativity test requires a commutative coefficient ring")
-    comps = centralizer_components(ctx)
-    return all(len(comp) == 1 for comp in comps[1:])
+    return all(slot.rank == 0 for slot in ctx.centralizer_slots[1:])
 
 
 def commuting_witness_outside_A(ctx: SkewContext) -> SkewElement | None:
-    """A nonzero a u_g (g != e) commuting with A, when one exists."""
-    comps = centralizer_components(ctx)
+    """The nonzero a u_g (g != e) commuting with A of least g, and of least
+    rank a within C_g, when one exists."""
     for g in range(1, ctx.group.order):
-        for a in comps[g]:
-            if a != ctx.ring.zero:
-                return ctx.monomial(a, g)
+        if ctx.centralizer_slots[g].rank:
+            return ctx.monomial(next(a for a in _slot_payloads(ctx, g) if a != ctx.ring.zero), g)
     return None
 
 
@@ -666,9 +707,10 @@ def _witness_search(ctx: SkewContext) -> SkewSimplicity:
     Any support-<=2 element is a unit-monomial translate of one supported on
     {e, g}, so only those are tried: structured candidates first (a member of
     a proper invariant ideal, one for each kernel member, one for each nonzero
-    commuting component), each family skipped when its coefficient ring is
-    too large to enumerate; then the certificate; then the exhaustive {e,g}
-    pairs under the candidate budget. Undetermined when none decides.
+    member of a commuting component C_g, g != e), each family skipped when
+    what it enumerates is above the cap; then the certificate; then the
+    exhaustive {e,g} pairs under the candidate budget. Undetermined when none
+    decides.
     """
     engine = ctx.engine
     ring, group = ctx.ring, ctx.group
@@ -694,16 +736,15 @@ def _witness_search(ctx: SkewContext) -> SkewSimplicity:
                 if ctx.action.autos[g].is_identity()]
 
     def commuting_components() -> list[SkewElement]:
-        comps = centralizer_components(ctx)
         return [ctx.monomial(a, 0) - ctx.monomial(a, g) for g in range(1, group.order)
-                for a in comps[g] if a != ring.zero]
+                for a in _slot_payloads(ctx, g) if a != ring.zero]
 
     candidates: list[SkewElement] = []
     for family in (invariant_ideal, kernel_members, commuting_components):
         try:
             candidates.extend(family())
         except CapacityError:
-            pass  # coefficient ring too large to enumerate for this family
+            pass  # too large to enumerate for this family
     for r in candidates:
         if tried >= budget:
             break
@@ -784,8 +825,8 @@ def certify_simple(ctx: SkewContext) -> bool:
     one-dimensional over Z, and every ideal and every annihilator is a
     Z-space, so the argument above holds word for word over Z. k is found
     once the first theta of nullity above 1 is drawn; a centre that is not a
-    field ends the search (R is then not simple), and a centre too large to
-    compute leaves nullity 1 as the only one accepted.
+    field ends the search (R is then not simple). Z comes from its basis
+    alone, so this holds at any |A|.
     """
     p = ctx.char
     if not _is_prime(p):
@@ -807,16 +848,12 @@ def certify_simple(ctx: SkewContext) -> bool:
 
 
 def _center_field_degree(ctx: SkewContext) -> int:
-    """The F_p-dimension of the centre Z when Z is a field, 0 when it is not,
-    and 1 when Z is too large to compute."""
+    """The F_p-dimension of the centre Z when Z is a field, 0 when it is not."""
     from .criteria import field_obstruction   # criteria builds on this module
 
-    try:
-        if field_obstruction(ctx) is not None:
-            return 0
-        return ctx.center_basis.rank
-    except CapacityError:
-        return 1
+    if field_obstruction(ctx) is not None:
+        return 0
+    return ctx.center_basis.rank
 
 
 # constructive procedures -------------------------------------------------------

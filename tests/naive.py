@@ -5,6 +5,9 @@ Deliberately independent of ``skewsimple.closure``: sets of payload tuples,
 operators as callables, and skew ideal operators (callables or matrices, for
 every module generator) computed from ``SkewElement`` products rather than
 from the context's operator matrices.
+The centralizer of A is found by multiplying every payload of A against
+every basis payload, slot by slot, and the centre's class choices by
+transporting each of those payloads along its conjugacy class.
 The centre references run over every element of the materialized centre or
 ideal: the field test multiplies every pair of central elements, the
 coefficient laws and the containment check visit every central element, and
@@ -163,3 +166,41 @@ def naive_smallest_member(ctx, ideal):
         if best_key is None or key < best_key:
             best, best_key = r, key
     return best
+
+
+def naive_centralizer_components(ctx) -> list[list]:
+    """Per slot g, every payload a with a sigma_g(b) = b a for all basis
+    payloads b, in canonical payload order."""
+    ring = ctx.ring
+    gens = ring.additive_generators()
+    return [[a for a in ring.payloads()
+             if all(ring.mul(a, auto.apply(b)) == ring.mul(b, a) for b in gens)]
+            for auto in ctx.action.autos]
+
+
+def naive_center_classes(ctx) -> list[list[dict]]:
+    """Per conjugacy class of G, every coefficient map (zero entries left out)
+    that a central element carries there: each member a of C_rep transported
+    by a_{h rep h^-1} = sigma_h(a), kept when the transport is consistent and
+    lands in the C_g."""
+    ring, group, action = ctx.ring, ctx.group, ctx.action
+    comps = naive_centralizer_components(ctx)
+    comp_sets = [set(c) for c in comps]
+    classes = []
+    for cls in group.conjugacy_classes:
+        rep = min(cls)
+        choices = []
+        for a in comps[rep]:
+            assignment: dict = {}
+            ok = True
+            for h in range(group.order):
+                target = group.mul_table[group.mul_table[h][rep]][group.inv_table[h]]
+                image = action.apply(h, a)
+                if assignment.get(target, image) != image:
+                    ok = False
+                    break
+                assignment[target] = image
+            if ok and all(val in comp_sets[g] for g, val in assignment.items()):
+                choices.append({g: val for g, val in assignment.items() if val != ring.zero})
+        classes.append(choices)
+    return classes

@@ -5,22 +5,30 @@ composite characteristic, the Frobenius field test must give the verdict of
 the pairwise loop in ``naive.py``, with an obstruction that is nonzero,
 central and has no inverse in the enumerated centre; the centre laws, the
 containment check and the smallest-member selection of ``central_witness``
-must answer exactly as the loops in ``naive.py``.
+must answer exactly as the loops in ``naive.py``; and the centralizer's slot
+kernels and the centre's basis, with everything read off them, must equal
+the payload-by-payload loops there.
 """
 
+import numpy as np
 import pytest
 
 from skewsimple import GroupTable, ModularRing
-from skewsimple.actions import is_G_simple, trivial_action
+from skewsimple.actions import is_G_simple, kernel, trivial_action
+from skewsimple.closure import HowellBasis
 from skewsimple.criteria import (InstanceSampler, center_containment_check,
-                                 center_structure_check, field_obstruction)
+                                 center_structure_check, centralizer_kernel_check,
+                                 field_obstruction)
 from skewsimple.dynamics import catalogue
-from skewsimple.skew import (SkewContext, central_witness, is_central, skew_center,
-                             skew_ideal_closure, smallest_member, support_reduce)
+from skewsimple.skew import (SkewContext, SkewElement, central_witness,
+                             centralizer_components, commuting_witness_outside_A, is_central,
+                             is_max_commutative_A, skew_center, skew_ideal_closure,
+                             smallest_member, support_reduce)
 
 from conftest import swap_context
-from naive import (naive_center_containment, naive_center_laws, naive_field_obstruction,
-                   naive_has_inverse, naive_smallest_member)
+from naive import (naive_center_classes, naive_center_containment, naive_center_laws,
+                   naive_centralizer_components, naive_field_obstruction, naive_has_inverse,
+                   naive_smallest_member)
 
 # ideals up to this size are enumerated member by member for the reference
 _NAIVE_IDEAL_LIMIT = 1024
@@ -65,13 +73,40 @@ def test_centre_work_matches_naive(ctx):
         assert central_witness(ctx, ideal) == support_reduce(ctx, best)
 
 
+@pytest.mark.parametrize("ctx", [ctx for _, ctx in CASES], ids=[name for name, _ in CASES])
+def test_centralizer_and_centre_bases_match_naive(ctx):
+    ring, group = ctx.ring, ctx.group
+    comps = naive_centralizer_components(ctx)
+    assert centralizer_components(ctx) == comps
+    assert [slot.size for slot in ctx.centralizer_slots] == [len(c) for c in comps]
+    classes = naive_center_classes(ctx)
+    spanned = HowellBasis(ctx.char, ctx.dim)
+    for choices in classes:
+        for coeffs in choices:
+            spanned.insert(np.array(ctx.vec_of(SkewElement(ctx, coeffs)), dtype=np.int64))
+    assert ctx.center_basis.key() == spanned.key()
+    class_of = {g: c for c, cls in enumerate(group.conjugacy_classes) for g in cls}
+    for row in ctx.center_basis.rows:
+        assert len({class_of[g] for g in ctx.element_of_vec(row).support}) == 1
+    assert ([sorted(tuple(sorted(c.items())) for c in choices) for choices in ctx.center_classes]
+            == [sorted(tuple(sorted(c.items())) for c in choices) for choices in classes])
+    if ring.is_commutative:
+        assert is_max_commutative_A(ctx) == all(len(c) == 1 for c in comps[1:])
+        first = next((ctx.monomial(a, g) for g in range(1, group.order) for a in comps[g]
+                      if a != ring.zero), None)
+        assert commuting_witness_outside_A(ctx) == first
+    matches = centralizer_kernel_check(ctx).conclusions["centralizer_matches_kernel"]
+    if matches is not None:
+        members = kernel(ctx.action).members
+        assert matches == all(len(comps[g]) == (ring.size if g in members else 1)
+                              for g in range(group.order))
+
+
 def test_center_laws_detect_injected_non_central_choice():
     ctx = swap_context()
     assert center_structure_check(ctx).conclusions["center_coefficient_laws"] is True
     # (1,0) u_e commutes with the coefficients but not with the swap
-    classes = [list(choices) for choices in ctx.center_classes]
-    classes[0].append({0: (1, 0)})
-    ctx.__dict__["center_classes"] = classes
+    ctx.center_basis.insert(np.array(ctx.vec_of(ctx.monomial((1, 0), 0)), dtype=np.int64))
     report = center_structure_check(ctx)
     assert report.conclusions["center_coefficient_laws"] is False
     assert report.conclusions["abelian_coefficients_fixed"] is False

@@ -101,6 +101,23 @@ def test_check_maps_build_errors_to_exit_2(tmp_path, doc):
     assert time.perf_counter() - start < 1.0
 
 
+def test_check_builds_a_ring_above_its_enumeration_cap(tmp_path):
+    # |A| = 81 is above the cap of 16, yet small enough to tabulate the
+    # automorphisms: the instance builds, and its centre is decided from the
+    # centre's basis
+    doc = json.loads((FIXTURES / "inner_conjugation_f3.json").read_text(encoding="utf-8"))
+    doc.update(caps={"enumeration": 16}, witness_search=True)
+    path = tmp_path / "capped.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "report.json"
+    result = run_cli("check", str(path), "--format", "json", "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["violations"] == []
+    assert report["checks"]["center_structure"]["conclusions"]["center_coefficient_laws"] is True
+    assert run_cli("report", str(out)).returncode == 0
+
+
 def test_check_rejects_unknown_check_name():
     result = run_cli("check", str(FIXTURES / "swap2.json"), "--checks", "bogus")
     assert result.returncode == 2

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewsimple import CapacityError
-from skewsimple.closure import ClosureEngine, HowellBasis, gauss_solve, kernel_rows
+from skewsimple.closure import (ClosureEngine, HowellBasis, gauss_solve, kernel_basis,
+                                kernel_rows)
 
 from naive import abelian_span, tuple_add_mod
 
@@ -138,6 +139,35 @@ def test_kernel_rows_of_a_matrix():
     assert len(kernel) == 1
     assert not ((m @ kernel[0]) % 5).any()
     assert kernel_rows(5, np.eye(2, dtype=np.int64), np.eye(2, dtype=np.int64)) == []
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_kernel_rows_over_z_mod_n_match_brute_force(n):
+    # random maps x -> M x on the span of random rows (or on all of (Z/n)^3),
+    # against the span's members with M x = 0, found one by one
+    rng = np.random.default_rng(n)
+    dim = 3
+    divisors = [d for d in range(2, n) if n % d == 0]
+    for trial in range(12):
+        m = rng.integers(0, n, size=(int(rng.integers(1, 4)), dim))
+        if divisors and trial % 3 == 0:
+            m = m * int(rng.choice(divisors))   # a map through zero divisors
+        rows = (np.eye(dim, dtype=np.int64) if trial % 2 else
+                rng.integers(0, n, size=(int(rng.integers(1, 4)), dim)))
+        images = (rows @ m.T) % n
+        kernel = kernel_basis(n, rows, images)
+        # the graph's rows are taken over as they stand: they must already be
+        # the canonical form that inserting them one by one gives
+        inserted = HowellBasis(n, dim)
+        for row in kernel_rows(n, rows, images):
+            inserted.insert(row)
+        assert kernel.key() == inserted.key() and kernel.divs == inserted.divs
+        span = abelian_span([tuple(int(x) for x in r) for r in rows], [],
+                            tuple_add_mod(n), (0,) * dim)
+        brute = {v for v in span if not ((m @ np.array(v)) % n).any()}
+        members = set(kernel.iter_vectors())
+        assert members == brute
+        assert kernel.size == len(brute)
 
 
 def test_gauss_solve_consistent_and_inconsistent():

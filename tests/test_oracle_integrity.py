@@ -151,18 +151,18 @@ def test_certificate_needs_the_closures():
 
 def test_certificate_over_the_centre_field(monkeypatch):
     # Z = F_9 has F_3-dimension 2, so every theta has even nullity: the
-    # certificate needs nullity 2, and a centre too large to compute leaves
-    # nullity 1 as the only one accepted
+    # certificate needs nullity 2
     from skewsimple.config import Caps
     ctx = conj_f3_context()
     assert skew._center_field_degree(ctx) == 2
     assert certify_simple(ctx) is True
     assert swept_simplicity(ctx, monkeypatch) is True
     small = conj_f3_context()
-    # the centre is refused once |A| = 81 is above the ring's enumeration cap
+    # the centre comes from its basis, so |A| = 81 above the ring's
+    # enumeration cap changes nothing
     monkeypatch.setattr(small.ring, "caps", Caps(enumeration=64))
-    assert skew._center_field_degree(small) == 1
-    assert certify_simple(small) is False
+    assert skew._center_field_degree(small) == 2
+    assert certify_simple(small) is True
 
 
 def test_certificate_refuses_a_centre_that_is_not_a_field():
