@@ -126,17 +126,36 @@ class RingSpec:
                 for i in range(self.dim)]
 
     @cached_property
+    def structure_constants(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lefts, rights) over Z/char: lefts[s] (rights[s]) is the dim x dim
+        matrix of a -> b_s a (of a -> a b_s), b_s the s-th additive generator."""
+        gens = self.additive_generators()
+        lefts = np.array([[self.to_vec(self.mul(b, c)) for c in gens] for b in gens])
+        rights = lefts if self.is_commutative else np.array(
+            [[self.to_vec(self.mul(c, b)) for c in gens] for b in gens])
+        return tuple(m.astype(np.int64).transpose(0, 2, 1) % self.char for m in (lefts, rights))
+
+    @cached_property
     def ideal_engine(self) -> ClosureEngine:
         """Closures under left/right multiplication by each additive generator
         (left alone when the ring is commutative)."""
-        gens = self.additive_generators()
-        ops = []
-        for b in gens:
-            ops.append(np.array([self.to_vec(self.mul(b, e)) for e in gens], dtype=np.int64).T)
-            if not self.is_commutative:
-                ops.append(np.array([self.to_vec(self.mul(e, b)) for e in gens],
-                                    dtype=np.int64).T)
-        return ClosureEngine(self.char, self.dim, ops)
+        lefts, rights = self.structure_constants
+        pairs = zip(lefts) if self.is_commutative else zip(lefts, rights)
+        return ClosureEngine(self.char, self.dim, [op for pair in pairs for op in pair])
+
+    @cached_property
+    def payload_vectors(self) -> np.ndarray:
+        """The coordinate vectors of all payloads in rank order, (size x dim).
+
+        In every family a payload's vector is a fixed permutation of its
+        rank's base-char digits (function rings spell each point's code
+        little-endian), read off the payloads whose ranks are powers of char.
+        """
+        self.check_enumerable("payload vectors")
+        places = self.char ** np.arange(self.dim - 1, -1, -1, dtype=np.int64)
+        digits = (np.arange(self.size, dtype=np.int64)[:, None] // places) % self.char
+        return digits @ np.array([self.to_vec(self.unrank(int(c))) for c in places],
+                                 dtype=np.int64)
 
     # presentation --------------------------------------------------------
     def label(self, a) -> str:
@@ -492,14 +511,34 @@ class TwoSidedIdeal:
         payload = a.payload if isinstance(a, RingElement) else a
         return payload in self.elements
 
-    def element_list(self) -> list[RingElement]:
-        return [self.ring.element(a) for a in sorted(self.elements, key=self.ring.rank)]
-
 
 def ideal_from_basis(ring: RingSpec, basis: HowellBasis, generators: tuple) -> TwoSidedIdeal:
     """Materialize a closure basis over the ring's additive coordinates."""
     return TwoSidedIdeal(ring, frozenset(ring.from_vec(v) for v in basis.iter_vectors()),
                          generators)
+
+
+def engine_ideal(ring: RingSpec, engine: ClosureEngine, generators: Iterable,
+                 what: str) -> TwoSidedIdeal:
+    """The closure of the generators (elements or payloads) under the engine's
+    operators, materialized; cap-checked as ``what``."""
+    ring.check_enumerable(what)
+    gens = tuple(g.payload if isinstance(g, RingElement) else g for g in generators)
+    basis = engine.closure([ring.to_vec(a) for a in gens])
+    return ideal_from_basis(ring, basis, gens)
+
+
+def first_proper_ideal(ring: RingSpec, engine: ClosureEngine, what: str) -> TwoSidedIdeal | None:
+    """The closure of the first nonzero payload (canonical order) whose closure
+    under the engine is proper, generated by that payload; None when every
+    closure is the whole ring. Cap-checked as ``what``."""
+    ring.check_enumerable(what)
+    for i in range(1, ring.size):
+        a = ring.unrank(i)
+        basis = engine.closure([ring.to_vec(a)])
+        if not basis.is_full:
+            return ideal_from_basis(ring, basis, (a,))
+    return None
 
 
 def ideal_closure(ring: RingSpec, generators: Iterable) -> TwoSidedIdeal:
@@ -508,10 +547,7 @@ def ideal_closure(ring: RingSpec, generators: Iterable) -> TwoSidedIdeal:
     The additive span closed under left/right multiplication by the ring's
     canonical additive generators, which suffices by distributivity.
     """
-    ring.check_enumerable("ideal closure")
-    gens = tuple(g.payload if isinstance(g, RingElement) else g for g in generators)
-    basis = ring.ideal_engine.closure([ring.to_vec(a) for a in gens])
-    return ideal_from_basis(ring, basis, gens)
+    return engine_ideal(ring, ring.ideal_engine, generators, "ideal closure")
 
 
 def center(ring: RingSpec) -> list[RingElement]:
@@ -561,11 +597,7 @@ class RingSimplicity:
 
 def is_simple_ring(ring: RingSpec) -> RingSimplicity:
     """Brute-force oracle: every nonzero element must generate the full ring."""
-    ring.check_enumerable("simplicity sweep")
-    engine = ring.ideal_engine
-    for i in range(1, ring.size):
-        a = ring.unrank(i)
-        basis = engine.closure([ring.to_vec(a)])
-        if not basis.is_full:
-            return RingSimplicity(False, ring.element(a), ideal_from_basis(ring, basis, (a,)))
-    return RingSimplicity(True)
+    ideal = first_proper_ideal(ring, ring.ideal_engine, "simplicity sweep")
+    if ideal is None:
+        return RingSimplicity(True)
+    return RingSimplicity(False, ring.element(ideal.generators[0]), ideal)

@@ -140,15 +140,10 @@ class SkewContext:
         basis payload b_s, read row by row, so that (x @ lefts) holds the
         matrix of left multiplication by x; autos[g] is the matrix of sigma_g.
         """
-        ring = self.ring
-        d = ring.dim
-        basis = ring.additive_generators()
-        lefts = [[ring.to_vec(ring.mul(b, c)) for c in basis] for b in basis]
-        rights = [[ring.to_vec(ring.mul(c, b)) for c in basis] for b in basis]
+        d = self.ring.dim
+        lefts, rights = self.ring.structure_constants
         autos = [auto.matrix() for auto in self.action.autos]
-        return (np.array(lefts, dtype=np.int64).transpose(0, 2, 1).reshape(d, d * d) % self.char,
-                np.array(rights, dtype=np.int64).transpose(0, 2, 1).reshape(d, d * d) % self.char,
-                np.stack(autos))
+        return lefts.reshape(d, d * d), rights.reshape(d, d * d), np.stack(autos)
 
     @cached_property
     def _block_sources(self) -> tuple[np.ndarray, np.ndarray]:
@@ -201,9 +196,8 @@ class SkewContext:
     def _payload_rank_by_code(self) -> np.ndarray:
         """Payload rank indexed by the block code of the payload's vector."""
         ring = self.ring
-        vecs = np.array([ring.to_vec(ring.unrank(i)) for i in range(ring.size)], dtype=np.int64)
         table = np.zeros(self.char**ring.dim, dtype=np.int64)
-        table[vecs @ self._block_code_weights] = np.arange(ring.size, dtype=np.int64)
+        table[ring.payload_vectors @ self._block_code_weights] = np.arange(ring.size)
         return table
 
     # centralizer of A and centre --------------------------------------------------
@@ -594,19 +588,17 @@ class SkewIdeal:
         return out
 
     def validate_closed(self) -> bool:
-        """Recheck stability under +/- and monomial multiplication (tests)."""
-        members = [self.ctx.element_of_vec(v) for v in self.iter_vectors()]
-        sample = members if len(members) <= 64 else members[:64]
-        for r in sample:
-            if not self.contains(-r):
+        """Recheck the basis: its rows' negatives, pairwise sums and products
+        with every module generator on either side lie in the ideal. All three
+        are linear in the row, so the rows stand for every member (tests)."""
+        ctx = self.ctx
+        rows = [ctx.element_of_vec(v) for v in self.basis.rows]
+        monos = [ctx.monomial(b, h) for b, h in ctx.module_generators]
+        for i, r in enumerate(rows):
+            if not self.contains(-r) or not all(self.contains(r + s) for s in rows[i:]):
                 return False
-            for s in sample:
-                if not self.contains(r + s):
-                    return False
-            for b, h in self.ctx.module_generators:
-                mono = self.ctx.monomial(b, h)
-                if not self.contains(mono * r) or not self.contains(r * mono):
-                    return False
+            if not all(self.contains(m * r) and self.contains(r * m) for m in monos):
+                return False
         return True
 
 
@@ -639,24 +631,23 @@ def _scalar_units(char: int) -> list[int]:
     return [c for c in range(1, char) if gcd(c, char) == 1]
 
 
-def is_simple(ctx: SkewContext, *, witness_search: bool | None = None) -> SkewSimplicity:
+def is_simple(ctx: SkewContext) -> SkewSimplicity:
     """Simplicity oracle: R is simple iff every nonzero element generates R.
 
     Within the enumeration cap this sweeps all nonzero elements in canonical
     rank order, skipping unit-monomial multiples of elements already seen to
     generate everything; once SWEEP_BEFORE_CERTIFICATE elements have
     generated R it tries ``certify_simple`` once and stops if that proves R
-    simple. Above the cap, ``witness_search`` must be enabled (or left as None
-    for automatic fallback): support-<=2 generators are searched for a proper
-    ideal, the certificate is tried before the exhaustive pairs, and the
-    answer is undetermined when neither decides. The certificate only ever
+    simple. Above the cap, ``ctx.witness_search`` must be enabled (or left as
+    None for automatic fallback): support-<=2 generators are searched for a
+    proper ideal, the certificate is tried before the exhaustive pairs, and
+    the answer is undetermined when neither decides. The certificate only ever
     proves simplicity, so a False verdict and its witness come from the
     search alone.
     """
     if ctx.size <= ctx.caps.enumeration:
         return _sweep_prime(ctx)
-    allowed = witness_search if witness_search is not None else ctx.witness_search
-    if allowed is False:
+    if ctx.witness_search is False:
         raise CapacityError("enumeration", ctx.caps.enumeration, ctx.size,
                             "simplicity sweep (witness-search mode not enabled)")
     return _witness_search(ctx)

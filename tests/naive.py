@@ -8,6 +8,8 @@ from the context's operator matrices.
 The centralizer of A is found by multiplying every payload of A against
 every basis payload, slot by slot, and the centre's class choices by
 transporting each of those payloads along its conjugacy class.
+The law references check every pair of payloads (automorphism laws) or of
+skew ring elements (the augmentation).
 The centre references run over every element of the materialized centre or
 ideal: the field test multiplies every pair of central elements, the
 coefficient laws and the containment check visit every central element, and
@@ -204,3 +206,34 @@ def naive_center_classes(ctx) -> list[list[dict]]:
                 choices.append({g: val for g, val in assignment.items() if val != ring.zero})
         classes.append(choices)
     return classes
+
+
+def naive_automorphism_violation(auto) -> str | None:
+    """The first automorphism law the map breaks, or None: bijectivity,
+    f(1) = 1, then additivity and multiplicativity on every pair of payloads."""
+    ring = auto.ring
+    payloads = list(ring.payloads())
+    if len({auto.apply(a) for a in payloads}) != ring.size:
+        return "automorphism not bijective"
+    if auto.apply(ring.one) != ring.one:
+        return "automorphism does not fix 1"
+    for a in payloads:
+        for b in payloads:
+            if auto.apply(ring.add(a, b)) != ring.add(auto.apply(a), auto.apply(b)):
+                return "automorphism not additive"
+            if auto.apply(ring.mul(a, b)) != ring.mul(auto.apply(a), auto.apply(b)):
+                return "automorphism not multiplicative"
+    return None
+
+
+def naive_augmentation_violation(ctx):
+    """The first pair (r, s) of skew ring elements, in rank order, with
+    eps(rs) != eps(r)eps(s), or None when the augmentation is multiplicative."""
+    from skewsimple.skew import augmentation
+
+    elements = list(ctx.elements())
+    for r in elements:
+        for s in elements:
+            if augmentation(r * s) != augmentation(r) * augmentation(s):
+                return r, s
+    return None

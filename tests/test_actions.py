@@ -1,10 +1,67 @@
+import time
+from itertools import permutations
+
 import pytest
+from hypothesis import given, strategies as st
 
 from skewsimple import (ActionValidationError, DomainError, FunctionRing, GroupTable,
                         MatrixRing, ModularRing)
 from skewsimple.actions import (ActionMap, RingAutomorphism, action_from_descriptor,
                                 fixed_ring, invariant_ideal_closure, is_G_simple, is_inner,
                                 is_outer_action, kernel, trivial_action)
+
+from naive import naive_automorphism_violation
+
+# every ring of at most 16 elements the three families build
+SMALL_RINGS = ([ModularRing(n) for n in range(2, 17)]
+               + [MatrixRing(1, p) for p in (2, 3, 5, 7, 11, 13)] + [MatrixRing(2, 2)]
+               + [FunctionRing(k, q) for q, most in ((2, 4), (3, 2), (4, 2))
+                  for k in range(1, most + 1)]
+               + [FunctionRing(1, q) for q in (5, 7, 8, 9, 11, 13, 16)])
+
+
+def _frobenius(ring: FunctionRing, a):
+    out = []
+    for x in a:
+        y = 1
+        for _ in range(ring.char):
+            y = ring.gf.mul(y, x)
+        out.append(y)
+    return tuple(out)
+
+
+def structural_tables(ring) -> list[list]:
+    """Every structural automorphism of the ring (identity, conjugations,
+    coordinate permutations) and its pointwise Frobenius map, each rewritten
+    as an image table in rank order."""
+    autos = [RingAutomorphism.identity(ring)]
+    if isinstance(ring, MatrixRing):
+        autos += [RingAutomorphism.conjugation(ring, u) for u in ring.units]
+    if isinstance(ring, FunctionRing):
+        autos += [RingAutomorphism.coordinate_permutation(ring, p)
+                  for p in permutations(range(len(ring.points)))]
+    tables = [[auto.apply(a) for a in ring.payloads()] for auto in autos]
+    if isinstance(ring, FunctionRing) and ring.gf.degree > 1:
+        tables.append([_frobenius(ring, a) for a in ring.payloads()])
+    return tables
+
+
+@st.composite
+def small_tables(draw):
+    """A ring of at most 16 elements and a bijective image table on it: a
+    random permutation, a structural automorphism, or one with two images
+    exchanged."""
+    ring = draw(st.sampled_from(SMALL_RINGS))
+    payloads = list(ring.payloads())
+    kind = draw(st.sampled_from(["random", "structural", "exchanged"]))
+    if kind == "random":
+        return ring, [payloads[i] for i in draw(st.permutations(range(ring.size)))]
+    images = list(draw(st.sampled_from(structural_tables(ring))))
+    if kind == "exchanged":
+        i = draw(st.integers(0, ring.size - 1))
+        j = draw(st.integers(0, ring.size - 1))
+        images[i], images[j] = images[j], images[i]
+    return ring, images
 
 
 def swap_action():
@@ -51,6 +108,65 @@ def test_corrupted_table_yields_violation_witness():
     assert violation is not None
     with pytest.raises(ActionValidationError):
         kernel(action)
+
+
+def test_non_additive_table_on_f2_16_is_rejected():
+    # the identity table of F_2^16 with the images of ranks 15 and 29
+    # exchanged: it fixes every additive generator, so its matrix is the
+    # identity, yet sigma(x + 1) != sigma(x) + sigma(1); only a few of the
+    # 65536^2 pairs break additivity, so a sample of pairs misses it
+    ring = FunctionRing(16, 2)
+    grp = GroupTable.cyclic_product([2])
+    identity = [ring.unrank(i) for i in range(ring.size)]
+    swapped = list(identity)
+    swapped[15], swapped[29] = swapped[29], swapped[15]
+    for images, law in ((swapped, "automorphism not additive"), (identity, None)):
+        auto = RingAutomorphism.from_table(ring, images)
+        action = ActionMap(grp, ring, [RingAutomorphism.identity(ring), auto])
+        start = time.perf_counter()
+        violation = action.validate()
+        assert time.perf_counter() - start < 2.0
+        assert auto.is_identity()
+        if law is None:
+            assert violation is None
+        else:
+            # the witness is the first payload off the identity matrix
+            assert (violation.law, violation.payload) == (law, ring.unrank(15))
+
+
+@pytest.mark.parametrize("ring", SMALL_RINGS, ids=repr)
+def test_structural_automorphisms_as_tables_validate(ring):
+    # each map generates a cyclic group acting through its powers, given as tables
+    for images in structural_tables(ring):
+        auto = RingAutomorphism.from_table(ring, images)
+        assert naive_automorphism_violation(auto) is None
+        powers = [list(ring.payloads())]
+        while True:
+            nxt = [auto.apply(a) for a in powers[-1]]
+            if nxt == powers[0]:
+                break
+            powers.append(nxt)
+        grp = GroupTable.cyclic_product([len(powers)])
+        action = ActionMap(grp, ring, [RingAutomorphism.from_table(ring, p) for p in powers])
+        assert action.validate() is None
+
+
+@given(small_tables())
+def test_table_validation_matches_all_pairs(drawn):
+    ring, images = drawn
+    auto = RingAutomorphism.from_table(ring, images)
+    action = ActionMap(GroupTable.cyclic_product([2]), ring,
+                       [RingAutomorphism.identity(ring), auto])
+    violation = action.validate()
+    naive = naive_automorphism_violation(auto)
+    involution = all(auto.apply(auto.apply(a)) == a for a in ring.payloads())
+    assert (violation is None) == (naive is None and involution)
+    if naive is not None:
+        # additivity is decided before multiplicativity, the pairs interleave them
+        allowed = {naive}
+        if naive == "automorphism not multiplicative":
+            allowed.add("automorphism not additive")
+        assert violation.law in allowed
 
 
 def test_homomorphism_law_violation_named():

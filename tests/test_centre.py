@@ -16,19 +16,19 @@ import pytest
 from skewsimple import GroupTable, ModularRing
 from skewsimple.actions import is_G_simple, kernel, trivial_action
 from skewsimple.closure import HowellBasis
-from skewsimple.criteria import (InstanceSampler, center_containment_check,
-                                 center_structure_check, centralizer_kernel_check,
-                                 field_obstruction)
+from skewsimple.criteria import (InstanceSampler, _augmentation_violation,
+                                 center_containment_check, center_structure_check,
+                                 centralizer_kernel_check, field_obstruction)
 from skewsimple.dynamics import catalogue
-from skewsimple.skew import (SkewContext, SkewElement, central_witness,
+from skewsimple.skew import (SkewContext, SkewElement, augmentation, central_witness,
                              centralizer_components, commuting_witness_outside_A, is_central,
                              is_max_commutative_A, skew_center, skew_ideal_closure,
                              smallest_member, support_reduce)
 
 from conftest import swap_context
-from naive import (naive_center_classes, naive_center_containment, naive_center_laws,
-                   naive_centralizer_components, naive_field_obstruction, naive_has_inverse,
-                   naive_smallest_member)
+from naive import (naive_augmentation_violation, naive_center_classes,
+                   naive_center_containment, naive_center_laws, naive_centralizer_components,
+                   naive_field_obstruction, naive_has_inverse, naive_smallest_member)
 
 # ideals up to this size are enumerated member by member for the reference
 _NAIVE_IDEAL_LIMIT = 1024
@@ -48,6 +48,8 @@ def _cases():
 
 
 CASES = _cases()
+# skew rings small enough to multiply every pair of elements
+SMALL_CASES = [(name, ctx) for name, ctx in CASES if ctx.size <= 64]
 
 
 @pytest.mark.parametrize("ctx", [ctx for _, ctx in CASES], ids=[name for name, _ in CASES])
@@ -100,6 +102,19 @@ def test_centralizer_and_centre_bases_match_naive(ctx):
         members = kernel(ctx.action).members
         assert matches == all(len(comps[g]) == (ring.size if g in members else 1)
                               for g in range(group.order))
+
+
+@pytest.mark.parametrize("ctx", [ctx for _, ctx in SMALL_CASES],
+                         ids=[name for name, _ in SMALL_CASES])
+def test_augmentation_verdict_matches_all_pairs(ctx):
+    naive = naive_augmentation_violation(ctx)
+    found = _augmentation_violation(ctx)
+    verdict = center_structure_check(ctx).verdicts["augmentation_multiplicative"]
+    assert (found is None) == (naive is None) == verdict.value
+    if found is not None:
+        r, s = found
+        assert augmentation(r * s) != augmentation(r) * augmentation(s)
+        assert verdict.witness == {"pair": [r.serialize(), s.serialize()]}
 
 
 def test_center_laws_detect_injected_non_central_choice():

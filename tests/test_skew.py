@@ -7,9 +7,9 @@ import pytest
 from skewsimple import (CapacityError, Caps, DomainError, FunctionRing, GroupTable,
                         MatrixRing, ModularRing, PreconditionError, skew)
 from skewsimple.actions import ActionMap, RingAutomorphism, trivial_action
-from skewsimple.closure import kernel_rows
+from skewsimple.closure import HowellBasis, kernel_rows
 from skewsimple.dynamics import TransformationGroup
-from skewsimple.skew import (SkewContext, augmentation, central_witness,
+from skewsimple.skew import (SkewContext, SkewIdeal, augmentation, central_witness,
                              centralizer_components, centralizer_of_A, coeff_at_e,
                              commuting_witness_outside_A, is_central,
                              is_max_commutative_A, is_simple, left_multiplication,
@@ -285,6 +285,17 @@ def test_two_two_cycles_not_simple():
     assert ideal.validate_closed()
 
 
+def test_validate_closed_rejects_a_non_ideal(swap_ctx):
+    # A u_e is closed under sums and under multiplication by A u_e, but
+    # u_g (1,0) = (0,1) u_g leaves it
+    ctx = swap_ctx
+    basis = HowellBasis(ctx.char, ctx.dim)
+    for b in ctx.ring.additive_generators():
+        basis.insert(np.array(ctx.vec_of(ctx.monomial(b, 0)), dtype=np.int64))
+    assert not SkewIdeal(ctx, (), basis).validate_closed()
+    assert skew_ideal_closure(ctx, [ctx.monomial((1, 0), 0)]).validate_closed()
+
+
 def test_skew_ideal_closure_full_for_units(conj_f2_ctx):
     ideal = skew_ideal_closure(conj_f2_ctx, [conj_f2_ctx.unit_monomial(1)])
     assert ideal.is_full
@@ -316,7 +327,8 @@ def test_oracle_refuses_over_cap_without_flag():
     ctx2.witness_search = False
     with pytest.raises(CapacityError):
         is_simple(ctx2)
-    assert is_simple(ctx2, witness_search=True).value is False
+    ctx2.witness_search = True
+    assert is_simple(ctx2).value is False
 
 
 def test_witness_search_claims_simplicity_only_by_certificate(monkeypatch):
@@ -443,7 +455,8 @@ def test_witness_search_guards_each_candidate_family():
     ring = ModularRing(n)
     grp = GroupTable.cyclic_product([2])
     ctx = SkewContext(ring, grp, trivial_action(grp, ring))
-    verdict = is_simple(ctx, witness_search=True)
+    ctx.witness_search = True
+    verdict = is_simple(ctx)
     assert (verdict.value, verdict.method) == (False, "witness_search")
     assert verdict.witness == ctx.one - ctx.unit_monomial(1)
     assert verdict.witness.serialize() == [["0", 1], ["1", n - 1]]
