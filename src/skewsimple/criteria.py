@@ -149,9 +149,9 @@ class InstanceEvaluation:
     def g_simplicity(self):
         return is_G_simple(self.ctx.action)
 
-    @cached_property
+    @property
     def center_obstruction(self) -> SkewElement | None:
-        return field_obstruction(self.ctx)
+        return self.ctx.center_obstruction
 
     @property
     def center_is_field(self) -> bool:

@@ -101,7 +101,7 @@ class TransformationGroup:
 def induce_sigma(T: TransformationGroup) -> ActionMap:
     """The induced automorphism action: g sends f to f composed with g^-1."""
     group = T.group
-    check_dimension(T.ring, group)
+    check_dimension(T.ring.dim, group)
     autos = [RingAutomorphism.coordinate_permutation(T.ring, T.act[group.inv_table[g]])
              for g in group.elements()]
     action = ActionMap(group, T.ring, autos)

@@ -19,7 +19,7 @@ from .config import Caps
 from .dynamics import TransformationGroup
 from .errors import CapacityError, InstanceParseError
 from .groups import GroupTable
-from .rings import ring_from_descriptor
+from .rings import descriptor_dim, ring_from_descriptor
 from .skew import SkewContext, check_dimension
 
 INSTANCE_SCHEMA = {
@@ -111,8 +111,8 @@ class InstanceSpec:
         group = self.build_group()
         allow_search = None if self.witness_search else False
         if self.kind == "algebra":
+            check_dimension(descriptor_dim(self.ring_desc), group)
             ring = ring_from_descriptor(self.ring_desc, caps)
-            check_dimension(ring, group)
             action = action_from_descriptor(group, ring, self.action_desc)
             action.ensure_valid()
             ctx = SkewContext(ring, group, action, caps)

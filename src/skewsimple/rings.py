@@ -15,10 +15,10 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .closure import ClosureEngine, HowellBasis
+from .closure import INT64_LIMIT, ClosureEngine, HowellBasis
 from .config import Caps
 from .errors import CapacityError, DomainError
-from .gf import GaloisField, field
+from .gf import MAX_FIELD_ORDER, GaloisField, field, prime_power
 
 
 # The first 13 primes as Miller-Rabin bases decide primality exactly below
@@ -53,6 +53,14 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _check_modulus(n: int) -> None:
+    """Refuse a coordinate modulus that int64 cannot hold; coordinates over
+    Z/n are int64 arrays (products of them are guarded per use by
+    ``closure.check_int64``)."""
+    if n >= INT64_LIMIT:
+        raise CapacityError("modulus", INT64_LIMIT - 1, n, "int64 coordinates")
 
 
 class RingSpec:
@@ -120,10 +128,14 @@ class RingSpec:
     def from_vec(self, vec: Sequence[int]):
         raise NotImplementedError
 
-    def additive_generators(self) -> list:
+    def additive_generators(self) -> tuple:
         """Canonical additive generating payloads (a Z/char module basis)."""
-        return [self.from_vec(tuple(1 if j == i else 0 for j in range(self.dim)))
-                for i in range(self.dim)]
+        return self._additive_generators
+
+    @cached_property
+    def _additive_generators(self) -> tuple:
+        return tuple(self.from_vec(tuple(1 if j == i else 0 for j in range(self.dim)))
+                     for i in range(self.dim))
 
     @cached_property
     def structure_constants(self) -> tuple[np.ndarray, np.ndarray]:
@@ -194,6 +206,7 @@ class ModularRing(RingSpec):
     def __init__(self, n: int, caps: Caps | None = None) -> None:
         if n < 2:
             raise DomainError(f"modulus must be at least 2, got {n}")
+        _check_modulus(n)
         super().__init__(caps)
         self.n = n
         self.size = n
@@ -247,6 +260,7 @@ class MatrixRing(RingSpec):
     def __init__(self, k: int, p: int, caps: Caps | None = None) -> None:
         if k < 1:
             raise DomainError(f"matrix size must be at least 1, got {k}")
+        _check_modulus(p)
         if not _is_prime(p):
             raise DomainError(f"matrix ring base must be prime, got {p}")
         super().__init__(caps)
@@ -412,6 +426,22 @@ class FunctionRing(RingSpec):
 
     def label(self, a) -> str:
         return "(" + ",".join(str(x) for x in a) + ")"
+
+
+def descriptor_dim(desc: dict) -> int:
+    """dim_A of the ring an instance-file descriptor names, read off the
+    descriptor without building anything: points * log_p q for F_q^X, size^2
+    for M_k(F_p), 1 for Z/n. For a descriptor its constructor refuses, this
+    is at most what the descriptor claims (a q outside the supported fields
+    counts as degree 1), so the constructor still names the error."""
+    kind = desc.get("kind")
+    if kind == "matrix":
+        return max(int(desc["size"]), 0) ** 2
+    if kind == "function":
+        points, q = desc["points"], int(desc["q"])
+        npts = points if isinstance(points, int) else len(points)
+        return npts * (prime_power(q)[1] if 2 <= q <= MAX_FIELD_ORDER else 1)
+    return 1
 
 
 def ring_from_descriptor(desc: dict, caps: Caps | None = None) -> RingSpec:

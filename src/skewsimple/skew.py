@@ -32,10 +32,11 @@ from .rings import RingElement, RingSpec, _is_prime
 MAX_DIM = 256   # the most coordinates |G| * dim_A of a skew ring built here
 
 
-def check_dimension(ring: RingSpec, group: GroupTable) -> None:
-    """Refuse A x| G with more than MAX_DIM coordinates; callers check this
-    before they build or validate the action, whose cost grows with dim_A."""
-    dim = group.order * ring.dim
+def check_dimension(dim_a: int, group: GroupTable) -> None:
+    """Refuse A x| G with more than MAX_DIM coordinates, for A of dimension
+    dim_a; callers check this before they build the ring (from its
+    descriptor) or validate the action, whose costs grow with dim_A."""
+    dim = group.order * dim_a
     if dim > MAX_DIM:
         raise CapacityError("dimension", MAX_DIM, dim, "skew ring coordinates")
 
@@ -47,7 +48,7 @@ class SkewContext:
                  caps: Caps | None = None) -> None:
         if action.ring != ring or action.group is not group:
             raise DomainError("action does not match the given ring and group")
-        check_dimension(ring, group)
+        check_dimension(ring.dim, group)
         action.ensure_valid()
         self.ring = ring
         self.group = group
@@ -244,6 +245,13 @@ class SkewContext:
             commutators = np.concatenate([ops[k] - ops[k + 1] for k in range(0, len(ops), 2)])
             images = (np.stack(rows) @ commutators.T) % n
         return kernel_basis(n, rows, images)
+
+    @cached_property
+    def center_obstruction(self) -> "SkewElement | None":
+        """``criteria.field_obstruction`` of this context, run once: a nonzero
+        non-unit of the centre, or None when the centre is a field."""
+        from . import criteria   # criteria builds on this module; read at call time
+        return criteria.field_obstruction(self)
 
     @cached_property
     def center_classes(self) -> list[list[dict]]:
@@ -636,14 +644,14 @@ def is_simple(ctx: SkewContext) -> SkewSimplicity:
 
     Within the enumeration cap this sweeps all nonzero elements in canonical
     rank order, skipping unit-monomial multiples of elements already seen to
-    generate everything; once SWEEP_BEFORE_CERTIFICATE elements have
-    generated R it tries ``certify_simple`` once and stops if that proves R
-    simple. Above the cap, ``ctx.witness_search`` must be enabled (or left as
-    None for automatic fallback): support-<=2 generators are searched for a
-    proper ideal, the certificate is tried before the exhaustive pairs, and
-    the answer is undetermined when neither decides. The certificate only ever
-    proves simplicity, so a False verdict and its witness come from the
-    search alone.
+    generate everything; once the first element has generated R it tries
+    ``certify_simple`` once and stops if that proves R simple. Above the cap,
+    ``ctx.witness_search`` must be enabled (or left as None for automatic
+    fallback): support-<=2 generators are searched for a proper ideal, the
+    certificate is tried before the exhaustive pairs, and the answer is
+    undetermined when neither decides. The certificate only ever proves
+    simplicity, so a False verdict and its witness come from the sweep or
+    the search alone.
     """
     if ctx.size <= ctx.caps.enumeration:
         return _sweep_prime(ctx)
@@ -670,7 +678,6 @@ def _sweep_prime(ctx: SkewContext) -> SkewSimplicity:
                                  for lg in lefts for rh in rights for c in scalars])
     weights, rank_by_code = ctx._block_code_weights, ctx._payload_rank_by_code
     place = ctx.ring.size ** np.arange(order - 1, -1, -1, dtype=np.int64)
-    closed = 0
     for i in range(1, size):
         if skip[i]:
             continue
@@ -679,8 +686,9 @@ def _sweep_prime(ctx: SkewContext) -> SkewSimplicity:
         basis = engine.closure([vec])
         if not basis.is_full:
             return SkewSimplicity(False, "full_sweep", r, SkewIdeal(ctx, (r,), basis))
-        closed += 1
-        if closed == SWEEP_BEFORE_CERTIFICATE and certify_simple(ctx):
+        # rank 1 is always closed first; the certificate only ever proves
+        # simplicity, so a proper ideal is still found by the sweep
+        if i == 1 and certify_simple(ctx):
             return SkewSimplicity(True, "certificate")
         images = ((transforms @ vec) % n).reshape(-1, order, d)
         marks[rank_by_code[images @ weights] @ place] = 1
@@ -773,7 +781,6 @@ def _witness_search(ctx: SkewContext) -> SkewSimplicity:
 
 # Norton's criterion --------------------------------------------------------------
 
-SWEEP_BEFORE_CERTIFICATE = 32   # full closures the in-cap sweep makes first
 CERTIFICATE_DRAWS = 16          # elements theta of E tried
 CERTIFICATE_TERMS = 3           # products L_a R_b summed into one theta
 CERTIFICATE_SEED = 0
@@ -809,29 +816,27 @@ def certify_simple(ctx: SkewContext) -> bool:
     R/U, and then w lies in the annihilator of U, which is stable under the
     transposed operators. R is never simple in composite characteristic.
 
-    Every theta commutes with multiplication by the centre Z, so ker theta
-    and ker theta^T are Z-spaces and, when Z is a field of F_p-dimension k,
-    their F_p-dimensions are multiples of k. A theta of nullity k then serves
-    as well, with v and w the first kernel rows: its kernels are
-    one-dimensional over Z, and every ideal and every annihilator is a
-    Z-space, so the argument above holds word for word over Z. k is found
-    once the first theta of nullity above 1 is drawn; a centre that is not a
-    field ends the search (R is then not simple). Z comes from its basis
-    alone, so this holds at any |A|.
+    The centre of a simple ring is a field, so Z is tested first (the cached
+    ``SkewContext.center_obstruction``) and a centre that is not a field
+    ends the search before any theta is drawn. Every theta commutes with
+    multiplication by Z, so ker theta and ker theta^T are Z-spaces and, when
+    Z is a field of F_p-dimension k, their F_p-dimensions are multiples of k.
+    A theta of nullity k then serves as well, with v and w the first kernel
+    rows: its kernels are one-dimensional over Z, and every ideal and every
+    annihilator is a Z-space, so the argument above holds word for word over
+    Z. Z comes from its basis alone, so this holds at any |A|.
     """
     p = ctx.char
     if not _is_prime(p):
         return False
     engine = ctx.engine   # refuses moduli whose int64 products can wrap
+    degree = _center_field_degree(ctx)
+    if degree == 0:
+        return False
     identity = np.eye(ctx.dim, dtype=np.int64)
-    accepted, degree = {1}, None   # the nullities that certify: 1, and k once known
+    accepted = {1, degree}   # the nullities that certify
     for theta in certificate_draws(ctx):
         kernel = kernel_rows(p, identity, theta.T)   # theta e_i is column i
-        if len(kernel) > 1 and degree is None:
-            degree = _center_field_degree(ctx)
-            if degree == 0:
-                return False
-            accepted.add(degree)
         if len(kernel) in accepted:
             w = kernel_rows(p, identity, theta)[0]
             return engine.closure(kernel[:1]).is_full and ctx.dual_engine.closure([w]).is_full
@@ -840,11 +845,7 @@ def certify_simple(ctx: SkewContext) -> bool:
 
 def _center_field_degree(ctx: SkewContext) -> int:
     """The F_p-dimension of the centre Z when Z is a field, 0 when it is not."""
-    from .criteria import field_obstruction   # criteria builds on this module
-
-    if field_obstruction(ctx) is not None:
-        return 0
-    return ctx.center_basis.rank
+    return 0 if ctx.center_obstruction is not None else ctx.center_basis.rank
 
 
 # constructive procedures -------------------------------------------------------

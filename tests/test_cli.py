@@ -84,6 +84,10 @@ BUILD_ERRORS = {
     "function_ring_5000_points": {"name": "f5000", "ring": {"kind": "function", "points": 5000,
                                                             "q": 2},
                                   "group": _Z2, "action": {"kind": "trivial"}},
+    # coordinates over Z/n are int64, so n >= 2^63 is refused when the ring is built
+    "modular_ring_n_above_int64": {"name": "n1e30", "group": _Z2, "action": {"kind": "trivial"},
+                                   "ring": {"kind": "modular",
+                                            "n": 1000000000000000000000000000057}},
     # the transpose of M2(F2) is additive and fixes 1 but reverses products;
     # its violation names a pair of matrices
     "matrix_transpose_table": {
@@ -107,6 +111,35 @@ def test_check_maps_build_errors_to_exit_2(tmp_path, doc):
     with pytest.raises(InstanceParseError):
         parse_instance(json.dumps(doc))
     assert time.perf_counter() - start < 1.0
+
+
+def test_dimension_is_refused_before_the_ring_is_built(monkeypatch):
+    # dim_A is read off the descriptor, so F_2^X on a million points is
+    # refused without constructing the ring
+    from skewsimple.rings import FunctionRing
+
+    def unbuildable(self, *args, **kwargs):
+        raise AssertionError("ring built before the dimension check")
+
+    monkeypatch.setattr(FunctionRing, "__init__", unbuildable)
+    doc = {"name": "f1e6", "ring": {"kind": "function", "points": 10**6, "q": 2},
+           "group": _Z2, "action": {"kind": "trivial"}}
+    with pytest.raises(InstanceParseError, match="need 2000000, cap is 256"):
+        parse_instance(json.dumps(doc))
+
+
+def test_check_of_a_15_digit_prime_modulus_ends_each_check_capacity_exceeded(tmp_path):
+    # below 2^63 the ring is built, and every check refuses its int64
+    # arithmetic on its own
+    path = tmp_path / "p15.json"
+    path.write_text(json.dumps({"name": "p15", "ring": {"kind": "modular", "n": 10**15 + 37},
+                                "group": _Z2, "action": {"kind": "trivial"}}),
+                    encoding="utf-8")
+    out = tmp_path / "report.json"
+    result = run_cli("check", str(path), "--format", "json", "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert {check["status"] for check in report["checks"].values()} == {"capacity_exceeded"}
 
 
 def test_check_builds_a_ring_above_its_enumeration_cap(tmp_path):

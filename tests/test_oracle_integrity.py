@@ -5,6 +5,8 @@ element is closed independently, with no skipping and no early exits beyond
 the first proper ideal, mirroring the oracle's definition word for word.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,65 @@ def test_certificate_refuses_a_centre_that_is_not_a_field():
     assert skew._center_field_degree(ctx) == 0
     assert certify_simple(ctx) is False
     assert naive_simplicity(ctx)[0] is False
+
+
+def test_certificate_refuses_a_non_field_centre_before_drawing(monkeypatch):
+    # M2(F2) x| Z/2 by conjugation has a centre that is not a field: the gate
+    # refuses before a single theta is drawn
+    def no_draws(ctx):
+        raise AssertionError("theta drawn for a centre that is not a field")
+
+    monkeypatch.setattr(skew, "certificate_draws", no_draws)
+    ctx = conj_f2_context()
+    assert certify_simple(ctx) is False
+    assert ctx.center_obstruction is not None
+
+
+def test_field_test_runs_once_per_context(monkeypatch):
+    # the certificate and the centre-is-field verdict share one field test
+    from skewsimple import criteria
+    calls = []
+    original = criteria.field_obstruction
+    monkeypatch.setattr(criteria, "field_obstruction",
+                        lambda ctx: calls.append(ctx) or original(ctx))
+    ctx = conj_f3_context()
+    report = criteria.necessary_conditions(criteria.InstanceEvaluation(ctx))
+    assert report.verdicts["center_is_field"].value is True
+    assert report.verdicts["simple"].value is True
+    assert certify_simple(ctx) is True
+    assert calls == [ctx]
+
+
+def test_regular_z3_is_certified_at_the_first_closure(monkeypatch):
+    # regular_Z3 is M3(F2): the sweep closes rank 1, then the certificate
+    # closes v and w, and nothing else is closed
+    ctx = next(T for T in catalogue() if T.name == "regular_Z3").context
+    closures = []
+    original = ClosureEngine.closure
+    monkeypatch.setattr(ClosureEngine, "closure",
+                        lambda self, *args, **kw: closures.append(1) or original(self, *args, **kw))
+    verdict = is_simple(ctx)
+    assert (verdict.value, verdict.method) == (True, "certificate")
+    assert len(closures) == 3
+
+
+def _verdict_bytes(verdict):
+    witness = None if verdict.witness is None else verdict.witness.serialize()
+    return verdict.value, json.dumps(witness)
+
+
+def test_certificate_changes_no_sweep_verdict_or_witness(monkeypatch):
+    # the certificate only ever proves simplicity, so trying it at the
+    # sweep's first full closure leaves every value and every first witness
+    # as the certificate-free sweep finds them
+    contexts = [ctx for ctx in (T.context for T in catalogue()) if ctx.size <= 4096]
+    contexts += [inst.ctx for inst in InstanceSampler(0, 4096).draw_many(200)]
+    assert len(contexts) == 209
+    for ctx in contexts:
+        verdict = _verdict_bytes(is_simple(ctx))
+        with monkeypatch.context() as patch:
+            patch.setattr(skew, "certify_simple", lambda ctx: False)
+            assert _verdict_bytes(skew._sweep_prime(ctx)) == verdict, ctx
 
 
 def test_certificate_refuses_composite_characteristic():

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from skewsimple import (CapacityError, Caps, DomainError, FunctionRing, MatrixRing,
                         ModularRing, center, enumerate_elements, ideal_closure, is_field,
                         is_simple_ring, try_invert)
-from skewsimple.rings import PRIME_TEST_BOUND, _is_prime
+from skewsimple.rings import PRIME_TEST_BOUND, _is_prime, descriptor_dim, ring_from_descriptor
 
 RINGS_SMALL = [ModularRing(6), MatrixRing(2, 2), FunctionRing(3, 2), FunctionRing(2, 4)]
 
@@ -238,3 +238,29 @@ def test_is_prime_is_fast_and_bounded():
     assert time.perf_counter() - start < 0.1
     with pytest.raises(CapacityError):
         _is_prime(PRIME_TEST_BOUND)
+
+
+def test_additive_generators_are_built_once_per_ring():
+    for ring in RINGS_SMALL:
+        gens = ring.additive_generators()
+        assert isinstance(gens, tuple) and len(gens) == ring.dim
+        assert ring.additive_generators() is gens
+        assert [ring.to_vec(b) for b in gens] == [
+            tuple(int(i == j) for j in range(ring.dim)) for i in range(ring.dim)]
+
+
+@pytest.mark.parametrize("desc", [
+    {"kind": "modular", "n": 12}, {"kind": "matrix", "size": 3, "prime": 2},
+    {"kind": "function", "points": 5, "q": 2}, {"kind": "function", "points": 3, "q": 9},
+    {"kind": "function", "points": ["a", "b"], "q": 8}])
+def test_descriptor_dim_matches_the_built_ring(desc):
+    assert descriptor_dim(desc) == ring_from_descriptor(desc).dim
+
+
+@pytest.mark.parametrize("make", [lambda: ModularRing(2**63),
+                                  lambda: MatrixRing(2, 2**63 + 1)])
+def test_moduli_int64_cannot_hold_are_refused(make):
+    with pytest.raises(CapacityError) as err:
+        make()
+    assert err.value.cap_name == "modulus"
+    ModularRing(2**63 - 1)
