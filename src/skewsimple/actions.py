@@ -18,7 +18,7 @@ from .closure import ClosureEngine
 from .errors import ActionValidationError, DomainError
 from .groups import GroupTable, Subgroup
 from .rings import (FunctionRing, ModularRing, RingElement, RingSpec, TwoSidedIdeal,
-                    engine_ideal, first_proper_ideal)
+                    descriptor_int, engine_ideal, first_proper_ideal)
 
 _TABLE_CACHE_LIMIT = 4096
 
@@ -356,7 +356,7 @@ def action_from_descriptor(group: GroupTable, ring: RingSpec, desc: dict) -> Act
         if not isinstance(ring, ModularRing):
             raise DomainError("unit_power actions require a residue ring")
         if group.tag.startswith("Z") and "x" not in group.tag:
-            base = int(desc["unit"])
+            base = descriptor_int(desc["unit"], "unit")
             autos = [RingAutomorphism.unit_scaling(ring, pow(base, g, ring.n))
                      for g in group.elements()]
             return ActionMap(group, ring, autos)

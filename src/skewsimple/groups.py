@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from math import prod
+from math import lcm, prod
 from typing import Sequence
 
 from .config import Caps
@@ -29,6 +29,55 @@ def _perm_label(perm: tuple[int, ...]) -> str:
             nxt = perm[nxt]
         cycles.append("(" + " ".join(str(x) for x in cycle) + ")")
     return "".join(cycles) if cycles else "e"
+
+
+def _permutation_order(perm: tuple[int, ...], degree: int) -> int:
+    """The order of a one-line permutation of 0..degree-1, the lcm of its
+    cycle lengths, read off one walk along its cycles; anything that is not
+    a permutation of those points is refused."""
+    # the messages name no more than a point: perm itself may be huge
+    if len(perm) != degree:
+        raise DomainError(f"a generator of degree {degree} has {len(perm)} entries")
+    bad = next((x for x in perm if not 0 <= x < degree), None)
+    if bad is not None:
+        raise DomainError(f"generator entry {bad} is not a point of 0..{degree - 1}")
+    seen = bytearray(degree)
+    lengths = set()
+    for start in range(degree):
+        if seen[start]:
+            continue
+        length, x = 0, start
+        while not seen[x]:
+            seen[x] = 1
+            x = perm[x]
+            length += 1
+        if x != start:   # the walk ran into another cycle: perm is not injective
+            raise DomainError(f"a generator sends two points to {x}, so it is not "
+                              f"a permutation of 0..{degree - 1}")
+        lengths.add(length)
+    return lcm(*lengths)
+
+
+def _close_permutations(degree: int, gens: list[tuple[int, ...]],
+                        cap: int) -> list[tuple[int, ...]]:
+    """Every product of the generators, sorted (the identity first); refused
+    once more than cap elements are found."""
+    identity = tuple(range(degree))
+    elems = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                c = tuple(a[g[i]] for i in range(degree))
+                if c not in elems:
+                    if len(elems) >= cap:
+                        raise CapacityError("group_order", cap, len(elems) + 1,
+                                            "permutation closure")
+                    elems.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return sorted(elems)  # identity is lexicographically least
 
 
 class GroupTable:
@@ -113,30 +162,20 @@ class GroupTable:
     @classmethod
     def from_permutations(cls, degree: int, generators: Sequence[Sequence[int]],
                           caps: Caps | None = None) -> "GroupTable":
-        """Permutation group generated by one-line permutations of 0..degree-1."""
+        """Permutation group generated by one-line permutations of 0..degree-1.
+
+        A generator's order bounds the group's, so a generator of order above
+        the group-order cap is refused before any element is built."""
         caps = caps or Caps.from_env()
         gens = []
         for g in generators:
             perm = tuple(int(x) for x in g)
-            if sorted(perm) != list(range(degree)):
-                raise DomainError(f"{perm} is not a permutation of 0..{degree - 1}")
+            order = _permutation_order(perm, degree)
+            if order > caps.group_order:
+                raise CapacityError("group_order", caps.group_order, order,
+                                    "permutation generator order")
             gens.append(perm)
-        identity = tuple(range(degree))
-        elems = {identity}
-        frontier = [identity]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in gens:
-                    c = tuple(a[g[i]] for i in range(degree))
-                    if c not in elems:
-                        if len(elems) >= caps.group_order:
-                            raise CapacityError("group_order", caps.group_order,
-                                                len(elems) + 1, "permutation closure")
-                        elems.add(c)
-                        nxt.append(c)
-            frontier = nxt
-        ordered = sorted(elems)  # identity is lexicographically least
+        ordered = _close_permutations(degree, gens, caps.group_order)
         index = {p: i for i, p in enumerate(ordered)}
         mul = [[index[tuple(a[b[i]] for i in range(degree))] for b in ordered] for a in ordered]
         names = [_perm_label(p) for p in ordered]
@@ -146,6 +185,15 @@ class GroupTable:
 
     @classmethod
     def symmetric(cls, degree: int, caps: Caps | None = None) -> "GroupTable":
+        """S_degree; refused before any permutation is built when degree!
+        exceeds the group-order cap."""
+        caps = caps or Caps.from_env()
+        order = 1
+        for k in range(2, degree + 1):
+            order *= k
+            if order > caps.group_order:
+                what = f"S{degree}" if k == degree else f"S{degree}, of order at least {k}!"
+                raise CapacityError("group_order", caps.group_order, order, what)
         if degree == 1:
             return cls.from_permutations(1, [[0]], caps)
         gens = [[1, 0] + list(range(2, degree)), list(range(1, degree)) + [0]]

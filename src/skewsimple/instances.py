@@ -17,9 +17,9 @@ from jsonschema.exceptions import best_match
 from .actions import action_from_descriptor
 from .config import Caps
 from .dynamics import TransformationGroup
-from .errors import CapacityError, InstanceParseError
+from .errors import CapacityError, DomainError, InstanceParseError
 from .groups import GroupTable
-from .rings import descriptor_dim, ring_from_descriptor
+from .rings import descriptor_dim, descriptor_int, ring_from_descriptor
 from .skew import SkewContext, check_dimension
 
 INSTANCE_SCHEMA = {
@@ -162,12 +162,25 @@ def group_from_descriptor(desc: dict, caps: Caps | None = None) -> GroupTable:
     if missing:
         raise InstanceParseError(f"group descriptor missing {sorted(missing)}", path="group")
     if kind == "cyclic_product":
-        return GroupTable.cyclic_product(desc["orders"], caps)
+        return GroupTable.cyclic_product(_int_list(desc["orders"], "orders"), caps)
     if kind == "permutation":
-        return GroupTable.from_permutations(int(desc["degree"]), desc["generators"], caps)
+        gens = desc["generators"]
+        if not isinstance(gens, list):
+            raise DomainError("generators must be a list of permutations")
+        return GroupTable.from_permutations(descriptor_int(desc["degree"], "degree"),
+                                            [_int_list(g, "generator") for g in gens], caps)
     if kind == "symmetric":
-        return GroupTable.symmetric(int(desc["degree"]), caps)
+        return GroupTable.symmetric(descriptor_int(desc["degree"], "degree"), caps)
     return GroupTable(desc["mul"], desc.get("names"), "table", caps)
+
+
+def _int_list(values, name: str) -> list[int]:
+    """A list of integers from an instance file; anything else is refused."""
+    if not isinstance(values, list):
+        raise DomainError(f"{name} must be a list of integers")
+    for x in values:
+        descriptor_int(x, f"{name} entry")
+    return values
 
 
 def parse_instance(text: str) -> InstanceSpec:

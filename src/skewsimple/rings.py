@@ -9,6 +9,7 @@ equality and enumeration order is lexicographic on payloads.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -428,17 +429,36 @@ class FunctionRing(RingSpec):
         return "(" + ",".join(str(x) for x in a) + ")"
 
 
+def descriptor_int(value, name: str) -> int:
+    """value, a number read from an instance file, when it is an integer.
+    JSON numbers such as 2.5, and booleans, are refused rather than truncated
+    (``int`` would build Z/5 from n = 5.5 while the report shows 5.5)."""
+    if type(value) is not int:   # bool is a subclass of int
+        raise DomainError(f"{name} must be an integer, got {json.dumps(value, default=repr)[:40]}")
+    return value
+
+
+def _descriptor_points(desc: dict) -> int | list[str]:
+    """The points of a function-ring descriptor: a count or a list of labels."""
+    points = desc["points"]
+    if type(points) is int or isinstance(points, list) and all(isinstance(s, str) for s in points):
+        return points
+    raise DomainError(f"points must be an integer or a list of labels, got "
+                      f"{json.dumps(points, default=repr)[:40]}")
+
+
 def descriptor_dim(desc: dict) -> int:
     """dim_A of the ring an instance-file descriptor names, read off the
     descriptor without building anything: points * log_p q for F_q^X, size^2
     for M_k(F_p), 1 for Z/n. For a descriptor its constructor refuses, this
     is at most what the descriptor claims (a q outside the supported fields
-    counts as degree 1), so the constructor still names the error."""
+    counts as degree 1), so the constructor still names the error. Numbers
+    that are not integers are refused here (``descriptor_int``)."""
     kind = desc.get("kind")
     if kind == "matrix":
-        return max(int(desc["size"]), 0) ** 2
+        return max(descriptor_int(desc["size"], "size"), 0) ** 2
     if kind == "function":
-        points, q = desc["points"], int(desc["q"])
+        points, q = _descriptor_points(desc), descriptor_int(desc["q"], "q")
         npts = points if isinstance(points, int) else len(points)
         return npts * (prime_power(q)[1] if 2 <= q <= MAX_FIELD_ORDER else 1)
     return 1
@@ -448,11 +468,12 @@ def ring_from_descriptor(desc: dict, caps: Caps | None = None) -> RingSpec:
     """Build a ring from its instance-file descriptor."""
     kind = desc.get("kind")
     if kind == "modular":
-        return ModularRing(int(desc["n"]), caps)
+        return ModularRing(descriptor_int(desc["n"], "n"), caps)
     if kind == "matrix":
-        return MatrixRing(int(desc["size"]), int(desc["prime"]), caps)
+        return MatrixRing(descriptor_int(desc["size"], "size"),
+                          descriptor_int(desc["prime"], "prime"), caps)
     if kind == "function":
-        return FunctionRing(desc["points"], int(desc["q"]), caps)
+        return FunctionRing(_descriptor_points(desc), descriptor_int(desc["q"], "q"), caps)
     raise DomainError(f"unknown ring kind {kind!r}")
 
 

@@ -60,6 +60,10 @@ class SkewContext:
         # None: witness search is an automatic fallback above the cap;
         # False: refuse above the cap (instance files must opt in)
         self.witness_search: bool | None = None
+        # the Howell basis of the ideal of one generator, keyed by its
+        # coordinate tuple; holds the ideals the oracle returns and those of
+        # ``skew_ideal_closure`` (see there), never a sweep's full closures
+        self.ideal_memo: dict[tuple, HowellBasis] = {}
 
     # element constructors --------------------------------------------------
     def element(self, coeffs: dict) -> "SkewElement":
@@ -172,6 +176,14 @@ class SkewContext:
         return [op for pair in pairs for op in pair]
 
     @cached_property
+    def generator_commutators(self) -> np.ndarray:
+        """L_x - R_x for each ring generator x of ``ideal_operator_matrices``,
+        stacked into one (generators * dim) x dim matrix over Z/char: r is
+        central exactly when this sends vec(r) to zero."""
+        ops = self.ideal_operator_matrices
+        return np.concatenate([ops[k] - ops[k + 1] for k in range(0, len(ops), 2)]) % self.char
+
+    @cached_property
     def engine(self) -> ClosureEngine:
         return ClosureEngine(self.char, self.dim, self.ideal_operator_matrices)
 
@@ -213,13 +225,13 @@ class SkewContext:
         the centralizer is the direct sum of the C_g u_g.
         """
         n, d = self.char, self.ring.dim
-        ops = self.ideal_operator_matrices[:2 * d]
+        # the commutators with the basis payloads come first in the stack
+        stacked = self.generator_commutators[:d * self.dim].reshape(d, self.dim, self.dim)
         identity = np.eye(d, dtype=np.int64)
         slots = []
         for g in range(self.group.order):
             block = slice(g * d, (g + 1) * d)
-            commutators = np.stack([ops[2 * t][block, block] - ops[2 * t + 1][block, block]
-                                    for t in range(d)])
+            commutators = stacked[:, block, block]
             # row i of the images is the commutators applied to e_i, side by side
             images = commutators.transpose(2, 0, 1).reshape(d, d * d) % n
             slots.append(kernel_basis(n, identity, images))
@@ -239,10 +251,10 @@ class SkewContext:
                 lifted = np.zeros(self.dim, dtype=np.int64)
                 lifted[g * d:(g + 1) * d] = row
                 rows.append(lifted)
-        ops = self.ideal_operator_matrices[2 * d:]
+        # the commutators with u_g follow those with the dim_A basis payloads
+        commutators = self.generator_commutators[d * self.dim:]
         images = np.zeros((len(rows), 0), dtype=np.int64)
-        if ops:
-            commutators = np.concatenate([ops[k] - ops[k + 1] for k in range(0, len(ops), 2)])
+        if len(commutators):
             images = (np.stack(rows) @ commutators.T) % n
         return kernel_basis(n, rows, images)
 
@@ -611,12 +623,32 @@ class SkewIdeal:
 
 
 def skew_ideal_closure(ctx: SkewContext, generators: Iterable[SkewElement]) -> SkewIdeal:
-    """Two-sided ideal generated by the given elements (no materialization)."""
+    """Two-sided ideal generated by the given elements (no materialization).
+
+    The ideal of a single generator is read from ``ctx.ideal_memo`` when the
+    context has already closed that generator, and stored there otherwise:
+    the procedures close the same element more than once (an ideal's own
+    generators in ``support_reduce``, the oracle's witness in
+    ``central_witness``). The Howell form is canonical, so a stored basis is
+    the one a fresh closure would build.
+    """
     gens = tuple(generators)
     for r in gens:
         if r.ctx is not ctx:
             raise DomainError("generator belongs to a different context")
-    return SkewIdeal(ctx, gens, ctx.engine.closure([ctx.vec_of(r) for r in gens]))
+    vecs = [ctx.vec_of(r) for r in gens]
+    if len(vecs) != 1:
+        return SkewIdeal(ctx, gens, ctx.engine.closure(vecs))
+    basis = ctx.ideal_memo.get(vecs[0])
+    if basis is None:
+        basis = ctx.ideal_memo[vecs[0]] = ctx.engine.closure(vecs)
+    return SkewIdeal(ctx, gens, basis)
+
+
+def _witness_ideal(ctx: SkewContext, r: SkewElement, basis: HowellBasis) -> SkewIdeal:
+    """The proper ideal of the oracle's witness r, kept in ``ctx.ideal_memo``."""
+    ctx.ideal_memo[ctx.vec_of(r)] = basis
+    return SkewIdeal(ctx, (r,), basis)
 
 
 @dataclass(frozen=True)
@@ -668,14 +700,8 @@ def _sweep_prime(ctx: SkewContext) -> SkewSimplicity:
     skip = bytearray(size)
     skip[0] = 1
     marks = np.frombuffer(skip, dtype=np.uint8)   # writes through to ``skip``
-    n = ctx.char
     order, d = ctx.group.order, ctx.ring.dim
-    lefts, rights = ctx.unit_monomial_matrices
-    scalars = _scalar_units(n)
-    # every unit-monomial and scalar transform, stacked: one product maps vec
-    # to all its images, whose blocks are ranked through the code table
-    transforms = np.concatenate([(c * (lg @ rh)) % n
-                                 for lg in lefts for rh in rights for c in scalars])
+    transforms = None   # built once the first element has generated R
     weights, rank_by_code = ctx._block_code_weights, ctx._payload_rank_by_code
     place = ctx.ring.size ** np.arange(order - 1, -1, -1, dtype=np.int64)
     for i in range(1, size):
@@ -685,14 +711,27 @@ def _sweep_prime(ctx: SkewContext) -> SkewSimplicity:
         vec = np.asarray(ctx.vec_of(r), dtype=np.int64)
         basis = engine.closure([vec])
         if not basis.is_full:
-            return SkewSimplicity(False, "full_sweep", r, SkewIdeal(ctx, (r,), basis))
-        # rank 1 is always closed first; the certificate only ever proves
-        # simplicity, so a proper ideal is still found by the sweep
-        if i == 1 and certify_simple(ctx):
-            return SkewSimplicity(True, "certificate")
-        images = ((transforms @ vec) % n).reshape(-1, order, d)
+            return SkewSimplicity(False, "full_sweep", r, _witness_ideal(ctx, r, basis))
+        if transforms is None:
+            # rank 1 is always closed first; the certificate only ever proves
+            # simplicity, so a proper ideal is still found by the sweep
+            if certify_simple(ctx):
+                return SkewSimplicity(True, "certificate")
+            transforms = _orbit_transforms(ctx)
+        images = ((transforms @ vec) % ctx.char).reshape(-1, order, d)
         marks[rank_by_code[images @ weights] @ place] = 1
     return SkewSimplicity(True, "full_sweep")
+
+
+def _orbit_transforms(ctx: SkewContext) -> np.ndarray:
+    """Every unit-monomial and scalar transform r -> c u_g r u_h, stacked:
+    one product maps vec(r) to all its images, each generating the ideal r
+    generates."""
+    n = ctx.char
+    lefts, rights = ctx.unit_monomial_matrices
+    scalars = _scalar_units(n)
+    return np.concatenate([(c * (lg @ rh)) % n
+                           for lg in lefts for rh in rights for c in scalars])
 
 
 # ``bench/tracer.py`` wraps the sweep under both names
@@ -706,7 +745,8 @@ def _witness_search(ctx: SkewContext) -> SkewSimplicity:
     Any support-<=2 element is a unit-monomial translate of one supported on
     {e, g}, so only those are tried: structured candidates first (a member of
     a proper invariant ideal, one for each kernel member, one for each nonzero
-    member of a commuting component C_g, g != e), each family skipped when
+    member of a commuting component C_g, g != e), each family enumerated
+    only once the families before it have decided nothing, and skipped when
     what it enumerates is above the cap; then the certificate; then the
     exhaustive {e,g} pairs under the candidate budget. Undetermined when none
     decides.
@@ -717,11 +757,8 @@ def _witness_search(ctx: SkewContext) -> SkewSimplicity:
     tried = 0
 
     def check(r: SkewElement) -> SkewIdeal | None:
-        vec = ctx.vec_of(r)
-        basis = engine.closure([vec])
-        if not basis.is_full:
-            return SkewIdeal(ctx, (r,), basis)
-        return None
+        basis = engine.closure([ctx.vec_of(r)])
+        return None if basis.is_full else _witness_ideal(ctx, r, basis)
 
     def invariant_ideal() -> list[SkewElement]:
         # a proper action-stable ideal J of A gives the proper ideal of R
@@ -738,21 +775,23 @@ def _witness_search(ctx: SkewContext) -> SkewSimplicity:
         return [ctx.monomial(a, 0) - ctx.monomial(a, g) for g in range(1, group.order)
                 for a in _slot_payloads(ctx, g) if a != ring.zero]
 
-    candidates: list[SkewElement] = []
+    # each family is enumerated only when the ones before it decided nothing
     for family in (invariant_ideal, kernel_members, commuting_components):
-        try:
-            candidates.extend(family())
-        except CapacityError:
-            pass  # too large to enumerate for this family
-    for r in candidates:
         if tried >= budget:
             break
-        if r.is_zero():
-            continue
-        tried += 1
-        ideal = check(r)
-        if ideal is not None:
-            return SkewSimplicity(False, "witness_search", r, ideal)
+        try:
+            candidates = family()
+        except CapacityError:
+            continue  # too large to enumerate for this family
+        for r in candidates:
+            if tried >= budget:
+                break
+            if r.is_zero():
+                continue
+            tried += 1
+            ideal = check(r)
+            if ideal is not None:
+                return SkewSimplicity(False, "witness_search", r, ideal)
     if certify_simple(ctx):
         return SkewSimplicity(True, "certificate")
     # exhaustive support {e, g} pairs, canonical order, budget-limited
@@ -825,11 +864,21 @@ def certify_simple(ctx: SkewContext) -> bool:
     rows: its kernels are one-dimensional over Z, and every ideal and every
     annihilator is a Z-space, so the argument above holds word for word over
     Z. Z comes from its basis alone, so this holds at any |A|.
+
+    Before the field test, a cheaper gate: a g != e acting trivially and
+    commuting with ``group.generators`` makes u_g central, and then 1 - u_g
+    is a nonzero central zero divisor, as (1 - u_g)(1 + u_g + ... +
+    u_g^(m-1)) = 1 - u_g^m = 0 for the order m of g. So Z is not a field, the
+    answer the field test would give, and ``criteria.field_obstruction`` is
+    not run (commutative group rings F_q[G] with the trivial action, whose
+    centre is all of R, end here).
     """
     p = ctx.char
     if not _is_prime(p):
         return False
     engine = ctx.engine   # refuses moduli whose int64 products can wrap
+    if _has_central_unit_monomial(ctx):
+        return False
     degree = _center_field_degree(ctx)
     if degree == 0:
         return False
@@ -841,6 +890,14 @@ def certify_simple(ctx: SkewContext) -> bool:
             w = kernel_rows(p, identity, theta)[0]
             return engine.closure(kernel[:1]).is_full and ctx.dual_engine.closure([w]).is_full
     return False
+
+
+def _has_central_unit_monomial(ctx: SkewContext) -> bool:
+    """Whether some u_g, g != e, is central: sigma_g = id and g commutes with
+    a generating set of G."""
+    group, autos = ctx.group, ctx.action.autos
+    return any(all(group.mul_table[g][h] == group.mul_table[h][g] for h in group.generators)
+               and autos[g].is_identity() for g in range(1, group.order))
 
 
 def _center_field_degree(ctx: SkewContext) -> int:
@@ -966,14 +1023,14 @@ def central_witness(ctx: SkewContext, ideal: SkewIdeal) -> SkewElement:
 
 
 def is_central(r: SkewElement) -> bool:
-    """Commutation against the coefficient generators and all unit monomials."""
+    """Whether r commutes with a ring-generating set of R (the basis payloads
+    b_t u_e and u_g, g in ``group.generators``), hence with all of R.
+
+    One product: the stacked commutators L_x - R_x of those generators
+    (``SkewContext.generator_commutators``) must send vec(r) to zero. This
+    is the definition of central, not a membership test in
+    ``center_basis``, so it checks the centre machinery independently.
+    """
     ctx = r.ctx
-    for b in ctx.ring.additive_generators():
-        mono = ctx.monomial(b, 0)
-        if mono * r != r * mono:
-            return False
-    for g in range(1, ctx.group.order):
-        u = ctx.unit_monomial(g)
-        if u * r != r * u:
-            return False
-    return True
+    vec = np.asarray(ctx.vec_of(r), dtype=np.int64)
+    return not ((ctx.generator_commutators @ vec) % ctx.char).any()

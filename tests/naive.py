@@ -14,7 +14,8 @@ The centre references run over every element of the materialized centre or
 ideal: the field test multiplies every pair of central elements, the
 coefficient laws and the containment check visit every central element, and
 the smallest ideal member is found by building each member as a
-``SkewElement``.
+``SkewElement``. Centrality is tested by multiplying the element with every
+coefficient generator and every unit monomial on both sides.
 """
 
 from __future__ import annotations
@@ -237,3 +238,18 @@ def naive_augmentation_violation(ctx):
             if augmentation(r * s) != augmentation(r) * augmentation(s):
                 return r, s
     return None
+
+
+def naive_is_central(r) -> bool:
+    """Commutation of r with every coefficient generator b u_e and every unit
+    monomial u_g, by ``SkewElement`` products."""
+    ctx = r.ctx
+    for b in ctx.ring.additive_generators():
+        mono = ctx.monomial(b, 0)
+        if mono * r != r * mono:
+            return False
+    for g in range(1, ctx.group.order):
+        u = ctx.unit_monomial(g)
+        if u * r != r * u:
+            return False
+    return True

@@ -7,7 +7,8 @@ central and has no inverse in the enumerated centre; the centre laws, the
 containment check and the smallest-member selection of ``central_witness``
 must answer exactly as the loops in ``naive.py``; and the centralizer's slot
 kernels and the centre's basis, with everything read off them, must equal
-the payload-by-payload loops there.
+the payload-by-payload loops there; and ``is_central`` must answer as the
+commutation loop there.
 """
 
 import numpy as np
@@ -28,7 +29,8 @@ from skewsimple.skew import (SkewContext, SkewElement, augmentation, central_wit
 from conftest import swap_context
 from naive import (naive_augmentation_violation, naive_center_classes,
                    naive_center_containment, naive_center_laws, naive_centralizer_components,
-                   naive_field_obstruction, naive_has_inverse, naive_smallest_member)
+                   naive_field_obstruction, naive_has_inverse, naive_is_central,
+                   naive_smallest_member)
 
 # ideals up to this size are enumerated member by member for the reference
 _NAIVE_IDEAL_LIMIT = 1024
@@ -125,3 +127,28 @@ def test_center_laws_detect_injected_non_central_choice():
     report = center_structure_check(ctx)
     assert report.conclusions["center_coefficient_laws"] is False
     assert report.conclusions["abelian_coefficients_fixed"] is False
+
+
+def test_is_central_matches_the_product_loop():
+    # the one-product test against the commutation loop of naive.py, on the
+    # centre's basis rows, the ring generators and seeded random elements of
+    # every context with |R| <= 4096
+    import random
+
+    rng = random.Random(12)
+    contexts = [T.context for T in catalogue()]
+    contexts += [inst.ctx for inst in InstanceSampler(0, 4096).draw_many(200)]
+    checked = central = 0
+    for ctx in contexts:
+        if ctx.size > 4096:
+            continue
+        elements = [ctx.element_of_vec(row) for row in ctx.center_basis.rows]
+        elements += [ctx.monomial(b, 0) for b in ctx.ring.additive_generators()]
+        elements += [ctx.unit_monomial(g) for g in ctx.group.generators]
+        elements += [ctx.element_of_rank(rng.randrange(ctx.size)) for _ in range(8)]
+        for r in elements:
+            expected = naive_is_central(r)
+            assert is_central(r) is expected, (ctx, r)
+            checked += 1
+            central += expected
+    assert 0 < central < checked

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -191,3 +192,64 @@ def test_suite_smoke_run():
     result = run_cli("suite", "--count", "3", "--seed", "5", "--skip-catalogue")
     assert result.returncode == 0
     assert "total violations: 0" in result.stdout
+
+
+# numbers that are not integers were truncated (2.5 built Z2, true built Z1)
+NON_INTEGERS = {
+    "orders_2.5": ({"name": "o", "ring": {"kind": "modular", "n": 2},
+                    "group": {"kind": "cyclic_product", "orders": [2.5]},
+                    "action": {"kind": "trivial"}}, "orders entry must be an integer, got 2.5"),
+    "orders_true": ({"name": "o", "ring": {"kind": "modular", "n": 2},
+                     "group": {"kind": "cyclic_product", "orders": [True, 2]},
+                     "action": {"kind": "trivial"}}, "orders entry must be an integer, got true"),
+    "degree_3.9": ({"name": "d", "ring": {"kind": "modular", "n": 2},
+                    "group": {"kind": "symmetric", "degree": 3.9},
+                    "action": {"kind": "trivial"}}, "degree must be an integer, got 3.9"),
+    "n_5.5": ({"name": "n", "ring": {"kind": "modular", "n": 5.5}, "group": _Z2,
+               "action": {"kind": "trivial"}}, "n must be an integer, got 5.5"),
+    "q_2.9": ({"name": "q", "ring": {"kind": "function", "points": 2, "q": 2.9}, "group": _Z2,
+               "action": {"kind": "trivial"}}, "q must be an integer, got 2.9"),
+    "points_string": ({"name": "p", "ring": {"kind": "function", "points": "3", "q": 2},
+                       "group": _Z2, "action": {"kind": "trivial"}},
+                      'points must be an integer or a list of labels, got "3"'),
+}
+
+
+@pytest.mark.parametrize("doc,message", list(NON_INTEGERS.values()), ids=list(NON_INTEGERS))
+def test_non_integer_numbers_are_refused(tmp_path, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    result = run_cli("check", str(path))
+    assert result.returncode == 2
+    assert f"input error: invalid instance: {message}" in result.stderr
+
+
+LARGE_DEGREE = {
+    # one 10^5-cycle: a generator of order 10^5
+    "permutation": ({"kind": "permutation", "degree": 10**5,
+                     "generators": [list(range(1, 10**5)) + [0]]},
+                    "permutation generator order: need 100000, cap is 64"),
+    # 5! = 120 already exceeds the cap
+    "symmetric": ({"kind": "symmetric", "degree": 10**5},
+                  "S100000, of order at least 5!: need 120, cap is 64"),
+}
+
+
+@pytest.mark.parametrize("group,message", list(LARGE_DEGREE.values()), ids=list(LARGE_DEGREE))
+def test_large_degree_groups_are_refused_before_the_closure(tmp_path, monkeypatch, group,
+                                                            message):
+    from skewsimple import groups
+
+    def unclosable(*args):
+        raise AssertionError("permutation closure entered")
+
+    monkeypatch.setattr(groups, "_close_permutations", unclosable)
+    doc = {"name": "large_degree", "ring": {"kind": "modular", "n": 2}, "group": group,
+           "action": {"kind": "trivial"}}
+    with pytest.raises(InstanceParseError, match=re.escape(message)):
+        parse_instance(json.dumps(doc))
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    result = run_cli("check", str(path))
+    assert result.returncode == 2
+    assert message in result.stderr

@@ -134,3 +134,15 @@ def test_identity_is_index_zero_everywhere():
         for g in table.elements():
             assert table.mul(0, g) == g
             assert table.mul(g, 0) == g
+
+
+@pytest.mark.parametrize("perm,message", [
+    (list(range(1, 10**5)) + [1], "a generator sends two points to 1"),
+    (list(range(1, 10**5)) + [10**5], "generator entry 100000 is not a point"),
+    (list(range(10**5 - 1)), "a generator of degree 100000 has 99999 entries"),
+])
+def test_non_permutations_are_named_briefly(perm, message):
+    # the refusal names a point, not the (here 10^5-entry) generator
+    with pytest.raises(DomainError, match=message) as info:
+        GroupTable.from_permutations(10**5, [perm])
+    assert len(str(info.value)) < 100

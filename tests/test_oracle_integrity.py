@@ -318,3 +318,93 @@ def test_engines_match_module_generator_closures():
             for engine, ref in ((ctx.engine, reference), (ctx.dual_engine, dual_reference)):
                 assert engine.closure(seed).key() == ref.closure(seed).key()
     assert count == 256
+
+
+class _NoMemo(dict):
+    """An ideal memo that never stores, so every closure is computed afresh."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _in_cap_contexts():
+    """Fresh contexts: the in-cap catalogue actions and 200 sampled ones."""
+    contexts = [ctx for ctx in (T.context for T in catalogue()) if ctx.size <= 4096]
+    return contexts + [inst.ctx for inst in InstanceSampler(0, 4096).draw_many(200)]
+
+
+def _oracle_and_procedures(ctx) -> list:
+    """What the suite's constructive probe reads, as bytes: the verdict, and
+    on the witness ideal and the ideal of the middle-ranked element their
+    Howell rows, the central witness and each generator's support reduction
+    (or the name of the error a procedure raises)."""
+    from skewsimple.errors import SkewSimpleError
+    from skewsimple.skew import central_witness, skew_ideal_closure, support_reduce
+
+    verdict = is_simple(ctx)
+    out = [_verdict_bytes(verdict)]
+    ideals = [] if verdict.witness_ideal is None else [verdict.witness_ideal]
+    ideals.append(skew_ideal_closure(ctx, [ctx.element_of_rank(1 + (ctx.size - 1) // 2)]))
+    for ideal in ideals:
+        gen = ideal.generators[0]
+        out.append(skew_ideal_closure(ctx, [gen]).basis.key())
+        for procedure, arg in ((central_witness, ideal), (support_reduce, gen)):
+            try:
+                out.append(json.dumps(procedure(ctx, arg).serialize()))
+            except SkewSimpleError as exc:
+                out.append(type(exc).__name__)
+    return out
+
+
+def test_ideal_memo_changes_no_result(monkeypatch):
+    # the memo returns the Howell basis a fresh closure builds, so a context
+    # whose memo never stores answers byte for byte as one that reuses it
+    closures = []
+    original = ClosureEngine.closure
+    monkeypatch.setattr(ClosureEngine, "closure",
+                        lambda self, *args, **kw: closures.append(1) or original(self, *args, **kw))
+    memoized = [_oracle_and_procedures(ctx) for ctx in _in_cap_contexts()]
+    with_memo = len(closures)
+    bypassed = []
+    for ctx in _in_cap_contexts():
+        ctx.ideal_memo = _NoMemo()
+        bypassed.append(_oracle_and_procedures(ctx))
+    assert len(memoized) == 209
+    assert memoized == bypassed
+    # the memo is exercised: the witness ideal and the procedures' closures
+    # of an ideal's own generators are read from it
+    assert with_memo < len(closures) - with_memo
+
+
+def test_memo_holds_at_most_the_witness_ideal_after_the_sweep():
+    # full closures inside the sweep are never stored
+    for ctx in _in_cap_contexts():
+        verdict = is_simple(ctx)
+        assert len(ctx.ideal_memo) == (verdict.value is False), ctx
+        if verdict.value is False:
+            assert ctx.ideal_memo[ctx.vec_of(verdict.witness)] is verdict.witness_ideal.basis
+
+
+def test_central_unit_monomial_ends_the_certificate_before_the_field_test(monkeypatch):
+    # F_3[Z4] with the trivial action: u_1 is central, 1 - u_1 a central zero
+    # divisor, so the centre is no field and no field test is needed
+    from skewsimple import criteria
+
+    def no_field_test(ctx):
+        raise AssertionError("field test run")
+
+    monkeypatch.setattr(criteria, "field_obstruction", no_field_test)
+    ctx = _trivial_ctx(3, GroupTable.cyclic_product([4]))
+    assert skew._has_central_unit_monomial(ctx)
+    assert certify_simple(ctx) is False
+    assert is_simple(ctx).value is False
+
+
+def test_central_unit_monomial_gate_agrees_with_the_field_test():
+    # whenever the gate fires the field test finds an obstruction too
+    fired = 0
+    for ctx in reference_contexts():
+        if skew._has_central_unit_monomial(ctx):
+            fired += 1
+            assert ctx.center_obstruction is not None, ctx
+    assert fired > 50

@@ -634,3 +634,35 @@ def test_associativity_exhaustive_64_element_ring():
             rs = r * s
             for t in elems:
                 assert rs * t == r * (s * t)
+
+
+def _fresh_catalogue_context(name):
+    from skewsimple.dynamics import catalogue
+    return next(T.context for T in catalogue() if T.name == name)
+
+
+def test_orbit_transforms_wait_for_the_first_full_closure():
+    # a sweep that ends at rank 1, by a proper ideal or by the certificate,
+    # never builds the unit-monomial matrices
+    for ctx in (two_two_cycles_context(), _fresh_catalogue_context("regular_Z3")):
+        verdict = is_simple(ctx)
+        assert verdict.method in ("full_sweep", "certificate")
+        assert verdict.witness is None or ctx.rank_of(verdict.witness) == 1
+        assert "unit_monomial_matrices" not in ctx.__dict__
+    # past rank 1 the sweep marks unit orbits as before
+    ctx = _fresh_catalogue_context("through_quotient_Z4")
+    assert is_simple(ctx).method == "full_sweep"
+    assert "unit_monomial_matrices" in ctx.__dict__
+
+
+def test_witness_search_enumerates_no_later_family_once_decided(monkeypatch):
+    # Z6_mixed_orbits_5pts is decided by its invariant-ideal candidate, so
+    # the commuting components C_g are never enumerated
+    def no_slots(ctx, g):
+        raise AssertionError("commuting components enumerated")
+
+    monkeypatch.setattr(skew, "_slot_payloads", no_slots)
+    ctx = _fresh_catalogue_context("Z6_mixed_orbits_5pts")
+    verdict = is_simple(ctx)
+    assert (verdict.value, verdict.method) == (False, "witness_search")
+    assert verdict.witness == ctx.monomial(verdict.witness.coeffs[0], 0)
