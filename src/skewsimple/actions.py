@@ -2,8 +2,9 @@
 
 An ActionMap stores one RingAutomorphism per group element and exposes the
 kernel, fixed ring, invariant-ideal (G-simplicity) oracle and the inner/outer
-classification. Validation is lazy and cached; anything that relies on the
-homomorphism law revalidates first.
+classification. The fixed ring and the classification are kernels of linear
+maps on A's coordinates, so neither enumerates A. Validation is lazy and
+cached; anything that relies on the homomorphism law revalidates first.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .closure import ClosureEngine
+from .closure import ClosureEngine, HowellBasis, kernel_basis
 from .errors import ActionValidationError, DomainError
 from .groups import GroupTable, Subgroup
 from .rings import (FunctionRing, ModularRing, RingElement, RingSpec, TwoSidedIdeal,
@@ -118,10 +119,24 @@ class RingAutomorphism:
         return all(self.apply(b) == b for b in self.ring.additive_generators())
 
     def matrix(self) -> np.ndarray:
-        """The map as a dim x dim matrix over Z/char (automorphisms are additive)."""
+        """The map as a dim x dim matrix over Z/char (automorphisms are
+        additive); built once."""
+        return self._matrix
+
+    @cached_property
+    def _matrix(self) -> np.ndarray:
         ring = self.ring
         cols = [ring.to_vec(self.apply(b)) for b in ring.additive_generators()]
         return np.array(cols, dtype=np.int64).T % ring.char
+
+    @cached_property
+    def centralizer(self) -> HowellBasis:
+        """C = {a : b a = a sigma(b) for all b}, the twisted centralizer of
+        this map (``RingSpec.twisted_centralizer``); the centre when the map
+        is the identity."""
+        if self.kind == "identity":
+            return self.ring.center_basis
+        return self.ring.twisted_centralizer(self.matrix())
 
     def __repr__(self) -> str:
         return f"RingAutomorphism({self.kind}{self.params!r} on {self.ring!r})"
@@ -243,6 +258,18 @@ class ActionMap:
                                              for g in self.group.generators]
         return ClosureEngine(ring.char, ring.dim, ops)
 
+    def fixed_space(self, rows) -> HowellBasis:
+        """The members of the span of rows (coordinate vectors over Z/char)
+        fixed by every automorphism, as a Howell basis: the kernel of
+        x -> (sigma_g(x) - x) over ``group.generators``, which suffices as
+        sigma is a homomorphism."""
+        ring = self.ring
+        rows = np.asarray(rows, dtype=np.int64)
+        shifts = [(self.autos[g].matrix() - np.eye(ring.dim, dtype=np.int64)).T
+                  for g in self.group.generators]
+        images = np.concatenate([rows @ m for m in shifts], axis=1) if shifts else rows[:, :0]
+        return kernel_basis(ring.char, rows, images % ring.char)
+
     @cached_property
     def g_simplicity(self) -> "GSimplicity":
         """The G-simplicity verdict with its witness (see ``is_G_simple``).
@@ -275,20 +302,12 @@ def kernel(action: ActionMap) -> Subgroup:
 
 
 def fixed_ring(action: ActionMap) -> list[RingElement]:
-    """Payloads fixed by every automorphism of the action, as elements."""
+    """The fixed ring A^G in canonical order: the members of the fixed space
+    of all of A, cap-checked on |A^G|."""
     action.ensure_valid()
     ring = action.ring
-    ring.check_enumerable("fixed ring")
-    nontrivial = [auto for auto in action.autos if not auto.is_identity()]
-    out = []
-    for a in ring.payloads():
-        if all(auto.apply(a) == a for auto in nontrivial):
-            out.append(ring.element(a))
-    return out
-
-
-def fixed_payloads(action: ActionMap) -> set:
-    return {e.payload for e in fixed_ring(action)}
+    fixed = action.fixed_space(np.eye(ring.dim, dtype=np.int64))
+    return [ring.element(a) for a in ring.members(fixed, "fixed ring")]
 
 
 @dataclass(frozen=True)
@@ -303,7 +322,7 @@ class GSimplicity:
 def invariant_ideal_closure(action: ActionMap, generators) -> TwoSidedIdeal:
     """Smallest ideal containing the generators and stable under the action."""
     action.ensure_valid()
-    return engine_ideal(action.ring, action.ideal_engine, generators, "invariant ideal closure")
+    return engine_ideal(action.ring, action.ideal_engine, generators)
 
 
 def is_G_simple(action: ActionMap) -> GSimplicity:
@@ -315,14 +334,19 @@ def is_G_simple(action: ActionMap) -> GSimplicity:
 
 
 def is_inner(auto: RingAutomorphism) -> RingElement | None:
-    """First unit (canonical order) implementing the map by conjugation, else None."""
-    ring = auto.ring
-    gens = ring.additive_generators()
-    for v in ring.units:
-        w = ring.try_invert_payload(v)
-        if all(auto.apply(b) == ring.mul(ring.mul(v, b), w) for b in gens):
-            return ring.element(v)
-    return None
+    """The least unit v (canonical order) with auto(a) = v a v^-1, else None.
+
+    auto is conjugation by v exactly when v^-1 is a unit of its twisted
+    centralizer C (``RingAutomorphism.centralizer``), and then C = Z(A) v^-1.
+    So C must be as large as the centre, and the units v are the inverses
+    of the units of C, enumerated under the cap on |C| = |Z(A)|.
+    """
+    ring, twisted = auto.ring, auto.centralizer
+    if twisted.size != ring.center_basis.size:
+        return None
+    inverses = [v for v in map(ring.try_invert_payload, ring.members(twisted, "inner automorphism"))
+                if v is not None]
+    return ring.element(min(inverses, key=ring.rank)) if inverses else None
 
 
 def is_outer_action(action: ActionMap) -> bool:
@@ -350,7 +374,8 @@ def action_from_descriptor(group: GroupTable, ring: RingSpec, desc: dict) -> Act
         perms = desc["perms"]
         if len(perms) != group.order:
             raise DomainError(f"permutation action needs {group.order} rows, got {len(perms)}")
-        autos = [RingAutomorphism.coordinate_permutation(ring, p) for p in perms]
+        autos = [RingAutomorphism.coordinate_permutation(
+            ring, [descriptor_int(x, "perms entry") for x in p]) for p in perms]
         return ActionMap(group, ring, autos)
     if kind == "unit_power":
         if not isinstance(ring, ModularRing):
@@ -372,21 +397,21 @@ def action_from_descriptor(group: GroupTable, ring: RingSpec, desc: dict) -> Act
 
 
 def _payload(ring: RingSpec, raw):
-    """Decode a JSON-level payload (int or nested list) for the given ring."""
+    """Decode a JSON-level payload (int or nested list) for the given ring;
+    numbers that are not integers are refused (``descriptor_int``)."""
     if isinstance(ring, ModularRing):
-        return int(raw) % ring.n
+        return descriptor_int(raw, "payload") % ring.n
     if ring.descriptor[0] == "matrix":
         k = ring.k
         if isinstance(raw, (list, tuple)) and len(raw) == k and all(
                 isinstance(r, (list, tuple)) for r in raw):
-            flat = [int(x) % ring.p for row in raw for x in row]
-        else:
-            flat = [int(x) % ring.p for x in raw]
+            raw = [x for row in raw for x in row]
+        flat = [descriptor_int(x, "payload entry") % ring.p for x in raw]
         if len(flat) != k * k:
             raise DomainError(f"matrix payload needs {k * k} entries, got {len(flat)}")
         return tuple(flat)
     if ring.descriptor[0] == "function":
-        vals = [int(x) for x in raw]
+        vals = [descriptor_int(x, "payload entry") for x in raw]
         if len(vals) != len(ring.points):
             raise DomainError(
                 f"function payload needs {len(ring.points)} values, got {len(vals)}")

@@ -182,6 +182,15 @@ class HowellBasis:
             for row in chunk.tolist():
                 yield tuple(row)
 
+    def sorted_members(self, columns: np.ndarray, cap: int, what: str) -> np.ndarray:
+        """All members as the rows of one array, sorted lexicographically on
+        the given columns (most significant first); refused as ``what`` when
+        there are more than cap."""
+        if self.size > cap:
+            raise CapacityError("enumeration", cap, self.size, what)
+        vecs = np.concatenate(list(self.iter_chunks()))
+        return vecs[np.lexsort(vecs[:, columns[::-1]].T)]
+
     def key(self) -> tuple:
         """Hashable canonical form (the Howell rows)."""
         return tuple(tuple(int(x) for x in row) for row in self.rows)

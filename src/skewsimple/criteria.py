@@ -15,12 +15,12 @@ from math import isqrt
 
 import numpy as np
 
-from .actions import (ActionMap, RingAutomorphism, fixed_payloads, is_G_simple,
-                      is_outer_action, kernel, trivial_action)
+from .actions import (ActionMap, RingAutomorphism, is_G_simple, is_outer_action, kernel,
+                      trivial_action)
 from .closure import HowellBasis, gauss_solve, kernel_rows
 from .errors import DomainError, PreconditionError
 from .groups import GroupTable
-from .rings import FunctionRing, MatrixRing, ModularRing, RingSpec, center
+from .rings import FunctionRing, MatrixRing, ModularRing, RingSpec
 from .skew import (SkewContext, SkewElement, _payload_json, augmentation,
                    commuting_witness_outside_A, is_max_commutative_A,
                    is_simple, left_multiplication)
@@ -324,19 +324,17 @@ def center_containment_check(ev: InstanceEvaluation | SkewContext) -> CheckRepor
     ev = _as_evaluation(ev)
     ctx = ev.ctx
     report = CheckReport("center_containment")
-    # the class of e comes first; the centre is the sums of one choice per class
-    identity_choices, *other_classes = ctx.center_classes
-    outside = [SkewElement(ctx, coeffs) for choices in other_classes
-               for coeffs in choices if coeffs]
-    contained = not outside
-    fixed_central = fixed_payloads(ctx.action) & {e.payload for e in center(ctx.ring)}
-    center_payloads = {coeffs.get(0, ctx.ring.zero) for coeffs in identity_choices}
-    equals_fixed_central = contained and center_payloads == fixed_central
-    # ranks add over the disjoint class supports, so the least-rank central
-    # element outside the identity component is a single choice
+    centre, d = ctx.center_basis, ctx.ring.dim
+    # each basis row of the centre lies in one conjugacy class, so the rows
+    # with a pivot in slot e span the part on the class {e}
+    contained = all(piv < d for piv in centre.pivots)
+    identity_part = tuple(tuple(int(x) for x in row[:d])
+                          for row, piv in zip(centre.rows, centre.pivots) if piv < d)
+    fixed_central = ctx.action.fixed_space(ctx.ring.center_basis.rows)
+    equals_fixed_central = contained and identity_part == fixed_central.key()
     report.verdicts["center_in_identity_component"] = CriterionVerdict(
         "center_in_identity_component", contained,
-        witness=None if contained else _element_json(min(outside, key=ctx.rank_of)))
+        witness=None if contained else _element_json(_least_central_outside_e(ctx)))
     report.verdicts["center_equals_fixed_central"] = CriterionVerdict(
         "center_equals_fixed_central", equals_fixed_central)
     report.verdicts["center_is_field"] = CriterionVerdict("center_is_field", ev.center_is_field)
@@ -348,6 +346,27 @@ def center_containment_check(ev: InstanceEvaluation | SkewContext) -> CheckRepor
     report.notes.append("orderable-group converse: out of finite scope "
                         "(the only finite orderable group is trivial)")
     return report
+
+
+def _least_central_outside_e(ctx: SkewContext) -> SkewElement:
+    """The least-rank central element outside the identity component.
+
+    The centre is the direct sum of its parts on the conjugacy classes, each
+    spanned by its own basis rows, and ranks add over their disjoint
+    supports; so the element is the least nonzero member of one part other
+    than {e}. Each part is enumerated on its own, cap-checked on its size.
+    """
+    n, d, centre = ctx.char, ctx.ring.dim, ctx.center_basis
+    class_of = {g: c for c, cls in enumerate(ctx.group.conjugacy_classes) for g in cls}
+    parts: dict[int, HowellBasis] = {}
+    for row, piv in zip(centre.rows, centre.pivots):
+        if piv >= d:
+            parts.setdefault(class_of[piv // d], HowellBasis(n, ctx.dim)).insert(row)
+    cols, cap = ctx.rank_columns, ctx.ring.caps.enumeration
+    # the zero member comes first in rank order, the least nonzero one second
+    least = np.stack([part.sorted_members(cols, cap, "centre class enumeration")[1]
+                      for part in parts.values()])
+    return ctx.element_of_vec(least[np.lexsort(least[:, cols[::-1]].T)[0]])
 
 
 def centralizer_kernel_check(ev: InstanceEvaluation | SkewContext) -> CheckReport:

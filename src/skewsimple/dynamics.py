@@ -12,7 +12,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
+import numpy as np
+
 from .actions import ActionMap, RingAutomorphism, kernel
+from .closure import HowellBasis
 from .config import Caps
 from .criteria import CheckReport, CriterionVerdict, InstanceEvaluation
 from .errors import DomainError
@@ -112,17 +115,24 @@ def induce_sigma(T: TransformationGroup) -> ActionMap:
 # subset <-> ideal correspondence --------------------------------------------
 
 def vanishing_ideal(ring: FunctionRing, subset: Sequence[int]) -> TwoSidedIdeal:
-    """Functions vanishing on the subset, as a two-sided ideal."""
+    """Functions vanishing on the subset, as a two-sided ideal: spanned by the
+    coordinates of the points outside it, and listed with its least member,
+    zero, as generator."""
     subset = frozenset(subset)
-    members = frozenset(a for a in ring.payloads()
-                        if all(a[x] == 0 for x in subset))
-    return TwoSidedIdeal(ring, members, tuple(sorted(members, key=ring.rank)[:1]))
+    m = ring.gf.degree
+    basis = HowellBasis(ring.char, ring.dim)
+    for i, row in enumerate(np.eye(ring.dim, dtype=np.int64)):
+        if i // m not in subset:
+            basis.insert(row)
+    return TwoSidedIdeal(ring, (ring.zero,), basis)
 
 
 def zero_set(ring: FunctionRing, ideal: TwoSidedIdeal) -> frozenset[int]:
-    """Points where every member of the ideal vanishes."""
-    return frozenset(x for x in range(len(ring.points))
-                     if all(a[x] == 0 for a in ideal.elements))
+    """Points where every member of the ideal vanishes: where every row of
+    its basis does."""
+    rows = np.array(ideal.basis.rows, dtype=np.int64)
+    vanishing = ~rows.reshape(-1, len(ring.points), ring.gf.degree).any(axis=(0, 2))
+    return frozenset(np.flatnonzero(vanishing).tolist())
 
 
 # checks -----------------------------------------------------------------------

@@ -131,6 +131,7 @@ class InstanceSpec:
             if act is None:
                 raise InstanceParseError("dynamics need an action table or natural=true",
                                          path="dynamics.act")
+            act = [_int_list(row, "act") for row in act]
         tg = TransformationGroup(npoints, group, act, int(desc.get("q", 2)),
                                  self.name, caps)
         tg.context.witness_search = allow_search
@@ -171,7 +172,10 @@ def group_from_descriptor(desc: dict, caps: Caps | None = None) -> GroupTable:
                                             [_int_list(g, "generator") for g in gens], caps)
     if kind == "symmetric":
         return GroupTable.symmetric(descriptor_int(desc["degree"], "degree"), caps)
-    return GroupTable(desc["mul"], desc.get("names"), "table", caps)
+    mul = desc["mul"]
+    if not isinstance(mul, list):
+        raise DomainError("mul must be a list of rows")
+    return GroupTable([_int_list(row, "mul") for row in mul], desc.get("names"), "table", caps)
 
 
 def _int_list(values, name: str) -> list[int]:

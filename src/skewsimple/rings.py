@@ -1,6 +1,6 @@
 """Finite unital coefficient rings: residues Z/n, matrix rings over F_p, and
 function rings F_q^X, with exact payload arithmetic, enumeration, units,
-ideals, centre and a brute-force simplicity oracle.
+ideals, centre and twisted centralizers, and a brute-force simplicity oracle.
 
 Payload encodings are canonical (ints for residues, flat row-major tuples for
 matrices, per-point code tuples for functions), so element equality is payload
@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .closure import INT64_LIMIT, ClosureEngine, HowellBasis
+from .closure import INT64_LIMIT, ClosureEngine, HowellBasis, kernel_basis
 from .config import Caps
 from .errors import CapacityError, DomainError
 from .gf import MAX_FIELD_ORDER, GaloisField, field, prime_power
@@ -28,6 +28,10 @@ from .gf import MAX_FIELD_ORDER, GaloisField, field, prime_power
 # first 12 are fooled by 318665857834031151167461.
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_TEST_BOUND = 3317044064679887385961981
+
+# the most coordinates of a skew ring A x| G built here (|G| * dim_A), hence
+# of a ring whose structure constants, 2 dim^3 entries, are built
+MAX_DIM = 256
 
 
 def _is_prime(n: int) -> bool:
@@ -141,7 +145,10 @@ class RingSpec:
     @cached_property
     def structure_constants(self) -> tuple[np.ndarray, np.ndarray]:
         """(lefts, rights) over Z/char: lefts[s] (rights[s]) is the dim x dim
-        matrix of a -> b_s a (of a -> a b_s), b_s the s-th additive generator."""
+        matrix of a -> b_s a (of a -> a b_s), b_s the s-th additive generator.
+        Refused above MAX_DIM coordinates, before anything is built."""
+        if self.dim > MAX_DIM:
+            raise CapacityError("dimension", MAX_DIM, self.dim, "structure constants")
         gens = self.additive_generators()
         lefts = np.array([[self.to_vec(self.mul(b, c)) for c in gens] for b in gens])
         rights = lefts if self.is_commutative else np.array(
@@ -157,18 +164,53 @@ class RingSpec:
         return ClosureEngine(self.char, self.dim, [op for pair in pairs for op in pair])
 
     @cached_property
-    def payload_vectors(self) -> np.ndarray:
-        """The coordinate vectors of all payloads in rank order, (size x dim).
+    def rank_columns(self) -> np.ndarray:
+        """The coordinates holding a payload's rank digits, most significant
+        first. In every family a payload's vector is a fixed permutation of
+        its rank's base-char digits (function rings spell each point's code
+        little-endian), read off the payloads whose ranks are powers of char;
+        so ranks compare as these columns compare lexicographically."""
+        return np.array([self.to_vec(self.unrank(self.char ** k)).index(1)
+                         for k in range(self.dim - 1, -1, -1)], dtype=np.intp)
 
-        In every family a payload's vector is a fixed permutation of its
-        rank's base-char digits (function rings spell each point's code
-        little-endian), read off the payloads whose ranks are powers of char.
-        """
+    @cached_property
+    def payload_vectors(self) -> np.ndarray:
+        """The coordinate vectors of all payloads in rank order, (size x dim):
+        each rank's base-char digits placed in ``rank_columns``."""
         self.check_enumerable("payload vectors")
         places = self.char ** np.arange(self.dim - 1, -1, -1, dtype=np.int64)
-        digits = (np.arange(self.size, dtype=np.int64)[:, None] // places) % self.char
-        return digits @ np.array([self.to_vec(self.unrank(int(c))) for c in places],
-                                 dtype=np.int64)
+        vecs = np.zeros((self.size, self.dim), dtype=np.int64)
+        vecs[:, self.rank_columns] = (np.arange(self.size, dtype=np.int64)[:, None]
+                                      // places) % self.char
+        return vecs
+
+    def members(self, basis: HowellBasis, what: str) -> list:
+        """The payloads of a submodule of A's coordinates, in rank order;
+        cap-checked on the submodule's size as ``what``."""
+        vecs = basis.sorted_members(self.rank_columns, self.caps.enumeration, what)
+        return [self.from_vec(v) for v in vecs.tolist()]
+
+    # twisted centralizers -------------------------------------------------
+    def twisted_centralizer(self, S: np.ndarray) -> HowellBasis:
+        """{a : b a = a S(b) for every b}, for the additive map with matrix S
+        over Z/char, as a Howell basis: the kernel of a -> (b_t a - a S(b_t))_t
+        over the basis payloads b_t, which suffices as both sides are linear
+        in b. S = id gives the centre; S = sigma_g gives the slot C_g of the
+        centralizer of A in A x| G, and sigma_g is inner exactly when C_g
+        holds a unit."""
+        n, d = self.char, self.dim
+        lefts, rights = self.structure_constants
+        # a -> a S(b_t) is the sum over s of S[s, t] times a -> a b_s
+        commutators = lefts - (S.T @ rights.reshape(d, d * d)).reshape(d, d, d)
+        # row i of the images is the commutators applied to e_i, side by side
+        images = commutators.transpose(2, 0, 1).reshape(d, d * d) % n
+        return kernel_basis(n, np.eye(d, dtype=np.int64), images)
+
+    @cached_property
+    def center_basis(self) -> HowellBasis:
+        """The centre Z(A) as a Howell basis: the twisted centralizer of the
+        identity."""
+        return self.twisted_centralizer(np.eye(self.dim, dtype=np.int64))
 
     # presentation --------------------------------------------------------
     def label(self, a) -> str:
@@ -539,44 +581,41 @@ def try_invert(a: RingElement) -> RingElement | None:
 
 @dataclass(frozen=True)
 class TwoSidedIdeal:
-    """A two-sided ideal stored as its full payload set (materialized from a
-    closure basis by the ideal oracles)."""
+    """A two-sided ideal, held as a Howell basis over the ring's additive
+    coordinates (as ``skew.SkewIdeal`` is); its members are materialized on
+    first use."""
 
     ring: RingSpec
-    elements: frozenset
     generators: tuple
+    basis: HowellBasis
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return self.basis.size
 
     @property
     def is_full(self) -> bool:
-        return len(self.elements) == self.ring.size
+        return self.basis.is_full
 
     @property
     def is_zero(self) -> bool:
-        return self.elements == {self.ring.zero}
+        return self.size == 1
 
     def contains(self, a) -> bool:
         payload = a.payload if isinstance(a, RingElement) else a
-        return payload in self.elements
+        return self.basis.contains(self.ring.to_vec(payload))
+
+    @cached_property
+    def elements(self) -> frozenset:
+        """Every member payload; cap-checked on the ideal's size."""
+        return frozenset(self.ring.members(self.basis, "ideal materialization"))
 
 
-def ideal_from_basis(ring: RingSpec, basis: HowellBasis, generators: tuple) -> TwoSidedIdeal:
-    """Materialize a closure basis over the ring's additive coordinates."""
-    return TwoSidedIdeal(ring, frozenset(ring.from_vec(v) for v in basis.iter_vectors()),
-                         generators)
-
-
-def engine_ideal(ring: RingSpec, engine: ClosureEngine, generators: Iterable,
-                 what: str) -> TwoSidedIdeal:
+def engine_ideal(ring: RingSpec, engine: ClosureEngine, generators: Iterable) -> TwoSidedIdeal:
     """The closure of the generators (elements or payloads) under the engine's
-    operators, materialized; cap-checked as ``what``."""
-    ring.check_enumerable(what)
+    operators."""
     gens = tuple(g.payload if isinstance(g, RingElement) else g for g in generators)
-    basis = engine.closure([ring.to_vec(a) for a in gens])
-    return ideal_from_basis(ring, basis, gens)
+    return TwoSidedIdeal(ring, gens, engine.closure([ring.to_vec(a) for a in gens]))
 
 
 def first_proper_ideal(ring: RingSpec, engine: ClosureEngine, what: str) -> TwoSidedIdeal | None:
@@ -588,7 +627,7 @@ def first_proper_ideal(ring: RingSpec, engine: ClosureEngine, what: str) -> TwoS
         a = ring.unrank(i)
         basis = engine.closure([ring.to_vec(a)])
         if not basis.is_full:
-            return ideal_from_basis(ring, basis, (a,))
+            return TwoSidedIdeal(ring, (a,), basis)
     return None
 
 
@@ -598,43 +637,13 @@ def ideal_closure(ring: RingSpec, generators: Iterable) -> TwoSidedIdeal:
     The additive span closed under left/right multiplication by the ring's
     canonical additive generators, which suffices by distributivity.
     """
-    return engine_ideal(ring, ring.ideal_engine, generators, "ideal closure")
+    return engine_ideal(ring, ring.ideal_engine, generators)
 
 
 def center(ring: RingSpec) -> list[RingElement]:
-    """Elements commuting with the whole ring (checked against generators)."""
-    ring.check_enumerable("centre computation")
-    gens = ring.additive_generators()
-    out = []
-    for a in ring.payloads():
-        if all(ring.mul(a, b) == ring.mul(b, a) for b in gens):
-            out.append(ring.element(a))
-    return out
-
-
-def is_field(elements, *, zero, one) -> bool:
-    """Whether a finite commutative unital closed set is a field.
-
-    The input must be closed under + and * and contain 0 and 1; violations
-    raise DomainError (non-commutativity included, per the contract).
-    """
-    members = set(elements)
-    if one not in members or zero not in members:
-        raise DomainError("input is not unital: missing 0 or 1")
-    listed = list(members)
-    for i, a in enumerate(listed):
-        for b in listed[i:]:
-            ab = a * b
-            if ab != b * a:
-                raise DomainError("input is not commutative")
-            if ab not in members or (a + b) not in members:
-                raise DomainError("input is not closed under ring operations")
-    for a in members:
-        if a == zero:
-            continue
-        if not any(a * b == one for b in members):
-            return False
-    return True
+    """The elements commuting with the whole ring, in canonical order: the
+    members of ``RingSpec.center_basis``, cap-checked on |Z(A)|."""
+    return [ring.element(a) for a in ring.members(ring.center_basis, "centre computation")]
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
 from functools import cached_property
-from math import prod
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -26,10 +24,7 @@ from .closure import (ClosureEngine, HowellBasis, check_int64, gauss_solve, kern
 from .config import Caps
 from .errors import CapacityError, DomainError, PreconditionError
 from .groups import GroupTable
-from .rings import RingElement, RingSpec, _is_prime
-
-
-MAX_DIM = 256   # the most coordinates |G| * dim_A of a skew ring built here
+from .rings import MAX_DIM, RingElement, RingSpec, _is_prime
 
 
 def check_dimension(dim_a: int, group: GroupTable) -> None:
@@ -131,6 +126,12 @@ class SkewContext:
         if self.size > self.caps.enumeration:
             raise CapacityError("enumeration", self.caps.enumeration, self.size, what)
 
+    def members(self, basis: HowellBasis, what: str) -> list["SkewElement"]:
+        """The elements of a submodule of R's coordinates, in canonical rank
+        order; cap-checked on the submodule's size as ``what``."""
+        vecs = basis.sorted_members(self.rank_columns, self.caps.enumeration, what)
+        return [self.element_of_vec(v) for v in vecs.tolist()]
+
     # cached machinery ---------------------------------------------------------
     @cached_property
     def module_generators(self) -> list[tuple]:
@@ -200,42 +201,36 @@ class SkewContext:
         return list(left_multiplications(self, units)), list(right_multiplications(self, units))
 
     @cached_property
-    def _block_code_weights(self) -> np.ndarray:
-        """Base-char place values turning a coefficient block into an integer code."""
+    def rank_columns(self) -> np.ndarray:
+        """The coordinates in rank order, most significant first: slot by
+        slot from e, each in ``RingSpec.rank_columns`` order, so ranks compare
+        as these columns compare lexicographically."""
         d = self.ring.dim
-        return np.array([self.char**(d - 1 - t) for t in range(d)], dtype=np.int64)
-
-    @cached_property
-    def _payload_rank_by_code(self) -> np.ndarray:
-        """Payload rank indexed by the block code of the payload's vector."""
-        ring = self.ring
-        table = np.zeros(self.char**ring.dim, dtype=np.int64)
-        table[ring.payload_vectors @ self._block_code_weights] = np.arange(ring.size)
-        return table
+        return (np.arange(self.group.order)[:, None] * d + self.ring.rank_columns).ravel()
 
     # centralizer of A and centre --------------------------------------------------
     @cached_property
     def centralizer_slots(self) -> list[HowellBasis]:
         """Per slot g, C_g = {a : b a = a sigma_g(b) for all b} as a Howell
-        basis over Z/char in A's coordinates.
+        basis over Z/char in A's coordinates (``RingAutomorphism.centralizer``).
 
-        The centralizer of A in R is the kernel of z -> b_t z - z b_t over the
-        basis payloads b_t, the first dim_A operator pairs. Each of these maps
-        keeps every slot, acting on slot g by a -> b_t a - a sigma_g(b_t), so
-        the centralizer is the direct sum of the C_g u_g.
+        The centralizer of A in R is the direct sum of the C_g u_g, since
+        b (a u_g) - (a u_g) b = (b a - a sigma_g(b)) u_g keeps every slot.
         """
-        n, d = self.char, self.ring.dim
-        # the commutators with the basis payloads come first in the stack
-        stacked = self.generator_commutators[:d * self.dim].reshape(d, self.dim, self.dim)
-        identity = np.eye(d, dtype=np.int64)
-        slots = []
-        for g in range(self.group.order):
-            block = slice(g * d, (g + 1) * d)
-            commutators = stacked[:, block, block]
-            # row i of the images is the commutators applied to e_i, side by side
-            images = commutators.transpose(2, 0, 1).reshape(d, d * d) % n
-            slots.append(kernel_basis(n, identity, images))
-        return slots
+        return [auto.centralizer for auto in self.action.autos]
+
+    @cached_property
+    def centralizer_rows(self) -> list[np.ndarray]:
+        """The Howell rows of the centralizer of A in R: those of each C_g,
+        lifted to its slot g, in slot order."""
+        d = self.ring.dim
+        rows = []
+        for g, slot in enumerate(self.centralizer_slots):
+            for row in slot.rows:
+                lifted = np.zeros(self.dim, dtype=np.int64)
+                lifted[g * d:(g + 1) * d] = row
+                rows.append(lifted)
+        return rows
 
     @cached_property
     def center_basis(self) -> HowellBasis:
@@ -243,16 +238,16 @@ class SkewContext:
         z -> x z - z x over the ring generators x, since commuting with a
         ring-generating set is being central. It is found inside the
         centralizer of A, against the unit monomials u_g, g in
-        ``group.generators``."""
-        n, d = self.char, self.ring.dim
-        rows = []
-        for g, slot in enumerate(self.centralizer_slots):
-            for row in slot.rows:
-                lifted = np.zeros(self.dim, dtype=np.int64)
-                lifted[g * d:(g + 1) * d] = row
-                rows.append(lifted)
+        ``group.generators``.
+
+        Commuting with every u_h is the twisted conjugacy law
+        a_{hgh^-1} = sigma_h(a_g), which ties coefficients inside one
+        conjugacy class only. So the centre is the direct sum of its parts on
+        the classes, its Howell form is the union of theirs, and every basis
+        row lies in one class."""
+        n, rows = self.char, self.centralizer_rows
         # the commutators with u_g follow those with the dim_A basis payloads
-        commutators = self.generator_commutators[d * self.dim:]
+        commutators = self.generator_commutators[self.ring.dim * self.dim:]
         images = np.zeros((len(rows), 0), dtype=np.int64)
         if len(commutators):
             images = (np.stack(rows) @ commutators.T) % n
@@ -264,49 +259,6 @@ class SkewContext:
         non-unit of the centre, or None when the centre is a field."""
         from . import criteria   # criteria builds on this module; read at call time
         return criteria.field_obstruction(self)
-
-    @cached_property
-    def center_classes(self) -> list[list[dict]]:
-        """Per conjugacy class of G, every coefficient map (zero entries left
-        out) that a central element carries on that class, read off the rows
-        of ``center_basis``; cap-checked per class.
-
-        r is central iff it commutes with every coefficient (each a_g then
-        satisfies b a_g = a_g sigma_g(b)) and with every u_h (the twisted
-        conjugacy law a_{hgh^-1} = sigma_h(a_g)). The law ties coefficients
-        inside one class only, so the centre is the direct sum of its class
-        parts, the sums of one choice per class; its Howell form is then the
-        union of theirs, and every basis row lies in one class.
-        """
-        n, ring, group, d = self.char, self.ring, self.group, self.ring.dim
-        centre = self.center_basis
-        classes = group.conjugacy_classes
-        class_of = {g: c for c, cls in enumerate(classes) for g in cls}
-        rows: list[list[np.ndarray]] = [[] for _ in classes]
-        radix: list[list[int]] = [[] for _ in classes]
-        for row, div in zip(centre.rows, centre.divs):
-            support = {class_of[g] for g in range(group.order) if row[g * d:(g + 1) * d].any()}
-            assert len(support) == 1, "a centre basis row spans two conjugacy classes"
-            c = support.pop()
-            rows[c].append(row)
-            radix[c].append(n // div)
-        cap = ring.caps.enumeration
-        out = []
-        for cls, part_rows, part_radix in zip(classes, rows, radix):
-            size = prod(part_radix)
-            if size > cap:
-                raise CapacityError("enumeration", cap, size, "centre class enumeration")
-            # a class part's rows are its Howell form: each member is
-            # sum c_i row_i for exactly one c with 0 <= c_i < n / pivot_i
-            coeffs = np.array(list(product(*map(range, part_radix))), dtype=np.int64)
-            members = (coeffs.reshape(size, -1) @ np.array(part_rows, dtype=np.int64)
-                       .reshape(-1, self.dim)) % n
-            choices = []
-            for vec in members.tolist():
-                payloads = {g: ring.from_vec(vec[g * d:(g + 1) * d]) for g in sorted(cls)}
-                choices.append({g: a for g, a in payloads.items() if a != ring.zero})
-            out.append(choices)
-        return out
 
     def __repr__(self) -> str:
         return f"SkewContext({self.ring!r} x| {self.group!r}, size={self.size})"
@@ -431,11 +383,7 @@ def support(r: SkewElement) -> frozenset[int]:
 def _slot_payloads(ctx: SkewContext, g: int) -> list:
     """The members of C_g (see ``SkewContext.centralizer_slots``) in
     canonical payload order; cap-checked on |C_g|."""
-    ring, slot = ctx.ring, ctx.centralizer_slots[g]
-    if slot.size > ring.caps.enumeration:
-        raise CapacityError("enumeration", ring.caps.enumeration, slot.size,
-                            "centralizer component")
-    return sorted((ring.from_vec(v) for v in slot.iter_vectors()), key=ring.rank)
+    return ctx.ring.members(ctx.centralizer_slots[g], "centralizer component")
 
 
 def centralizer_components(ctx: SkewContext) -> list[list]:
@@ -448,24 +396,12 @@ def centralizer_components(ctx: SkewContext) -> list[list]:
 
 
 def centralizer_of_A(ctx: SkewContext) -> list[SkewElement]:
-    """All elements of R commuting with the coefficient ring, materialized."""
-    total = prod(slot.size for slot in ctx.centralizer_slots)
-    if total > ctx.caps.enumeration:
-        raise CapacityError("enumeration", ctx.caps.enumeration, total,
-                            "centralizer materialization")
-    comps = centralizer_components(ctx)
-    out = [ctx.zero]
-    for g, comp in enumerate(comps):
-        new = []
-        for r in out:
-            for a in comp:
-                coeffs = dict(r.coeffs)
-                if a != ctx.ring.zero:
-                    coeffs[g] = a
-                new.append(SkewElement(ctx, coeffs))
-        out = new
-    out.sort(key=ctx.rank_of)
-    return out
+    """All elements of R commuting with the coefficient ring, in canonical
+    rank order; cap-checked."""
+    basis = HowellBasis(ctx.char, ctx.dim)
+    for row in ctx.centralizer_rows:
+        basis.insert(row)
+    return ctx.members(basis, "centralizer materialization")
 
 
 def is_max_commutative_A(ctx: SkewContext) -> bool:
@@ -485,26 +421,9 @@ def commuting_witness_outside_A(ctx: SkewContext) -> SkewElement | None:
 
 
 def skew_center(ctx: SkewContext) -> list[SkewElement]:
-    """The centre of R in canonical rank order, assembled from the per-class
-    choices of ``SkewContext.center_classes``; cap-checked.
-
-    Supports of different classes are disjoint, so an element's rank is the
-    sum of the ranks of its choices.
-    """
-    total = prod(len(choices) for choices in ctx.center_classes)
-    if total > ctx.caps.enumeration:
-        raise CapacityError("enumeration", ctx.caps.enumeration, total,
-                            "centre materialization")
-    ring = ctx.ring
-    order, size_a = ctx.group.order, ring.size
-    out: list[tuple[int, dict]] = [(0, {})]
-    for choices in ctx.center_classes:
-        ranked = [(sum(ring.rank(a) * size_a**(order - 1 - g) for g, a in coeffs.items()),
-                   coeffs) for coeffs in choices]
-        out = [(rank + extra_rank, {**base, **extra})
-               for rank, base in out for extra_rank, extra in ranked]
-    out.sort(key=lambda pair: pair[0])
-    return [SkewElement(ctx, coeffs) for _, coeffs in out]
+    """The centre of R in canonical rank order: the members of
+    ``SkewContext.center_basis``, cap-checked on |Z|."""
+    return ctx.members(ctx.center_basis, "centre materialization")
 
 
 def left_multiplication(ctx: SkewContext, vec: Sequence[int]) -> np.ndarray:
@@ -600,12 +519,8 @@ class SkewIdeal:
         return self.basis.iter_vectors()
 
     def elements(self) -> list[SkewElement]:
-        if self.size > self.ctx.caps.enumeration:
-            raise CapacityError("enumeration", self.ctx.caps.enumeration, self.size,
-                                "ideal materialization")
-        out = [self.ctx.element_of_vec(v) for v in self.iter_vectors()]
-        out.sort(key=self.ctx.rank_of)
-        return out
+        """Every member in canonical rank order; cap-checked on the size."""
+        return self.ctx.members(self.basis, "ideal materialization")
 
     def validate_closed(self) -> bool:
         """Recheck the basis: its rows' negatives, pairwise sums and products
@@ -700,10 +615,11 @@ def _sweep_prime(ctx: SkewContext) -> SkewSimplicity:
     skip = bytearray(size)
     skip[0] = 1
     marks = np.frombuffer(skip, dtype=np.uint8)   # writes through to ``skip``
-    order, d = ctx.group.order, ctx.ring.dim
     transforms = None   # built once the first element has generated R
-    weights, rank_by_code = ctx._block_code_weights, ctx._payload_rank_by_code
-    place = ctx.ring.size ** np.arange(order - 1, -1, -1, dtype=np.int64)
+    # rank = sum of the rank columns' digits at their places; within the cap
+    # every rank fits in int64
+    place = np.zeros(ctx.dim, dtype=np.int64)
+    place[ctx.rank_columns] = ctx.char ** np.arange(ctx.dim - 1, -1, -1, dtype=np.int64)
     for i in range(1, size):
         if skip[i]:
             continue
@@ -718,8 +634,8 @@ def _sweep_prime(ctx: SkewContext) -> SkewSimplicity:
             if certify_simple(ctx):
                 return SkewSimplicity(True, "certificate")
             transforms = _orbit_transforms(ctx)
-        images = ((transforms @ vec) % ctx.char).reshape(-1, order, d)
-        marks[rank_by_code[images @ weights] @ place] = 1
+        images = ((transforms @ vec) % ctx.char).reshape(-1, ctx.dim)
+        marks[images @ place] = 1
     return SkewSimplicity(True, "full_sweep")
 
 
@@ -979,20 +895,18 @@ def _find_support_slice(ctx: SkewContext, ideal: SkewIdeal,
 def smallest_member(ideal: SkewIdeal) -> SkewElement:
     """The nonzero member of smallest (support size, rank).
 
-    Members are enumerated chunkwise as vectors; each coefficient block is
-    read as a base-char code, and the rank is compared as the tuple of the
-    blocks' payload ranks (identity slot first), which orders like the rank.
+    Members are enumerated chunkwise as vectors and compared on their
+    support size, then on ``SkewContext.rank_columns``, which orders like
+    the rank.
     """
     ctx = ideal.ctx
-    order, d = ctx.group.order, ctx.ring.dim
-    weights, rank_by_code = ctx._block_code_weights, ctx._payload_rank_by_code
+    order, cols = ctx.group.order, ctx.rank_columns
     best_key, best_vec = None, None
     for chunk in ideal.basis.iter_chunks():
-        ranks = rank_by_code[chunk.reshape(len(chunk), order, d) @ weights]
-        support = np.count_nonzero(ranks, axis=1)
+        support = np.count_nonzero(chunk.reshape(len(chunk), order, -1).any(axis=2), axis=1)
         support[support == 0] = order + 1   # the zero member never wins
-        i = np.lexsort([ranks[:, g] for g in range(order - 1, -1, -1)] + [support])[0]
-        key = (int(support[i]), *ranks[i].tolist())
+        i = np.lexsort(np.vstack([chunk[:, cols[::-1]].T, support]))[0]
+        key = (int(support[i]), *chunk[i, cols].tolist())
         if best_key is None or key < best_key:
             best_key, best_vec = key, chunk[i]
     if best_key[0] > order:

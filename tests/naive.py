@@ -16,6 +16,9 @@ coefficient laws and the containment check visit every central element, and
 the smallest ideal member is found by building each member as a
 ``SkewElement``. Centrality is tested by multiplying the element with every
 coefficient generator and every unit monomial on both sides.
+The A-level references walk every payload of A: the centre, the fixed ring
+and the units implementing an automorphism by conjugation; the field test
+on an explicit element set multiplies every pair.
 """
 
 from __future__ import annotations
@@ -107,17 +110,63 @@ def naive_field_obstruction(elements, *, zero, one):
     return None
 
 
+def is_field(elements, *, zero, one) -> bool:
+    """Whether a finite commutative unital closed set is a field.
+
+    The input must be closed under + and * and contain 0 and 1; violations
+    raise DomainError (non-commutativity included).
+    """
+    from skewsimple import DomainError
+
+    members = set(elements)
+    if one not in members or zero not in members:
+        raise DomainError("input is not unital: missing 0 or 1")
+    listed = list(members)
+    for i, a in enumerate(listed):
+        for b in listed[i:]:
+            ab = a * b
+            if ab != b * a:
+                raise DomainError("input is not commutative")
+            if ab not in members or (a + b) not in members:
+                raise DomainError("input is not closed under ring operations")
+    return naive_field_obstruction(members, zero=zero, one=one) is None
+
+
+def naive_center(ring) -> list:
+    """The payloads commuting with every basis payload, in canonical order."""
+    gens = ring.additive_generators()
+    return [a for a in ring.payloads()
+            if all(ring.mul(a, b) == ring.mul(b, a) for b in gens)]
+
+
+def naive_fixed_payloads(action) -> set:
+    """The payloads fixed by every automorphism of the action."""
+    return {a for a in action.ring.payloads()
+            if all(auto.apply(a) == a for auto in action.autos)}
+
+
+def naive_is_inner(auto):
+    """The first unit v (canonical order) with auto(b) = v b v^-1 on every
+    basis payload b, or None."""
+    ring = auto.ring
+    gens = ring.additive_generators()
+    for v in ring.units:
+        w = ring.try_invert_payload(v)
+        if all(auto.apply(b) == ring.mul(ring.mul(v, b), w) for b in gens):
+            return v
+    return None
+
+
 def naive_center_containment(ctx, centre) -> dict:
     """``center_containment_check(ctx).as_json()``, computed by visiting every
     element of the given centre (in rank order); the field verdict comes from
     ``naive_field_obstruction``."""
-    from skewsimple.actions import fixed_payloads, is_G_simple
+    from skewsimple.actions import is_G_simple
     from skewsimple.criteria import CheckReport, CriterionVerdict
-    from skewsimple.rings import center
 
     report = CheckReport("center_containment")
     contained = all(z.support <= {0} for z in centre)
-    fixed_central = fixed_payloads(ctx.action) & {e.payload for e in center(ctx.ring)}
+    fixed_central = naive_fixed_payloads(ctx.action) & set(naive_center(ctx.ring))
     center_payloads = {z.coeffs.get(0, ctx.ring.zero) for z in centre if z.support <= {0}}
     equals_fixed_central = contained and center_payloads == fixed_central
     is_field = naive_field_obstruction(centre, zero=ctx.zero, one=ctx.one) is None

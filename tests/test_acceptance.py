@@ -9,7 +9,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from skewsimple import is_field, skew
+from skewsimple import skew
 from skewsimple.criteria import (InstanceEvaluation, abelian_simplicity_check,
                                  center_structure_check, necessary_conditions)
 from skewsimple.dynamics import (abelian_freeness_check, dynamics_simplicity_check,
@@ -18,6 +18,7 @@ from skewsimple.skew import commuting_witness_outside_A, is_simple, skew_center
 from skewsimple.suite import SWEEPS, run_randomized_suite
 
 from conftest import conj_f2_context, conj_f3_context, natural_s3_context, swap_context
+from naive import is_field
 
 
 @contextmanager

@@ -92,8 +92,11 @@ def test_centralizer_and_centre_bases_match_naive(ctx):
     class_of = {g: c for c, cls in enumerate(group.conjugacy_classes) for g in cls}
     for row in ctx.center_basis.rows:
         assert len({class_of[g] for g in ctx.element_of_vec(row).support}) == 1
-    assert ([sorted(tuple(sorted(c.items())) for c in choices) for choices in ctx.center_classes]
-            == [sorted(tuple(sorted(c.items())) for c in choices) for choices in classes])
+    # the centre is the sums of one choice per class
+    sums = [ctx.zero]
+    for choices in classes:
+        sums = [r + SkewElement(ctx, coeffs) for r in sums for coeffs in choices]
+    assert skew_center(ctx) == sorted(sums, key=ctx.rank_of)
     if ring.is_commutative:
         assert is_max_commutative_A(ctx) == all(len(c) == 1 for c in comps[1:])
         first = next((ctx.monomial(a, g) for g in range(1, group.order) for a in comps[g]

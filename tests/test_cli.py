@@ -157,6 +157,10 @@ def test_check_builds_a_ring_above_its_enumeration_cap(tmp_path):
     report = json.loads(out.read_text(encoding="utf-8"))
     assert report["violations"] == []
     assert report["checks"]["center_structure"]["conclusions"]["center_coefficient_laws"] is True
+    # outerness is decided from the twisted centralizer: the action is inner
+    assert report["checks"]["outer_simplicity"]["status"] == "precondition_failed"
+    capped = [c["message"] for c in report["checks"].values() if c["status"] == "capacity_exceeded"]
+    assert capped and all("G-simplicity sweep" in message for message in capped)
     assert run_cli("report", str(out)).returncode == 0
 
 
@@ -212,6 +216,26 @@ NON_INTEGERS = {
     "points_string": ({"name": "p", "ring": {"kind": "function", "points": "3", "q": 2},
                        "group": _Z2, "action": {"kind": "trivial"}},
                       'points must be an integer or a list of labels, got "3"'),
+    # action payloads, permutations, tables and dynamics were truncated too
+    "units_1.7": ({"name": "u", "ring": {"kind": "modular", "n": 3}, "group": _Z2,
+                   "action": {"kind": "conjugation", "units": [1.7, 2.2]}},
+                  "payload must be an integer, got 1.7"),
+    "units_true": ({"name": "u", "ring": {"kind": "modular", "n": 3}, "group": _Z2,
+                    "action": {"kind": "conjugation", "units": [True, 1]}},
+                   "payload must be an integer, got true"),
+    "perms_1.0": ({"name": "p", "ring": {"kind": "function", "points": 2, "q": 2}, "group": _Z2,
+                   "action": {"kind": "permutation", "perms": [[0, 1], [1.0, 0.9]]}},
+                  "perms entry must be an integer, got 1.0"),
+    "table_3.5": ({"name": "t", "ring": {"kind": "function", "points": 1, "q": 4}, "group": _Z2,
+                   "action": {"kind": "table",
+                              "tables": [[[0], [1], [2], [3]], [[0], [1], [3.5], [2]]]}},
+                  "payload entry must be an integer, got 3.5"),
+    "act_1.5": ({"name": "a", "dynamics": {"points": 2, "q": 2, "group": _Z2,
+                                           "act": [[0, 1], [1.5, 0.2]]}},
+                "act entry must be an integer, got 1.5"),
+    "mul_0.5": ({"name": "m", "ring": {"kind": "modular", "n": 2},
+                 "group": {"kind": "table", "mul": [[0, 1], [1, 0.5]]},
+                 "action": {"kind": "trivial"}}, "mul entry must be an integer, got 0.5"),
 }
 
 
