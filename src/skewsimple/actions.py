@@ -15,13 +15,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .closure import ClosureEngine, HowellBasis, kernel_basis
-from .errors import ActionValidationError, DomainError
+from .closure import INT64_LIMIT, ClosureEngine, HowellBasis, kernel_basis
+from .errors import ActionValidationError, CapacityError, DomainError
 from .groups import GroupTable, Subgroup
-from .rings import (FunctionRing, ModularRing, RingElement, RingSpec, TwoSidedIdeal,
+from .rings import (MAX_DIM, FunctionRing, ModularRing, RingElement, RingSpec, TwoSidedIdeal,
                     descriptor_int, engine_ideal, first_proper_ideal)
 
-_TABLE_CACHE_LIMIT = 4096
+# entries of the matrix products one step of the homomorphism-law check holds
+_LAW_BLOCK = 1 << 20
 
 
 class RingAutomorphism:
@@ -36,8 +37,7 @@ class RingAutomorphism:
         self.ring = ring
         self.kind = kind
         self.params = params
-        self._apply = apply_fn
-        self._table: dict | None = None
+        self.apply = apply_fn   # payload -> image payload
 
     # constructors --------------------------------------------------------
     @classmethod
@@ -92,23 +92,7 @@ class RingAutomorphism:
         def apply(a, table=table):
             return table[a]
 
-        auto = cls(ring, "table", (tuple(images),), apply)
-        auto._table = table
-        return auto
-
-    # application ----------------------------------------------------------
-    def apply(self, a):
-        if self._table is not None:
-            return self._table[a]
-        return self._apply(a)
-
-    def materialize(self) -> None:
-        """Cache the full image table for small rings (speeds hot loops). The
-        table is a cache, so it is bounded by _TABLE_CACHE_LIMIT alone, not
-        by the enumeration cap."""
-        ring = self.ring
-        if self._table is None and ring.size <= _TABLE_CACHE_LIMIT:
-            self._table = {a: self._apply(a) for a in map(ring.unrank, range(ring.size))}
+        return cls(ring, "table", (tuple(images),), apply)
 
     @property
     def structural(self) -> bool:
@@ -120,12 +104,14 @@ class RingAutomorphism:
 
     def matrix(self) -> np.ndarray:
         """The map as a dim x dim matrix over Z/char (automorphisms are
-        additive); built once."""
+        additive); built once, and refused above MAX_DIM coordinates."""
         return self._matrix
 
     @cached_property
     def _matrix(self) -> np.ndarray:
         ring = self.ring
+        if ring.dim > MAX_DIM:
+            raise CapacityError("dimension", MAX_DIM, ring.dim, "automorphism matrix")
         cols = [ring.to_vec(self.apply(b)) for b in ring.additive_generators()]
         return np.array(cols, dtype=np.int64).T % ring.char
 
@@ -181,8 +167,6 @@ class ActionMap:
         self.autos = tuple(autos)
         self._violation: ActionViolation | None = None
         self._validated = False
-        for auto in self.autos:
-            auto.materialize()
 
     def apply(self, g: int, a):
         return self.autos[g].apply(a)
@@ -203,23 +187,35 @@ class ActionMap:
                 "invalid action: " + violation.describe(self.group, self.ring), violation)
 
     def _find_violation(self) -> ActionViolation | None:
+        """The automorphism laws, then sigma_e = id and sigma_gh = sigma_g
+        sigma_h. Each automorphism then equals its matrix (structural kinds
+        are additive by construction, the others were just checked), so the
+        last two are matrix identities, whose column j is the image of the
+        j-th additive generator; the first failing (g, h, generator) is
+        reported in that loop order."""
         ring, group = self.ring, self.group
-        gens = ring.additive_generators()
         for g, auto in enumerate(self.autos):
             bad = self._check_automorphism(g, auto)
             if bad is not None:
                 return bad
-        # sigma_e = identity
-        if not self.autos[0].is_identity():
-            witness = next(b for b in gens if self.autos[0].apply(b) != b)
-            return ActionViolation("identity automorphism expected at e", 0, None, witness)
-        # homomorphism law on additive generators (additivity covers the rest)
-        for g in range(group.order):
-            for h in range(group.order):
-                gh = group.mul_table[g][h]
-                for b in gens:
-                    if self.autos[gh].apply(b) != self.autos[g].apply(self.autos[h].apply(b)):
-                        return ActionViolation("homomorphism law fails", g, h, b)
+        n, gens = ring.char, ring.additive_generators()
+        mats = np.stack([auto.matrix() for auto in self.autos])
+        if ring.dim * (n - 1) ** 2 >= INT64_LIMIT:
+            mats = mats.astype(object)   # exact products for wide moduli
+        wrong = (mats[0] != np.eye(ring.dim, dtype=np.int64)).any(axis=0)
+        if wrong.any():
+            return ActionViolation("identity automorphism expected at e", 0, None,
+                                   gens[int(np.argmax(wrong))])
+        # every product sigma_g sigma_h in one broadcast, in blocks of g only
+        # when |G|^2 dim^2 entries would not fit in _LAW_BLOCK
+        order, table = group.order, np.array(group.mul_table)
+        step = max(1, _LAW_BLOCK // (order * ring.dim ** 2))
+        for lo in range(0, order, step):
+            products = np.matmul(mats[lo:lo + step, None], mats[None]) % n
+            wrong = (products != mats[table[lo:lo + step]]).any(axis=2)
+            if wrong.any():
+                g, h, j = (int(i) for i in np.argwhere(wrong)[0])
+                return ActionViolation("homomorphism law fails", lo + g, h, gens[j])
         return None
 
     def _check_automorphism(self, g: int, auto: RingAutomorphism) -> ActionViolation | None:
@@ -339,9 +335,14 @@ def is_inner(auto: RingAutomorphism) -> RingElement | None:
     auto is conjugation by v exactly when v^-1 is a unit of its twisted
     centralizer C (``RingAutomorphism.centralizer``), and then C = Z(A) v^-1.
     So C must be as large as the centre, and the units v are the inverses
-    of the units of C, enumerated under the cap on |C| = |Z(A)|.
+    of the units of C, enumerated under the cap on |C| = |Z(A)|. The
+    identity is answered at once: its least unit is 1, the least-rank unit
+    of Z(A) in every supported ring.
     """
-    ring, twisted = auto.ring, auto.centralizer
+    ring = auto.ring
+    if auto.is_identity():
+        return ring.one_element
+    twisted = auto.centralizer
     if twisted.size != ring.center_basis.size:
         return None
     inverses = [v for v in map(ring.try_invert_payload, ring.members(twisted, "inner automorphism"))

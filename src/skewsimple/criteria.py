@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -600,7 +600,7 @@ class InstanceSampler:
             # each cyclic factor rotates the points; its step must have
             # rotation order dividing the factor order
             def rot_order(k: int) -> int:
-                return npts // _gcd(npts, k) if k else 1
+                return npts // gcd(npts, k) if k else 1
 
             steps = []
             for n in factors:
@@ -634,12 +634,6 @@ class InstanceSampler:
             if action.validate() is None:
                 return action
         return None
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _ring_tag(ring: RingSpec) -> str:

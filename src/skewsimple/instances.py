@@ -109,7 +109,7 @@ class InstanceSpec:
     def _construct(self):
         caps = self.caps()
         group = self.build_group()
-        allow_search = None if self.witness_search else False
+        allow_search = bool(self.witness_search)
         if self.kind == "algebra":
             check_dimension(descriptor_dim(self.ring_desc), group)
             ring = ring_from_descriptor(self.ring_desc, caps)

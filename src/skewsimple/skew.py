@@ -52,9 +52,9 @@ class SkewContext:
         self.size = ring.size**group.order
         self.dim = group.order * ring.dim
         self.char = ring.char
-        # None: witness search is an automatic fallback above the cap;
-        # False: refuse above the cap (instance files must opt in)
-        self.witness_search: bool | None = None
+        # above the cap, search for a witness (True) or refuse (False);
+        # instance files must opt in
+        self.witness_search = True
         # the Howell basis of the ideal of one generator, keyed by its
         # coordinate tuple; holds the ideals the oracle returns and those of
         # ``skew_ideal_closure`` (see there), never a sweep's full closures
@@ -593,16 +593,15 @@ def is_simple(ctx: SkewContext) -> SkewSimplicity:
     rank order, skipping unit-monomial multiples of elements already seen to
     generate everything; once the first element has generated R it tries
     ``certify_simple`` once and stops if that proves R simple. Above the cap,
-    ``ctx.witness_search`` must be enabled (or left as None for automatic
-    fallback): support-<=2 generators are searched for a proper ideal, the
-    certificate is tried before the exhaustive pairs, and the answer is
-    undetermined when neither decides. The certificate only ever proves
-    simplicity, so a False verdict and its witness come from the sweep or
-    the search alone.
+    ``ctx.witness_search`` must be on (the default): structured generators
+    and then the centre's obstruction are tried for a proper ideal, then the
+    certificate, and the answer is undetermined when none decides. The
+    certificate only ever proves simplicity, so a False verdict and its
+    witness come from the sweep or the search alone.
     """
     if ctx.size <= ctx.caps.enumeration:
         return _sweep_prime(ctx)
-    if ctx.witness_search is False:
+    if not ctx.witness_search:
         raise CapacityError("enumeration", ctx.caps.enumeration, ctx.size,
                             "simplicity sweep (witness-search mode not enabled)")
     return _witness_search(ctx)
@@ -655,17 +654,17 @@ _sweep_generic = _sweep_prime
 
 
 def _witness_search(ctx: SkewContext) -> SkewSimplicity:
-    """Search support-<=2 generators for a proper ideal, and claim simplicity
-    only by ``certify_simple``.
+    """Look for a proper ideal among structured generators and the centre,
+    and claim simplicity only by ``certify_simple``.
 
-    Any support-<=2 element is a unit-monomial translate of one supported on
-    {e, g}, so only those are tried: structured candidates first (a member of
-    a proper invariant ideal, one for each kernel member, one for each nonzero
-    member of a commuting component C_g, g != e), each family enumerated
-    only once the families before it have decided nothing, and skipped when
-    what it enumerates is above the cap; then the certificate; then the
-    exhaustive {e,g} pairs under the candidate budget. Undetermined when none
-    decides.
+    The structured candidates come first (a member of a proper invariant
+    ideal, one for each kernel member, one for each nonzero member of a
+    commuting component C_g, g != e), each family enumerated only once the
+    families before it have decided nothing, and skipped when what it
+    enumerates is above the cap. Then the centre: a simple ring has a field
+    as its centre, and a nonzero central non-unit z (``ctx.center_obstruction``)
+    generates a proper ideal, for zR = R would make z a unit of Z. Then the
+    certificate. Undetermined when none decides.
     """
     engine = ctx.engine
     ring, group = ctx.ring, ctx.group
@@ -708,29 +707,16 @@ def _witness_search(ctx: SkewContext) -> SkewSimplicity:
             ideal = check(r)
             if ideal is not None:
                 return SkewSimplicity(False, "witness_search", r, ideal)
+    z = ctx.center_obstruction
+    if z is not None:
+        ideal = check(z)
+        assert ideal is not None, "a central non-unit generated the whole ring"
+        return SkewSimplicity(False, "witness_search", z, ideal)
     if certify_simple(ctx):
         return SkewSimplicity(True, "certificate")
-    # exhaustive support {e, g} pairs, canonical order, budget-limited
-    ring.check_enumerable("witness search coefficient sweep")
-    for i in range(1, ring.size):
-        a = ring.unrank(i)
-        if tried >= budget:
-            break
-        tried += 1
-        ideal = check(ctx.monomial(a, 0))
-        if ideal is not None:
-            return SkewSimplicity(False, "witness_search", ctx.monomial(a, 0), ideal)
-        for g in range(1, group.order):
-            for j in range(1, ring.size):
-                if tried >= budget:
-                    break
-                tried += 1
-                r = ctx.monomial(a, 0) + ctx.monomial(ring.unrank(j), g)
-                ideal = check(r)
-                if ideal is not None:
-                    return SkewSimplicity(False, "witness_search", r, ideal)
     return SkewSimplicity(None, "witness_search", note=(
-        f"no proper ideal found among {tried} support-<=2 generators; "
+        f"no proper ideal found among {tried} structured generators, the centre "
+        "is a field and the certificate's draws found no proof; "
         "simplicity undetermined"))
 
 

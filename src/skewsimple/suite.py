@@ -68,8 +68,7 @@ SWEEPS: dict[str, tuple] = {
 }
 
 
-def run_sweep(name: str, seed: int, count: int, max_size: int = 4096,
-              constructive: bool = True) -> SweepResult:
+def run_sweep(name: str, seed: int, count: int, max_size: int = 4096) -> SweepResult:
     """One named sweep over ``count`` fresh instances."""
     predicate, check = SWEEPS[name]
     sampler = InstanceSampler(_derive_seed(seed, name), max_size=max_size)
@@ -81,8 +80,7 @@ def run_sweep(name: str, seed: int, count: int, max_size: int = 4096,
         result.instances += 1
         for v in report.violations:
             result.violations.append(f"{inst.name}:{report.name}.{v}")
-        if constructive:
-            result.constructive_checks += _constructive_probe(inst, result.violations)
+        result.constructive_checks += _constructive_probe(inst, result.violations)
     result.seconds = time.perf_counter() - start
     return result
 

@@ -180,6 +180,28 @@ def test_homomorphism_law_violation_named():
     assert violation.law == "homomorphism law fails"
 
 
+def test_homomorphism_law_exact_where_int64_products_wrap():
+    # M2(F_p), p = 2^31 - 1: an entry of a product of two automorphism
+    # matrices sums up to 4 (p-1)^2, beyond int64. Conjugation by the
+    # involution [[a, 1], [1 - a^2, -a]] is a Z2 action (wrapped int64
+    # products would call it a violation), conjugation by a transvection
+    # (of order p) is not
+    p = 2147483647
+    ring = MatrixRing(2, p)
+    grp = GroupTable.cyclic_product([2])
+
+    def action(v):
+        return ActionMap(grp, ring, [RingAutomorphism.identity(ring),
+                                     RingAutomorphism.conjugation(ring, v)])
+
+    a = 12345678
+    assert action((a, 1, (1 - a * a) % p, p - a)).validate() is None
+    assert action((0, 1, 1, 0)).validate() is None
+    violation = action((1, 1, 0, 1)).validate()
+    assert (violation.law, violation.g, violation.h, violation.payload) == (
+        "homomorphism law fails", 1, 1, (1, 0, 0, 0))
+
+
 def test_conjugation_requires_unit():
     ring = MatrixRing(2, 2)
     with pytest.raises(DomainError):

@@ -129,9 +129,11 @@ def test_dimension_is_refused_before_the_ring_is_built(monkeypatch):
         parse_instance(json.dumps(doc))
 
 
-def test_check_of_a_15_digit_prime_modulus_ends_each_check_capacity_exceeded(tmp_path):
+def test_check_of_a_15_digit_prime_modulus_refuses_each_check_needing_its_arithmetic(
+        tmp_path):
     # below 2^63 the ring is built, and every check refuses its int64
-    # arithmetic on its own
+    # arithmetic on its own; outer_simplicity needs none, as the trivial
+    # action is conjugation by 1, so its hypothesis fails
     path = tmp_path / "p15.json"
     path.write_text(json.dumps({"name": "p15", "ring": {"kind": "modular", "n": 10**15 + 37},
                                 "group": _Z2, "action": {"kind": "trivial"}}),
@@ -140,7 +142,9 @@ def test_check_of_a_15_digit_prime_modulus_ends_each_check_capacity_exceeded(tmp
     result = run_cli("check", str(path), "--format", "json", "--out", str(out))
     assert result.returncode == 0, result.stderr
     report = json.loads(out.read_text(encoding="utf-8"))
-    assert {check["status"] for check in report["checks"].values()} == {"capacity_exceeded"}
+    statuses = {name: check["status"] for name, check in report["checks"].items()}
+    assert statuses.pop("outer_simplicity") == "precondition_failed"
+    assert set(statuses.values()) == {"capacity_exceeded"} and len(statuses) == 6
 
 
 def test_check_builds_a_ring_above_its_enumeration_cap(tmp_path):

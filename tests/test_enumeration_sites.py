@@ -27,8 +27,6 @@ ALLOWED = {
     # table automorphisms and their validation
     ("actions.py", "RingAutomorphism.from_table"): {"check_enumerable"},
     ("actions.py", "ActionMap._check_automorphism"): {"check_enumerable", "payloads"},
-    # the exhaustive-pair phase of the witness search
-    ("skew.py", "_witness_search"): {"check_enumerable"},
 }
 
 

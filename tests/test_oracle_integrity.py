@@ -10,8 +10,8 @@ import json
 import numpy as np
 import pytest
 
-from skewsimple import GroupTable, ModularRing, skew
-from skewsimple.actions import trivial_action
+from skewsimple import Caps, FunctionRing, GroupTable, MatrixRing, ModularRing, skew
+from skewsimple.actions import ActionMap, trivial_action
 from skewsimple.closure import ClosureEngine, kernel_rows
 from skewsimple.criteria import InstanceSampler
 from skewsimple.dynamics import catalogue
@@ -259,6 +259,73 @@ def test_witness_search_results_always_verify():
         assert len(verdict.witness.support) <= 2
         assert verdict.witness_ideal.contains(verdict.witness)
         assert verdict.witness_ideal.basis.rank < ctx.dim
+
+
+def _at_cap(ctx, enumeration):
+    """ctx over a fresh copy of its ring, with it and the ring capped at
+    ``enumeration``; the group and the automorphisms are shared."""
+    caps = Caps(enumeration=enumeration)
+    kind, *args = ctx.ring.descriptor
+    ring = {"modular": ModularRing, "matrix": MatrixRing, "function": FunctionRing}[kind](
+        *args, caps)
+    return SkewContext(ring, ctx.group, ActionMap(ctx.group, ring, ctx.action.autos), caps)
+
+
+def _proper_witness(ctx, verdict):
+    vec = np.asarray(ctx.vec_of(verdict.witness), dtype=np.int64)
+    return (verdict.witness_ideal.contains(verdict.witness)
+            and not ctx.engine.closure([vec]).is_full)
+
+
+def test_witness_search_agrees_with_the_sweep_at_a_cap_of_four():
+    # every in-cap catalogue and sampler context above 4 elements, searched
+    # with the cap forced to 4, answers as the sweep does, and none is left
+    # undetermined
+    contexts = [T.context for T in catalogue()]
+    contexts += [inst.ctx for inst in InstanceSampler(0, 4096).draw_many(200)]
+    compared = 0
+    for ctx in contexts:
+        if not 4 < ctx.size <= ctx.caps.enumeration:
+            continue
+        capped = _at_cap(ctx, 4)
+        verdict = is_simple(capped)
+        assert verdict.value is skew._sweep_prime(ctx).value, ctx
+        assert verdict.method in ("witness_search", "certificate")
+        if verdict.value is False:
+            assert _proper_witness(capped, verdict), ctx
+        compared += 1
+    assert compared == 199
+
+
+@pytest.mark.parametrize("name", ["two_2cycles", "Z6_mixed_orbits_5pts", "conj_f2_context",
+                                  "two_two_cycles_context"])
+def test_witness_search_decides_at_a_cap_of_four(name):
+    # with the cap at 4 the candidate families that list A are skipped, and
+    # the search still decides each, with a checkably proper witness
+    caps = Caps(enumeration=4)
+    makers = {"conj_f2_context": conj_f2_context,
+              "two_two_cycles_context": two_two_cycles_context}
+    if name in makers:
+        ctx = makers[name](caps)
+    else:
+        ctx = next(T for T in catalogue(caps) if T.name == name).context
+    verdict = is_simple(ctx)
+    assert (verdict.value, verdict.method) == (False, "witness_search")
+    assert _proper_witness(ctx, verdict)
+
+
+def test_the_centre_obstruction_is_the_witness_past_the_structured_families():
+    # no structured candidate decides these at a cap of 16; the centre's
+    # nonzero non-unit does
+    sampled = {inst.name: inst.ctx for inst in InstanceSampler(0, 4096).draw_many(200)}
+    contexts = [conj_f2_context(Caps(enumeration=16))]
+    contexts += [_at_cap(sampled[name], 16)
+                 for name in ("Z2_M2F2_conjugation_130", "Z3_M2F2_conjugation_134")]
+    for ctx in contexts:
+        verdict = is_simple(ctx)
+        assert (verdict.value, verdict.method) == (False, "witness_search")
+        assert verdict.witness == ctx.center_obstruction
+        assert _proper_witness(ctx, verdict)
 
 
 def test_sampled_instances_satisfy_basic_laws():

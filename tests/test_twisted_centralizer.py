@@ -11,6 +11,7 @@ still answer, where those loops cannot; above the dimension bound they are
 refused before A's structure constants are built.
 """
 
+import json
 import time
 
 import pytest
@@ -21,6 +22,8 @@ from skewsimple.actions import (ActionMap, RingAutomorphism, fixed_ring, is_inne
                                 is_outer_action, trivial_action)
 from skewsimple.criteria import InstanceSampler
 from skewsimple.dynamics import catalogue
+from skewsimple.instances import parse_instance
+from skewsimple.report import canonical_json, run_checks
 from skewsimple.rings import center, ideal_closure
 from skewsimple.skew import SkewContext
 
@@ -109,6 +112,23 @@ def test_a_level_facts_are_decided_above_the_enumeration_cap():
     assert len(fixed) == 9 and all(conj.apply(a) == a for a in fixed)
 
 
+def test_the_identity_is_inner_above_the_enumeration_cap():
+    # F_2^20 has 2^20 central elements, above the cap; the identity is
+    # conjugation by 1 without its twisted centralizer (the centre) listed
+    ring = FunctionRing(20, 2)
+    assert ring.center_basis.size > ring.caps.enumeration
+    assert is_inner(RingAutomorphism.identity(ring)) == ring.one_element
+    assert is_outer_action(trivial_action(GroupTable.cyclic_product([2]), ring)) is False
+    # so outer_simplicity on a non-injective action over it fails its hypothesis
+    doc = {"name": "f2x20_z2_trivial", "witness_search": True,
+           "ring": {"kind": "function", "points": 20, "q": 2},
+           "group": {"kind": "cyclic_product", "orders": [2]},
+           "action": {"kind": "trivial"}}
+    report = json.loads(canonical_json(run_checks(parse_instance(json.dumps(doc)),
+                                                  ["outer_simplicity"])))
+    assert report["checks"]["outer_simplicity"]["status"] == "precondition_failed"
+
+
 def test_is_inner_refuses_at_once_when_the_centralizer_is_not_the_centres_size():
     # swapping the two points of F_2^2: a b = a sigma(b) for b = (1,0) makes
     # a vanish at both points, so C(sigma) = {0} against |Z| = 4, and no unit
@@ -121,13 +141,20 @@ def test_is_inner_refuses_at_once_when_the_centralizer_is_not_the_centres_size()
 
 
 def test_rings_above_the_dimension_bound_build_no_structure_constants():
-    # 2 * 257^3 entries would be built otherwise; each call is refused at once
+    # 2 * 257^3 entries would be built otherwise; each call is refused at once,
+    # and so is the action's validation, which multiplies its matrices. The
+    # identity needs no centralizer (it is conjugation by 1), so the action
+    # swaps two points.
     ring = FunctionRing(skew.MAX_DIM + 1, 2)
+    swap = (1, 0) + tuple(range(2, skew.MAX_DIM + 1))
     action = ActionMap(GroupTable.cyclic_product([2]), ring,
-                       [RingAutomorphism.identity(ring)] * 2)
+                       [RingAutomorphism.identity(ring),
+                        RingAutomorphism.coordinate_permutation(ring, swap)])
     start = time.perf_counter()
+    assert is_inner(action.autos[0]) == ring.one_element
     for query in (lambda: center(ring), lambda: is_inner(action.autos[1]),
-                  lambda: is_outer_action(action), lambda: ideal_closure(ring, [ring.one])):
+                  lambda: is_outer_action(action), lambda: ideal_closure(ring, [ring.one]),
+                  action.validate):
         with pytest.raises(CapacityError) as err:
             query()
         assert err.value.cap_name == "dimension"
