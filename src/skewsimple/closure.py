@@ -12,6 +12,16 @@ vanishing on the first k coordinates spanned by the rows with pivot column at
 least k. That last property makes the form canonical and gives every member
 exactly one expansion sum(c_i row_i) with 0 <= c_i < n / pivot_i. Over a
 prime n every pivot is 1 and the form is the reduced row echelon form.
+
+The basis holds its rows as one int64 row block with an index array of pivot
+columns. As long as every pivot is a unit (always over a prime, and over Z/n
+until the first non-unit pivot) the form is fully reduced: reducing a vector
+is one product, v - v[pivots] @ block, and a new row clears its pivot column
+from the rows above with one outer-product update. The first non-unit pivot
+switches that basis, for good, to the sequential Howell steps. The engine
+stacks its operators into one matrix, so every inserted vector's images come
+from one product; it is taken in float64 whenever its integer entries, at
+most dim*(n-1)^2, are exact there, and in int64 otherwise.
 """
 
 from __future__ import annotations
@@ -27,6 +37,11 @@ from .errors import CapacityError
 # transient memory of one chunk of enumerated members (``iter_chunks``)
 CHUNK_BYTES = 1 << 17
 INT64_LIMIT = 1 << 63
+# float64 holds every integer below this one exactly
+FLOAT64_EXACT = 1 << 53
+# the row block of a basis without rows, and its pivot columns
+_EMPTY_BLOCK = np.empty((0, 0), dtype=np.int64)
+_EMPTY_PIVOTS = np.empty(0, dtype=np.intp)
 
 
 def check_int64(n: int, dim: int) -> None:
@@ -41,6 +56,8 @@ def check_int64(n: int, dim: int) -> None:
 
 def _normalizer(c: int, n: int) -> tuple[int, int]:
     """(u, g): a unit u modulo n with u*c = g = gcd(c, n) modulo n."""
+    if c == 1:
+        return 1, 1
     g = gcd(c, n)
     m = n // g   # c is nonzero mod n, so m > 1 and c // g is a unit mod m
     u = pow(c // g, -1, m)
@@ -50,24 +67,58 @@ def _normalizer(c: int, n: int) -> tuple[int, int]:
 
 
 class HowellBasis:
-    """A submodule of (Z/n)^dim held as its Howell normal form."""
+    """A submodule of (Z/n)^dim held as its Howell normal form.
+
+    The rows are the first ``rank`` rows of one int64 row block, in pivot
+    order, with their pivot columns also in an index array and their pivot
+    entries in ``divs``. The block is allocated at the first row and doubles
+    its rows when full, up to dim. While every pivot has been a unit the rows
+    are the reduced row echelon form: a vector is reduced by one product and
+    a new row clears its pivot column from the rows above by one
+    outer-product update. The first non-unit pivot switches the basis, for
+    good, to the sequential Howell steps, row by row.
+    """
 
     def __init__(self, n: int, dim: int) -> None:
         check_int64(n, dim)
         self.n = n
         self.dim = dim
-        self.rows: list[np.ndarray] = []
-        self.pivots: list[int] = []
+        self.pivots: list[int] = []    # pivot columns, increasing
         self.divs: list[int] = []      # pivot entries; each divides n
+        self._block = _EMPTY_BLOCK     # the rows, then spare rows
+        self._piv = _EMPTY_PIVOTS      # the pivot columns as an index array
+        self._rank = 0
         self._nonunit = 0              # rows whose pivot entry is not 1
+        self._reduced = True           # no pivot has been a non-unit
+
+    @classmethod
+    def from_rows(cls, n: int, dim: int, rows: np.ndarray, pivots: Sequence[int],
+                  divs: Sequence[int]) -> "HowellBasis":
+        """The basis with the given rows, already in Howell form, pivot
+        columns and pivot entries."""
+        basis = cls(n, dim)
+        basis._block = np.array(rows, dtype=np.int64)
+        basis._piv = np.array(pivots, dtype=np.intp)
+        basis._rank = len(divs)
+        basis.pivots = [int(c) for c in pivots]
+        basis.divs = list(divs)
+        basis._nonunit = sum(d != 1 for d in basis.divs)
+        # a Howell form with unit pivots is the reduced row echelon form
+        basis._reduced = not basis._nonunit
+        return basis
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return self._rank
+
+    @property
+    def rows(self) -> list[np.ndarray]:
+        """The Howell rows in pivot order (copies)."""
+        return list(self._block[:self._rank].copy())
 
     @property
     def is_full(self) -> bool:
-        return len(self.rows) == self.dim and not self._nonunit
+        return self._rank == self.dim and not self._nonunit
 
     @property
     def size(self) -> int:
@@ -78,17 +129,21 @@ class HowellBasis:
 
     def _reduce(self, v: np.ndarray) -> np.ndarray:
         """v minus the largest multiples of the rows it allows, pivot by pivot."""
-        n = self.n
-        if not self._nonunit:
-            for row, piv in zip(self.rows, self.pivots):
-                c = v[piv]
-                if c:
-                    v = (v - c * row) % n
+        rank = self._rank
+        if not rank:
             return v
-        for row, piv, d in zip(self.rows, self.pivots, self.divs):
+        block = self._block
+        if self._reduced:
+            # each row vanishes at the other rows' pivots: all steps at once
+            coeffs = v[self._piv[:rank]]
+            if not np.count_nonzero(coeffs):
+                return v
+            return (v - coeffs @ block[:rank]) % self.n
+        n = self.n
+        for k, (piv, d) in enumerate(zip(self.pivots, self.divs)):
             q = int(v[piv]) // d
             if q:
-                v = (v - q * row) % n
+                v = (v - q * block[k]) % n
         return v
 
     def contains(self, vec: Sequence[int]) -> bool:
@@ -109,7 +164,7 @@ class HowellBasis:
     def _place(self, v: np.ndarray) -> list[np.ndarray]:
         """Make the reduced nonzero vector v a row; returns the vectors still
         to be folded in (all vanish up to v's first nonzero column)."""
-        n, rows, pivots, divs = self.n, self.rows, self.pivots, self.divs
+        n, pivots, divs = self.n, self.pivots, self.divs
         col = int(v.nonzero()[0][0])
         c = int(v[col])
         i = bisect_left(pivots, col)
@@ -117,8 +172,8 @@ class HowellBasis:
         if i < len(pivots) and pivots[i] == col:
             # col already carries pivot d and 0 < c < d: replace that row by
             # the Bezout combination with pivot gcd(d, c), keep what is left
-            row, d = rows.pop(i), divs.pop(i)
-            pivots.pop(i)
+            row, d = self._block[i].copy(), divs[i]
+            self._remove(i)
             self._nonunit -= 1
             g = gcd(d, c)
             t = pow(c // g, -1, d // g)   # Bezout: s*d + t*c = g
@@ -128,41 +183,80 @@ class HowellBasis:
             rest.append((v - (c // g) * new) % n)
         else:
             u, g = _normalizer(c, n)
-            new = (v * u) % n
+            new = v if u == 1 else (v * u) % n
             if self._nonunit:
                 new = self._reduce(new)
-        unit_rows = g == 1 and not self._nonunit
-        rows.insert(i, new)
-        pivots.insert(i, col)
-        divs.insert(i, g)
+        self._insert(i, new, col, g)
         if g != 1:
+            self._reduced = False
             self._nonunit += 1
             rest.append((new * (n // g)) % n)  # the row's annihilator multiple
+        if not i:
+            return rest
         # reduce the rows above at the new pivot column (rows below vanish
         # there); with non-unit pivots the new row's nonzero entries at later
         # pivot columns call for re-reducing those columns too
+        block = self._block
+        if self._reduced:
+            above = block[:i]
+            column = above[:, col]
+            if np.count_nonzero(column):
+                above -= column[:, None] * new
+                above %= n
+            return rest
+        later = list(zip(range(i, self._rank), pivots[i:], divs[i:]))
         for k in range(i):
-            row = rows[k]
-            if unit_rows:
-                c = row[col]
-                if c:
-                    rows[k] = (row - c * new) % n
-                continue
-            for m in range(i, len(rows)):
-                q = int(row[pivots[m]]) // divs[m]
+            row = block[k]
+            for m, piv, d in later:
+                q = int(row[piv]) // d
                 if q:
-                    row = (row - q * rows[m]) % n
-            rows[k] = row
+                    row = (row - q * block[m]) % n
+            block[k] = row
         return rest
+
+    def _insert(self, i: int, row: np.ndarray, col: int, div: int) -> None:
+        """Make row the i-th row, with pivot col and pivot entry div."""
+        rank = self._rank
+        if rank == len(self._block):
+            self._grow()
+        block, piv = self._block, self._piv
+        if i < rank:
+            block[i + 1:rank + 1] = block[i:rank]
+            piv[i + 1:rank + 1] = piv[i:rank]
+        block[i] = row
+        piv[i] = col
+        self.pivots.insert(i, col)
+        self.divs.insert(i, div)
+        self._rank = rank + 1
+
+    def _grow(self) -> None:
+        """Double the block's rows (at most dim, the largest rank)."""
+        rank = self._rank
+        rows = min(self.dim, max(4, 2 * rank))
+        block = np.empty((rows, self.dim), dtype=np.int64)
+        piv = np.empty(rows, dtype=np.intp)
+        if rank:
+            block[:rank] = self._block[:rank]
+            piv[:rank] = self._piv[:rank]
+        self._block, self._piv = block, piv
+
+    def _remove(self, i: int) -> None:
+        """Drop the i-th row."""
+        block, piv, rank = self._block, self._piv, self._rank
+        block[i:rank - 1] = block[i + 1:rank]
+        piv[i:rank - 1] = piv[i + 1:rank]
+        self.pivots.pop(i)
+        self.divs.pop(i)
+        self._rank = rank - 1
 
     def iter_chunks(self):
         """All members, each once, as int64 arrays of consecutive rows of about
         CHUNK_BYTES each; members come in the lex order of their coefficient
         vectors (the last coefficient varies fastest)."""
-        if not self.rows:
+        if not self._rank:
             yield np.zeros((1, self.dim), dtype=np.int64)
             return
-        mat = np.stack(self.rows)
+        mat = self._block[:self._rank]
         radix = [self.n // d for d in self.divs]
         place = [1] * len(radix)   # members between steps of coefficient i
         for i in range(len(radix) - 2, -1, -1):
@@ -193,7 +287,7 @@ class HowellBasis:
 
     def key(self) -> tuple:
         """Hashable canonical form (the Howell rows)."""
-        return tuple(tuple(int(x) for x in row) for row in self.rows)
+        return tuple(map(tuple, self._block[:self._rank].tolist()))
 
 
 class ClosureEngine:
@@ -203,21 +297,36 @@ class ClosureEngine:
         check_int64(n, dim)
         self.n = n
         self.dim = dim
-        self.operators = [np.asarray(op, dtype=np.int64) % n for op in operators]
+        # all operators as one matrix, so one product maps a vector by each;
+        # in float64 (a BLAS product) while its entries, integers of at most
+        # dim*(n-1)^2, are exact there
+        stacked = np.zeros((0, dim), dtype=np.int64)
+        if len(operators):
+            stacked = np.concatenate([np.asarray(op, dtype=np.int64) for op in operators])
+            stacked %= n
+        exact = dim * (n - 1) ** 2 < FLOAT64_EXACT
+        self._stacked = stacked.astype(np.float64) if exact else stacked
+
+    @property
+    def operators(self) -> list[np.ndarray]:
+        """The operators, reduced modulo n."""
+        ops = self._stacked.astype(np.int64).reshape(-1, self.dim, self.dim)
+        return list(ops)
 
     def closure(self, seeds: Iterable[Sequence[int]], *, stop_at_full: bool = True) -> HowellBasis:
         """Howell basis of the operator-stable span of the seed vectors."""
-        n = self.n
-        basis = HowellBasis(n, self.dim)
-        pending = [np.asarray(s, dtype=np.int64) for s in seeds]
+        n, dim, stacked = self.n, self.dim, self._stacked
+        basis = HowellBasis(n, dim)
+        pending = [np.asarray(s, dtype=np.int64) % n for s in seeds]
         while pending:
-            vec = pending.pop() % n
+            vec = pending.pop()
             if not basis.insert(vec):
                 continue
             if stop_at_full and basis.is_full:
                 break
             # operators act on the inserted vector; linearity covers the rest
-            pending.extend(op @ vec for op in self.operators)
+            images = (stacked @ vec).astype(np.int64, copy=False) % n
+            pending.extend(images.reshape(-1, dim))
         return basis
 
 
@@ -235,16 +344,13 @@ def kernel_basis(n: int, rows, images) -> HowellBasis:
     """
     split, dim = len(images[0]), len(rows[0])
     graph = HowellBasis(n, split + dim)
-    for row, image in zip(rows, images):
-        graph.insert(np.concatenate([image, row]))
-    kernel = HowellBasis(n, dim)
-    for row, piv, div in zip(graph.rows, graph.pivots, graph.divs):
-        if piv >= split:
-            kernel.rows.append(row[split:])
-            kernel.pivots.append(piv - split)
-            kernel.divs.append(div)
-            kernel._nonunit += div != 1
-    return kernel
+    for vec in np.concatenate([np.asarray(images, dtype=np.int64),
+                               np.asarray(rows, dtype=np.int64)], axis=1):
+        graph.insert(vec)
+    first = bisect_left(graph.pivots, split)
+    return HowellBasis.from_rows(n, dim, graph._block[first:graph.rank, split:],
+                                 [piv - split for piv in graph.pivots[first:]],
+                                 graph.divs[first:])
 
 
 def kernel_rows(n: int, rows, images) -> list[np.ndarray]:

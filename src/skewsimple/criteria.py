@@ -26,6 +26,9 @@ from .skew import (SkewContext, SkewElement, _payload_json, augmentation,
                    is_simple, left_multiplication)
 from .skew import skew_center  # noqa: F401  (``bench/tracer.py`` wraps it under this name)
 
+# points of F_p per evaluation of a polynomial in ``_least_root``
+ROOT_CHUNK = 1 << 16
+
 
 @dataclass
 class CriterionVerdict:
@@ -127,12 +130,20 @@ def _minimal_polynomial(ctx: SkewContext, z: np.ndarray, one: np.ndarray) -> lis
 
 
 def _least_root(p: int, coeffs: list[int]) -> int:
-    """The least root in F_p of x^k - sum coeffs[i] x^i, evaluated at all of F_p."""
-    xs = np.arange(p, dtype=np.int64)
-    value = np.ones(p, dtype=np.int64)
-    for c in reversed(coeffs):
-        value = (value * xs - c) % p
-    return int(np.flatnonzero(value == 0)[0])
+    """The least root in F_p of x^k - sum coeffs[i] x^i, evaluated on
+    ROOT_CHUNK points of F_p at a time up to the first chunk holding a root.
+
+    The polynomial is the minimal polynomial of a z with z^p = z, so it
+    divides x^p - x and has a root in F_p."""
+    for start in range(0, p, ROOT_CHUNK):
+        xs = np.arange(start, min(start + ROOT_CHUNK, p), dtype=np.int64)
+        value = np.ones_like(xs)
+        for c in reversed(coeffs):
+            value = (value * xs - c) % p
+        roots = np.flatnonzero(value == 0)
+        if roots.size:
+            return start + int(roots[0])
+    raise ArithmeticError(f"no root in F_{p}")
 
 
 class InstanceEvaluation:

@@ -8,25 +8,29 @@ from itertools import product
 from math import lcm, prod
 from typing import Sequence
 
+import numpy as np
+
 from .config import Caps
 from .errors import CapacityError, DomainError
 
 
-def _perm_label(perm: tuple[int, ...]) -> str:
-    """Cycle notation on 0-based points, 'e' for the identity."""
-    seen = [False] * len(perm)
+def _perm_label(points: list[int], images: list[int]) -> str:
+    """Cycle notation on 0-based points, 'e' for the identity, of the
+    permutation sending points[i] to images[i] (points increasing) and
+    fixing every other point."""
+    image = dict(zip(points, images))
+    seen: set[int] = set()
     cycles = []
-    for start in range(len(perm)):
-        if seen[start] or perm[start] == start:
-            seen[start] = True
+    for start in points:
+        if start in seen or image[start] == start:
             continue
         cycle = [start]
-        seen[start] = True
-        nxt = perm[start]
+        seen.add(start)
+        nxt = image[start]
         while nxt != start:
             cycle.append(nxt)
-            seen[nxt] = True
-            nxt = perm[nxt]
+            seen.add(nxt)
+            nxt = image[nxt]
         cycles.append("(" + " ".join(str(x) for x in cycle) + ")")
     return "".join(cycles) if cycles else "e"
 
@@ -58,26 +62,49 @@ def _permutation_order(perm: tuple[int, ...], degree: int) -> int:
     return lcm(*lengths)
 
 
-def _close_permutations(degree: int, gens: list[tuple[int, ...]],
-                        cap: int) -> list[tuple[int, ...]]:
-    """Every product of the generators, sorted (the identity first); refused
-    once more than cap elements are found."""
-    identity = tuple(range(degree))
-    elems = {identity}
+def _close_permutations(degree: int, gens: list[np.ndarray], cap: int) -> np.ndarray:
+    """Every product of the generators, as the one-line rows of one matrix in
+    lexicographic order (the identity first); refused once more than cap
+    elements are found.
+
+    Elements are keyed by their bytes as big-endian words, whose order is the
+    lexicographic order of the points."""
+    word = np.dtype(">u4") if degree <= 1 << 32 else np.dtype(">u8")
+    identity = np.arange(degree, dtype=word)
+    elems = {identity.tobytes()}
     frontier = [identity]
     while frontier:
         nxt = []
         for a in frontier:
             for g in gens:
-                c = tuple(a[g[i]] for i in range(degree))
-                if c not in elems:
+                c = a[g]   # c[i] = a[g[i]]
+                key = c.tobytes()
+                if key not in elems:
                     if len(elems) >= cap:
                         raise CapacityError("group_order", cap, len(elems) + 1,
                                             "permutation closure")
-                    elems.add(c)
+                    elems.add(key)
                     nxt.append(c)
         frontier = nxt
-    return sorted(elems)  # identity is lexicographically least
+    return np.frombuffer(b"".join(sorted(elems)), dtype=word).reshape(len(elems), degree)
+
+
+def _separating_points(perms: np.ndarray) -> np.ndarray:
+    """Points on which the distinct permutations (rows) differ pairwise: at
+    most one point per split of a class of rows that agree so far."""
+    points = []
+    classes = [list(range(len(perms)))]
+    while classes:
+        members = classes.pop()
+        if len(members) < 2:
+            continue
+        x = int((perms[members[0]] != perms[members[1]]).nonzero()[0][0])
+        points.append(x)
+        split: dict[int, list[int]] = {}
+        for i, value in zip(members, perms[members, x].tolist()):
+            split.setdefault(value, []).append(i)
+        classes.extend(split.values())
+    return np.array(sorted(points), dtype=np.intp)
 
 
 class GroupTable:
@@ -174,13 +201,27 @@ class GroupTable:
             if order > caps.group_order:
                 raise CapacityError("group_order", caps.group_order, order,
                                     "permutation generator order")
-            gens.append(perm)
-        ordered = _close_permutations(degree, gens, caps.group_order)
-        index = {p: i for i, p in enumerate(ordered)}
-        mul = [[index[tuple(a[b[i]] for i in range(degree))] for b in ordered] for a in ordered]
-        names = [_perm_label(p) for p in ordered]
+            gens.append(np.array(perm, dtype=np.intp))
+        elems = _close_permutations(degree, gens, caps.group_order)
+        # every element fixes the points no generator moves, so the moved
+        # points separate the elements; fewer do when they outnumber them
+        identity = np.arange(degree)
+        support = np.zeros(degree, dtype=bool)
+        for g in gens:
+            support |= g != identity
+        moved = support.nonzero()[0]
+        points = moved if len(moved) <= len(elems) else _separating_points(elems)
+        # a product is known by its values there: (a b)[S] = a[b[S]], for
+        # all pairs in one indexing
+        on_points = elems[:, points]
+        index = {tuple(row): i for i, row in enumerate(on_points.tolist())}
+        mul = [[index[tuple(ab)] for ab in row] for row in elems[:, on_points].tolist()]
+        moved_points = moved.tolist()
+        names = [_perm_label(moved_points, images) for images in elems[:, moved].tolist()]
         table = cls(mul, names, f"Perm{degree}", caps)
-        table.permutations = ordered
+        # tuples of points sharing one int object per point
+        shared = list(range(degree))
+        table.permutations = [tuple(map(shared.__getitem__, row.tolist())) for row in elems]
         return table
 
     @classmethod

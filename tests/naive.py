@@ -19,10 +19,15 @@ coefficient generator and every unit monomial on both sides.
 The A-level references walk every payload of A: the centre, the fixed ring
 and the units implementing an automorphism by conjugation; the field test
 on an explicit element set multiplies every pair.
+The Howell reference inserts into a list of rows, one row at a time: every
+reduction and every update of the rows above is a loop over the rows, and
+closures apply the operators one by one.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from math import gcd
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -58,6 +63,123 @@ def abelian_span(
         pending.extend(op(x) for op in operators)
     return span
 
+
+
+class NaiveHowell:
+    """The Howell normal form of a span in (Z/n)^dim, as a list of rows
+    updated one row at a time (the reference for ``closure.HowellBasis``)."""
+
+    def __init__(self, n: int, dim: int) -> None:
+        self.n = n
+        self.dim = dim
+        self.rows: list[np.ndarray] = []
+        self.pivots: list[int] = []
+        self.divs: list[int] = []
+        self._nonunit = 0
+
+    @property
+    def size(self) -> int:
+        out = 1
+        for d in self.divs:
+            out *= self.n // d
+        return out
+
+    @property
+    def is_full(self) -> bool:
+        return len(self.rows) == self.dim and not self._nonunit
+
+    def key(self) -> tuple:
+        return tuple(tuple(int(x) for x in row) for row in self.rows)
+
+    def _reduce(self, v: np.ndarray) -> np.ndarray:
+        n = self.n
+        if not self._nonunit:
+            for row, piv in zip(self.rows, self.pivots):
+                c = v[piv]
+                if c:
+                    v = (v - c * row) % n
+            return v
+        for row, piv, d in zip(self.rows, self.pivots, self.divs):
+            q = int(v[piv]) // d
+            if q:
+                v = (v - q * row) % n
+        return v
+
+    def contains(self, vec) -> bool:
+        return not np.count_nonzero(self._reduce(np.asarray(vec, dtype=np.int64) % self.n))
+
+    def insert(self, vec) -> bool:
+        v = self._reduce(np.asarray(vec, dtype=np.int64) % self.n)
+        if not np.count_nonzero(v):
+            return False
+        pending = self._place(v)
+        while pending:
+            v = self._reduce(pending.pop())
+            if np.count_nonzero(v):
+                pending.extend(self._place(v))
+        return True
+
+    def _place(self, v: np.ndarray) -> list[np.ndarray]:
+        n, rows, pivots, divs = self.n, self.rows, self.pivots, self.divs
+        col = int(v.nonzero()[0][0])
+        c = int(v[col])
+        i = bisect_left(pivots, col)
+        rest = []
+        if i < len(pivots) and pivots[i] == col:
+            row, d = rows.pop(i), divs.pop(i)
+            pivots.pop(i)
+            self._nonunit -= 1
+            g = gcd(d, c)
+            t = pow(c // g, -1, d // g)
+            s = (g - t * c) // d
+            new = self._reduce((s * row + t * v) % n)
+            rest.append((row - (d // g) * new) % n)
+            rest.append((v - (c // g) * new) % n)
+        else:
+            g = gcd(c, n)
+            m = n // g
+            u = pow(c // g, -1, m)
+            while gcd(u, n) != 1:
+                u += m
+            new = (v * u) % n
+            if self._nonunit:
+                new = self._reduce(new)
+        unit_rows = g == 1 and not self._nonunit
+        rows.insert(i, new)
+        pivots.insert(i, col)
+        divs.insert(i, g)
+        if g != 1:
+            self._nonunit += 1
+            rest.append((new * (n // g)) % n)
+        for k in range(i):
+            row = rows[k]
+            if unit_rows:
+                c = row[col]
+                if c:
+                    rows[k] = (row - c * new) % n
+                continue
+            for m in range(i, len(rows)):
+                q = int(row[pivots[m]]) // divs[m]
+                if q:
+                    row = (row - q * rows[m]) % n
+            rows[k] = row
+        return rest
+
+
+def naive_closure(n: int, dim: int, operators, seeds, *, stop_at_full: bool = True) -> NaiveHowell:
+    """The operator-stable span of the seeds, each operator applied on its own
+    to every inserted vector, in the insertion order of ``ClosureEngine``."""
+    ops = [np.asarray(op, dtype=np.int64) % n for op in operators]
+    basis = NaiveHowell(n, dim)
+    pending = [np.asarray(s, dtype=np.int64) for s in seeds]
+    while pending:
+        vec = pending.pop() % n
+        if not basis.insert(vec):
+            continue
+        if stop_at_full and basis.is_full:
+            break
+        pending.extend(op @ vec for op in ops)
+    return basis
 
 def tuple_add_mod(n: int):
     return lambda u, v: tuple((x + y) % n for x, y in zip(u, v))
@@ -131,6 +253,51 @@ def is_field(elements, *, zero, one) -> bool:
                 raise DomainError("input is not closed under ring operations")
     return naive_field_obstruction(members, zero=zero, one=one) is None
 
+
+
+def naive_least_root(p: int, coeffs: list[int]) -> int | None:
+    """The least root in F_p of x^k - sum coeffs[i] x^i, from its values at
+    every point of F_p at once; None when there is none."""
+    xs = np.arange(p, dtype=np.int64)
+    value = np.ones(p, dtype=np.int64)
+    for c in reversed(coeffs):
+        value = (value * xs - c) % p
+    roots = np.flatnonzero(value == 0)
+    return int(roots[0]) if roots.size else None
+
+
+def naive_permutation_group(degree: int, gens) -> tuple[list, list, list]:
+    """The permutation group generated by one-line permutations, composed
+    point by point as tuples: its elements in lexicographic order, its
+    multiplication table ((a b)(i) = a(b(i))) and cycle-notation names."""
+    identity = tuple(range(degree))
+    elems, frontier = {identity}, [identity]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                c = tuple(a[g[i]] for i in range(degree))
+                if c not in elems:
+                    elems.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    ordered = sorted(elems)
+    index = {p: i for i, p in enumerate(ordered)}
+    mul = [[index[tuple(a[b[i]] for i in range(degree))] for b in ordered] for a in ordered]
+    names = []
+    for perm in ordered:
+        seen, cycles = set(), []
+        for start in range(degree):
+            if start in seen or perm[start] == start:
+                continue
+            cycle, x = [], start
+            while x not in seen:
+                seen.add(x)
+                cycle.append(x)
+                x = perm[x]
+            cycles.append("(" + " ".join(str(x) for x in cycle) + ")")
+        names.append("".join(cycles) or "e")
+    return ordered, mul, names
 
 def naive_center(ring) -> list:
     """The payloads commuting with every basis payload, in canonical order."""

@@ -2,13 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from skewsimple import CapacityError
 from skewsimple.closure import (ClosureEngine, HowellBasis, gauss_solve, kernel_basis,
                                 kernel_rows)
 
-from naive import abelian_span, tuple_add_mod
+from naive import NaiveHowell, abelian_span, naive_closure, tuple_add_mod
 
 
 def test_abelian_span_plain_subgroup():
@@ -119,6 +119,91 @@ def test_engine_matches_naive_span(problem, stop_at_full):
     assert basis.is_full == (len(span) == n**dim)
     for v in itertools.product(range(n), repeat=dim):
         assert basis.contains(v) == (v in span)
+
+
+
+@st.composite
+def insertion_problems(draw):
+    n = draw(st.sampled_from([2, 3, 5, 7, 12, 36]))
+    dim = draw(st.integers(1, 5))
+    entry = st.integers(0, n - 1)
+    vecs = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), max_size=6))
+    probes = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), max_size=4))
+    return n, dim, vecs, probes
+
+
+def _assert_same_basis(basis, ref):
+    assert basis.key() == ref.key()
+    assert basis.pivots == ref.pivots and basis.divs == ref.divs
+    assert basis.size == ref.size and basis.is_full == ref.is_full
+    assert basis.rank == len(ref.rows)
+
+
+# over Z/12: a unit row, then a non-unit pivot (4) that switches to the
+# sequential steps, then a Bezout merge at that pivot (gcd(4, 3) = 1) that
+# brings the non-unit count back to 0, then unit rows again
+UNIT_NONUNIT_BEZOUT = (12, 3, [[1, 2, 3], [0, 4, 0], [0, 3, 0], [0, 0, 7], [5, 1, 1]],
+                       [[1, 2, 3], [0, 1, 0], [6, 6, 6]])
+
+
+@settings(max_examples=300)
+@given(insertion_problems())
+@example(UNIT_NONUNIT_BEZOUT)
+@example((36, 2, [[9, 3], [0, 12], [4, 1], [0, 18]], [[0, 6], [27, 9]]))
+def test_basis_matches_reference_insertion(problem):
+    n, dim, vecs, probes = problem
+    basis, ref = HowellBasis(n, dim), NaiveHowell(n, dim)
+    for vec in vecs:
+        v = np.array(vec, dtype=np.int64)
+        assert basis.insert(v.copy()) == ref.insert(v.copy())
+        _assert_same_basis(basis, ref)
+    for probe in vecs + probes:
+        assert basis.contains(probe) == ref.contains(probe)
+
+
+def test_bezout_example_passes_through_both_paths():
+    # the example above does reach a non-unit pivot after a unit row, and the
+    # merge that leaves no non-unit pivot
+    n, dim, vecs, _ = UNIT_NONUNIT_BEZOUT
+    ref = NaiveHowell(n, dim)
+    counts = []
+    for vec in vecs:
+        ref.insert(np.array(vec, dtype=np.int64))
+        counts.append(ref._nonunit)
+    assert counts[:3] == [0, 1, 0] and ref.divs == [1, 1, 1]
+
+
+def test_kernel_basis_matches_reference_insertion():
+    # the kernel's rows, taken over from the graph, insert into the reference
+    # to the same form
+    rng = np.random.default_rng(7)
+    for n in (5, 12, 36):
+        for _ in range(10):
+            rows = rng.integers(0, n, size=(3, 4))
+            images = (rows @ rng.integers(0, n, size=(4, 2))) % n
+            kernel = kernel_basis(n, rows, images)
+            ref = NaiveHowell(n, 4)
+            for row in kernel.rows:
+                ref.insert(row)
+            _assert_same_basis(kernel, ref)
+
+
+
+@pytest.mark.parametrize("n,dim", [
+    (2**26, 2),          # 2*(n-1)^2 just below 2^53: the float64 product, at its limit
+    (2**26 + 1, 2),      # just above: the int64 product
+    (2147483647, 2),     # a prime near the int64 limit
+    (2**31, 2),
+])
+def test_engine_matches_reference_closure_at_large_moduli(n, dim):
+    rng = np.random.default_rng(n)
+    top = np.full((dim, dim), n - 1, dtype=np.int64)   # the largest products
+    for trial in range(6):
+        ops = [top] + [rng.integers(0, n, size=(dim, dim)) for _ in range(trial % 3)]
+        seeds = [np.full(dim, n - 1)] + [rng.integers(0, n, size=dim) for _ in range(trial % 2)]
+        basis = ClosureEngine(n, dim, ops).closure(seeds)
+        ref = naive_closure(n, dim, ops, seeds)
+        assert (basis.key(), basis.pivots, basis.divs) == (ref.key(), ref.pivots, ref.divs)
 
 
 def test_int64_wrap_is_refused():

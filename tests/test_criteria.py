@@ -1,6 +1,12 @@
-import pytest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from skewsimple import DomainError, PreconditionError
+import pytest
+from hypothesis import given, strategies as st
+
+from skewsimple import DomainError, PreconditionError, criteria
 from skewsimple.criteria import (InstanceEvaluation, InstanceSampler,
                                  abelian_simplicity_check, center_containment_check,
                                  center_structure_check, centralizer_kernel_check,
@@ -9,7 +15,7 @@ from skewsimple.criteria import (InstanceEvaluation, InstanceSampler,
 
 from conftest import (conj_f2_context, conj_f3_context, swap_context,
                       trivial_f2_z2_context, two_two_cycles_context)
-from naive import naive_field_obstruction, naive_has_inverse
+from naive import naive_field_obstruction, naive_has_inverse, naive_least_root
 
 
 def test_necessary_conditions_simple_instance(swap_ctx):
@@ -172,6 +178,51 @@ def test_field_obstruction(conj_f2_ctx):
     assert bad is not None and not bad.is_zero() and is_central(bad)
     assert (bad * bad).is_zero()  # a nonzero kernel of z -> z^2 gives a nilpotent
     assert not naive_has_inverse(bad, centre, one=conj_f2_ctx.one)
+
+
+
+@given(st.sampled_from([2, 3, 5, 13, 101]), st.lists(st.integers(0, 100), max_size=4),
+       st.integers(1, 9))
+def test_least_root_matches_full_evaluation(p, coeffs, chunk):
+    # chunks of a few points, so that the root often lies past the first
+    coeffs = [c % p for c in coeffs]
+    expected = naive_least_root(p, coeffs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(criteria, "ROOT_CHUNK", chunk)
+        if expected is None:
+            with pytest.raises(ArithmeticError):
+                criteria._least_root(p, coeffs)
+        else:
+            assert criteria._least_root(p, coeffs) == expected
+
+
+LARGE_P_CHILD = """
+import resource
+from skewsimple import GroupTable, ModularRing
+from skewsimple.actions import trivial_action
+from skewsimple.skew import SkewContext
+group = GroupTable.cyclic_product([2])
+ring = ModularRing(10000019)
+ctx = SkewContext(ring, group, trivial_action(group, ring))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+witness = ctx.center_obstruction.serialize()
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(witness, (after - before) // 1024)
+"""
+
+
+def test_least_root_memory_does_not_grow_with_p():
+    # F_p[Z2] with the trivial action is its own centre, not a field: the
+    # obstruction is u_1 - 1, with 1 the least root of x^2 - 1; evaluating
+    # that polynomial at all of F_p at once grew peak RSS by about 300 MB
+    src = Path(__file__).parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", LARGE_P_CHILD], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert result.returncode == 0, result.stderr
+    witness, growth_mb = result.stdout.rsplit(" ", 1)
+    assert witness == "[['0', 10000018], ['1', 1]]"
+    assert int(growth_mb) < 32
 
 
 def test_sampler_deterministic():

@@ -1,6 +1,11 @@
+import time
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from skewsimple import CapacityError, Caps, DomainError, GroupTable, Subgroup, stabilizer
+
+from naive import naive_permutation_group
 
 
 def test_cyclic_arithmetic():
@@ -146,3 +151,46 @@ def test_non_permutations_are_named_briefly(perm, message):
     with pytest.raises(DomainError, match=message) as info:
         GroupTable.from_permutations(10**5, [perm])
     assert len(str(info.value)) < 100
+
+
+def _assert_matches_naive(degree, gens):
+    group = GroupTable.from_permutations(degree, gens)
+    ordered, mul, names = naive_permutation_group(degree, [tuple(g) for g in gens])
+    assert group.permutations == ordered
+    assert [list(row) for row in group.mul_table] == mul
+    assert list(group.names) == names
+
+
+@st.composite
+def permutation_generators(draw):
+    degree = draw(st.integers(1, 4))   # within the group-order cap
+    gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+    pad = draw(st.integers(0, 5))   # fixed points after the moved ones
+    return degree + pad, [list(g) + list(range(degree, degree + pad)) for g in gens]
+
+
+@settings(max_examples=60, deadline=None)
+@given(permutation_generators())
+@example((8, [[1, 0, 3, 2, 5, 4, 7, 6]]))   # more moved points than elements
+@example((7, [[1, 2, 0, 4, 3, 6, 5]]))
+def test_permutation_groups_match_pointwise_composition(problem):
+    degree, gens = problem
+    _assert_matches_naive(degree, gens)
+
+
+def test_symmetric_groups_match_pointwise_composition():
+    for degree in range(1, 5):
+        _assert_matches_naive(degree, [list(p) for p in GroupTable.symmetric(degree).permutations])
+
+
+def test_high_degree_cycle_is_composed_on_arrays():
+    # a 64-cycle padded to degree 2*10^4: composing tuples point by point
+    # took about 7 s for the table alone
+    degree = 2 * 10**4
+    gen = list(range(1, 64)) + [0] + list(range(64, degree))
+    start = time.perf_counter()
+    group = GroupTable.from_permutations(degree, [gen])
+    assert time.perf_counter() - start < 3.0
+    assert group.order == 64
+    assert group.names[-1] == "(0 63 62 " + " ".join(str(x) for x in range(61, 0, -1)) + ")"
+    assert group.permutations[1][:3] == (1, 2, 3) and len(group.permutations[1]) == degree

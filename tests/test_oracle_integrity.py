@@ -20,7 +20,8 @@ from skewsimple.skew import SkewContext, certificate_draws, certify_simple, is_s
 
 from conftest import (conj_f2_context, conj_f3_context, rotation_z3_context, swap_context,
                       trivial_f2_z2_context, two_two_cycles_context)
-from naive import module_generator_operators, naive_skew_span, skew_operators
+from naive import (module_generator_operators, naive_closure, naive_skew_span,
+                   skew_operators)
 
 
 def naive_simplicity(ctx):
@@ -283,7 +284,7 @@ def test_witness_search_agrees_with_the_sweep_at_a_cap_of_four():
     # undetermined
     contexts = [T.context for T in catalogue()]
     contexts += [inst.ctx for inst in InstanceSampler(0, 4096).draw_many(200)]
-    compared = 0
+    compared = sequential = 0
     for ctx in contexts:
         if not 4 < ctx.size <= ctx.caps.enumeration:
             continue
@@ -475,3 +476,28 @@ def test_central_unit_monomial_gate_agrees_with_the_field_test():
             fired += 1
             assert ctx.center_obstruction is not None, ctx
     assert fired > 50
+
+
+def test_engine_matches_reference_closure():
+    # the block basis and the stacked operators against the row-by-row
+    # reference applying each operator on its own: the closures of the
+    # rank-1 element and of the oracle's witness, on the catalogue and
+    # sampled contexts
+    contexts = [T.context for T in catalogue()]
+    contexts += [inst.ctx for inst in InstanceSampler(0, 4096).draw_many(200)[:50]]
+    compared = sequential = 0
+    for ctx in contexts:
+        seeds = [ctx.element_of_rank(1)]
+        witness = is_simple(ctx).witness
+        if witness is not None:
+            seeds.append(witness)
+        for r in seeds:
+            vec = ctx.vec_of(r)
+            basis = ctx.engine.closure([vec])
+            ref = naive_closure(ctx.char, ctx.dim, ctx.ideal_operator_matrices, [vec])
+            assert (basis.key(), basis.pivots, basis.divs) == (
+                ref.key(), ref.pivots, ref.divs), ctx
+            compared += 1
+            sequential += not basis._reduced
+    assert compared == 128
+    assert sequential > 0   # some closures meet a non-unit pivot
