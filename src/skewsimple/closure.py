@@ -14,14 +14,15 @@ exactly one expansion sum(c_i row_i) with 0 <= c_i < n / pivot_i. Over a
 prime n every pivot is 1 and the form is the reduced row echelon form.
 
 The basis holds its rows as one int64 row block with an index array of pivot
-columns. As long as every pivot is a unit (always over a prime, and over Z/n
-until the first non-unit pivot) the form is fully reduced: reducing a vector
-is one product, v - v[pivots] @ block, and a new row clears its pivot column
-from the rows above with one outer-product update. The first non-unit pivot
-switches that basis, for good, to the sequential Howell steps. The engine
-stacks its operators into one matrix, so every inserted vector's images come
-from one product; it is taken in float64 whenever its integer entries, at
-most dim*(n-1)^2, are exact there, and in int64 otherwise.
+columns. As long as every pivot is a unit (always over a prime) the form is
+fully reduced: reducing a vector is one product, v - v[pivots] @ block, and a
+new row clears its pivot column from the rows above with one outer-product
+update. While some pivot is a non-unit the basis takes the sequential Howell
+steps instead; a Bezout merge that leaves every pivot a unit brings it back,
+as a Howell form whose pivots are units is the reduced row echelon form. The
+engine stacks its operators into one matrix, so every inserted vector's
+images come from one product; it is taken in float64 whenever its integer
+entries, at most dim*(n-1)^2, are exact there, and in int64 otherwise.
 """
 
 from __future__ import annotations
@@ -71,25 +72,25 @@ class HowellBasis:
 
     The rows are the first ``rank`` rows of one int64 row block, in pivot
     order, with their pivot columns also in an index array and their pivot
-    entries in ``divs``. The block is allocated at the first row and doubles
-    its rows when full, up to dim. While every pivot has been a unit the rows
-    are the reduced row echelon form: a vector is reduced by one product and
-    a new row clears its pivot column from the rows above by one
-    outer-product update. The first non-unit pivot switches the basis, for
-    good, to the sequential Howell steps, row by row.
+    entries in ``divs``. The block is allocated at the first new row, with
+    room for ``max_rank`` rows (at most dim, the default). While every pivot
+    is a unit the rows are the reduced row echelon form: a vector is reduced
+    by one product and a new row clears its pivot column from the rows above
+    by one outer-product update. While some pivot is a non-unit the basis
+    takes the sequential Howell steps, row by row.
     """
 
-    def __init__(self, n: int, dim: int) -> None:
+    def __init__(self, n: int, dim: int, max_rank: int | None = None) -> None:
         check_int64(n, dim)
         self.n = n
         self.dim = dim
+        self.max_rank = dim if max_rank is None else min(dim, max_rank)
         self.pivots: list[int] = []    # pivot columns, increasing
         self.divs: list[int] = []      # pivot entries; each divides n
         self._block = _EMPTY_BLOCK     # the rows, then spare rows
         self._piv = _EMPTY_PIVOTS      # the pivot columns as an index array
         self._rank = 0
         self._nonunit = 0              # rows whose pivot entry is not 1
-        self._reduced = True           # no pivot has been a non-unit
 
     @classmethod
     def from_rows(cls, n: int, dim: int, rows: np.ndarray, pivots: Sequence[int],
@@ -103,8 +104,6 @@ class HowellBasis:
         basis.pivots = [int(c) for c in pivots]
         basis.divs = list(divs)
         basis._nonunit = sum(d != 1 for d in basis.divs)
-        # a Howell form with unit pivots is the reduced row echelon form
-        basis._reduced = not basis._nonunit
         return basis
 
     @property
@@ -133,7 +132,7 @@ class HowellBasis:
         if not rank:
             return v
         block = self._block
-        if self._reduced:
+        if not self._nonunit:
             # each row vanishes at the other rows' pivots: all steps at once
             coeffs = v[self._piv[:rank]]
             if not np.count_nonzero(coeffs):
@@ -188,7 +187,6 @@ class HowellBasis:
                 new = self._reduce(new)
         self._insert(i, new, col, g)
         if g != 1:
-            self._reduced = False
             self._nonunit += 1
             rest.append((new * (n // g)) % n)  # the row's annihilator multiple
         if not i:
@@ -197,7 +195,7 @@ class HowellBasis:
         # there); with non-unit pivots the new row's nonzero entries at later
         # pivot columns call for re-reducing those columns too
         block = self._block
-        if self._reduced:
+        if not self._nonunit:
             above = block[:i]
             column = above[:, col]
             if np.count_nonzero(column):
@@ -218,7 +216,7 @@ class HowellBasis:
         """Make row the i-th row, with pivot col and pivot entry div."""
         rank = self._rank
         if rank == len(self._block):
-            self._grow()
+            self._allocate()
         block, piv = self._block, self._piv
         if i < rank:
             block[i + 1:rank + 1] = block[i:rank]
@@ -229,12 +227,12 @@ class HowellBasis:
         self.divs.insert(i, div)
         self._rank = rank + 1
 
-    def _grow(self) -> None:
-        """Double the block's rows (at most dim, the largest rank)."""
+    def _allocate(self) -> None:
+        """Make the block room for max_rank rows, keeping the rows it holds
+        (none, unless the basis came from ``from_rows``)."""
         rank = self._rank
-        rows = min(self.dim, max(4, 2 * rank))
-        block = np.empty((rows, self.dim), dtype=np.int64)
-        piv = np.empty(rows, dtype=np.intp)
+        block = np.empty((self.max_rank, self.dim), dtype=np.int64)
+        piv = np.empty(self.max_rank, dtype=np.intp)
         if rank:
             block[:rank] = self._block[:rank]
             piv[:rank] = self._piv[:rank]
@@ -341,9 +339,13 @@ def kernel_basis(n: int, rows, images) -> HowellBasis:
     The graph {(image, row)} spans {(f(x), x)}. By the Howell property its
     members vanishing on the first half, the kernel, are spanned by the rows
     whose pivot lies in the second half, and those rows are in Howell form.
+
+    Every Howell row adds at least one prime factor to the size of the span,
+    prod(n / pivot), which divides n^len(rows); so the graph's rank is at most
+    len(rows) times the number of prime factors of n, at most log2(n).
     """
     split, dim = len(images[0]), len(rows[0])
-    graph = HowellBasis(n, split + dim)
+    graph = HowellBasis(n, split + dim, len(rows) * (n.bit_length() - 1))
     for vec in np.concatenate([np.asarray(images, dtype=np.int64),
                                np.asarray(rows, dtype=np.int64)], axis=1):
         graph.insert(vec)

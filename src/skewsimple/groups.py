@@ -90,8 +90,9 @@ def _close_permutations(degree: int, gens: list[np.ndarray], cap: int) -> np.nda
 
 
 def _separating_points(perms: np.ndarray) -> np.ndarray:
-    """Points on which the distinct permutations (rows) differ pairwise: at
-    most one point per split of a class of rows that agree so far."""
+    """Points on which the distinct permutations (rows) differ pairwise,
+    increasing: one point per split of a class of rows that agree so far, so
+    at most len(perms) - 1, each moved by some row."""
     points = []
     classes = [list(range(len(perms)))]
     while classes:
@@ -104,7 +105,7 @@ def _separating_points(perms: np.ndarray) -> np.ndarray:
         for i, value in zip(members, perms[members, x].tolist()):
             split.setdefault(value, []).append(i)
         classes.extend(split.values())
-    return np.array(sorted(points), dtype=np.intp)
+    return np.unique(np.array(points, dtype=np.intp))
 
 
 class GroupTable:
@@ -203,19 +204,17 @@ class GroupTable:
                                     "permutation generator order")
             gens.append(np.array(perm, dtype=np.intp))
         elems = _close_permutations(degree, gens, caps.group_order)
-        # every element fixes the points no generator moves, so the moved
-        # points separate the elements; fewer do when they outnumber them
+        # a product is known by its values on points S separating the
+        # elements: (a b)[S] = a[b[S]], for all pairs in one indexing
+        on_points = elems[:, _separating_points(elems)]
+        index = {tuple(row): i for i, row in enumerate(on_points.tolist())}
+        mul = [[index[tuple(ab)] for ab in row] for row in elems[:, on_points].tolist()]
+        # every element fixes the points no generator moves
         identity = np.arange(degree)
         support = np.zeros(degree, dtype=bool)
         for g in gens:
             support |= g != identity
         moved = support.nonzero()[0]
-        points = moved if len(moved) <= len(elems) else _separating_points(elems)
-        # a product is known by its values there: (a b)[S] = a[b[S]], for
-        # all pairs in one indexing
-        on_points = elems[:, points]
-        index = {tuple(row): i for i, row in enumerate(on_points.tolist())}
-        mul = [[index[tuple(ab)] for ab in row] for row in elems[:, on_points].tolist()]
         moved_points = moved.tolist()
         names = [_perm_label(moved_points, images) for images in elems[:, moved].tolist()]
         table = cls(mul, names, f"Perm{degree}", caps)

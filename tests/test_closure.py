@@ -188,6 +188,18 @@ def test_kernel_basis_matches_reference_insertion():
             _assert_same_basis(kernel, ref)
 
 
+def test_kernel_graph_reaching_its_rank_bound():
+    # over Z/8 the one graph row (4, 2, 1, 0) has the Howell rows (4, 2, 1, 0),
+    # (0, 4, 2, 0) and (0, 0, 4, 0): three rows, 1 * log2(8), in four columns
+    kernel = kernel_basis(8, [[1, 0]], [[4, 2]])
+    assert (kernel.key(), kernel.pivots, kernel.divs) == (((4, 0),), [0], [4])
+    # a basis made from given rows takes further rows
+    kernel.insert(np.array([2, 4], dtype=np.int64))
+    ref = NaiveHowell(8, 2)
+    for vec in ([4, 0], [2, 4]):
+        ref.insert(np.array(vec, dtype=np.int64))
+    _assert_same_basis(kernel, ref)
+
 
 @pytest.mark.parametrize("n,dim", [
     (2**26, 2),          # 2*(n-1)^2 just below 2^53: the float64 product, at its limit

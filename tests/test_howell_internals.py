@@ -13,7 +13,7 @@ from pathlib import Path
 
 SRC = Path(__file__).parent.parent / "src" / "skewsimple"
 
-STATE = {"rows", "pivots", "divs", "_nonunit", "_block", "_piv", "_rank", "_reduced"}
+STATE = {"rows", "pivots", "divs", "_nonunit", "_block", "_piv", "_rank"}
 MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse",
             "fill", "put", "itemset", "resize", "setfield"}
 

@@ -284,7 +284,7 @@ def test_witness_search_agrees_with_the_sweep_at_a_cap_of_four():
     # undetermined
     contexts = [T.context for T in catalogue()]
     contexts += [inst.ctx for inst in InstanceSampler(0, 4096).draw_many(200)]
-    compared = sequential = 0
+    compared = 0
     for ctx in contexts:
         if not 4 < ctx.size <= ctx.caps.enumeration:
             continue
@@ -498,6 +498,6 @@ def test_engine_matches_reference_closure():
             assert (basis.key(), basis.pivots, basis.divs) == (
                 ref.key(), ref.pivots, ref.divs), ctx
             compared += 1
-            sequential += not basis._reduced
+            sequential += any(d != 1 for d in basis.divs)
     assert compared == 128
     assert sequential > 0   # some closures meet a non-unit pivot
