@@ -8,7 +8,7 @@ from .errors import (ActionValidationError, CapacityError, DomainError, Instance
                      PreconditionError, SkewSimpleError)
 from .groups import GroupTable, Subgroup, stabilizer
 from .rings import (FunctionRing, MatrixRing, ModularRing, RingElement, RingSpec,
-                    TwoSidedIdeal, center, enumerate_elements, ideal_closure, is_simple_ring,
+                    TwoSidedIdeal, center, enumerate_elements, ideal_closure,
                     ring_from_descriptor, try_invert)
 from .skew import (SkewContext, SkewElement, SkewIdeal, augmentation, central_witness,
                    centralizer_of_A, coeff_at_e, is_central, is_max_commutative_A,
@@ -24,7 +24,7 @@ __all__ = [
     "TwoSidedIdeal", "action_from_descriptor", "augmentation", "center",
     "central_witness", "centralizer_of_A", "coeff_at_e", "enumerate_elements",
     "fixed_ring", "ideal_closure", "is_G_simple", "is_central", "is_inner",
-    "is_max_commutative_A", "is_outer_action", "is_simple", "is_simple_ring", "kernel",
+    "is_max_commutative_A", "is_outer_action", "is_simple", "kernel",
     "ring_from_descriptor", "skew_center", "skew_ideal_closure", "stabilizer", "support",
     "support_reduce", "trivial_action", "try_invert",
 ]

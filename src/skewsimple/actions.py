@@ -1,10 +1,12 @@
 """Group actions on coefficient rings by automorphisms.
 
 An ActionMap stores one RingAutomorphism per group element and exposes the
-kernel, fixed ring, invariant-ideal (G-simplicity) oracle and the inner/outer
-classification. The fixed ring and the classification are kernels of linear
-maps on A's coordinates, so neither enumerates A. Validation is lazy and
-cached; anything that relies on the homomorphism law revalidates first.
+kernel, fixed ring, G-simplicity verdict and the inner/outer classification.
+The fixed ring, the fixed centre Z(A)^G and the classification are kernels of
+linear maps on A's coordinates, so none enumerates A. G-simplicity is the
+field test of Z(A)^G, decided at any |A|; only a witness under the
+enumeration cap comes from a sweep of A. Validation is lazy and cached;
+anything that relies on the homomorphism law revalidates first.
 """
 
 from __future__ import annotations
@@ -15,11 +17,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .closure import INT64_LIMIT, ClosureEngine, HowellBasis, kernel_basis
+from .closure import INT64_LIMIT, ClosureEngine, HowellBasis, field_obstruction, kernel_basis
 from .errors import ActionValidationError, CapacityError, DomainError
 from .groups import GroupTable, Subgroup
-from .rings import (MAX_DIM, FunctionRing, ModularRing, RingElement, RingSpec, TwoSidedIdeal,
-                    descriptor_int, engine_ideal, first_proper_ideal)
+from .rings import (MAX_DIM, FunctionRing, MatrixRing, ModularRing, RingElement, RingSpec,
+                    TwoSidedIdeal, descriptor_int, engine_ideal, first_proper_ideal)
 
 # entries of the matrix products one step of the homomorphism-law check holds
 _LAW_BLOCK = 1 << 20
@@ -267,17 +269,49 @@ class ActionMap:
         return kernel_basis(ring.char, rows, images % ring.char)
 
     @cached_property
+    def fixed_center(self) -> tuple[HowellBasis, np.ndarray | None]:
+        """Z(A)^G, the fixed space of the centre, as a Howell basis, with its
+        field obstruction (``closure.field_obstruction``): the coordinates of
+        a nonzero non-unit of Z(A)^G, p*1 in composite characteristic, or
+        None when Z(A)^G is a field."""
+        ring = self.ring
+        n, d = ring.char, ring.dim
+        fixed = self.fixed_space(ring.center_basis.rows)
+        # x -> z x is sum_s z_s lefts[s], one product on the flattened lefts
+        lefts = ring.structure_constants[0].reshape(d, d * d)
+        obstruction = field_obstruction(
+            n, fixed.rows, np.array(ring.to_vec(ring.one), dtype=np.int64),
+            lambda z: (z @ lefts).reshape(d, d) % n)
+        return fixed, obstruction
+
+    @cached_property
     def g_simplicity(self) -> "GSimplicity":
         """The G-simplicity verdict with its witness (see ``is_G_simple``).
 
-        Closes every nonzero element under the ring operations and all
-        automorphisms; the ring is G-simple iff each closure is everything.
+        Every supported A is semisimple in prime characteristic: its ideals
+        are sums of its simple blocks, which G permutes, so the G-stable
+        ideals match the idempotents of Z(A)^G, and A is G-simple iff char A
+        is prime and Z(A)^G is a field. A nonzero non-unit z of Z(A)^G
+        generates the proper G-stable ideal zA (a unit z would have its
+        inverse in Z(A)^G), and so does p*1 in composite characteristic.
+        Under the enumeration cap the witness is the canonical one, the first
+        payload whose invariant closure is proper (``first_proper_ideal``);
+        above it, the obstruction z.
         """
+        ring = self.ring
+        if not isinstance(ring, (ModularRing, MatrixRing, FunctionRing)):
+            raise DomainError(f"G-simplicity by the fixed centre assumes a semisimple "
+                              f"ring in prime characteristic or Z/n, not {ring!r}")
         self.ensure_valid()
-        ideal = first_proper_ideal(self.ring, self.ideal_engine, "G-simplicity sweep")
-        if ideal is None:
+        obstruction = self.fixed_center[1]
+        if obstruction is None:
             return GSimplicity(True)
-        return GSimplicity(False, self.ring.element(ideal.generators[0]), ideal)
+        if ring.size <= ring.caps.enumeration:
+            ideal = first_proper_ideal(ring, self.ideal_engine, "G-simplicity witness")
+        else:
+            ideal = engine_ideal(ring, self.ideal_engine, [ring.from_vec(obstruction.tolist())])
+        assert ideal is not None and not ideal.is_full, "a field obstruction generated A"
+        return GSimplicity(False, ring.element(ideal.generators[0]), ideal)
 
     @cached_property
     def descriptor(self) -> tuple:
@@ -308,7 +342,8 @@ def fixed_ring(action: ActionMap) -> list[RingElement]:
 
 @dataclass(frozen=True)
 class GSimplicity:
-    """Invariant-ideal oracle verdict with a witness on failure."""
+    """G-simplicity verdict; on failure, a generator of a proper invariant
+    ideal, with that ideal."""
 
     value: bool
     witness: RingElement | None = None
@@ -324,7 +359,8 @@ def invariant_ideal_closure(action: ActionMap, generators) -> TwoSidedIdeal:
 def is_G_simple(action: ActionMap) -> GSimplicity:
     """Whether the only action-stable ideals are zero and the whole ring.
 
-    The verdict is swept once per action and kept as ``ActionMap.g_simplicity``.
+    Decided once per action by the field test of the fixed centre, and kept
+    as ``ActionMap.g_simplicity``.
     """
     return action.g_simplicity
 

@@ -23,12 +23,17 @@ as a Howell form whose pivots are units is the reduced row echelon form. The
 engine stacks its operators into one matrix, so every inserted vector's
 images come from one product; it is taken in float64 whenever its integer
 entries, at most dim*(n-1)^2, are exact there, and in int64 otherwise.
+
+``field_obstruction`` is the one field test on such spans: given the basis
+of a commutative subring, its unit and its left multiplication, it returns a
+nonzero non-unit or None. It decides both the centre of a skew ring and the
+fixed centre Z(A)^G of an action, from kernels alone.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,6 +42,8 @@ from .errors import CapacityError
 
 # transient memory of one chunk of enumerated members (``iter_chunks``)
 CHUNK_BYTES = 1 << 17
+# points of F_p per evaluation of a polynomial in ``_least_root``
+ROOT_CHUNK = 1 << 16
 INT64_LIMIT = 1 << 63
 # float64 holds every integer below this one exactly
 FLOAT64_EXACT = 1 << 53
@@ -358,6 +365,83 @@ def kernel_basis(n: int, rows, images) -> HowellBasis:
 def kernel_rows(n: int, rows, images) -> list[np.ndarray]:
     """The Howell rows of ``kernel_basis`` (over a prime n, its RREF rows)."""
     return kernel_basis(n, rows, images).rows
+
+
+def field_obstruction(n: int, rows, one: np.ndarray, left_mul) -> np.ndarray | None:
+    """A nonzero element of a commutative ring Z that is not a unit of Z, or
+    None when Z is a field; decided on Z's basis, without enumerating Z, so
+    at any |Z|.
+
+    Z is a subring of an algebra over Z/n, spanned by the Howell rows, with
+    unit ``one``; ``left_mul(z)`` is the matrix of x -> z x on the algebra's
+    coordinates. In composite characteristic n the obstruction is p*1, with
+    p the least prime dividing n. Over a prime p, a Z of rank 1 is F_p*1,
+    a field. Otherwise phi(z) = z^p is F_p-linear on Z, and Z is a field
+    exactly when phi is injective and its fixed space is the scalars
+    (Berlekamp 1967). The obstruction is then the first RREF
+    row of ker phi when that kernel is nonzero; otherwise it is z - c*1, with
+    z the first RREF row of ker(phi - id) that is not a scalar and c the
+    least value making z - c*1 a non-unit (the least root of z's minimal
+    polynomial).
+    """
+    p = next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
+    if p != n:
+        return (p * one) % n
+    if len(rows) == 1:
+        return None
+    images = [_power(p, left_mul, z, p) for z in rows]
+    nilpotent = kernel_rows(p, rows, images)
+    if nilpotent:
+        return nilpotent[0]
+    fixed = kernel_rows(p, rows, [(f - z) % p for f, z in zip(images, rows)])
+    if len(fixed) == 1:
+        return None
+    scalars = HowellBasis(p, len(one))
+    scalars.insert(one)
+    z = next(f for f in fixed if not scalars.contains(f))
+    c = _least_root(p, _minimal_polynomial(p, left_mul, z, one))
+    return (z - c * one) % p
+
+
+def _power(n: int, left_mul, z: np.ndarray, e: int) -> np.ndarray:
+    """The coordinates of z^e (e >= 2) for z in a commutative subring, by
+    square-and-multiply."""
+    by_z = left_mul(z)
+    out = z
+    for k, bit in enumerate(bin(e)[3:]):
+        out = ((by_z if k == 0 else left_mul(out)) @ out) % n
+        if bit == "1":
+            out = (by_z @ out) % n
+    return out
+
+
+def _minimal_polynomial(p: int, left_mul, z: np.ndarray, one: np.ndarray) -> list[int]:
+    """Coefficients s_0..s_{k-1} with z^k = sum s_i z^i and k least, over F_p."""
+    by_z = left_mul(z)
+    powers = [one]
+    while True:
+        nxt = (by_z @ powers[-1]) % p
+        sol = gauss_solve(p, np.stack(powers, axis=1), nxt)
+        if sol is not None:
+            return [int(c) for c in sol]
+        powers.append(nxt)
+
+
+def _least_root(p: int, coeffs: list[int]) -> int:
+    """The least root in F_p of x^k - sum coeffs[i] x^i, evaluated on
+    ROOT_CHUNK points of F_p at a time up to the first chunk holding a root.
+
+    The polynomial is the minimal polynomial of a z with z^p = z, so it
+    divides x^p - x and has a root in F_p."""
+    for start in range(0, p, ROOT_CHUNK):
+        xs = np.arange(start, min(start + ROOT_CHUNK, p), dtype=np.int64)
+        value = np.ones_like(xs)
+        for c in reversed(coeffs):
+            value = (value * xs - c) % p
+        roots = np.flatnonzero(value == 0)
+        if roots.size:
+            return start + int(roots[0])
+    raise ArithmeticError(f"no root in F_{p}")
 
 
 def gauss_solve(p: int, A: np.ndarray, b: np.ndarray) -> np.ndarray | None:

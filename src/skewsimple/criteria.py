@@ -11,13 +11,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd, isqrt
+from math import gcd
 
 import numpy as np
 
 from .actions import (ActionMap, RingAutomorphism, is_G_simple, is_outer_action, kernel,
                       trivial_action)
-from .closure import HowellBasis, gauss_solve, kernel_rows
+from . import closure
+from .closure import HowellBasis
 from .errors import DomainError, PreconditionError
 from .groups import GroupTable
 from .rings import FunctionRing, MatrixRing, ModularRing, RingSpec
@@ -25,10 +26,6 @@ from .skew import (SkewContext, SkewElement, _payload_json, augmentation,
                    commuting_witness_outside_A, is_max_commutative_A,
                    is_simple, left_multiplication)
 from .skew import skew_center  # noqa: F401  (``bench/tracer.py`` wraps it under this name)
-
-# points of F_p per evaluation of a polynomial in ``_least_root``
-ROOT_CHUNK = 1 << 16
-
 
 @dataclass
 class CriterionVerdict:
@@ -72,78 +69,12 @@ class CheckReport:
 
 def field_obstruction(ctx: SkewContext) -> SkewElement | None:
     """A nonzero element of the centre Z that is not a unit of Z, or None
-    when Z is a field; decided on Z's Howell basis, without enumerating Z
-    or A, so at any |A|.
-
-    In composite characteristic n the obstruction is p*1, with p the least
-    prime dividing n. Over a prime p, phi(z) = z^p is F_p-linear on Z, and Z
-    is a field exactly when phi is injective and its fixed space is the
-    scalars (Berlekamp 1967). The obstruction is then the first RREF row of
-    ker phi when that kernel is nonzero; otherwise it is z - c*1, with z the
-    first RREF row of ker(phi - id) that is not a scalar and c the least
-    value making z - c*1 a non-unit (the least root of z's minimal
-    polynomial).
-    """
-    centre = ctx.center_basis
-    n, dim = ctx.char, ctx.dim
+    when Z is a field: ``closure.field_obstruction`` on Z's Howell basis and
+    the left multiplications of R, so decided at any |A|."""
     one = np.array(ctx.vec_of(ctx.one), dtype=np.int64)
-    p = next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
-    if p != n:
-        return ctx.element_of_vec((p * one) % n)
-    images = [_power(ctx, z, p) for z in centre.rows]
-    nilpotent = kernel_rows(p, centre.rows, images)
-    if nilpotent:
-        return ctx.element_of_vec(nilpotent[0])
-    fixed = kernel_rows(p, centre.rows, [(f - z) % p for f, z in zip(images, centre.rows)])
-    if len(fixed) == 1:
-        return None
-    scalars = HowellBasis(p, dim)
-    scalars.insert(one)
-    z = next(f for f in fixed if not scalars.contains(f))
-    c = _least_root(p, _minimal_polynomial(ctx, z, one))
-    return ctx.element_of_vec((z - c * one) % p)
-
-
-def _power(ctx: SkewContext, z: np.ndarray, e: int) -> np.ndarray:
-    """The coordinates of z^e (e >= 2) for central z, by square-and-multiply."""
-    n = ctx.char
-    by_z = left_multiplication(ctx, z)
-    out = z
-    for k, bit in enumerate(bin(e)[3:]):
-        out = ((by_z if k == 0 else left_multiplication(ctx, out)) @ out) % n
-        if bit == "1":
-            out = (by_z @ out) % n
-    return out
-
-
-def _minimal_polynomial(ctx: SkewContext, z: np.ndarray, one: np.ndarray) -> list[int]:
-    """Coefficients s_0..s_{k-1} with z^k = sum s_i z^i and k least, over F_p."""
-    p = ctx.char
-    by_z = left_multiplication(ctx, z)
-    powers = [one]
-    while True:
-        nxt = (by_z @ powers[-1]) % p
-        sol = gauss_solve(p, np.stack(powers, axis=1), nxt)
-        if sol is not None:
-            return [int(c) for c in sol]
-        powers.append(nxt)
-
-
-def _least_root(p: int, coeffs: list[int]) -> int:
-    """The least root in F_p of x^k - sum coeffs[i] x^i, evaluated on
-    ROOT_CHUNK points of F_p at a time up to the first chunk holding a root.
-
-    The polynomial is the minimal polynomial of a z with z^p = z, so it
-    divides x^p - x and has a root in F_p."""
-    for start in range(0, p, ROOT_CHUNK):
-        xs = np.arange(start, min(start + ROOT_CHUNK, p), dtype=np.int64)
-        value = np.ones_like(xs)
-        for c in reversed(coeffs):
-            value = (value * xs - c) % p
-        roots = np.flatnonzero(value == 0)
-        if roots.size:
-            return start + int(roots[0])
-    raise ArithmeticError(f"no root in F_{p}")
+    z = closure.field_obstruction(ctx.char, ctx.center_basis.rows, one,
+                                  lambda vec: left_multiplication(ctx, vec))
+    return None if z is None else ctx.element_of_vec(z)
 
 
 class InstanceEvaluation:
@@ -341,7 +272,7 @@ def center_containment_check(ev: InstanceEvaluation | SkewContext) -> CheckRepor
     contained = all(piv < d for piv in centre.pivots)
     identity_part = tuple(tuple(int(x) for x in row[:d])
                           for row, piv in zip(centre.rows, centre.pivots) if piv < d)
-    fixed_central = ctx.action.fixed_space(ctx.ring.center_basis.rows)
+    fixed_central = ctx.action.fixed_center[0]
     equals_fixed_central = contained and identity_part == fixed_central.key()
     report.verdicts["center_in_identity_component"] = CriterionVerdict(
         "center_in_identity_component", contained,

@@ -62,6 +62,28 @@ def _permutation_order(perm: tuple[int, ...], degree: int) -> int:
     return lcm(*lengths)
 
 
+def _check_orbits(moved: list[int], gens: list[np.ndarray], cap: int) -> None:
+    """Refuse generators with an orbit of more than cap points: by
+    orbit-stabilizer the group's order is at least the size of each orbit.
+    The orbits of the moved points are walked, each until it holds cap + 1
+    points."""
+    images = [g.tolist() for g in gens]
+    seen = set()
+    for start in moved:
+        if start in seen:
+            continue
+        seen.add(start)
+        orbit = [start]
+        for x in orbit:   # grows while it is walked
+            for image in images:
+                y = image[x]
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
+                    if len(orbit) > cap:
+                        raise CapacityError("group_order", cap, cap + 1, "permutation group orbit")
+
+
 def _close_permutations(degree: int, gens: list[np.ndarray], cap: int) -> np.ndarray:
     """Every product of the generators, as the one-line rows of one matrix in
     lexicographic order (the identity first); refused once more than cap
@@ -192,8 +214,9 @@ class GroupTable:
                           caps: Caps | None = None) -> "GroupTable":
         """Permutation group generated by one-line permutations of 0..degree-1.
 
-        A generator's order bounds the group's, so a generator of order above
-        the group-order cap is refused before any element is built."""
+        A generator's order and an orbit's size bound the group's from below,
+        so a generator of order above the group-order cap, or an orbit of
+        more points, is refused before any element is built."""
         caps = caps or Caps.from_env()
         gens = []
         for g in generators:
@@ -203,12 +226,6 @@ class GroupTable:
                 raise CapacityError("group_order", caps.group_order, order,
                                     "permutation generator order")
             gens.append(np.array(perm, dtype=np.intp))
-        elems = _close_permutations(degree, gens, caps.group_order)
-        # a product is known by its values on points S separating the
-        # elements: (a b)[S] = a[b[S]], for all pairs in one indexing
-        on_points = elems[:, _separating_points(elems)]
-        index = {tuple(row): i for i, row in enumerate(on_points.tolist())}
-        mul = [[index[tuple(ab)] for ab in row] for row in elems[:, on_points].tolist()]
         # every element fixes the points no generator moves
         identity = np.arange(degree)
         support = np.zeros(degree, dtype=bool)
@@ -216,6 +233,13 @@ class GroupTable:
             support |= g != identity
         moved = support.nonzero()[0]
         moved_points = moved.tolist()
+        _check_orbits(moved_points, gens, caps.group_order)
+        elems = _close_permutations(degree, gens, caps.group_order)
+        # a product is known by its values on points S separating the
+        # elements: (a b)[S] = a[b[S]], for all pairs in one indexing
+        on_points = elems[:, _separating_points(elems)]
+        index = {tuple(row): i for i, row in enumerate(on_points.tolist())}
+        mul = [[index[tuple(ab)] for ab in row] for row in elems[:, on_points].tolist()]
         names = [_perm_label(moved_points, images) for images in elems[:, moved].tolist()]
         table = cls(mul, names, f"Perm{degree}", caps)
         # tuples of points sharing one int object per point

@@ -1,6 +1,7 @@
 """Finite unital coefficient rings: residues Z/n, matrix rings over F_p, and
 function rings F_q^X, with exact payload arithmetic, enumeration, units,
-ideals, centre and twisted centralizers, and a brute-force simplicity oracle.
+ideals, centre and twisted centralizers, and the sweep for the first nonzero
+element whose closure is a proper ideal.
 
 Payload encodings are canonical (ints for residues, flat row-major tuples for
 matrices, per-point code tuples for functions), so element equality is payload
@@ -644,20 +645,3 @@ def center(ring: RingSpec) -> list[RingElement]:
     """The elements commuting with the whole ring, in canonical order: the
     members of ``RingSpec.center_basis``, cap-checked on |Z(A)|."""
     return [ring.element(a) for a in ring.members(ring.center_basis, "centre computation")]
-
-
-@dataclass(frozen=True)
-class RingSimplicity:
-    """Oracle verdict: simple, or a witness generator with its proper ideal."""
-
-    simple: bool
-    witness: RingElement | None = None
-    witness_ideal: TwoSidedIdeal | None = None
-
-
-def is_simple_ring(ring: RingSpec) -> RingSimplicity:
-    """Brute-force oracle: every nonzero element must generate the full ring."""
-    ideal = first_proper_ideal(ring, ring.ideal_engine, "simplicity sweep")
-    if ideal is None:
-        return RingSimplicity(True)
-    return RingSimplicity(False, ring.element(ideal.generators[0]), ideal)

@@ -657,14 +657,15 @@ def _witness_search(ctx: SkewContext) -> SkewSimplicity:
     """Look for a proper ideal among structured generators and the centre,
     and claim simplicity only by ``certify_simple``.
 
-    The structured candidates come first (a member of a proper invariant
-    ideal, one for each kernel member, one for each nonzero member of a
-    commuting component C_g, g != e), each family enumerated only once the
-    families before it have decided nothing, and skipped when what it
-    enumerates is above the cap. Then the centre: a simple ring has a field
-    as its centre, and a nonzero central non-unit z (``ctx.center_obstruction``)
-    generates a proper ideal, for zR = R would make z a unit of Z. Then the
-    certificate. Undetermined when none decides.
+    The structured candidates come first (the G-simplicity witness, a
+    member of a proper invariant ideal, decided at any |A|; one for each
+    kernel member; one for each nonzero member of a commuting component C_g,
+    g != e), each family enumerated only once the families before it have
+    decided nothing, and skipped when what it enumerates is above the cap.
+    Then the centre: a simple ring has a field as its centre, and a nonzero
+    central non-unit z (``ctx.center_obstruction``) generates a proper
+    ideal, for zR = R would make z a unit of Z. Then the certificate.
+    Undetermined when none decides.
     """
     engine = ctx.engine
     ring, group = ctx.ring, ctx.group

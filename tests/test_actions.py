@@ -4,12 +4,18 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
-from skewsimple import (ActionValidationError, DomainError, FunctionRing, GroupTable,
-                        MatrixRing, ModularRing)
+from skewsimple import (ActionValidationError, Caps, DomainError, FunctionRing, GroupTable,
+                        MatrixRing, ModularRing, RingSpec, actions)
 from skewsimple.actions import (ActionMap, RingAutomorphism, action_from_descriptor,
                                 fixed_ring, invariant_ideal_closure, is_G_simple, is_inner,
                                 is_outer_action, kernel, trivial_action)
+from skewsimple.criteria import InstanceSampler
+from skewsimple.dynamics import catalogue
+from skewsimple.rings import first_proper_ideal
 
+from conftest import (conj_f2_context, conj_f3_context, natural_s3_context,
+                      rotation_z3_context, swap_context, trivial_f2_z2_context,
+                      two_two_cycles_context)
 from naive import naive_automorphism_violation
 
 # every ring of at most 16 elements the three families build
@@ -71,17 +77,26 @@ def swap_action():
                                  RingAutomorphism.coordinate_permutation(ring, [1, 0])])
 
 
-def test_g_simplicity_swept_once_per_action():
+@pytest.fixture
+def no_sweep(monkeypatch):
+    """G-simplicity with the sweep of A made to fail."""
+    def sweep(*args):
+        raise AssertionError("A swept")
+
+    monkeypatch.setattr(actions, "first_proper_ideal", sweep)
+
+
+def test_g_simplicity_decided_once_without_a_closure(no_sweep):
+    # a G-simple action is decided by the field test of its fixed centre,
+    # with no sweep of A and no closure, and the verdict is kept
     action = swap_action()
     engine = action.ideal_engine
     closures = []
     sweep = engine.closure
     engine.closure = lambda *args, **kwargs: closures.append(1) or sweep(*args, **kwargs)
     first = is_G_simple(action)
-    swept = len(closures)
-    assert first.value and swept >= 1
+    assert first.value and not closures
     assert is_G_simple(action) is first
-    assert len(closures) == swept
 
 
 def test_trivial_action_validates():
@@ -278,6 +293,95 @@ def test_g_simple_examples():
     # the witness ideal is action-stable
     for a in ideal.elements:
         assert two_cycles.apply(1, a) in ideal.elements
+
+
+def _frobenius_swap_tables():
+    """Every Z/2 action on F_4^1..F_4^4 by a table automorphism that applies
+    Frobenius on a subset of the points, after exchanging points 0 and 1 or
+    not; the identity and the tables that break the homomorphism law left
+    out."""
+    z2 = GroupTable.cyclic_product([2])
+    found = []
+    for npts in range(1, 5):
+        ring = FunctionRing(npts, 4)
+        for swap in (False, True)[:npts]:
+            order = [1, 0] + list(range(2, npts)) if swap else list(range(npts))
+            for subset in range(1 << npts):
+                if not (subset or swap):
+                    continue
+                table = []
+                for a in ring.payloads():
+                    moved = tuple(a[order[i]] for i in range(npts))
+                    twisted = _frobenius(ring, moved)
+                    table.append(tuple(twisted[i] if subset >> i & 1 else moved[i]
+                                       for i in range(npts)))
+                action = ActionMap(z2, ring, [RingAutomorphism.identity(ring),
+                                              RingAutomorphism.from_table(ring, table)])
+                if action.validate() is None:
+                    found.append(action)
+    return found
+
+
+def test_fixed_centre_verdict_agrees_with_the_sweep():
+    # the field test of Z(A)^G against the sweep for the first proper
+    # invariant ideal, on every in-cap catalogue, sampler and conftest
+    # action and on the semilinear (Frobenius, swap) tables
+    contexts = [T.context for T in catalogue() if T.context.ring.size <= T.context.caps.enumeration]
+    contexts += [inst.ctx for inst in InstanceSampler(0, 4096).draw_many(200)]
+    contexts += [make() for make in (
+        swap_context, conj_f3_context, conj_f2_context, natural_s3_context,
+        two_two_cycles_context, trivial_f2_z2_context, rotation_z3_context)]
+    actions = [ctx.action for ctx in contexts]
+    semilinear = _frobenius_swap_tables()
+    assert (len(actions), len(semilinear)) == (227, 40)
+    verdicts = set()
+    for action in actions + semilinear:
+        swept = first_proper_ideal(action.ring, action.ideal_engine, "reference sweep") is None
+        assert (action.fixed_center[1] is None) == swept, action
+        assert is_G_simple(action).value == swept, action
+        verdicts.add(swept)
+    assert verdicts == {True, False}
+
+
+def _regular_rotation(n, caps):
+    ring = FunctionRing(n, 2, caps)
+    group = GroupTable.cyclic_product([n], caps)
+    return ActionMap(group, ring, [
+        RingAutomorphism.coordinate_permutation(ring, tuple((x - g) % n for x in range(n)))
+        for g in range(n)])
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_regular_action_is_G_simple_without_a_sweep(no_sweep, n):
+    # F_2^n is far above a cap of 16; one orbit makes Z(A)^G = F_2
+    action = _regular_rotation(n, Caps(enumeration=16))
+    assert is_G_simple(action).value
+
+
+def test_action_that_is_not_G_simple_above_the_cap(no_sweep):
+    # two 2-cycles on F_2^4 at a cap of 4: the witness is the fixed
+    # centre's obstruction, and its invariant closure is proper
+    ring = FunctionRing(4, 2, Caps(enumeration=4))
+    two_cycles = ActionMap(GroupTable.cyclic_product([2]), ring, [
+        RingAutomorphism.identity(ring),
+        RingAutomorphism.coordinate_permutation(ring, [1, 0, 3, 2])])
+    verdict = is_G_simple(two_cycles)
+    assert not verdict.value
+    assert verdict.witness.payload == ring.from_vec(two_cycles.fixed_center[1].tolist())
+    closed = invariant_ideal_closure(two_cycles, [verdict.witness])
+    assert not closed.is_full and not closed.is_zero
+    assert closed.basis.key() == verdict.witness_ideal.basis.key()
+
+
+def test_G_simplicity_refuses_a_ring_kind_it_cannot_vouch_for():
+    # the fixed-centre criterion assumes a semisimple A in prime
+    # characteristic, or Z/n; another kind of ring is refused
+    class Unvouched(RingSpec):
+        descriptor = ("unvouched",)
+
+    action = trivial_action(GroupTable.cyclic_product([1]), Unvouched())
+    with pytest.raises(DomainError, match="semisimple"):
+        is_G_simple(action)
 
 
 def test_invariant_closure_extends_plain_closure():

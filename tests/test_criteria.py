@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from skewsimple import DomainError, PreconditionError, criteria
+from skewsimple import DomainError, PreconditionError, closure
 from skewsimple.criteria import (InstanceEvaluation, InstanceSampler,
                                  abelian_simplicity_check, center_containment_check,
                                  center_structure_check, centralizer_kernel_check,
@@ -188,12 +188,12 @@ def test_least_root_matches_full_evaluation(p, coeffs, chunk):
     coeffs = [c % p for c in coeffs]
     expected = naive_least_root(p, coeffs)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(criteria, "ROOT_CHUNK", chunk)
+        patch.setattr(closure, "ROOT_CHUNK", chunk)
         if expected is None:
             with pytest.raises(ArithmeticError):
-                criteria._least_root(p, coeffs)
+                closure._least_root(p, coeffs)
         else:
-            assert criteria._least_root(p, coeffs) == expected
+            assert closure._least_root(p, coeffs) == expected
 
 
 LARGE_P_CHILD = """

@@ -22,7 +22,8 @@ ALLOWED = {
     # the coordinate vectors of every payload, for the additivity check
     ("rings.py", "RingSpec.payload_vectors"): {"check_enumerable"},
     ("rings.py", "enumerate_elements"): {"payloads"},
-    # the in-cap sweeps of the ring and G-simplicity oracles
+    # the canonical witness of an action that is not G-simple, under the cap
+    # (the verdict itself is the field test of the fixed centre)
     ("rings.py", "first_proper_ideal"): {"check_enumerable"},
     # table automorphisms and their validation
     ("actions.py", "RingAutomorphism.from_table"): {"check_enumerable"},

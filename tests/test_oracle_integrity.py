@@ -301,8 +301,10 @@ def test_witness_search_agrees_with_the_sweep_at_a_cap_of_four():
 @pytest.mark.parametrize("name", ["two_2cycles", "Z6_mixed_orbits_5pts", "conj_f2_context",
                                   "two_two_cycles_context"])
 def test_witness_search_decides_at_a_cap_of_four(name):
-    # with the cap at 4 the candidate families that list A are skipped, and
-    # the search still decides each, with a checkably proper witness
+    # with the cap at 4 the commuting family, which lists A, is skipped; the
+    # invariant-ideal family offers the fixed centre's obstruction when A is
+    # not G-simple, and the search decides each with a checkably proper
+    # witness
     caps = Caps(enumeration=4)
     makers = {"conj_f2_context": conj_f2_context,
               "two_two_cycles_context": two_two_cycles_context}

@@ -4,9 +4,9 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from skewsimple import (CapacityError, Caps, DomainError, FunctionRing, MatrixRing,
-                        ModularRing, center, enumerate_elements, ideal_closure, is_simple_ring,
-                        try_invert)
+from skewsimple import (CapacityError, Caps, DomainError, FunctionRing, GroupTable,
+                        MatrixRing, ModularRing, center, enumerate_elements, ideal_closure,
+                        is_G_simple, trivial_action, try_invert)
 from skewsimple.rings import PRIME_TEST_BOUND, _is_prime, descriptor_dim, ring_from_descriptor
 
 from naive import is_field
@@ -140,19 +140,24 @@ def test_is_field_rejects_unclosed():
                  zero=z5.zero_element, one=z5.one_element)
 
 
+def _trivially_acted(ring):
+    # the trivial group's G-simplicity is the simplicity of the ring
+    return is_G_simple(trivial_action(GroupTable.cyclic_product([1]), ring))
+
+
 @pytest.mark.parametrize("k,p", [(1, 2), (1, 3), (2, 2), (2, 3)])
 def test_matrix_rings_over_fields_are_simple(k, p):
-    verdict = is_simple_ring(MatrixRing(k, p))
-    assert verdict.simple
+    verdict = _trivially_acted(MatrixRing(k, p))
+    assert verdict.value
 
 
 def test_simplicity_witnesses():
-    verdict = is_simple_ring(ModularRing(6))
-    assert not verdict.simple
+    verdict = _trivially_acted(ModularRing(6))
+    assert not verdict.value
     assert verdict.witness.payload == 2
     assert verdict.witness_ideal.elements == {0, 2, 4}
-    verdict = is_simple_ring(FunctionRing(2, 2))
-    assert not verdict.simple
+    verdict = _trivially_acted(FunctionRing(2, 2))
+    assert not verdict.value
     ideal = verdict.witness_ideal
     assert not ideal.is_full and not ideal.is_zero
     assert verdict.witness.payload in ideal.elements

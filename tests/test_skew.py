@@ -6,7 +6,7 @@ import pytest
 
 from skewsimple import (CapacityError, Caps, DomainError, FunctionRing, GroupTable,
                         MatrixRing, ModularRing, PreconditionError, skew)
-from skewsimple.actions import ActionMap, RingAutomorphism, trivial_action
+from skewsimple.actions import ActionMap, RingAutomorphism, is_G_simple, trivial_action
 from skewsimple.closure import HowellBasis, kernel_rows
 from skewsimple.dynamics import TransformationGroup
 from skewsimple.skew import (SkewContext, SkewIdeal, augmentation, central_witness,
@@ -449,8 +449,9 @@ def test_dual_engine_keeps_annihilators_of_ideals(conj_f2_ctx):
 
 
 def test_witness_search_guards_each_candidate_family():
-    # |A| = 2147483647 is above the cap, so the invariant-ideal and the
-    # commuting families are skipped; the kernel family still decides
+    # |A| = 2147483647 is above the cap: A is a field, so the fixed-centre
+    # test finds it G-simple and the invariant-ideal family has no candidate,
+    # and the commuting family is skipped; the kernel family still decides
     n = 2147483647
     ring = ModularRing(n)
     grp = GroupTable.cyclic_product([2])
@@ -615,11 +616,10 @@ def test_composite_prime_power_modulus_context():
     lambda: MatrixRing(2, 2), lambda: ModularRing(6), lambda: ModularRing(5),
     lambda: FunctionRing(2, 2)])
 def test_trivial_group_oracle_matches_ring_oracle(ring_factory):
-    from skewsimple import is_simple_ring
     ring = ring_factory()
     grp = GroupTable.cyclic_product([1])
     ctx = SkewContext(ring, grp, trivial_action(grp, ring))
-    assert is_simple(ctx).value == is_simple_ring(ring).simple
+    assert is_simple(ctx).value == is_G_simple(trivial_action(grp, ring)).value
 
 
 def test_associativity_exhaustive_64_element_ring():
