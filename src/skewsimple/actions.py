@@ -122,9 +122,11 @@ class RingAutomorphism:
         """C = {a : b a = a sigma(b) for all b}, the twisted centralizer of
         this map (``RingSpec.twisted_centralizer``); the centre when the map
         is the identity."""
-        if self.kind == "identity":
-            return self.ring.center_basis
-        return self.ring.twisted_centralizer(self.matrix())
+        ring = self.ring
+        if self.kind == "identity" or np.array_equal(self.matrix(),
+                                                      np.eye(ring.dim, dtype=np.int64)):
+            return ring.center_basis
+        return ring.twisted_centralizer(self.matrix())
 
     def __repr__(self) -> str:
         return f"RingAutomorphism({self.kind}{self.params!r} on {self.ring!r})"

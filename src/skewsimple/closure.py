@@ -24,6 +24,14 @@ engine stacks its operators into one matrix, so every inserted vector's
 images come from one product; it is taken in float64 whenever its integer
 entries, at most dim*(n-1)^2, are exact there, and in int64 otherwise.
 
+Over exactly n == 2 the constructor returns a ``BitBasis`` instead, and the
+engine and ``kernel_basis`` work on packed bits: a vector of F_2^dim is a
+Python int with bit j holding coordinate j, so a row's lowest set bit is its
+pivot, reduction and placement are XORs, and the images of a vector under
+every operator are the XOR of the packed operator columns at its set bits.
+Every other modulus, prime or not, stays on the int64 block. The RREF over a
+prime is unique, so both give the same rows.
+
 ``field_obstruction`` is the one field test on such spans: given the basis
 of a commutative subring, its unit and its left multiplication, it returns a
 nonzero non-unit or None. It decides both the centre of a skew ring and the
@@ -32,7 +40,7 @@ fixed centre Z(A)^G of an action, from kernels alone.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from math import gcd, isqrt
 from typing import Iterable, Sequence
 
@@ -84,8 +92,15 @@ class HowellBasis:
     is a unit the rows are the reduced row echelon form: a vector is reduced
     by one product and a new row clears its pivot column from the rows above
     by one outer-product update. While some pivot is a non-unit the basis
-    takes the sequential Howell steps, row by row.
+    takes the sequential Howell steps, row by row. Over exactly n == 2 the
+    constructor and ``from_rows`` return a ``BitBasis`` instead.
     """
+
+    def __new__(cls, n: int, dim: int, max_rank: int | None = None) -> "HowellBasis":
+        # a span over exactly F_2 is held as packed bits
+        if cls is HowellBasis and n == 2:
+            cls = BitBasis
+        return super().__new__(cls)
 
     def __init__(self, n: int, dim: int, max_rank: int | None = None) -> None:
         check_int64(n, dim)
@@ -105,13 +120,16 @@ class HowellBasis:
         """The basis with the given rows, already in Howell form, pivot
         columns and pivot entries."""
         basis = cls(n, dim)
-        basis._block = np.array(rows, dtype=np.int64)
-        basis._piv = np.array(pivots, dtype=np.intp)
-        basis._rank = len(divs)
-        basis.pivots = [int(c) for c in pivots]
-        basis.divs = list(divs)
-        basis._nonunit = sum(d != 1 for d in basis.divs)
+        basis._load(np.array(rows, dtype=np.int64).reshape(len(divs), dim), pivots, divs)
         return basis
+
+    def _load(self, rows: np.ndarray, pivots: Sequence[int], divs: Sequence[int]) -> None:
+        self._block = rows
+        self._piv = np.array(pivots, dtype=np.intp)
+        self._rank = len(divs)
+        self.pivots = [int(c) for c in pivots]
+        self.divs = list(divs)
+        self._nonunit = sum(d != 1 for d in self.divs)
 
     @property
     def rank(self) -> int:
@@ -120,7 +138,11 @@ class HowellBasis:
     @property
     def rows(self) -> list[np.ndarray]:
         """The Howell rows in pivot order (copies)."""
-        return list(self._block[:self._rank].copy())
+        return list(self._matrix().copy())
+
+    def _matrix(self) -> np.ndarray:
+        """The Howell rows as one (rank x dim) int64 block."""
+        return self._block[:self._rank]
 
     @property
     def is_full(self) -> bool:
@@ -261,7 +283,7 @@ class HowellBasis:
         if not self._rank:
             yield np.zeros((1, self.dim), dtype=np.int64)
             return
-        mat = self._block[:self._rank]
+        mat = self._matrix()
         radix = [self.n // d for d in self.divs]
         place = [1] * len(radix)   # members between steps of coefficient i
         for i in range(len(radix) - 2, -1, -1):
@@ -292,7 +314,100 @@ class HowellBasis:
 
     def key(self) -> tuple:
         """Hashable canonical form (the Howell rows)."""
-        return tuple(map(tuple, self._block[:self._rank].tolist()))
+        return tuple(map(tuple, self._matrix().tolist()))
+
+
+class BitBasis(HowellBasis):
+    """A subspace of F_2^dim, the basis ``HowellBasis(2, dim)`` returns.
+
+    Its reduced row echelon rows are Python ints, bit j holding column j, so
+    a row's lowest set bit is its pivot. ``_row_at`` maps each pivot bit to
+    its row and ``_mask`` is the union of the pivot bits. A vector is reduced
+    by XORing in the row of each pivot bit it carries (the rows vanish at
+    each other's pivots, so those bits are read once); a new row is XORed
+    into every row holding its pivot bit. The int64 block that ``rows``,
+    ``key`` and ``iter_chunks`` read is unpacked from the ints when first
+    asked for and dropped at the next insert.
+    """
+
+    def __init__(self, n: int, dim: int, max_rank: int | None = None) -> None:
+        super().__init__(n, dim, max_rank)
+        self._row_at: dict[int, int] = {}
+        self._mask = 0
+        self._block = None
+
+    def _load(self, rows: np.ndarray, pivots: Sequence[int], divs: Sequence[int]) -> None:
+        self._load_bits(_pack_rows(rows))
+
+    def _load_bits(self, rows: list[int]) -> None:
+        """Take rows, packed and already in reduced row echelon form, in
+        pivot order."""
+        self._row_at = {row & -row: row for row in rows}
+        self._mask = sum(self._row_at)
+        self.pivots = [bit.bit_length() - 1 for bit in self._row_at]
+        self.divs = [1] * len(rows)
+        self._rank = len(rows)
+        self._block = None
+
+    def _matrix(self) -> np.ndarray:
+        if self._block is None:
+            row_at = self._row_at
+            self._block = _unpack_rows([row_at[1 << c] for c in self.pivots], self.dim)
+        return self._block
+
+    def _reduce_bits(self, v: int) -> int:
+        row_at = self._row_at
+        carried = v & self._mask
+        while carried:
+            low = carried & -carried
+            v ^= row_at[low]
+            carried ^= low
+        return v
+
+    def _insert_bits(self, v: int) -> bool:
+        """Fold the packed vector v into the span; False if already a member."""
+        v = self._reduce_bits(v)
+        if not v:
+            return False
+        low = v & -v
+        row_at = self._row_at
+        for bit, row in row_at.items():
+            if row & low:
+                row_at[bit] = row ^ v
+        row_at[low] = v
+        self._mask |= low
+        insort(self.pivots, low.bit_length() - 1)
+        self.divs.append(1)
+        self._rank += 1
+        self._block = None
+        return True
+
+    def contains(self, vec: Sequence[int]) -> bool:
+        return not self._reduce_bits(_pack(np.asarray(vec, dtype=np.int64) & 1))
+
+    def insert(self, vec: np.ndarray) -> bool:
+        return self._insert_bits(_pack(vec))
+
+
+def _pack(vec: np.ndarray) -> int:
+    """A 0/1 vector as an int, bit j holding entry j."""
+    return int.from_bytes(np.packbits(vec, bitorder="little").tobytes(), "little")
+
+
+def _pack_rows(mat: np.ndarray) -> list[int]:
+    """Each row of a 0/1 matrix as an int (``_pack``), from one packbits."""
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    width, data = packed.shape[1], packed.tobytes()
+    return [int.from_bytes(data[i:i + width], "little")
+            for i in range(0, len(data), width)] if width else [0] * len(mat)
+
+
+def _unpack_rows(rows: list[int], dim: int) -> np.ndarray:
+    """The (len(rows) x dim) int64 0/1 block of packed rows."""
+    width = (dim + 7) // 8
+    data = b"".join(row.to_bytes(width, "little") for row in rows)
+    bits = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), width)
+    return np.unpackbits(bits, axis=1, count=dim, bitorder="little").astype(np.int64)
 
 
 class ClosureEngine:
@@ -311,6 +426,9 @@ class ClosureEngine:
             stacked %= n
         exact = dim * (n - 1) ** 2 < FLOAT64_EXACT
         self._stacked = stacked.astype(np.float64) if exact else stacked
+        # over F_2, column j of the stack packed into an int: the images of a
+        # packed v under every operator are the XOR of the columns at v's bits
+        self._columns = _pack_rows(stacked.T) if n == 2 else None
 
     @property
     def operators(self) -> list[np.ndarray]:
@@ -320,6 +438,8 @@ class ClosureEngine:
 
     def closure(self, seeds: Iterable[Sequence[int]], *, stop_at_full: bool = True) -> HowellBasis:
         """Howell basis of the operator-stable span of the seed vectors."""
+        if self._columns is not None:
+            return self._closure_bits(seeds, stop_at_full)
         n, dim, stacked = self.n, self.dim, self._stacked
         basis = HowellBasis(n, dim)
         pending = [np.asarray(s, dtype=np.int64) % n for s in seeds]
@@ -332,6 +452,29 @@ class ClosureEngine:
             # operators act on the inserted vector; linearity covers the rest
             images = (stacked @ vec).astype(np.int64, copy=False) % n
             pending.extend(images.reshape(-1, dim))
+        return basis
+
+    def _closure_bits(self, seeds: Iterable[Sequence[int]], stop_at_full: bool) -> BitBasis:
+        """``closure`` over F_2 on packed vectors, pushing and popping them in
+        the same order."""
+        dim, columns = self.dim, self._columns
+        basis = BitBasis(2, dim)
+        word = (1 << dim) - 1
+        shifts = range(0, len(self._stacked), dim)
+        pending = [_pack(np.asarray(s, dtype=np.int64) & 1) for s in seeds]
+        while pending:
+            vec = pending.pop()
+            if not basis._insert_bits(vec):
+                continue
+            if stop_at_full and basis.is_full:
+                break
+            images, bits = 0, vec
+            while bits:
+                low = bits & -bits
+                images ^= columns[low.bit_length() - 1]
+                bits ^= low
+            # operator k's image is the k-th dim-bit slice
+            pending.extend([(images >> s) & word for s in shifts])
         return basis
 
 
@@ -352,6 +495,16 @@ def kernel_basis(n: int, rows, images) -> HowellBasis:
     len(rows) times the number of prime factors of n, at most log2(n).
     """
     split, dim = len(images[0]), len(rows[0])
+    if n == 2:
+        graph = BitBasis(2, split + dim)
+        for vec in _pack_rows(np.concatenate([np.asarray(images, dtype=np.int64),
+                                              np.asarray(rows, dtype=np.int64)], axis=1) & 1):
+            graph._insert_bits(vec)
+        kernel = BitBasis(2, dim)
+        row_at = graph._row_at
+        kernel._load_bits([row_at[1 << piv] >> split
+                           for piv in graph.pivots[bisect_left(graph.pivots, split):]])
+        return kernel
     graph = HowellBasis(n, split + dim, len(rows) * (n.bit_length() - 1))
     for vec in np.concatenate([np.asarray(images, dtype=np.int64),
                                np.asarray(rows, dtype=np.int64)], axis=1):
@@ -445,7 +598,11 @@ def _least_root(p: int, coeffs: list[int]) -> int:
 
 
 def gauss_solve(p: int, A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """One solution x of A x = b over F_p (free variables zero), or None."""
+    """One solution x of A x = b over F_p (free variables zero), or None.
+
+    Gauss-Jordan on [A | b], one column at a time: the pivot row is scaled to
+    a leading 1 and cleared from every other row by one outer-product update.
+    """
     A = np.asarray(A, dtype=np.int64) % p
     b = np.asarray(b, dtype=np.int64) % p
     m, n = A.shape
@@ -453,20 +610,22 @@ def gauss_solve(p: int, A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     pivots: list[tuple[int, int]] = []
     row = 0
     for col in range(n):
-        pivot = next((r for r in range(row, m) if aug[r, col]), None)
-        if pivot is None:
+        below = np.flatnonzero(aug[row:, col])
+        if not below.size:
             continue
+        pivot = row + int(below[0])
         aug[[row, pivot]] = aug[[pivot, row]]
         aug[row] = (aug[row] * pow(int(aug[row, col]), -1, p)) % p
-        for r in range(m):
-            if r != row and aug[r, col]:
-                aug[r] = (aug[r] - aug[r, col] * aug[row]) % p
+        factors = aug[:, col].copy()
+        factors[row] = 0
+        aug -= factors[:, None] * aug[row]
+        aug %= p
         pivots.append((row, col))
         row += 1
         if row == m:
             break
     # inconsistent if a zero row has nonzero rhs
-    if any(aug[r, n] and not aug[r, :n].any() for r in range(m)):
+    if np.count_nonzero(aug[~aug[:, :n].any(axis=1), n]):
         return None
     x = np.zeros(n, dtype=np.int64)
     for r, c in pivots:

@@ -210,8 +210,14 @@ class RingSpec:
     @cached_property
     def center_basis(self) -> HowellBasis:
         """The centre Z(A) as a Howell basis: the twisted centralizer of the
-        identity."""
-        return self.twisted_centralizer(np.eye(self.dim, dtype=np.int64))
+        identity, which for a commutative A is all of A, the identity rows.
+        Above MAX_DIM coordinates it goes to the kernel, whose structure
+        constants are refused there."""
+        eye = np.eye(self.dim, dtype=np.int64)
+        if self.is_commutative and self.dim <= MAX_DIM:
+            return HowellBasis.from_rows(self.char, self.dim, eye, range(self.dim),
+                                         [1] * self.dim)
+        return self.twisted_centralizer(eye)
 
     # presentation --------------------------------------------------------
     def label(self, a) -> str:

@@ -195,10 +195,11 @@ class SkewContext:
         return ClosureEngine(self.char, self.dim, [op.T for op in self.ideal_operator_matrices])
 
     @cached_property
-    def unit_monomial_matrices(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Matrices of r -> u_g r and r -> r u_h (used to mark unit orbits)."""
+    def unit_monomial_matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """Matrices of r -> u_g r and r -> r u_h, stacked over g (used to mark
+        unit orbits)."""
         units = [self.vec_of(self.unit_monomial(g)) for g in range(self.group.order)]
-        return list(left_multiplications(self, units)), list(right_multiplications(self, units))
+        return left_multiplications(self, units), right_multiplications(self, units)
 
     @cached_property
     def rank_columns(self) -> np.ndarray:
@@ -644,9 +645,10 @@ def _orbit_transforms(ctx: SkewContext) -> np.ndarray:
     generates."""
     n = ctx.char
     lefts, rights = ctx.unit_monomial_matrices
-    scalars = _scalar_units(n)
-    return np.concatenate([(c * (lg @ rh)) % n
-                           for lg in lefts for rh in rights for c in scalars])
+    scalars = np.array(_scalar_units(n), dtype=np.int64)
+    products = (lefts[:, None] @ rights[None]) % n   # [g, h] = L_g R_h
+    # in the order g, h, c: the transform c L_g R_h
+    return ((scalars[:, None, None] * products[:, :, None]) % n).reshape(-1, ctx.dim)
 
 
 # ``bench/tracer.py`` wraps the sweep under both names

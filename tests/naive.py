@@ -21,7 +21,8 @@ and the units implementing an automorphism by conjugation; the field test
 on an explicit element set multiplies every pair.
 The Howell reference inserts into a list of rows, one row at a time: every
 reduction and every update of the rows above is a loop over the rows, and
-closures apply the operators one by one.
+closures apply the operators one by one. The linear solver clears a pivot
+column row by row, and the unit-orbit transforms are one product each.
 """
 
 from __future__ import annotations
@@ -469,3 +470,44 @@ def naive_is_central(r) -> bool:
         if u * r != r * u:
             return False
     return True
+
+
+def naive_gauss_solve(p: int, A, b):
+    """One solution x of A x = b over F_p (free variables zero), or None:
+    Gauss-Jordan clearing each pivot column from the other rows one row at a
+    time (the reference for ``closure.gauss_solve``)."""
+    A = np.asarray(A, dtype=np.int64) % p
+    b = np.asarray(b, dtype=np.int64) % p
+    m, n = A.shape
+    aug = np.concatenate([A, b.reshape(-1, 1)], axis=1)
+    pivots = []
+    row = 0
+    for col in range(n):
+        pivot = next((r for r in range(row, m) if aug[r, col]), None)
+        if pivot is None:
+            continue
+        aug[[row, pivot]] = aug[[pivot, row]]
+        aug[row] = (aug[row] * pow(int(aug[row, col]), -1, p)) % p
+        for r in range(m):
+            if r != row and aug[r, col]:
+                aug[r] = (aug[r] - aug[r, col] * aug[row]) % p
+        pivots.append((row, col))
+        row += 1
+        if row == m:
+            break
+    if any(aug[r, n] and not aug[r, :n].any() for r in range(m)):
+        return None
+    x = np.zeros(n, dtype=np.int64)
+    for r, c in pivots:
+        x[c] = aug[r, n]
+    return x if not ((A @ x - b) % p).any() else None
+
+
+def naive_orbit_transforms(ctx) -> np.ndarray:
+    """Every transform r -> c u_g r u_h (c a unit of Z/char), one product per
+    g, h and c, stacked in that order (the reference for
+    ``skew._orbit_transforms``)."""
+    n = ctx.char
+    lefts, rights = ctx.unit_monomial_matrices
+    units = [c for c in range(1, n) if gcd(c, n) == 1]
+    return np.concatenate([(c * (lg @ rh)) % n for lg in lefts for rh in rights for c in units])

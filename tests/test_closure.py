@@ -5,10 +5,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from skewsimple import CapacityError
-from skewsimple.closure import (ClosureEngine, HowellBasis, gauss_solve, kernel_basis,
+from skewsimple.closure import (BitBasis, ClosureEngine, HowellBasis, gauss_solve, kernel_basis,
                                 kernel_rows)
 
-from naive import NaiveHowell, abelian_span, naive_closure, tuple_add_mod
+from naive import (NaiveHowell, abelian_span, naive_closure, naive_gauss_solve,
+                   tuple_add_mod)
 
 
 def test_abelian_span_plain_subgroup():
@@ -161,6 +162,165 @@ def test_basis_matches_reference_insertion(problem):
         assert basis.contains(probe) == ref.contains(probe)
 
 
+# dimensions at the byte and 64-bit word edges of the packed F_2 rows
+BIT_DIMS = [1, 7, 8, 9, 63, 64, 65, 128]
+
+
+def _bits(x: int, dim: int) -> np.ndarray:
+    return np.array([(x >> j) & 1 for j in range(dim)], dtype=np.int64)
+
+
+@st.composite
+def f2_problems(draw):
+    """Vectors of F_2^dim as XORs of a few random atoms, so that many of them
+    depend on the ones before; probes likewise, plus one random vector."""
+    dim = draw(st.sampled_from(BIT_DIMS))
+    word = st.integers(0, 2**dim - 1)
+    atoms = draw(st.lists(word, min_size=1, max_size=5))
+    subset = st.lists(st.sampled_from(atoms), max_size=4)
+
+    def combine(parts):
+        out = 0
+        for part in parts:
+            out ^= part
+        return out
+
+    vecs = [combine(parts) for parts in draw(st.lists(subset, max_size=7))]
+    probes = [combine(parts) for parts in draw(st.lists(subset, max_size=3))] + [draw(word)]
+    return dim, vecs, probes, combine(draw(subset)) ^ draw(st.sampled_from([0, 1, 2**dim - 1]))
+
+
+@settings(max_examples=200)
+@given(f2_problems())
+def test_f2_basis_matches_reference_insertion(problem):
+    dim, vecs, probes, extra = problem
+    basis, ref = HowellBasis(2, dim), NaiveHowell(2, dim)
+    assert isinstance(basis, BitBasis)
+    for x in vecs:
+        v = _bits(x, dim)
+        assert basis.insert(v.copy()) == ref.insert(v.copy())
+        _assert_same_basis(basis, ref)
+    for x in vecs + probes:
+        assert basis.contains(_bits(x, dim)) == ref.contains(_bits(x, dim))
+    assert [row.tolist() for row in basis.rows] == [row.tolist() for row in ref.rows]
+    # a basis made from given rows takes further rows
+    loaded = HowellBasis.from_rows(2, dim, ref.rows, ref.pivots, ref.divs)
+    assert isinstance(loaded, BitBasis)
+    _assert_same_basis(loaded, ref)
+    v = _bits(extra, dim)
+    assert loaded.insert(v.copy()) == ref.insert(v.copy())
+    _assert_same_basis(loaded, ref)
+    assert loaded.contains(v)
+
+
+def test_only_modulus_2_takes_the_packed_rows():
+    for n in (3, 4, 6, 8):
+        assert type(HowellBasis(n, 5)) is HowellBasis
+        assert type(HowellBasis.from_rows(n, 2, np.eye(2, dtype=np.int64), [0, 1], [1, 1])) \
+            is HowellBasis
+    assert type(ClosureEngine(4, 2, []).closure([(1, 0)])) is HowellBasis
+    assert type(ClosureEngine(2, 2, []).closure([(1, 0)])) is BitBasis
+
+
+def test_f2_members_come_in_the_order_of_the_int64_block():
+    # iter_chunks, sorted_members and key read the block unpacked from the
+    # ints; it is rebuilt after each insert
+    basis = HowellBasis(2, 9)
+    basis.insert(_bits(0b101000011, 9))
+    first = basis.key()
+    basis.insert(_bits(0b000100001, 9))
+    assert basis.key() != first and len(basis.key()) == 2
+    members = list(basis.iter_vectors())
+    assert members == [(0,) * 9, tuple(basis.rows[1]), tuple(basis.rows[0]),
+                       tuple((basis.rows[0] + basis.rows[1]) % 2)]
+    ordered = basis.sorted_members(np.arange(9), 16, "test")
+    assert [tuple(v) for v in ordered.tolist()] == sorted(members)
+
+
+@st.composite
+def f2_kernel_problems(draw):
+    split = draw(st.sampled_from([0, 1, 7, 8, 9, 64, 65]))
+    dim = draw(st.sampled_from(BIT_DIMS))
+    count = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return split, dim, count, seed
+
+
+@settings(max_examples=100)
+@given(f2_kernel_problems())
+def test_f2_kernel_matches_reference_graph(problem):
+    # the kernel is the graph's rows with pivots in the second half, here
+    # from the reference basis fed the same graph rows
+    split, dim, count, seed = problem
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, 2, size=(count, dim))
+    if count > 1:
+        rows[-1] = (rows[0] + rows[1]) % 2   # a dependent row
+    images = (rows @ rng.integers(0, 2, size=(dim, split))) % 2
+    kernel = kernel_basis(2, rows, images)
+    assert isinstance(kernel, BitBasis)
+    graph = NaiveHowell(2, split + dim)
+    for vec in np.concatenate([images, rows], axis=1):
+        graph.insert(vec)
+    ref = NaiveHowell(2, dim)
+    for row, piv in zip(graph.rows, graph.pivots):
+        if piv >= split:
+            ref.insert(row[split:])
+    _assert_same_basis(kernel, ref)
+    if dim <= 9:
+        span = abelian_span([tuple(int(x) for x in r) for r in rows], [],
+                            tuple_add_mod(2), (0,) * dim)
+        brute = {v for v in span
+                 if not np.count_nonzero(_image_of(rows, images, np.array(v)))}
+        assert set(kernel.iter_vectors()) == brute
+
+
+def _image_of(rows, images, v):
+    """The image of v in the span of the rows, from any expansion over them."""
+    for coeffs in itertools.product(range(2), repeat=len(rows)):
+        if not ((np.array(coeffs) @ rows - v) % 2).any():
+            return (np.array(coeffs) @ images) % 2
+    raise AssertionError("not in the span")
+
+
+@st.composite
+def f2_closure_problems(draw):
+    dim = draw(st.sampled_from(BIT_DIMS[:6]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    n_ops = draw(st.integers(0, 3))
+    n_seeds = draw(st.integers(0, 3))
+    density = draw(st.sampled_from([0.05, 0.3, 0.5]))
+    return dim, seed, n_ops, n_seeds, density
+
+
+@settings(max_examples=100)
+@given(f2_closure_problems(), st.booleans())
+def test_f2_engine_matches_reference_closure_in_insertion_order(problem, stop_at_full):
+    dim, seed, n_ops, n_seeds, density = problem
+    rng = np.random.default_rng(seed)
+    ops = [(rng.random((dim, dim)) < density).astype(np.int64) for _ in range(n_ops)]
+    seeds = [(rng.random(dim) < density).astype(np.int64) for _ in range(n_seeds)]
+    offered, ref_offered = [], []
+    insert_bits, ref_insert = BitBasis._insert_bits, NaiveHowell.insert
+
+    def spy(basis, v):
+        offered.append(tuple(_bits(v, dim).tolist()))
+        return insert_bits(basis, v)
+
+    def ref_spy(basis, vec):
+        ref_offered.append(tuple(int(x) for x in vec))
+        return ref_insert(basis, vec)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(BitBasis, "_insert_bits", spy)
+        patch.setattr(NaiveHowell, "insert", ref_spy)
+        basis = ClosureEngine(2, dim, ops).closure(seeds, stop_at_full=stop_at_full)
+        ref = naive_closure(2, dim, ops, seeds, stop_at_full=stop_at_full)
+    _assert_same_basis(basis, ref)
+    # the same vectors were popped, in the same order
+    assert offered == ref_offered
+
+
 def test_bezout_example_passes_through_both_paths():
     # the example above does reach a non-unit pivot after a unit row, and the
     # merge that leaves no non-unit pivot
@@ -294,3 +454,18 @@ def test_gauss_solve_finds_solutions_when_they_exist(code):
         else:
             assert x is not None
             assert not ((A @ x - b) % 2).any()
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 5), st.integers(1, 5),
+       st.integers(0, 2**32 - 1))
+def test_gauss_solve_matches_the_row_by_row_reference(p, m, n, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.integers(0, p, size=(m, n))
+    if n > 1:
+        A[:, -1] = (A[:, 0] * int(rng.integers(0, p))) % p   # a dependent column
+    for b in (rng.integers(0, p, size=m), (A @ rng.integers(0, p, size=n)) % p):
+        x, ref = gauss_solve(p, A, b), naive_gauss_solve(p, A, b)
+        assert (x is None) == (ref is None)
+        if x is not None:
+            assert x.tolist() == ref.tolist()

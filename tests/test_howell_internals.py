@@ -3,8 +3,8 @@
 The basis keeps its rows in one row block with an index array of pivots, and
 its fast path relies on that block being the reduced row echelon form while
 every pivot is a unit. Code elsewhere that assigned to, or mutated in place,
-a basis's ``rows``, ``pivots``, ``divs``, ``_nonunit`` or block would break
-that invariant unseen, so any such write in ``src/skewsimple`` outside
+a basis's ``rows``, ``pivots``, ``divs``, ``_nonunit`` or block, or the
+packed rows and pivot mask of an F_2 basis, would break that invariant unseen, so any such write in ``src/skewsimple`` outside
 ``closure.py`` fails this test.
 """
 
@@ -13,7 +13,7 @@ from pathlib import Path
 
 SRC = Path(__file__).parent.parent / "src" / "skewsimple"
 
-STATE = {"rows", "pivots", "divs", "_nonunit", "_block", "_piv", "_rank"}
+STATE = {"rows", "pivots", "divs", "_nonunit", "_block", "_piv", "_rank", "_row_at", "_mask"}
 MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse",
             "fill", "put", "itemset", "resize", "setfield"}
 
@@ -68,7 +68,9 @@ def test_the_scan_sees_assignments_and_mutations():
         "    kernel._nonunit += 1\n"
         "    kernel._block[0, 1] = 3\n"
         "    a, kernel._rank = 1, 2\n"
+        "    kernel._row_at[1] = 3\n"
+        "    kernel._mask |= 4\n"
         "    rows = kernel.rows\n"
         "    return [r for r in kernel.rows], kernel.pivots.index(0)\n")
     assert state_writes(tree) == [(2, "rows"), (3, "pivots"), (4, "divs"), (5, "_nonunit"),
-                                  (6, "_block"), (7, "_rank")]
+                                  (6, "_block"), (7, "_rank"), (8, "_row_at"), (9, "_mask")]

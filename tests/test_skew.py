@@ -19,7 +19,7 @@ from skewsimple.skew import (SkewContext, SkewIdeal, augmentation, central_witne
 from conftest import (conj_f2_context, conj_f3_context, natural_s3_context,
                       rotation_z3_context, swap_context, trivial_f2_z2_context,
                       two_two_cycles_context)
-from naive import naive_skew_span
+from naive import naive_orbit_transforms, naive_skew_span
 
 
 def test_unit_monomials_invert_each_other():
@@ -653,6 +653,19 @@ def test_orbit_transforms_wait_for_the_first_full_closure():
     ctx = _fresh_catalogue_context("through_quotient_Z4")
     assert is_simple(ctx).method == "full_sweep"
     assert "unit_monomial_matrices" in ctx.__dict__
+
+
+def test_orbit_transforms_match_one_product_each():
+    # several scalar units over F_3, Z/5 and Z/6; F_4 and S3 over F_2
+    group = GroupTable.cyclic_product([2])
+    contexts = [conj_f3_context(), natural_s3_context(), rotation_z3_context(q=4),
+                _fresh_catalogue_context("through_quotient_Z4")]
+    contexts += [SkewContext(ModularRing(n), group, trivial_action(group, ModularRing(n)))
+                 for n in (5, 6)]
+    for ctx in contexts:
+        transforms = skew._orbit_transforms(ctx)
+        assert transforms.dtype == np.int64
+        assert np.array_equal(transforms, naive_orbit_transforms(ctx))
 
 
 def test_witness_search_enumerates_no_later_family_once_decided(monkeypatch):

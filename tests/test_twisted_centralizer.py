@@ -14,6 +14,7 @@ refused before A's structure constants are built.
 import json
 import time
 
+import numpy as np
 import pytest
 
 from skewsimple import (CapacityError, Caps, FunctionRing, GroupTable, MatrixRing, ModularRing,
@@ -83,6 +84,24 @@ def test_a_level_kernels_match_the_loops_on_the_reference_contexts():
             bad += [(ctx, auto, what) for what in _mismatches(auto)]
     assert not bad, bad[:5]
     assert autos == 704
+
+
+def test_the_centre_shortcuts_give_the_kernels_rows():
+    # a commutative A's centre is taken as the identity rows, and a map whose
+    # matrix is the identity reads that centre: both as the kernel gives them
+    commutative = identity_maps = 0
+    for ctx in _reference_contexts():
+        ring = ctx.ring
+        eye = np.eye(ring.dim, dtype=np.int64)
+        centre, kernel = ring.center_basis, ring.twisted_centralizer(eye)
+        assert (centre.key(), centre.pivots, centre.divs) == \
+            (kernel.key(), kernel.pivots, kernel.divs)
+        commutative += ring.is_commutative
+        for auto in ctx.action.autos:
+            if auto.kind != "identity" and np.array_equal(auto.matrix(), eye):
+                identity_maps += 1
+                assert auto.centralizer is centre
+    assert commutative > 200 and identity_maps > 10
 
 
 def test_a_level_kernels_match_the_loops_on_conjugations_and_frobenius():
