@@ -315,10 +315,6 @@ class ActionMap:
         assert ideal is not None and not ideal.is_full, "a field obstruction generated A"
         return GSimplicity(False, ring.element(ideal.generators[0]), ideal)
 
-    @cached_property
-    def descriptor(self) -> tuple:
-        return tuple((a.kind, a.params) for a in self.autos)
-
     def __repr__(self) -> str:
         kinds = {a.kind for a in self.autos}
         return f"ActionMap({self.group!r} on {self.ring!r}, kinds={sorted(kinds)})"

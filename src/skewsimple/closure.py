@@ -36,6 +36,10 @@ prime is unique, so both give the same rows.
 of a commutative subring, its unit and its left multiplication, it returns a
 nonzero non-unit or None. It decides both the centre of a skew ring and the
 fixed centre Z(A)^G of an action, from kernels alone.
+
+The Howell basis is the only elimination here: ``solve`` reads a linear
+system's solution off one kernel, and ``HowellBasis.least_member`` a span's
+least member off its rows, without enumerating it.
 """
 
 from __future__ import annotations
@@ -312,6 +316,20 @@ class HowellBasis:
         vecs = np.concatenate(list(self.iter_chunks()))
         return vecs[np.lexsort(vecs[:, columns[::-1]].T)]
 
+    def least_member(self, columns: np.ndarray) -> np.ndarray:
+        """The least nonzero member of a nonzero span, lexicographically on
+        columns (every coordinate once, most significant first), at any size.
+        Re-echeloned with its coordinates in that order, the members zero
+        before the last pivot are the multiples c of the last row, carrying
+        c * d < n at its pivot entry d, and every other member is nonzero
+        earlier; so the last row (c = 1) is the least."""
+        reordered = HowellBasis(self.n, self.dim)
+        for row in self._matrix()[:, columns]:
+            reordered.insert(row)
+        least = np.empty(self.dim, dtype=np.int64)
+        least[columns] = reordered._matrix()[-1]
+        return least
+
     def key(self) -> tuple:
         """Hashable canonical form (the Howell rows)."""
         return tuple(map(tuple, self._matrix().tolist()))
@@ -436,10 +454,11 @@ class ClosureEngine:
         ops = self._stacked.astype(np.int64).reshape(-1, self.dim, self.dim)
         return list(ops)
 
-    def closure(self, seeds: Iterable[Sequence[int]], *, stop_at_full: bool = True) -> HowellBasis:
-        """Howell basis of the operator-stable span of the seed vectors."""
+    def closure(self, seeds: Iterable[Sequence[int]]) -> HowellBasis:
+        """Howell basis of the operator-stable span of the seed vectors; a
+        full span is final and ends the worklist."""
         if self._columns is not None:
-            return self._closure_bits(seeds, stop_at_full)
+            return self._closure_bits(seeds)
         n, dim, stacked = self.n, self.dim, self._stacked
         basis = HowellBasis(n, dim)
         pending = [np.asarray(s, dtype=np.int64) % n for s in seeds]
@@ -447,14 +466,14 @@ class ClosureEngine:
             vec = pending.pop()
             if not basis.insert(vec):
                 continue
-            if stop_at_full and basis.is_full:
+            if basis.is_full:
                 break
             # operators act on the inserted vector; linearity covers the rest
             images = (stacked @ vec).astype(np.int64, copy=False) % n
             pending.extend(images.reshape(-1, dim))
         return basis
 
-    def _closure_bits(self, seeds: Iterable[Sequence[int]], stop_at_full: bool) -> BitBasis:
+    def _closure_bits(self, seeds: Iterable[Sequence[int]]) -> BitBasis:
         """``closure`` over F_2 on packed vectors, pushing and popping them in
         the same order."""
         dim, columns = self.dim, self._columns
@@ -466,7 +485,7 @@ class ClosureEngine:
             vec = pending.pop()
             if not basis._insert_bits(vec):
                 continue
-            if stop_at_full and basis.is_full:
+            if basis.is_full:
                 break
             images, bits = 0, vec
             while bits:
@@ -520,6 +539,30 @@ def kernel_rows(n: int, rows, images) -> list[np.ndarray]:
     return kernel_basis(n, rows, images).rows
 
 
+def solve(p: int, A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """The solution x of A x = b over F_p that is zero on A's free columns
+    (those Gauss-Jordan from the left leaves without a pivot), or None; read
+    off the kernel of (t, x) -> A x - t b, coordinates ordered t, x_{n-1},
+    ..., x_0, whose int64 guard it shares.
+
+    Over a prime the kernel's Howell rows are its RREF. One has its pivot at
+    c when the map's column c lies in the span of the columns after it, in
+    this order when column c of [A | -b] lies in the span of those before
+    it: when c is free in [A | -b]. A kernel vector is fixed by its values at
+    the free columns, so each row is 1 at its own and 0 at the others. A x =
+    b is solvable exactly when -b's column is free, that is when the first
+    row's pivot is t, and that row is (1, x reversed).
+    """
+    A = np.asarray(A, dtype=np.int64) % p
+    b = np.asarray(b, dtype=np.int64) % p
+    images = np.concatenate([(-b % p)[None], A[:, ::-1].T])
+    kernel = kernel_basis(p, np.eye(len(images), dtype=np.int64), images)
+    if not kernel.rank or kernel.pivots[0]:
+        return None
+    x = kernel.rows[0][:0:-1]
+    return x if not ((A @ x - b) % p).any() else None
+
+
 def field_obstruction(n: int, rows, one: np.ndarray, left_mul) -> np.ndarray | None:
     """A nonzero element of a commutative ring Z that is not a unit of Z, or
     None when Z is a field; decided on Z's basis, without enumerating Z, so
@@ -569,14 +612,16 @@ def _power(n: int, left_mul, z: np.ndarray, e: int) -> np.ndarray:
 
 
 def _minimal_polynomial(p: int, left_mul, z: np.ndarray, one: np.ndarray) -> list[int]:
-    """Coefficients s_0..s_{k-1} with z^k = sum s_i z^i and k least, over F_p."""
+    """Coefficients s_0..s_{k-1} with z^k = sum s_i z^i and k least, over F_p:
+    z^k is the first power already in the span of those before it."""
     by_z = left_mul(z)
+    span = HowellBasis(p, len(one))
+    span.insert(one)
     powers = [one]
     while True:
         nxt = (by_z @ powers[-1]) % p
-        sol = gauss_solve(p, np.stack(powers, axis=1), nxt)
-        if sol is not None:
-            return [int(c) for c in sol]
+        if not span.insert(nxt):
+            return [int(c) for c in solve(p, np.stack(powers, axis=1), nxt)]
         powers.append(nxt)
 
 
@@ -595,39 +640,3 @@ def _least_root(p: int, coeffs: list[int]) -> int:
         if roots.size:
             return start + int(roots[0])
     raise ArithmeticError(f"no root in F_{p}")
-
-
-def gauss_solve(p: int, A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """One solution x of A x = b over F_p (free variables zero), or None.
-
-    Gauss-Jordan on [A | b], one column at a time: the pivot row is scaled to
-    a leading 1 and cleared from every other row by one outer-product update.
-    """
-    A = np.asarray(A, dtype=np.int64) % p
-    b = np.asarray(b, dtype=np.int64) % p
-    m, n = A.shape
-    aug = np.concatenate([A, b.reshape(-1, 1)], axis=1)
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(n):
-        below = np.flatnonzero(aug[row:, col])
-        if not below.size:
-            continue
-        pivot = row + int(below[0])
-        aug[[row, pivot]] = aug[[pivot, row]]
-        aug[row] = (aug[row] * pow(int(aug[row, col]), -1, p)) % p
-        factors = aug[:, col].copy()
-        factors[row] = 0
-        aug -= factors[:, None] * aug[row]
-        aug %= p
-        pivots.append((row, col))
-        row += 1
-        if row == m:
-            break
-    # inconsistent if a zero row has nonzero rhs
-    if np.count_nonzero(aug[~aug[:, :n].any(axis=1), n]):
-        return None
-    x = np.zeros(n, dtype=np.int64)
-    for r, c in pivots:
-        x[c] = aug[r, n]
-    return x if not ((A @ x - b) % p).any() else None

@@ -18,7 +18,6 @@ import numpy as np
 from .actions import (ActionMap, RingAutomorphism, is_G_simple, is_outer_action, kernel,
                       trivial_action)
 from . import closure
-from .closure import HowellBasis
 from .errors import DomainError, PreconditionError
 from .groups import GroupTable
 from .rings import FunctionRing, MatrixRing, ModularRing, RingSpec
@@ -122,10 +121,10 @@ def _element_json(r: SkewElement) -> dict:
     return {"element": r.serialize()}
 
 
-def necessary_conditions(ev: InstanceEvaluation | SkewContext, *, oracle: bool = True) -> CheckReport:
+def necessary_conditions(ev: InstanceEvaluation | SkewContext) -> CheckReport:
     """The three conditions forced by simplicity: centre a field, coefficient
-    ring G-simple, action injective. With the oracle enabled, simplicity of R
-    is computed and the implication is asserted."""
+    ring G-simple, action injective. Simplicity of R is computed by the
+    oracle and the implication is asserted."""
     ev = _as_evaluation(ev)
     report = CheckReport("necessary_conditions")
     obstruction = ev.center_obstruction
@@ -141,10 +140,6 @@ def necessary_conditions(ev: InstanceEvaluation | SkewContext, *, oracle: bool =
         "sigma_injective", ev.sigma_injective,
         witness=None if ev.sigma_injective else {"group_element": ev.ctx.group.name(
             min(g for g in ev.kernel.members if g != 0))})
-    if not oracle:
-        report.conclusions["simple_implies_necessary"] = None
-        report.notes.append("criterion-only mode: oracle not consulted")
-        return report
     simple = ev.simplicity.value
     report.verdicts["simple"] = CriterionVerdict("simple", simple, method="oracle",
                                                  note=ev.simplicity.note)
@@ -291,24 +286,10 @@ def center_containment_check(ev: InstanceEvaluation | SkewContext) -> CheckRepor
 
 
 def _least_central_outside_e(ctx: SkewContext) -> SkewElement:
-    """The least-rank central element outside the identity component.
-
-    The centre is the direct sum of its parts on the conjugacy classes, each
-    spanned by its own basis rows, and ranks add over their disjoint
-    supports; so the element is the least nonzero member of one part other
-    than {e}. Each part is enumerated on its own, cap-checked on its size.
-    """
-    n, d, centre = ctx.char, ctx.ring.dim, ctx.center_basis
-    class_of = {g: c for c, cls in enumerate(ctx.group.conjugacy_classes) for g in cls}
-    parts: dict[int, HowellBasis] = {}
-    for row, piv in zip(centre.rows, centre.pivots):
-        if piv >= d:
-            parts.setdefault(class_of[piv // d], HowellBasis(n, ctx.dim)).insert(row)
-    cols, cap = ctx.rank_columns, ctx.ring.caps.enumeration
-    # the zero member comes first in rank order, the least nonzero one second
-    least = np.stack([part.sorted_members(cols, cap, "centre class enumeration")[1]
-                      for part in parts.values()])
-    return ctx.element_of_vec(least[np.lexsort(least[:, cols[::-1]].T)[0]])
+    """The least-rank central element outside the identity component, for a
+    centre not inside it: the least nonzero member of the centre, since slot
+    e is the most significant in rank order (``HowellBasis.least_member``)."""
+    return ctx.element_of_vec(ctx.center_basis.least_member(ctx.rank_columns))
 
 
 def centralizer_kernel_check(ev: InstanceEvaluation | SkewContext) -> CheckReport:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .actions import ActionMap, RingAutomorphism, kernel
+from .actions import ActionMap, RingAutomorphism
 from .closure import HowellBasis
 from .config import Caps
 from .criteria import CheckReport, CriterionVerdict, InstanceEvaluation
@@ -144,7 +144,7 @@ def faithful_minimal_check(T: TransformationGroup) -> CheckReport:
     ev = T.evaluation
     faithful = T.is_faithful()
     minimal = T.is_minimal()
-    injective = kernel(T.action).is_trivial
+    injective = ev.sigma_injective
     g_simple = bool(ev.g_simplicity.value)
     report.verdicts["faithful"] = CriterionVerdict("faithful", faithful)
     report.verdicts["minimal"] = CriterionVerdict("minimal", minimal)

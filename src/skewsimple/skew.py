@@ -19,8 +19,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .actions import ActionMap, is_G_simple
-from .closure import (ClosureEngine, HowellBasis, check_int64, gauss_solve, kernel_basis,
-                      kernel_rows)
+from .closure import ClosureEngine, HowellBasis, check_int64, kernel_basis, kernel_rows, solve
 from .config import Caps
 from .errors import CapacityError, DomainError, PreconditionError
 from .groups import GroupTable
@@ -414,10 +413,11 @@ def is_max_commutative_A(ctx: SkewContext) -> bool:
 
 def commuting_witness_outside_A(ctx: SkewContext) -> SkewElement | None:
     """The nonzero a u_g (g != e) commuting with A of least g, and of least
-    rank a within C_g, when one exists."""
-    for g in range(1, ctx.group.order):
-        if ctx.centralizer_slots[g].rank:
-            return ctx.monomial(next(a for a in _slot_payloads(ctx, g) if a != ctx.ring.zero), g)
+    rank a within C_g (``HowellBasis.least_member``), when one exists."""
+    ring = ctx.ring
+    for g, slot in enumerate(ctx.centralizer_slots[1:], 1):
+        if slot.rank:
+            return ctx.monomial(ring.from_vec(slot.least_member(ring.rank_columns).tolist()), g)
     return None
 
 
@@ -623,10 +623,10 @@ def _sweep_prime(ctx: SkewContext) -> SkewSimplicity:
     for i in range(1, size):
         if skip[i]:
             continue
-        r = ctx.element_of_rank(i)
-        vec = np.asarray(ctx.vec_of(r), dtype=np.int64)
+        vec = (i // place) % ctx.char   # the coordinates of the element of rank i
         basis = engine.closure([vec])
         if not basis.is_full:
+            r = ctx.element_of_rank(i)
             return SkewSimplicity(False, "full_sweep", r, _witness_ideal(ctx, r, basis))
         if transforms is None:
             # rank 1 is always closed first; the certificate only ever proves
@@ -836,10 +836,10 @@ def support_reduce(ctx: SkewContext, r: SkewElement) -> SkewElement:
     if r.is_zero():
         raise DomainError("support reduction needs a nonzero element")
     ctx.check_within_cap("support reduction")
-    h = min(r.support)
-    r1 = r * ctx.unit_monomial(ctx.group.inv_table[h])
+    # the support of r u_{h^-1}, for the least h in the support of r
+    h_inv = ctx.group.inv_table[min(r.support)]
+    target_support = frozenset(ctx.group.mul_table[g][h_inv] for g in r.support)
     ideal = skew_ideal_closure(ctx, [r])
-    target_support = r1.support
     reduced = _find_support_slice(ctx, ideal, target_support)
     assert reduced is not None, "reduction element must exist under the hypotheses"
     assert ideal.contains(reduced)
@@ -874,11 +874,10 @@ def _find_support_slice(ctx: SkewContext, ideal: SkewIdeal,
             cols.extend(block)
             target.extend([0] * d)
     A = B[:, cols].T % ctx.char
-    sol = gauss_solve(ctx.char, A, np.array(target, dtype=np.int64))
+    sol = solve(ctx.char, A, np.array(target, dtype=np.int64))
     if sol is None:
         return None
-    vec = (sol @ B) % ctx.char
-    return ctx.element_of_vec(tuple(int(x) for x in vec))
+    return ctx.element_of_vec((sol @ B) % ctx.char)
 
 
 def smallest_member(ideal: SkewIdeal) -> SkewElement:

@@ -167,9 +167,10 @@ class NaiveHowell:
         return rest
 
 
-def naive_closure(n: int, dim: int, operators, seeds, *, stop_at_full: bool = True) -> NaiveHowell:
+def naive_closure(n: int, dim: int, operators, seeds) -> NaiveHowell:
     """The operator-stable span of the seeds, each operator applied on its own
-    to every inserted vector, in the insertion order of ``ClosureEngine``."""
+    to every inserted vector, in the insertion order of ``ClosureEngine``,
+    which stops at a full span."""
     ops = [np.asarray(op, dtype=np.int64) % n for op in operators]
     basis = NaiveHowell(n, dim)
     pending = [np.asarray(s, dtype=np.int64) for s in seeds]
@@ -177,7 +178,7 @@ def naive_closure(n: int, dim: int, operators, seeds, *, stop_at_full: bool = Tr
         vec = pending.pop() % n
         if not basis.insert(vec):
             continue
-        if stop_at_full and basis.is_full:
+        if basis.is_full:
             break
         pending.extend(op @ vec for op in ops)
     return basis
@@ -475,7 +476,7 @@ def naive_is_central(r) -> bool:
 def naive_gauss_solve(p: int, A, b):
     """One solution x of A x = b over F_p (free variables zero), or None:
     Gauss-Jordan clearing each pivot column from the other rows one row at a
-    time (the reference for ``closure.gauss_solve``)."""
+    time (the reference for ``closure.solve``)."""
     A = np.asarray(A, dtype=np.int64) % p
     b = np.asarray(b, dtype=np.int64) % p
     m, n = A.shape

@@ -5,10 +5,11 @@ composite characteristic, the Frobenius field test must give the verdict of
 the pairwise loop in ``naive.py``, with an obstruction that is nonzero,
 central and has no inverse in the enumerated centre; the centre laws, the
 containment check and the smallest-member selection of ``central_witness``
-must answer exactly as the loops in ``naive.py``; and the centralizer's slot
-kernels and the centre's basis, with everything read off them, must equal
-the payload-by-payload loops there; and ``is_central`` must answer as the
-commutation loop there.
+must answer exactly as the loops in ``naive.py``; the least members read off
+the Howell rows must be the first nonzero ones of the sorted enumeration;
+the centralizer's slot kernels and the centre's basis, with everything read
+off them, must equal the payload-by-payload loops there; and ``is_central``
+must answer as the commutation loop there.
 """
 
 import numpy as np
@@ -107,6 +108,28 @@ def test_centralizer_and_centre_bases_match_naive(ctx):
         members = kernel(ctx.action).members
         assert matches == all(len(comps[g]) == (ring.size if g in members else 1)
                               for g in range(group.order))
+
+
+# spans up to this size are enumerated for the least-member reference
+_SORTED_LIMIT = 1 << 14
+
+
+@pytest.mark.parametrize("ctx", [ctx for _, ctx in CASES], ids=[name for name, _ in CASES])
+def test_least_members_match_the_sorted_enumeration(ctx):
+    # the centre and its part on each conjugacy class other than {e}, in R's
+    # rank order, and each nonzero centralizer slot C_g, in A's rank order
+    d = ctx.ring.dim
+    class_of = {g: c for c, cls in enumerate(ctx.group.conjugacy_classes) for g in cls}
+    parts = {}
+    for row, piv in zip(ctx.center_basis.rows, ctx.center_basis.pivots):
+        if piv >= d:
+            parts.setdefault(class_of[piv // d], HowellBasis(ctx.char, ctx.dim)).insert(row)
+    spans = [(part, ctx.rank_columns) for part in [ctx.center_basis, *parts.values()]]
+    spans += [(slot, ctx.ring.rank_columns) for slot in ctx.centralizer_slots if slot.rank]
+    for span, columns in spans:
+        if span.size <= _SORTED_LIMIT:
+            expected = span.sorted_members(columns, _SORTED_LIMIT, "test")[1]
+            assert span.least_member(columns).tolist() == expected.tolist()
 
 
 @pytest.mark.parametrize("ctx", [ctx for _, ctx in SMALL_CASES],

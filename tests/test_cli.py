@@ -169,6 +169,30 @@ def test_check_builds_a_ring_above_its_enumeration_cap(tmp_path):
     assert run_cli("report", str(out)).returncode == 0
 
 
+def test_least_member_witnesses_are_chosen_above_the_enumeration_cap(tmp_path):
+    # F_2^5 x| Z/2 with the trivial action is commutative: its centre and the
+    # slot C_1 are 32 elements each, above the cap of 16, and the least
+    # central element outside u_e and the least commuting a u_1 are both the
+    # least nonzero payload at slot 1, read off the Howell rows
+    doc = {"name": "capped_group_ring", "ring": {"kind": "function", "points": 5, "q": 2},
+           "group": _Z2, "action": {"kind": "trivial"}, "caps": {"enumeration": 16},
+           "witness_search": True}
+    path = tmp_path / "capped.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "report.json"
+    result = run_cli("check", str(path), "--format", "json", "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    checks = json.loads(out.read_text(encoding="utf-8"))["checks"]
+    assert checks.pop("outer_simplicity")["status"] == "precondition_failed"
+    assert all(check["status"] == "ran" for check in checks.values())
+    least = {"element": [["1", [0, 0, 0, 0, 1]]]}
+    assert checks["center_containment"]["verdicts"]["center_in_identity_component"] == {
+        "assertion": "center_in_identity_component", "method": "criterion", "value": False,
+        "witness": least}
+    assert checks["commutative_simplicity"]["verdicts"]["max_commutative"]["witness"] == least
+    assert run_cli("report", str(out)).returncode == 0
+
+
 def test_check_rejects_unknown_check_name():
     result = run_cli("check", str(FIXTURES / "swap2.json"), "--checks", "bogus")
     assert result.returncode == 2

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from skewsimple import CapacityError
-from skewsimple.closure import (BitBasis, ClosureEngine, HowellBasis, gauss_solve, kernel_basis,
-                                kernel_rows)
+from skewsimple.closure import (BitBasis, ClosureEngine, HowellBasis, _minimal_polynomial,
+                                kernel_basis, kernel_rows, solve)
 
 from naive import (NaiveHowell, abelian_span, naive_closure, naive_gauss_solve,
                    tuple_add_mod)
@@ -108,10 +108,10 @@ def closure_problems(draw):
 
 
 @settings(max_examples=150)
-@given(closure_problems(), st.booleans())
-def test_engine_matches_naive_span(problem, stop_at_full):
+@given(closure_problems())
+def test_engine_matches_naive_span(problem):
     n, dim, ops, seeds = problem
-    basis = ClosureEngine(n, dim, ops).closure(seeds, stop_at_full=stop_at_full)
+    basis = ClosureEngine(n, dim, ops).closure(seeds)
     maps = [lambda v, m=m: tuple(int(x) for x in (m @ np.array(v)) % n) for m in ops]
     span = abelian_span(seeds, maps, tuple_add_mod(n), (0,) * dim)
     members = list(basis.iter_vectors())
@@ -294,8 +294,8 @@ def f2_closure_problems(draw):
 
 
 @settings(max_examples=100)
-@given(f2_closure_problems(), st.booleans())
-def test_f2_engine_matches_reference_closure_in_insertion_order(problem, stop_at_full):
+@given(f2_closure_problems())
+def test_f2_engine_matches_reference_closure_in_insertion_order(problem):
     dim, seed, n_ops, n_seeds, density = problem
     rng = np.random.default_rng(seed)
     ops = [(rng.random((dim, dim)) < density).astype(np.int64) for _ in range(n_ops)]
@@ -314,8 +314,8 @@ def test_f2_engine_matches_reference_closure_in_insertion_order(problem, stop_at
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(BitBasis, "_insert_bits", spy)
         patch.setattr(NaiveHowell, "insert", ref_spy)
-        basis = ClosureEngine(2, dim, ops).closure(seeds, stop_at_full=stop_at_full)
-        ref = naive_closure(2, dim, ops, seeds, stop_at_full=stop_at_full)
+        basis = ClosureEngine(2, dim, ops).closure(seeds)
+        ref = naive_closure(2, dim, ops, seeds)
     _assert_same_basis(basis, ref)
     # the same vectors were popped, in the same order
     assert offered == ref_offered
@@ -427,24 +427,24 @@ def test_kernel_rows_over_z_mod_n_match_brute_force(n):
         assert kernel.size == len(brute)
 
 
-def test_gauss_solve_consistent_and_inconsistent():
+def test_solve_consistent_and_inconsistent():
     A = np.array([[1, 1], [0, 1], [1, 0]])
     b = np.array([0, 1, 2])
-    x = gauss_solve(3, A, b)
+    x = solve(3, A, b)
     assert x is not None
     assert not ((A @ x - b) % 3).any()
-    bad = gauss_solve(2, np.array([[1, 0], [1, 0]]), np.array([0, 1]))
+    bad = solve(2, np.array([[1, 0], [1, 0]]), np.array([0, 1]))
     assert bad is None
 
 
 @given(st.integers(0, 2**9 - 1))
-def test_gauss_solve_finds_solutions_when_they_exist(code):
+def test_solve_finds_solutions_when_they_exist(code):
     # random 3x3 systems over F_2 against brute force
     bits = [(code >> k) & 1 for k in range(9)]
     A = np.array(bits, dtype=np.int64).reshape(3, 3)
     for target in range(8):
         b = np.array([(target >> k) & 1 for k in range(3)], dtype=np.int64)
-        x = gauss_solve(2, A, b)
+        x = solve(2, A, b)
         brute = next((np.array([(v >> k) & 1 for k in range(3)])
                       for v in range(8)
                       if not ((A @ np.array([(v >> k) & 1 for k in range(3)]) - b) % 2).any()),
@@ -459,13 +459,62 @@ def test_gauss_solve_finds_solutions_when_they_exist(code):
 @settings(max_examples=300)
 @given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 5), st.integers(1, 5),
        st.integers(0, 2**32 - 1))
-def test_gauss_solve_matches_the_row_by_row_reference(p, m, n, seed):
+def test_solve_matches_the_row_by_row_reference(p, m, n, seed):
     rng = np.random.default_rng(seed)
     A = rng.integers(0, p, size=(m, n))
     if n > 1:
         A[:, -1] = (A[:, 0] * int(rng.integers(0, p))) % p   # a dependent column
     for b in (rng.integers(0, p, size=m), (A @ rng.integers(0, p, size=n)) % p):
-        x, ref = gauss_solve(p, A, b), naive_gauss_solve(p, A, b)
+        x, ref = solve(p, A, b), naive_gauss_solve(p, A, b)
         assert (x is None) == (ref is None)
         if x is not None:
             assert x.tolist() == ref.tolist()
+
+
+def test_solve_refuses_a_modulus_whose_products_wrap():
+    # the Mersenne prime 2^61 - 1: (p - 1)^2 is far above 2^63
+    p = 2**61 - 1
+    with pytest.raises(CapacityError, match="int64"):
+        solve(p, np.array([[1, 2], [3, 4]]), np.array([5, 6]))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_minimal_polynomial_matches_the_first_dependent_power(p):
+    # z in the matrix algebra M_3(F_p) acting on itself by left
+    # multiplication: the powers of z up to the first one in the span of
+    # those before it, and that power's coefficients found by brute force
+    rng = np.random.default_rng(p)
+    one = np.eye(3, dtype=np.int64).ravel()
+
+    def left_mul(z):
+        return np.kron(z.reshape(3, 3), np.eye(3, dtype=np.int64)) % p
+
+    for _ in range(12):
+        z = rng.integers(0, p, size=9)
+        if rng.random() < 0.3:
+            z = (int(rng.integers(0, p)) * one) % p   # a scalar: degree 1
+        powers = [one]
+        while True:
+            nxt = (left_mul(z) @ powers[-1]) % p
+            coeffs = next((c for c in itertools.product(range(p), repeat=len(powers))
+                           if not ((np.array(c) @ np.stack(powers) - nxt) % p).any()), None)
+            if coeffs is not None:
+                break
+            powers.append(nxt)
+        assert _minimal_polynomial(p, left_mul, z, one) == list(coeffs)
+
+
+@settings(max_examples=300)
+@given(insertion_problems(), st.integers(0, 2**32 - 1))
+@example(UNIT_NONUNIT_BEZOUT, 0)
+def test_least_member_is_the_first_nonzero_sorted_member(problem, seed):
+    # in a random column order, over primes, F_2 and Z/12, Z/36
+    n, dim, vecs, _ = problem
+    basis = HowellBasis(n, dim)
+    for vec in vecs:
+        basis.insert(np.array(vec, dtype=np.int64))
+    if not basis.rank:
+        return
+    columns = np.random.default_rng(seed).permutation(dim)
+    expected = basis.sorted_members(columns, basis.size, "test")[1]
+    assert basis.least_member(columns).tolist() == expected.tolist()

@@ -41,12 +41,6 @@ def test_necessary_conditions_inner_simple(conj_f3_ctx):
     assert report.conclusions["simple_implies_necessary"] is True
 
 
-def test_necessary_conditions_criterion_only(swap_ctx):
-    report = necessary_conditions(swap_ctx, oracle=False)
-    assert "simple" not in report.verdicts
-    assert report.conclusions["simple_implies_necessary"] is None
-
-
 def test_abelian_simplicity_on_catalogue():
     for make, expect_simple in [(swap_context, True), (conj_f3_context, True),
                                 (conj_f2_context, False), (trivial_f2_z2_context, False),

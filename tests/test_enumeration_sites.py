@@ -1,11 +1,15 @@
-"""Every place in the package that enumerates A is on an allow-list.
+"""Every place in the package that enumerates A, or the members of a Howell
+basis, is on an allow-list.
 
 The centre, the twisted centralizers, the fixed ring and outerness are
 kernels of linear maps on A's coordinates, so no A-level fact needs to walk
-every payload of A. A call to ``.payloads()`` or ``.check_enumerable(``, or a
-read of ``.units``, anywhere in ``src/skewsimple`` outside ALLOWED fails this
-test; a new enumeration of A needs a deliberate edit of the list, and so does
-removing one.
+every payload of A; and the least nonzero member of a span in a column order
+is read off its rows (``HowellBasis.least_member``), so no selection of one
+member needs to walk the span. A call to ``.payloads()``,
+``.check_enumerable(``, ``.sorted_members(`` or ``.iter_chunks()``, or a read
+of ``.units``, anywhere in ``src/skewsimple`` outside ALLOWED fails this test;
+a new enumeration needs a deliberate edit of the list, and so does removing
+one.
 """
 
 import ast
@@ -28,7 +32,16 @@ ALLOWED = {
     # table automorphisms and their validation
     ("actions.py", "RingAutomorphism.from_table"): {"check_enumerable"},
     ("actions.py", "ActionMap._check_automorphism"): {"check_enumerable", "payloads"},
+    # the members of a span: materialized in rank order (cap-checked), and
+    # walked for the smallest-support member of an ideal
+    ("closure.py", "HowellBasis.iter_vectors"): {"iter_chunks"},
+    ("closure.py", "HowellBasis.sorted_members"): {"iter_chunks"},
+    ("rings.py", "RingSpec.members"): {"sorted_members"},
+    ("skew.py", "SkewContext.members"): {"sorted_members"},
+    ("skew.py", "smallest_member"): {"iter_chunks"},
 }
+
+ENUMERATING_CALLS = ("payloads", "check_enumerable", "sorted_members", "iter_chunks")
 
 
 class _Sites(ast.NodeVisitor):
@@ -49,7 +62,7 @@ class _Sites(ast.NodeVisitor):
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in ("payloads", "check_enumerable"):
+        if isinstance(func, ast.Attribute) and func.attr in ENUMERATING_CALLS:
             self._add(func.attr)
         self.generic_visit(node)
 
@@ -78,5 +91,8 @@ def test_the_scan_sees_calls_and_reads():
         "class K:\n"
         "    def f(self, ring):\n"
         "        ring.check_enumerable('x')\n"
-        "        return [a for a in ring.payloads()] + list(ring.units)\n"))
-    assert visitor.found == {("example.py", "K.f"): {"check_enumerable", "payloads", "units"}}
+        "        return [a for a in ring.payloads()] + list(ring.units)\n"
+        "def g(basis):\n"
+        "    return basis.sorted_members(c, 16, 'x'), list(basis.iter_chunks())\n"))
+    assert visitor.found == {("example.py", "K.f"): {"check_enumerable", "payloads", "units"},
+                             ("example.py", "g"): {"sorted_members", "iter_chunks"}}

@@ -444,7 +444,7 @@ def test_dual_engine_keeps_annihilators_of_ideals(conj_f2_ctx):
     rows = np.stack(ideal.basis.rows)
     annihilator = kernel_rows(ctx.char, np.eye(ctx.dim, dtype=np.int64), rows.T)
     assert len(annihilator) == ctx.dim - ideal.basis.rank > 0
-    closed = ctx.dual_engine.closure(annihilator, stop_at_full=False)
+    closed = ctx.dual_engine.closure(annihilator)
     assert closed.rank == len(annihilator)
 
 
