@@ -114,6 +114,11 @@ class RingAutomorphism:
         ring = self.ring
         if ring.dim > MAX_DIM:
             raise CapacityError("dimension", MAX_DIM, ring.dim, "automorphism matrix")
+        if self.kind == "permutation":
+            # coordinate j of point i is read from coordinate j of point perm[i]
+            m = ring.gf.degree
+            perm = np.array(self.params[0], dtype=np.intp)
+            return np.eye(ring.dim, dtype=np.int64)[(perm[:, None] * m + np.arange(m)).ravel()]
         cols = [ring.to_vec(self.apply(b)) for b in ring.additive_generators()]
         return np.array(cols, dtype=np.int64).T % ring.char
 

@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from . import __version__
+from . import __version__, canonical
 from .errors import InstanceParseError, SkewSimpleError
 from .instances import load_instance
 from .report import canonical_json, render_text, revalidate_report, run_checks
@@ -99,7 +99,7 @@ def _cmd_suite(args) -> int:
     violations.extend(sweeps["violations"])
     doc["violations"] = violations
     if args.format == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(canonical.dumps(doc), end="")
     else:
         if "dynamics_catalogue" in doc:
             cat = doc["dynamics_catalogue"]

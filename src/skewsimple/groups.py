@@ -13,6 +13,9 @@ import numpy as np
 from .config import Caps
 from .errors import CapacityError, DomainError
 
+# entries of M[M[a, b], c] one step of the associativity check holds
+_AXIOM_BLOCK = 1 << 20
+
 
 def _perm_label(points: list[int], images: list[int]) -> str:
     """Cycle notation on 0-based points, 'e' for the identity, of the
@@ -84,13 +87,13 @@ def _check_orbits(moved: list[int], gens: list[np.ndarray], cap: int) -> None:
                         raise CapacityError("group_order", cap, cap + 1, "permutation group orbit")
 
 
-def _close_permutations(degree: int, gens: list[np.ndarray], cap: int) -> np.ndarray:
-    """Every product of the generators, as the one-line rows of one matrix in
-    lexicographic order (the identity first); refused once more than cap
-    elements are found.
+def _close_permutations(degree: int, gens: list[np.ndarray], cap: int) -> list[np.ndarray]:
+    """Every product of the generators, as one-line rows in lexicographic
+    order (the identity first); refused once more than cap elements are
+    found.
 
     Elements are keyed by their bytes as big-endian words, whose order is the
-    lexicographic order of the points."""
+    lexicographic order of the points; each row is a view of its key."""
     word = np.dtype(">u4") if degree <= 1 << 32 else np.dtype(">u8")
     identity = np.arange(degree, dtype=word)
     elems = {identity.tobytes()}
@@ -108,7 +111,7 @@ def _close_permutations(degree: int, gens: list[np.ndarray], cap: int) -> np.nda
                     elems.add(key)
                     nxt.append(c)
         frontier = nxt
-    return np.frombuffer(b"".join(sorted(elems)), dtype=word).reshape(len(elems), degree)
+    return [np.frombuffer(key, dtype=word) for key in sorted(elems)]
 
 
 def _separating_points(perms: np.ndarray) -> np.ndarray:
@@ -154,34 +157,39 @@ class GroupTable:
         self.inv_table = self._build_inverses()
 
     def _verify_axioms(self) -> None:
+        """Check the group laws, reporting the first failure in loop order.
+        Associativity is one whole-array test, M[M[a, b], c] against
+        M[a, M[b, c]], over blocks of a so that no more than _AXIOM_BLOCK
+        entries are held at once; the identity and inverse tests compare
+        whole rows."""
         n = self.order
-        for i, row in enumerate(self.mul_table):
+        rows = self.mul_table
+        for i, row in enumerate(rows):
             if len(row) != n:
                 raise DomainError(f"mul table row {i} has length {len(row)}, expected {n}")
             for x in row:
                 if not 0 <= x < n:
                     raise DomainError(f"mul table entry {x} out of range 0..{n - 1}")
-        for g in range(n):
-            if self.mul_table[0][g] != g or self.mul_table[g][0] != g:
-                raise DomainError("index 0 is not a two-sided identity")
-        for a in range(n):
-            for b in range(n):
-                ab = self.mul_table[a][b]
-                for c in range(n):
-                    if self.mul_table[ab][c] != self.mul_table[a][self.mul_table[b][c]]:
-                        raise DomainError(f"multiplication not associative at ({a},{b},{c})")
-        for g in range(n):
-            if not any(self.mul_table[g][h] == 0 for h in range(n)):
+        elems = tuple(range(n))
+        if rows[0] != elems or tuple(row[0] for row in rows) != elems:
+            raise DomainError("index 0 is not a two-sided identity")
+        table = np.array(rows, dtype=np.intp)
+        step = max(1, _AXIOM_BLOCK // (n * n))
+        for lo in range(0, n, step):
+            block = np.arange(lo, min(lo + step, n))[:, None, None]
+            wrong = table[table[lo:lo + step]] != table[block, table[None]]
+            if wrong.any():
+                a, b, c = (int(i) for i in np.argwhere(wrong)[0])
+                raise DomainError(f"multiplication not associative at ({lo + a},{b},{c})")
+        for g, row in enumerate(rows):
+            if 0 not in row:
                 raise DomainError(f"element {g} has no inverse")
 
     def _build_inverses(self) -> tuple[int, ...]:
-        inv = [0] * self.order
-        for g in range(self.order):
-            for h in range(self.order):
-                if self.mul_table[g][h] == 0 and self.mul_table[h][g] == 0:
-                    inv[g] = h
-                    break
-        return tuple(inv)
+        """Per g, the h with g h = e: a monoid in which every element has a
+        right inverse is a group, so each row is a permutation and this h
+        is the only one, with h g = e as well."""
+        return tuple(row.index(0) for row in self.mul_table)
 
     # constructors --------------------------------------------------------
     @classmethod
@@ -235,16 +243,25 @@ class GroupTable:
         moved_points = moved.tolist()
         _check_orbits(moved_points, gens, caps.group_order)
         elems = _close_permutations(degree, gens, caps.group_order)
+        # every element permutes the moved points, so the table and the names
+        # are read off those columns alone
+        on_moved = np.stack([row[moved] for row in elems]).astype(np.intp)
         # a product is known by its values on points S separating the
         # elements: (a b)[S] = a[b[S]], for all pairs in one indexing
-        on_points = elems[:, _separating_points(elems)]
+        on_points = on_moved[:, _separating_points(on_moved)]
         index = {tuple(row): i for i, row in enumerate(on_points.tolist())}
-        mul = [[index[tuple(ab)] for ab in row] for row in elems[:, on_points].tolist()]
-        names = [_perm_label(moved_points, images) for images in elems[:, moved].tolist()]
+        products = on_moved[:, np.searchsorted(moved, on_points)]
+        mul = [[index[tuple(ab)] for ab in row] for row in products.tolist()]
+        names = [_perm_label(moved_points, images) for images in on_moved.tolist()]
         table = cls(mul, names, f"Perm{degree}", caps)
-        # tuples of points sharing one int object per point
+        # tuples of points sharing one int object per point; each row is
+        # released once its tuple is built, so one copy of the group is held
         shared = list(range(degree))
-        table.permutations = [tuple(map(shared.__getitem__, row.tolist())) for row in elems]
+        permutations = []
+        for i in range(len(elems)):
+            row, elems[i] = elems[i], None
+            permutations.append(tuple(map(shared.__getitem__, row.tolist())))
+        table.permutations = permutations
         return table
 
     @classmethod

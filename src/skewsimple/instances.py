@@ -14,6 +14,7 @@ from dataclasses import dataclass, field as dc_field
 import jsonschema
 from jsonschema.exceptions import best_match
 
+from . import canonical
 from .actions import action_from_descriptor
 from .config import Caps
 from .dynamics import TransformationGroup
@@ -152,7 +153,7 @@ class InstanceSpec:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.serialize(), indent=2, sort_keys=True) + "\n"
+        return canonical.dumps(self.serialize())
 
 
 def group_from_descriptor(desc: dict, caps: Caps | None = None) -> GroupTable:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import time
 
-from . import __version__
+from . import __version__, canonical
 from .actions import _payload as decode_payload
 from .criteria import (InstanceEvaluation, abelian_simplicity_check,
                        catalogue_notes, center_containment_check, center_structure_check,
@@ -122,9 +122,9 @@ def _run_one(name: str, ev: InstanceEvaluation, dyn: TransformationGroup | None)
 # serialization ------------------------------------------------------------------
 
 def canonical_json(report: dict, *, timings: bool = False) -> str:
-    """Deterministic serialization; timings excluded unless requested."""
-    doc = {k: v for k, v in report.items() if timings or k != "timings"}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Deterministic serialization (``canonical.dumps``); timings excluded
+    unless requested."""
+    return canonical.dumps({k: v for k, v in report.items() if timings or k != "timings"})
 
 
 def render_text(report: dict) -> str:

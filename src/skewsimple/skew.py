@@ -19,7 +19,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .actions import ActionMap, is_G_simple
-from .closure import ClosureEngine, HowellBasis, check_int64, kernel_basis, kernel_rows, solve
+from .closure import (FLOAT64_EXACT, ClosureEngine, HowellBasis, check_int64, kernel_basis,
+                      kernel_rows, solve)
 from .config import Caps
 from .errors import CapacityError, DomainError, PreconditionError
 from .groups import GroupTable
@@ -689,9 +690,15 @@ def _witness_search(ctx: SkewContext) -> SkewSimplicity:
         return [ctx.one - ctx.unit_monomial(g) for g in range(1, group.order)
                 if ctx.action.autos[g].is_identity()]
 
-    def commuting_components() -> list[SkewElement]:
-        return [ctx.monomial(a, 0) - ctx.monomial(a, g) for g in range(1, group.order)
-                for a in _slot_payloads(ctx, g) if a != ring.zero]
+    def commuting_components() -> Iterator[SkewElement]:
+        # every slot is checked against the cap before the first candidate,
+        # which are then built one at a time as the search reaches them
+        cap = ring.caps.enumeration
+        for slot in ctx.centralizer_slots[1:]:
+            if slot.size > cap:
+                raise CapacityError("enumeration", cap, slot.size, "centralizer component")
+        return (ctx.monomial(a, 0) - ctx.monomial(a, g) for g in range(1, group.order)
+                for a in _slot_payloads(ctx, g) if a != ring.zero)
 
     # each family is enumerated only when the ones before it decided nothing
     for family in (invariant_ideal, kernel_members, commuting_components):
@@ -732,16 +739,20 @@ CERTIFICATE_SEED = 0
 
 def certificate_draws(ctx: SkewContext) -> Iterator[np.ndarray]:
     """The seeded elements theta = sum_k L_{a_k} R_{b_k} of the enveloping
-    algebra E, as matrices over F_char (x -> sum_k a_k x b_k)."""
+    algebra E, as matrices over F_char (x -> sum_k a_k x b_k).
+
+    The coordinates are drawn in the order a_1, b_1, a_2, b_2, ...; the terms
+    of one theta are one stacked product, in float64 (a BLAS product) while
+    its entries, integers of at most dim*(char-1)^2, are exact there."""
     p, dim = ctx.char, ctx.dim
+    dtype = np.float64 if dim * (p - 1) ** 2 < FLOAT64_EXACT else np.int64
     rng = random.Random(CERTIFICATE_SEED)
     for _ in range(CERTIFICATE_DRAWS):
-        theta = np.zeros((dim, dim), dtype=np.int64)
-        for _ in range(CERTIFICATE_TERMS):
-            a = [rng.randrange(p) for _ in range(dim)]
-            b = [rng.randrange(p) for _ in range(dim)]
-            theta += (left_multiplication(ctx, a) @ right_multiplication(ctx, b)) % p
-        yield theta % p
+        coords = [[rng.randrange(p) for _ in range(dim)] for _ in range(2 * CERTIFICATE_TERMS)]
+        lefts = left_multiplications(ctx, coords[0::2]).astype(dtype, copy=False)
+        rights = right_multiplications(ctx, coords[1::2]).astype(dtype, copy=False)
+        terms = (lefts @ rights).astype(np.int64, copy=False) % p
+        yield terms.sum(axis=0) % p
 
 
 def certify_simple(ctx: SkewContext) -> bool:
@@ -835,7 +846,6 @@ def support_reduce(ctx: SkewContext, r: SkewElement) -> SkewElement:
     _require_reduction_hypotheses(ctx)
     if r.is_zero():
         raise DomainError("support reduction needs a nonzero element")
-    ctx.check_within_cap("support reduction")
     # the support of r u_{h^-1}, for the least h in the support of r
     h_inv = ctx.group.inv_table[min(r.support)]
     target_support = frozenset(ctx.group.mul_table[g][h_inv] for g in r.support)

@@ -23,10 +23,15 @@ The Howell reference inserts into a list of rows, one row at a time: every
 reduction and every update of the rows above is a loop over the rows, and
 closures apply the operators one by one. The linear solver clears a pivot
 column row by row, and the unit-orbit transforms are one product each.
+The certificate's draws are one single-vector multiplication matrix and one
+product per term; the group laws and inverses are checked entry by entry in
+loop order; a coordinate permutation's matrix is built from the image of
+each additive generator.
 """
 
 from __future__ import annotations
 
+import random
 from bisect import bisect_left
 from math import gcd
 from typing import Callable, Iterable, Sequence
@@ -512,3 +517,67 @@ def naive_orbit_transforms(ctx) -> np.ndarray:
     lefts, rights = ctx.unit_monomial_matrices
     units = [c for c in range(1, n) if gcd(c, n) == 1]
     return np.concatenate([(c * (lg @ rh)) % n for lg in lefts for rh in rights for c in units])
+
+
+def naive_certificate_draws(ctx) -> list[np.ndarray]:
+    """The certificate's seeded theta = sum_k L_{a_k} R_{b_k}, one single-vector
+    multiplication matrix and one int64 product per term (the reference for
+    ``skew.certificate_draws``)."""
+    from skewsimple.skew import (CERTIFICATE_DRAWS, CERTIFICATE_SEED, CERTIFICATE_TERMS,
+                                 left_multiplication, right_multiplication)
+    p, dim = ctx.char, ctx.dim
+    rng = random.Random(CERTIFICATE_SEED)
+    draws = []
+    for _ in range(CERTIFICATE_DRAWS):
+        theta = np.zeros((dim, dim), dtype=np.int64)
+        for _ in range(CERTIFICATE_TERMS):
+            a = [rng.randrange(p) for _ in range(dim)]
+            b = [rng.randrange(p) for _ in range(dim)]
+            theta += (left_multiplication(ctx, a) @ right_multiplication(ctx, b)) % p
+        draws.append(theta % p)
+    return draws
+
+
+def naive_group_axioms(mul) -> str | None:
+    """The first failing group law of a square table over 0..n-1 with identity
+    0, as ``GroupTable`` words it, checked entry by entry in loop order (the
+    reference for ``GroupTable._verify_axioms``); None when it is a group."""
+    n = len(mul)
+    for i, row in enumerate(mul):
+        if len(row) != n:
+            return f"mul table row {i} has length {len(row)}, expected {n}"
+        for x in row:
+            if not 0 <= x < n:
+                return f"mul table entry {x} out of range 0..{n - 1}"
+    for g in range(n):
+        if mul[0][g] != g or mul[g][0] != g:
+            return "index 0 is not a two-sided identity"
+    for a in range(n):
+        for b in range(n):
+            ab = mul[a][b]
+            for c in range(n):
+                if mul[ab][c] != mul[a][mul[b][c]]:
+                    return f"multiplication not associative at ({a},{b},{c})"
+    for g in range(n):
+        if not any(mul[g][h] == 0 for h in range(n)):
+            return f"element {g} has no inverse"
+    return None
+
+
+def naive_inverses(mul) -> tuple[int, ...]:
+    """Per g, the least h with g h = h g = 0 (0 when there is none)."""
+    inv = [0] * len(mul)
+    for g in range(len(mul)):
+        for h in range(len(mul)):
+            if mul[g][h] == 0 and mul[h][g] == 0:
+                inv[g] = h
+                break
+    return tuple(inv)
+
+
+def naive_permutation_matrix(auto) -> np.ndarray:
+    """The matrix of a coordinate permutation, column j the coordinates of
+    its image of the j-th additive generator."""
+    ring = auto.ring
+    cols = [ring.to_vec(auto.apply(b)) for b in ring.additive_generators()]
+    return np.array(cols, dtype=np.int64).T % ring.char

@@ -1,6 +1,7 @@
 import time
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,7 +17,7 @@ from skewsimple.rings import first_proper_ideal
 from conftest import (conj_f2_context, conj_f3_context, natural_s3_context,
                       rotation_z3_context, swap_context, trivial_f2_z2_context,
                       two_two_cycles_context)
-from naive import naive_automorphism_violation
+from naive import naive_automorphism_violation, naive_permutation_matrix
 
 # every ring of at most 16 elements the three families build
 SMALL_RINGS = ([ModularRing(n) for n in range(2, 17)]
@@ -478,3 +479,18 @@ def test_fixed_ring_is_unital_subring():
         for b in fixed:
             assert ring3.add(a, b) in fixed
             assert ring3.mul(a, b) in fixed
+
+
+def test_permutation_matrices_match_the_generator_images():
+    # every coordinate permutation of the catalogue and the sampler, and of
+    # function rings over F_4 and F_9 (two coordinates per point)
+    contexts = [T.context for T in catalogue()]
+    contexts += [inst.ctx for inst in InstanceSampler(0, 4096).draw_many(200)]
+    autos = [auto for ctx in contexts for auto in ctx.action.autos if auto.kind == "permutation"]
+    for q in (4, 9):
+        ring = FunctionRing(3, q)
+        autos += [RingAutomorphism.coordinate_permutation(ring, perm)
+                  for perm in permutations(range(3))]
+    assert len(autos) > 100
+    for auto in autos:
+        assert np.array_equal(auto.matrix(), naive_permutation_matrix(auto)), auto

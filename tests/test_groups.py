@@ -1,3 +1,5 @@
+import random
+import re
 import time
 
 import pytest
@@ -5,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from skewsimple import CapacityError, Caps, DomainError, GroupTable, Subgroup, stabilizer
 
-from naive import naive_permutation_group
+from naive import naive_group_axioms, naive_inverses, naive_permutation_group
 
 
 def test_cyclic_arithmetic():
@@ -131,6 +133,60 @@ def test_cyclic_subgroup_and_normality():
     assert sub.is_normal()
     swap = perms[(1, 0, 2)]
     assert not s3.cyclic_subgroup(swap).is_normal()
+
+
+def _verdict(mul):
+    try:
+        table = GroupTable(mul)
+    except DomainError as exc:
+        return str(exc)
+    assert table.inv_table == naive_inverses(mul)
+    return None
+
+
+def _broken_tables():
+    """Group tables broken each way the axioms can fail: rows of the wrong
+    length, entries out of range, a displaced identity, one entry changed
+    (associativity, mostly), and monoids without inverses."""
+    rng = random.Random(19)
+    bases = [[list(row) for row in group.mul_table] for group in (
+        GroupTable.cyclic_product([6]), GroupTable.cyclic_product([2, 2]),
+        GroupTable.symmetric(3), GroupTable.symmetric(4), GroupTable.cyclic_product([2, 4]))]
+    for mul in bases:
+        n = len(mul)
+        yield mul
+        for _ in range(60):
+            broken = [row[:] for row in mul]
+            a, b = rng.randrange(n), rng.randrange(n)
+            broken[a][b] = rng.choice([x for x in range(n) if x != mul[a][b]])
+            yield broken
+        for value in (n, -1):
+            broken = [row[:] for row in mul]
+            broken[rng.randrange(1, n)][rng.randrange(n)] = value
+            yield broken
+        yield mul[:1] + [row[:-1] if i == n // 2 else row for i, row in enumerate(mul[1:], 1)]
+        yield [row[1:] + row[:1] for row in mul]
+    # {e, z} with z z = z, and the two-sided zero monoid on three elements
+    yield [[0, 1], [1, 1]]
+    yield [[0, 1, 2], [1, 2, 2], [2, 2, 2]]
+
+
+def test_group_axioms_report_the_first_failure_as_the_loops_do():
+    kinds = set()
+    for mul in _broken_tables():
+        expected = naive_group_axioms(mul)
+        assert _verdict(mul) == expected, mul
+        kinds.add(expected and re.sub(r"-?\d+", "#", expected))
+    assert kinds == {None, "mul table row # has length #, expected #",
+                     "mul table entry # out of range #..#", "index # is not a two-sided identity",
+                     "multiplication not associative at (#,#,#)", "element # has no inverse"}
+
+
+def test_associativity_is_checked_in_blocks(monkeypatch):
+    from skewsimple import groups
+    monkeypatch.setattr(groups, "_AXIOM_BLOCK", 1)   # one a per step
+    for mul in _broken_tables():
+        assert _verdict(mul) == naive_group_axioms(mul)
 
 
 def test_identity_is_index_zero_everywhere():

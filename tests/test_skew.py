@@ -8,6 +8,7 @@ from skewsimple import (CapacityError, Caps, DomainError, FunctionRing, GroupTab
                         MatrixRing, ModularRing, PreconditionError, skew)
 from skewsimple.actions import ActionMap, RingAutomorphism, is_G_simple, trivial_action
 from skewsimple.closure import HowellBasis, kernel_rows
+from skewsimple.criteria import InstanceSampler
 from skewsimple.dynamics import TransformationGroup
 from skewsimple.skew import (SkewContext, SkewIdeal, augmentation, central_witness,
                              centralizer_components, centralizer_of_A, coeff_at_e,
@@ -19,7 +20,7 @@ from skewsimple.skew import (SkewContext, SkewIdeal, augmentation, central_witne
 from conftest import (conj_f2_context, conj_f3_context, natural_s3_context,
                       rotation_z3_context, swap_context, trivial_f2_z2_context,
                       two_two_cycles_context)
-from naive import naive_orbit_transforms, naive_skew_span
+from naive import naive_certificate_draws, naive_orbit_transforms, naive_skew_span
 
 
 def test_unit_monomials_invert_each_other():
@@ -352,6 +353,46 @@ def test_witness_search_claims_simplicity_only_by_certificate(monkeypatch):
         assert is_simple(ctx).value is False
 
 
+def test_certificate_draws_match_the_per_term_products(dynamics_catalogue):
+    # float64 products on the catalogue and the sampler; int64 for Z/p with
+    # dim (p-1)^2 above 2^53
+    contexts = [T.context for T in dynamics_catalogue]
+    contexts += [inst.ctx for inst in InstanceSampler(0, 4096).draw_many(100)]
+    ring, grp = ModularRing(100000007), GroupTable.cyclic_product([2])
+    contexts.append(SkewContext(ring, grp, trivial_action(grp, ring)))
+    for ctx in contexts:
+        draws = list(skew.certificate_draws(ctx))
+        expected = naive_certificate_draws(ctx)
+        assert len(draws) == len(expected)
+        for theta, reference in zip(draws, expected):
+            assert theta.dtype == np.int64
+            assert np.array_equal(theta, reference), ctx
+
+
+def test_commuting_candidates_are_built_as_the_search_reaches_them(monkeypatch):
+    # natural S4 on F_2^4 is decided by the first candidate of C_g, g = 1;
+    # the 22 other slots are never enumerated
+    s4 = GroupTable.symmetric(4)
+    slots = []
+    enumerate_slot = skew._slot_payloads
+    monkeypatch.setattr(skew, "_slot_payloads",
+                        lambda ctx, g: slots.append(g) or enumerate_slot(ctx, g))
+    ctx = TransformationGroup(4, s4, s4.permutations, 2, "natural_S4").context
+    verdict = is_simple(ctx)
+    assert (verdict.value, verdict.method) == (False, "witness_search")
+    assert verdict.witness == ctx.monomial((0, 1, 0, 0), 0) - ctx.monomial((0, 1, 0, 0), 1)
+    assert slots == [1]
+    # a slot above the cap (C_1 has 4 members) skips the family before any
+    # slot is enumerated; the centre's obstruction decides instead
+    slots.clear()
+    caps = Caps(enumeration=3)
+    ctx = TransformationGroup(4, GroupTable.symmetric(4, caps), s4.permutations, 2,
+                              "natural_S4", caps).context
+    verdict = is_simple(ctx)
+    assert (verdict.value, verdict.method) == (False, "witness_search")
+    assert slots == []
+
+
 @pytest.mark.parametrize("name", ["regular_Z4", "regular_Z2xZ2", "rotation_Z3_q3"])
 def test_certificate_decides_in_cap_simple_actions(dynamics_catalogue, name):
     T = next(T for T in dynamics_catalogue if T.name == name)
@@ -523,6 +564,18 @@ def test_support_reduce_two_term(swap_ctx):
     assert ideal.contains(reduced)
     assert coeff_at_e(reduced).payload == swap_ctx.ring.one
     assert len(reduced.support) <= len(r.support)
+
+
+def test_support_reduce_runs_above_the_enumeration_cap():
+    # one closure and one solve: |R| = 2^25 is far above the default cap
+    ring = FunctionRing(5, 2)
+    grp = GroupTable.cyclic_product([5])
+    shifts = [RingAutomorphism.coordinate_permutation(ring, [(i + g) % 5 for i in range(5)])
+              for g in range(5)]
+    ctx = SkewContext(ring, grp, ActionMap(grp, ring, shifts))
+    assert ctx.size > ctx.caps.enumeration
+    r = ctx.monomial((1, 0, 0, 0, 0), 0) + ctx.monomial((0, 1, 1, 0, 0), 2)
+    assert support_reduce(ctx, r).serialize() == [["0", [1, 1, 1, 1, 1]]]
 
 
 def test_support_reduce_checks_hypotheses(s3_ctx):
