@@ -259,8 +259,7 @@ class ActionMap:
         """Closures under the ring's ideal operators and the automorphisms of
         a generating set of the group (stability under those gives the rest)."""
         ring = self.ring
-        ops = ring.ideal_engine.operators + [self.autos[g].matrix()
-                                             for g in self.group.generators]
+        ops = ring.ideal_operators + [self.autos[g].matrix() for g in self.group.generators]
         return ClosureEngine(ring.char, ring.dim, ops)
 
     def fixed_space(self, rows) -> HowellBasis:
@@ -441,10 +440,11 @@ def _payload(ring: RingSpec, raw):
     numbers that are not integers are refused (``descriptor_int``)."""
     if isinstance(ring, ModularRing):
         return descriptor_int(raw, "payload") % ring.n
+    if not isinstance(raw, (list, tuple)):
+        raise DomainError(f"a payload of {ring!r} must be a list")
     if ring.descriptor[0] == "matrix":
         k = ring.k
-        if isinstance(raw, (list, tuple)) and len(raw) == k and all(
-                isinstance(r, (list, tuple)) for r in raw):
+        if len(raw) == k and all(isinstance(r, (list, tuple)) for r in raw):
             raw = [x for row in raw for x in row]
         flat = [descriptor_int(x, "payload entry") % ring.p for x in raw]
         if len(flat) != k * k:

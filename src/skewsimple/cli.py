@@ -18,7 +18,8 @@ import sys
 from . import __version__, canonical
 from .errors import InstanceParseError, SkewSimpleError
 from .instances import load_instance
-from .report import canonical_json, render_text, revalidate_report, run_checks
+from .report import (canonical_json, check_report_document, render_text, revalidate_report,
+                     run_checks)
 from .suite import run_dynamics_catalogue, run_randomized_suite
 
 EXIT_OK = 0
@@ -63,17 +64,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_check(args) -> int:
+    selection = None if args.checks is None else [s for s in args.checks.split(",") if s]
     try:
-        spec = load_instance(args.instance)
+        report = run_checks(load_instance(args.instance), selection)
     except (InstanceParseError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    selection = None
-    if args.checks is not None:
-        selection = [s for s in args.checks.split(",") if s]
-    try:
-        report = run_checks(spec, selection)
-    except InstanceParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.format == "json":
@@ -118,19 +112,15 @@ def _cmd_report(args) -> int:
     try:
         with open(args.report, "r", encoding="utf-8") as fh:
             report = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        check_report_document(report)
+        problems = [] if args.no_verify else revalidate_report(report)
+    except (OSError, json.JSONDecodeError, SkewSimpleError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if not args.no_verify:
-        try:
-            problems = revalidate_report(report)
-        except SkewSimpleError as exc:
-            print(f"input error: cannot rebuild instance: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-        if problems:
-            for problem in problems:
-                print(f"witness check failed: {problem}", file=sys.stderr)
-            return EXIT_VIOLATION
+    if problems:
+        for problem in problems:
+            print(f"witness check failed: {problem}", file=sys.stderr)
+        return EXIT_VIOLATION
     if args.format == "json":
         print(canonical_json(report, timings="timings" in report), end="")
     else:

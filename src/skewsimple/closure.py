@@ -448,12 +448,6 @@ class ClosureEngine:
         # packed v under every operator are the XOR of the columns at v's bits
         self._columns = _pack_rows(stacked.T) if n == 2 else None
 
-    @property
-    def operators(self) -> list[np.ndarray]:
-        """The operators, reduced modulo n."""
-        ops = self._stacked.astype(np.int64).reshape(-1, self.dim, self.dim)
-        return list(ops)
-
     def closure(self, seeds: Iterable[Sequence[int]]) -> HowellBasis:
         """Howell basis of the operator-stable span of the seed vectors; a
         full span is final and ends the worklist."""

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 DEFAULT_ENUMERATION_CAP = 1 << 16
 DEFAULT_GROUP_ORDER_CAP = 64
@@ -43,6 +43,3 @@ class Caps:
                 "WITNESS_CANDIDATE_BUDGET", DEFAULT_WITNESS_CANDIDATE_BUDGET
             ),
         )
-
-    def with_enumeration(self, cap: int) -> "Caps":
-        return replace(self, enumeration=cap)

@@ -10,20 +10,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import gcd
 
 import numpy as np
 
-from .actions import (ActionMap, RingAutomorphism, is_G_simple, is_outer_action, kernel,
-                      trivial_action)
+from .actions import ActionMap, RingAutomorphism, trivial_action
+from .actions import is_G_simple  # noqa: F401  (``bench/tracer.py`` wraps it under this name)
 from . import closure
 from .errors import DomainError, PreconditionError
 from .groups import GroupTable
 from .rings import FunctionRing, MatrixRing, ModularRing, RingSpec
 from .skew import (SkewContext, SkewElement, _payload_json, augmentation,
-                   commuting_witness_outside_A, is_max_commutative_A,
-                   is_simple, left_multiplication)
+                   commuting_witness_outside_A, left_multiplication)
 from .skew import skew_center  # noqa: F401  (``bench/tracer.py`` wraps it under this name)
 
 @dataclass
@@ -76,102 +74,63 @@ def field_obstruction(ctx: SkewContext) -> SkewElement | None:
     return None if z is None else ctx.element_of_vec(z)
 
 
-class InstanceEvaluation:
-    """Lazily computed, shared facts about one skew ring instance."""
-
-    def __init__(self, ctx: SkewContext) -> None:
-        self.ctx = ctx
-
-    @cached_property
-    def simplicity(self):
-        return is_simple(self.ctx)
-
-    @cached_property
-    def g_simplicity(self):
-        return is_G_simple(self.ctx.action)
-
-    @property
-    def center_obstruction(self) -> SkewElement | None:
-        return self.ctx.center_obstruction
-
-    @property
-    def center_is_field(self) -> bool:
-        return self.center_obstruction is None
-
-    @cached_property
-    def kernel(self):
-        return kernel(self.ctx.action)
-
-    @property
-    def sigma_injective(self) -> bool:
-        return self.kernel.is_trivial
-
-    @cached_property
-    def outer(self) -> bool:
-        return is_outer_action(self.ctx.action)
-
-    @cached_property
-    def max_commutative(self) -> bool | None:
-        if not self.ctx.ring.is_commutative:
-            return None
-        return is_max_commutative_A(self.ctx)
+def InstanceEvaluation(ctx: SkewContext) -> SkewContext:  # noqa: N802
+    """The context, which caches every fact (``bench/workloads.py`` calls this)."""
+    return ctx
 
 
 def _element_json(r: SkewElement) -> dict:
     return {"element": r.serialize()}
 
 
-def necessary_conditions(ev: InstanceEvaluation | SkewContext) -> CheckReport:
+def necessary_conditions(ctx: SkewContext) -> CheckReport:
     """The three conditions forced by simplicity: centre a field, coefficient
     ring G-simple, action injective. Simplicity of R is computed by the
     oracle and the implication is asserted."""
-    ev = _as_evaluation(ev)
     report = CheckReport("necessary_conditions")
-    obstruction = ev.center_obstruction
+    obstruction = ctx.center_obstruction
     report.verdicts["center_is_field"] = CriterionVerdict(
         "center_is_field", obstruction is None,
         witness=None if obstruction is None else _element_json(obstruction))
-    gs = ev.g_simplicity
+    gs = ctx.g_simplicity
     report.verdicts["g_simple"] = CriterionVerdict(
         "g_simple", gs.value,
         witness=None if gs.value else {
-            "coefficient": _payload_json(ev.ctx.ring, gs.witness.payload)})
+            "coefficient": _payload_json(ctx.ring, gs.witness.payload)})
     report.verdicts["sigma_injective"] = CriterionVerdict(
-        "sigma_injective", ev.sigma_injective,
-        witness=None if ev.sigma_injective else {"group_element": ev.ctx.group.name(
-            min(g for g in ev.kernel.members if g != 0))})
-    simple = ev.simplicity.value
+        "sigma_injective", ctx.sigma_injective,
+        witness=None if ctx.sigma_injective else {"group_element": ctx.group.name(
+            min(g for g in ctx.kernel.members if g != 0))})
+    simple = ctx.simplicity.value
     report.verdicts["simple"] = CriterionVerdict("simple", simple, method="oracle",
-                                                 note=ev.simplicity.note)
+                                                 note=ctx.simplicity.note)
     if simple is None:
         report.conclusions["simple_implies_necessary"] = None
         report.notes.append("simplicity undetermined at this size")
     elif simple:
         report.conclusions["simple_implies_necessary"] = (
-            obstruction is None and bool(gs.value) and ev.sigma_injective)
+            obstruction is None and bool(gs.value) and ctx.sigma_injective)
     else:
         report.conclusions["simple_implies_necessary"] = True
         report.notes.append("vacuous: the ring is not simple")
     return report
 
 
-def abelian_simplicity_check(ev: InstanceEvaluation | SkewContext) -> CheckReport:
+def abelian_simplicity_check(ctx: SkewContext) -> CheckReport:
     """Simplicity against the centre-field and injectivity conditions.
 
     Asserted: simple implies both conditions; for abelian groups, simple iff
     (G-simple and centre a field); with a commutative coefficient ring as
     well, simple iff (G-simple and injective).
     """
-    ev = _as_evaluation(ev)
-    ctx = ev.ctx
     report = CheckReport("abelian_simplicity")
-    simple = ev.simplicity.value
-    cond_field = bool(ev.g_simplicity.value) and ev.center_is_field
-    cond_inj = bool(ev.g_simplicity.value) and ev.sigma_injective
+    simple = ctx.simplicity.value
+    cond_field = bool(ctx.g_simplicity.value) and ctx.center_is_field
+    cond_inj = bool(ctx.g_simplicity.value) and ctx.sigma_injective
     report.verdicts["simple"] = CriterionVerdict(
         "simple", simple, method="oracle",
-        witness=None if not ev.simplicity.witness else _element_json(ev.simplicity.witness),
-        note=ev.simplicity.note)
+        witness=None if not ctx.simplicity.witness else _element_json(ctx.simplicity.witness),
+        note=ctx.simplicity.note)
     report.verdicts["g_simple_and_center_field"] = CriterionVerdict(
         "g_simple_and_center_field", cond_field)
     report.verdicts["g_simple_and_injective"] = CriterionVerdict(
@@ -202,20 +161,18 @@ def abelian_simplicity_check(ev: InstanceEvaluation | SkewContext) -> CheckRepor
     return report
 
 
-def commutative_simplicity_check(ev: InstanceEvaluation | SkewContext) -> CheckReport:
+def commutative_simplicity_check(ctx: SkewContext) -> CheckReport:
     """For commutative coefficients: simple iff G-simple and A maximal
     commutative in R. Both sides computed independently."""
-    ev = _as_evaluation(ev)
-    ctx = ev.ctx
     if not ctx.ring.is_commutative:
         raise DomainError("commutative simplicity check requires a commutative coefficient ring")
     report = CheckReport("commutative_simplicity")
-    simple = ev.simplicity.value
-    maxc = ev.max_commutative
+    simple = ctx.simplicity.value
+    maxc = ctx.max_commutative
     witness = None if maxc else commuting_witness_outside_A(ctx)
     report.verdicts["simple"] = CriterionVerdict(
-        "simple", simple, method="oracle", note=ev.simplicity.note)
-    report.verdicts["g_simple"] = CriterionVerdict("g_simple", ev.g_simplicity.value)
+        "simple", simple, method="oracle", note=ctx.simplicity.note)
+    report.verdicts["g_simple"] = CriterionVerdict("g_simple", ctx.g_simplicity.value)
     report.verdicts["max_commutative"] = CriterionVerdict(
         "max_commutative", maxc,
         witness=None if witness is None else _element_json(witness))
@@ -224,33 +181,31 @@ def commutative_simplicity_check(ev: InstanceEvaluation | SkewContext) -> CheckR
         report.notes.append("simplicity undetermined at this size")
     else:
         report.conclusions["commutative_equivalence"] = (
-            simple == (bool(ev.g_simplicity.value) and bool(maxc)))
+            simple == (bool(ctx.g_simplicity.value) and bool(maxc)))
     return report
 
 
-def outer_simplicity_check(ev: InstanceEvaluation | SkewContext) -> CheckReport:
+def outer_simplicity_check(ctx: SkewContext) -> CheckReport:
     """For abelian outer actions: simple iff G-simple."""
-    ev = _as_evaluation(ev)
-    ctx = ev.ctx
     if not ctx.group.is_abelian:
         raise PreconditionError("G abelian", f"{ctx.group!r} is not abelian")
-    if not ev.outer:
+    if not ctx.outer:
         raise PreconditionError("action outer",
                                 "some non-identity element acts by an inner automorphism")
     report = CheckReport("outer_simplicity")
-    simple = ev.simplicity.value
+    simple = ctx.simplicity.value
     report.verdicts["simple"] = CriterionVerdict("simple", simple, method="oracle",
-                                                 note=ev.simplicity.note)
-    report.verdicts["g_simple"] = CriterionVerdict("g_simple", ev.g_simplicity.value)
+                                                 note=ctx.simplicity.note)
+    report.verdicts["g_simple"] = CriterionVerdict("g_simple", ctx.g_simplicity.value)
     if simple is None:
         report.conclusions["outer_equivalence"] = None
         report.notes.append("simplicity undetermined at this size")
     else:
-        report.conclusions["outer_equivalence"] = simple == bool(ev.g_simplicity.value)
+        report.conclusions["outer_equivalence"] = simple == bool(ctx.g_simplicity.value)
     return report
 
 
-def center_containment_check(ev: InstanceEvaluation | SkewContext) -> CheckReport:
+def center_containment_check(ctx: SkewContext) -> CheckReport:
     """Structure of the centre against the fixed subring.
 
     Asserted: Z(R) lies inside the identity component iff it equals
@@ -258,8 +213,6 @@ def center_containment_check(ev: InstanceEvaluation | SkewContext) -> CheckRepor
     holds, the centre is a field. The orderable-group converse has no finite
     instance and is reported as out of scope.
     """
-    ev = _as_evaluation(ev)
-    ctx = ev.ctx
     report = CheckReport("center_containment")
     centre, d = ctx.center_basis, ctx.ring.dim
     # each basis row of the centre lies in one conjugacy class, so the rows
@@ -274,10 +227,10 @@ def center_containment_check(ev: InstanceEvaluation | SkewContext) -> CheckRepor
         witness=None if contained else _element_json(_least_central_outside_e(ctx)))
     report.verdicts["center_equals_fixed_central"] = CriterionVerdict(
         "center_equals_fixed_central", equals_fixed_central)
-    report.verdicts["center_is_field"] = CriterionVerdict("center_is_field", ev.center_is_field)
+    report.verdicts["center_is_field"] = CriterionVerdict("center_is_field", ctx.center_is_field)
     report.conclusions["containment_equivalence"] = contained == equals_fixed_central
-    if bool(ev.g_simplicity.value) and contained:
-        report.conclusions["containment_gives_field"] = ev.center_is_field
+    if bool(ctx.g_simplicity.value) and contained:
+        report.conclusions["containment_gives_field"] = ctx.center_is_field
     else:
         report.conclusions["containment_gives_field"] = None
     report.notes.append("orderable-group converse: out of finite scope "
@@ -292,7 +245,7 @@ def _least_central_outside_e(ctx: SkewContext) -> SkewElement:
     return ctx.element_of_vec(ctx.center_basis.least_member(ctx.rank_columns))
 
 
-def centralizer_kernel_check(ev: InstanceEvaluation | SkewContext) -> CheckReport:
+def centralizer_kernel_check(ctx: SkewContext) -> CheckReport:
     """Centralizer of the coefficient ring against the kernel subring.
 
     Under (G abelian, A commutative, A G-simple), the centralizer of A in R
@@ -300,13 +253,11 @@ def centralizer_kernel_check(ev: InstanceEvaluation | SkewContext) -> CheckRepor
     centralizer is computed from commutation alone; the kernel side comes from
     the action tables.
     """
-    ev = _as_evaluation(ev)
-    ctx = ev.ctx
     report = CheckReport("centralizer_kernel")
     hypotheses = {
         "G abelian": ctx.group.is_abelian,
         "A commutative": ctx.ring.is_commutative,
-        "A G-simple": bool(ev.g_simplicity.value),
+        "A G-simple": bool(ctx.g_simplicity.value),
     }
     failed = [name for name, ok in hypotheses.items() if not ok]
     report.verdicts["hypotheses"] = CriterionVerdict(
@@ -315,16 +266,16 @@ def centralizer_kernel_check(ev: InstanceEvaluation | SkewContext) -> CheckRepor
         report.conclusions["centralizer_matches_kernel"] = None
         report.notes.append("hypotheses not met; equality not asserted")
         return report
-    members = ev.kernel.members
+    members = ctx.kernel.members
     ok = all(slot.size == (ctx.ring.size if g in members else 1)
              for g, slot in enumerate(ctx.centralizer_slots))
     report.verdicts["kernel_order"] = CriterionVerdict("kernel_order", True,
-                                                       witness=ev.kernel.order)
+                                                       witness=ctx.kernel.order)
     report.conclusions["centralizer_matches_kernel"] = ok
     return report
 
 
-def center_structure_check(ev: InstanceEvaluation | SkewContext) -> CheckReport:
+def center_structure_check(ctx: SkewContext) -> CheckReport:
     """Coefficientwise laws of central elements, plus augmentation behaviour.
 
     Every central coefficient must twist-commute with the whole coefficient
@@ -334,8 +285,6 @@ def center_structure_check(ev: InstanceEvaluation | SkewContext) -> CheckReport:
     it is reported but not asserted). The augmentation map must be
     multiplicative exactly when the kernel is all of G.
     """
-    ev = _as_evaluation(ev)
-    ctx = ev.ctx
     ring, group, action = ctx.ring, ctx.group, ctx.action
     report = CheckReport("center_structure")
     gens = ring.additive_generators()
@@ -369,7 +318,7 @@ def center_structure_check(ev: InstanceEvaluation | SkewContext) -> CheckReport:
                 "conjugation-transport law")
     violation = _augmentation_violation(ctx)
     report.conclusions["augmentation_multiplicativity_exact"] = (
-        (violation is None) == (ev.kernel.order == group.order))
+        (violation is None) == (ctx.kernel.order == group.order))
     report.verdicts["augmentation_multiplicative"] = CriterionVerdict(
         "augmentation_multiplicative", violation is None, method="oracle",
         witness=None if violation is None else {
@@ -392,12 +341,6 @@ def _augmentation_violation(ctx: SkewContext) -> tuple | None:
             if augmentation(r * s) != augmentation(r) * augmentation(s):
                 return (r, s)
     return None
-
-
-def _as_evaluation(ev) -> InstanceEvaluation:
-    if isinstance(ev, InstanceEvaluation):
-        return ev
-    return InstanceEvaluation(ev)
 
 
 def catalogue_notes(kind: str) -> list[str]:
@@ -424,10 +367,6 @@ def catalogue_notes(kind: str) -> list[str]:
 class AlgebraInstance:
     name: str
     ctx: SkewContext
-
-    @cached_property
-    def evaluation(self) -> InstanceEvaluation:
-        return InstanceEvaluation(self.ctx)
 
 
 _GROUP_CATALOGUE = (

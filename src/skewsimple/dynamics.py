@@ -17,7 +17,7 @@ import numpy as np
 from .actions import ActionMap, RingAutomorphism
 from .closure import HowellBasis
 from .config import Caps
-from .criteria import CheckReport, CriterionVerdict, InstanceEvaluation
+from .criteria import CheckReport, CriterionVerdict
 from .errors import DomainError
 from .groups import GroupTable, Subgroup, validate_action_table
 from .rings import FunctionRing, TwoSidedIdeal
@@ -92,9 +92,10 @@ class TransformationGroup:
     def context(self) -> SkewContext:
         return SkewContext(self.ring, self.group, self.action, self.caps)
 
-    @cached_property
-    def evaluation(self) -> InstanceEvaluation:
-        return InstanceEvaluation(self.context)
+    @property
+    def evaluation(self) -> SkewContext:
+        """The context, which caches every fact (``bench/workloads.py`` reads this)."""
+        return self.context
 
     def __repr__(self) -> str:
         label = self.name or f"{self.group.tag} on {self.npoints} pts"
@@ -141,11 +142,11 @@ def faithful_minimal_check(T: TransformationGroup) -> CheckReport:
     """Dynamical side against the ring side: faithful iff the induced action
     is injective, minimal iff the function ring is action-simple."""
     report = CheckReport("faithful_minimal")
-    ev = T.evaluation
+    ctx = T.context
     faithful = T.is_faithful()
     minimal = T.is_minimal()
-    injective = ev.sigma_injective
-    g_simple = bool(ev.g_simplicity.value)
+    injective = ctx.sigma_injective
+    g_simple = bool(ctx.g_simplicity.value)
     report.verdicts["faithful"] = CriterionVerdict("faithful", faithful)
     report.verdicts["minimal"] = CriterionVerdict("minimal", minimal)
     report.verdicts["sigma_injective"] = CriterionVerdict("sigma_injective", injective)
@@ -170,12 +171,12 @@ def dynamics_simplicity_check(T: TransformationGroup) -> CheckReport:
     all decided assertions agree.
     """
     report = CheckReport("dynamics_simplicity")
-    ev = T.evaluation
-    simple = ev.simplicity.value
-    g_simple = bool(ev.g_simplicity.value)
-    max_comm = bool(ev.max_commutative)
-    center_field = ev.center_is_field
-    injective = ev.sigma_injective
+    ctx = T.context
+    simple = ctx.simplicity.value
+    g_simple = bool(ctx.g_simplicity.value)
+    max_comm = bool(ctx.max_commutative)
+    center_field = ctx.center_is_field
+    injective = ctx.sigma_injective
     minimal = T.is_minimal()
     faithful = T.is_faithful()
     a_simple = simple
@@ -184,7 +185,7 @@ def dynamics_simplicity_check(T: TransformationGroup) -> CheckReport:
     a_inj = g_simple and injective
     a_dyn = minimal and faithful
     report.verdicts["simple"] = CriterionVerdict(
-        "simple", simple, method="oracle", note=ev.simplicity.note)
+        "simple", simple, method="oracle", note=ctx.simplicity.note)
     report.verdicts["g_simple_and_max_commutative"] = CriterionVerdict(
         "g_simple_and_max_commutative", a_maxcomm)
     report.verdicts["g_simple_and_center_field"] = CriterionVerdict(

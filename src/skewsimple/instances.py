@@ -9,7 +9,7 @@ to an equal spec.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import jsonschema
 from jsonschema.exceptions import best_match
@@ -84,17 +84,8 @@ class InstanceSpec:
         return "dynamics" if self.dynamics_desc is not None else "algebra"
 
     def caps(self) -> Caps:
-        caps = Caps.from_env()
-        if "enumeration" in self.caps_override:
-            caps = caps.with_enumeration(int(self.caps_override["enumeration"]))
-        if "witness_candidates" in self.caps_override:
-            from dataclasses import replace
-            caps = replace(caps, witness_candidates=int(self.caps_override["witness_candidates"]))
-        return caps
-
-    def build_group(self) -> GroupTable:
-        desc = self.group_desc if self.kind == "algebra" else self.dynamics_desc["group"]
-        return group_from_descriptor(desc, self.caps())
+        """The environment's caps with this instance's overrides applied."""
+        return replace(Caps.from_env(), **{k: int(v) for k, v in self.caps_override.items()})
 
     def build(self):
         """Live objects: a SkewContext or a TransformationGroup, built (and
@@ -109,15 +100,14 @@ class InstanceSpec:
 
     def _construct(self):
         caps = self.caps()
-        group = self.build_group()
-        allow_search = bool(self.witness_search)
+        group = group_from_descriptor(
+            self.group_desc if self.kind == "algebra" else self.dynamics_desc["group"], caps)
         if self.kind == "algebra":
             check_dimension(descriptor_dim(self.ring_desc), group)
             ring = ring_from_descriptor(self.ring_desc, caps)
             action = action_from_descriptor(group, ring, self.action_desc)
-            action.ensure_valid()
-            ctx = SkewContext(ring, group, action, caps)
-            ctx.witness_search = allow_search
+            ctx = SkewContext(ring, group, action, caps)   # validates the action
+            ctx.witness_search = bool(self.witness_search)
             return ctx
         desc = self.dynamics_desc
         npoints = int(desc["points"])
@@ -135,7 +125,7 @@ class InstanceSpec:
             act = [_int_list(row, "act") for row in act]
         tg = TransformationGroup(npoints, group, act, int(desc.get("q", 2)),
                                  self.name, caps)
-        tg.context.witness_search = allow_search
+        tg.context.witness_search = bool(self.witness_search)
         return tg
 
     def serialize(self) -> dict:

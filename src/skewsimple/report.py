@@ -10,12 +10,15 @@ from __future__ import annotations
 import json
 import time
 
+import jsonschema
+from jsonschema.exceptions import best_match
+
 from . import __version__, canonical
 from .actions import _payload as decode_payload
-from .criteria import (InstanceEvaluation, abelian_simplicity_check,
-                       catalogue_notes, center_containment_check, center_structure_check,
-                       centralizer_kernel_check, commutative_simplicity_check,
-                       necessary_conditions, outer_simplicity_check)
+from .criteria import (abelian_simplicity_check, catalogue_notes, center_containment_check,
+                       center_structure_check, centralizer_kernel_check,
+                       commutative_simplicity_check, necessary_conditions,
+                       outer_simplicity_check)
 from .dynamics import (TransformationGroup, abelian_freeness_check, dynamics_simplicity_check,
                        faithful_minimal_check)
 from .errors import CapacityError, DomainError, InstanceParseError, PreconditionError
@@ -35,6 +38,22 @@ ALGEBRA_CHECKS = (
 )
 DYNAMICS_CHECKS = ("faithful_minimal", "dynamics_simplicity", "abelian_freeness")
 ALL_CHECKS = ALGEBRA_CHECKS + DYNAMICS_CHECKS
+
+_DECIDED = {"type": ["boolean", "null"]}
+_STRINGS = {"type": "array", "items": {"type": "string"}}
+_CHECK = {"type": "object", "properties": {
+    "verdicts": {"type": "object", "additionalProperties": {
+        "type": "object", "properties": {"value": _DECIDED}, "required": ["value"]}},
+    "conclusions": {"type": "object", "additionalProperties": _DECIDED}}}
+# what ``render_text`` and ``revalidate_report`` read of a saved report
+REPORT_SCHEMA = {
+    "type": "object",
+    "properties": {"instance": {"type": "object", "required": ["name"]},
+                   "version": {"type": "string"}, "selection": _STRINGS, "violations": _STRINGS,
+                   "notes": _STRINGS, "checks": {"type": "object", "additionalProperties": _CHECK}},
+    "required": ["instance", "version", "selection", "checks", "violations"],
+}
+_REPORT_VALIDATOR = jsonschema.Draft202012Validator(REPORT_SCHEMA)
 
 
 def available_checks(spec: InstanceSpec) -> tuple[str, ...]:
@@ -60,19 +79,14 @@ def run_checks(spec: InstanceSpec, selection=None) -> dict:
         raise InstanceParseError(
             f"checks {inapplicable} do not apply to a {spec.kind} instance")
     built = spec.build()
-    if isinstance(built, TransformationGroup):
-        ctx = built.context
-        dyn = built
-    else:
-        ctx = built
-        dyn = None
-    ev = InstanceEvaluation(ctx)
+    dyn = built if isinstance(built, TransformationGroup) else None
+    ctx = built if dyn is None else dyn.context
     checks: dict[str, dict] = {}
     timings: dict[str, float] = {}
     violations: list[str] = []
     for name in selection:
         start = time.perf_counter()
-        entry = _run_one(name, ev, dyn)
+        entry = _run_one(name, ctx, dyn)
         timings[name] = round(time.perf_counter() - start, 6)
         checks[name] = entry
         for v in entry.get("violations", []):
@@ -91,15 +105,15 @@ def run_checks(spec: InstanceSpec, selection=None) -> dict:
     return report
 
 
-def _run_one(name: str, ev: InstanceEvaluation, dyn: TransformationGroup | None) -> dict:
+def _run_one(name: str, ctx: SkewContext, dyn: TransformationGroup | None) -> dict:
     runner = {
-        "necessary_conditions": lambda: necessary_conditions(ev),
-        "abelian_simplicity": lambda: abelian_simplicity_check(ev),
-        "commutative_simplicity": lambda: commutative_simplicity_check(ev),
-        "outer_simplicity": lambda: outer_simplicity_check(ev),
-        "center_containment": lambda: center_containment_check(ev),
-        "centralizer_kernel": lambda: centralizer_kernel_check(ev),
-        "center_structure": lambda: center_structure_check(ev),
+        "necessary_conditions": lambda: necessary_conditions(ctx),
+        "abelian_simplicity": lambda: abelian_simplicity_check(ctx),
+        "commutative_simplicity": lambda: commutative_simplicity_check(ctx),
+        "outer_simplicity": lambda: outer_simplicity_check(ctx),
+        "center_containment": lambda: center_containment_check(ctx),
+        "centralizer_kernel": lambda: centralizer_kernel_check(ctx),
+        "center_structure": lambda: center_structure_check(ctx),
         "faithful_minimal": lambda: faithful_minimal_check(dyn),
         "dynamics_simplicity": lambda: dynamics_simplicity_check(dyn),
         "abelian_freeness": lambda: abelian_freeness_check(dyn),
@@ -156,20 +170,45 @@ def render_text(report: dict) -> str:
 
 # witness revalidation --------------------------------------------------------------
 
+def check_report_document(report) -> None:
+    """Refuse, with ``InstanceParseError``, a saved report that does not
+    have the shape of REPORT_SCHEMA or selects a check it does not hold."""
+    error = best_match(_REPORT_VALIDATOR.iter_errors(report))
+    if error is not None:   # a type error's message would repeat the whole value
+        detail = "not of type " + repr(error.validator_value) if error.validator == "type" \
+            else error.message
+        raise InstanceParseError(f"malformed report: {detail}",
+                                 path=".".join(map(str, error.absolute_path)))
+    missing = [name for name in report["selection"] if name not in report["checks"]]
+    if missing:
+        raise InstanceParseError(f"malformed report: selected checks {missing} are missing")
+
+
+def _group_index(ctx: SkewContext, name) -> int:
+    if name not in ctx.group.names:
+        raise DomainError(f"unknown group element {json.dumps(name, default=repr)[:40]}")
+    return ctx.group.names.index(name)
+
+
 def _decode_element(ctx: SkewContext, serialized) -> SkewElement:
-    names = list(ctx.group.names)
-    coeffs = {}
-    for gname, payload in serialized:
-        coeffs[names.index(gname)] = decode_payload(ctx.ring, payload)
-    return ctx.element(coeffs)
+    """A serialized element: a list of [group element, coefficient] pairs."""
+    if not isinstance(serialized, list) or not all(
+            isinstance(term, list) and len(term) == 2 for term in serialized):
+        raise DomainError("an element must be a list of [group element, coefficient] pairs")
+    return ctx.element({_group_index(ctx, gname): decode_payload(ctx.ring, payload)
+                        for gname, payload in serialized})
 
 
 def revalidate_report(report: dict) -> list[str]:
     """Recheck every claimed witness against a rebuilt instance.
 
     Returns a list of problems; an empty list means all witnesses check out.
+    A witness that does not decode raises ``DomainError``.
     """
-    spec = parse_instance(json.dumps(report["instance"]))
+    try:
+        spec = parse_instance(json.dumps(report["instance"]))
+    except InstanceParseError as exc:
+        raise InstanceParseError(f"cannot rebuild instance: {exc}") from exc
     built = spec.build()
     ctx = built.context if isinstance(built, TransformationGroup) else built
     problems: list[str] = []
@@ -180,7 +219,10 @@ def revalidate_report(report: dict) -> list[str]:
             witness = verdict.get("witness")
             if witness is None or not isinstance(witness, dict):
                 continue
-            issue = _check_witness(ctx, vname, verdict["value"], witness)
+            try:
+                issue = _check_witness(ctx, vname, verdict["value"], witness)
+            except DomainError as exc:
+                raise DomainError(f"witness of {cname}.{vname}: {exc}") from exc
             if issue:
                 problems.append(f"{cname}.{vname}: {issue}")
     return problems
@@ -217,18 +259,22 @@ def _check_witness(ctx: SkewContext, assertion: str, value, witness: dict) -> st
     if "coefficient" in witness and assertion == "g_simple" and value is False:
         from .actions import invariant_ideal_closure
         payload = decode_payload(ring, witness["coefficient"])
+        if payload == ring.zero:
+            return "claimed invariant-ideal witness is zero"
         ideal = invariant_ideal_closure(ctx.action, [payload])
         return None if not ideal.is_full else \
             "claimed invariant-ideal witness generates everything"
     if "group_element" in witness and assertion == "sigma_injective" and value is False:
-        g = list(ctx.group.names).index(witness["group_element"])
+        g = _group_index(ctx, witness["group_element"])
         if g == 0:
             return "kernel witness is the identity"
         return None if ctx.action.autos[g].is_identity() else \
             "claimed kernel element does not act trivially"
     if "pair" in witness and assertion == "augmentation_multiplicative" and value is False:
-        r = _decode_element(ctx, witness["pair"][0])
-        s = _decode_element(ctx, witness["pair"][1])
+        pair = witness["pair"]
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise DomainError("a pair must be a list of two elements")
+        r, s = (_decode_element(ctx, x) for x in pair)
         if augmentation(r * s) != augmentation(r) * augmentation(s):
             return None
         return "claimed augmentation violation does not violate"

@@ -157,12 +157,18 @@ class RingSpec:
         return tuple(m.astype(np.int64).transpose(0, 2, 1) % self.char for m in (lefts, rights))
 
     @cached_property
-    def ideal_engine(self) -> ClosureEngine:
-        """Closures under left/right multiplication by each additive generator
-        (left alone when the ring is commutative)."""
+    def ideal_operators(self) -> list[np.ndarray]:
+        """Left and right multiplication by each additive generator, in
+        pairs (left alone when the ring is commutative): a submodule stable
+        under these is a two-sided ideal."""
         lefts, rights = self.structure_constants
         pairs = zip(lefts) if self.is_commutative else zip(lefts, rights)
-        return ClosureEngine(self.char, self.dim, [op for pair in pairs for op in pair])
+        return [op for pair in pairs for op in pair]
+
+    @cached_property
+    def ideal_engine(self) -> ClosureEngine:
+        """Closures under ``ideal_operators``."""
+        return ClosureEngine(self.char, self.dim, self.ideal_operators)
 
     @cached_property
     def rank_columns(self) -> np.ndarray:

@@ -18,12 +18,12 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .actions import ActionMap, is_G_simple
+from .actions import ActionMap, GSimplicity, is_G_simple, is_outer_action, kernel
 from .closure import (FLOAT64_EXACT, ClosureEngine, HowellBasis, check_int64, kernel_basis,
                       kernel_rows, solve)
 from .config import Caps
 from .errors import CapacityError, DomainError, PreconditionError
-from .groups import GroupTable
+from .groups import GroupTable, Subgroup
 from .rings import MAX_DIM, RingElement, RingSpec, _is_prime
 
 
@@ -37,7 +37,8 @@ def check_dimension(dim_a: int, group: GroupTable) -> None:
 
 
 class SkewContext:
-    """Bundles (ring, group, validated action) plus cached sweep machinery."""
+    """Bundles (ring, group, validated action), cached sweep machinery and
+    the per-instance facts the checks compare, each decided once."""
 
     def __init__(self, ring: RingSpec, group: GroupTable, action: ActionMap,
                  caps: Caps | None = None) -> None:
@@ -254,12 +255,43 @@ class SkewContext:
             images = (np.stack(rows) @ commutators.T) % n
         return kernel_basis(n, rows, images)
 
+    # per-instance facts, each decided once and kept here -----------------------
+    @cached_property
+    def simplicity(self) -> "SkewSimplicity":
+        """The oracle's verdict (``is_simple``)."""
+        return is_simple(self)
+
+    @cached_property
+    def g_simplicity(self) -> GSimplicity:
+        return is_G_simple(self.action)
+
+    @cached_property
+    def kernel(self) -> Subgroup:
+        return kernel(self.action)
+
+    @property
+    def sigma_injective(self) -> bool:
+        return self.kernel.is_trivial
+
+    @cached_property
+    def outer(self) -> bool:
+        return is_outer_action(self.action)
+
+    @cached_property
+    def max_commutative(self) -> bool | None:
+        """Whether A u_e is its own centralizer; None for noncommutative A."""
+        return is_max_commutative_A(self) if self.ring.is_commutative else None
+
     @cached_property
     def center_obstruction(self) -> "SkewElement | None":
-        """``criteria.field_obstruction`` of this context, run once: a nonzero
-        non-unit of the centre, or None when the centre is a field."""
+        """``criteria.field_obstruction`` of this context: a nonzero non-unit
+        of the centre, or None when the centre is a field."""
         from . import criteria   # criteria builds on this module; read at call time
         return criteria.field_obstruction(self)
+
+    @property
+    def center_is_field(self) -> bool:
+        return self.center_obstruction is None
 
     def __repr__(self) -> str:
         return f"SkewContext({self.ring!r} x| {self.group!r}, size={self.size})"

@@ -46,10 +46,10 @@ def _is_commutative(inst: AlgebraInstance) -> bool:
     return inst.ctx.ring.is_commutative
 
 def _is_outer(inst: AlgebraInstance) -> bool:
-    return inst.ctx.group.is_abelian and inst.evaluation.outer
+    return inst.ctx.group.is_abelian and inst.ctx.outer
 
 def _is_g_simple(inst: AlgebraInstance) -> bool:
-    return bool(inst.evaluation.g_simplicity.value)
+    return bool(inst.ctx.g_simplicity.value)
 
 
 SWEEPS: dict[str, tuple] = {
@@ -76,7 +76,7 @@ def run_sweep(name: str, seed: int, count: int, max_size: int = 4096) -> SweepRe
     start = time.perf_counter()
     for _ in range(count):
         inst = sampler.draw(predicate)
-        report: CheckReport = check(inst.evaluation)
+        report: CheckReport = check(inst.ctx)
         result.instances += 1
         for v in report.violations:
             result.violations.append(f"{inst.name}:{report.name}.{v}")
@@ -93,15 +93,14 @@ def _constructive_probe(inst: AlgebraInstance, violations: list[str]) -> int:
     postconditions; assertion failures are converted into sweep violations.
     """
     ctx = inst.ctx
-    ev = inst.evaluation
-    if not ctx.group.is_abelian or not bool(ev.g_simplicity.value):
+    if not ctx.group.is_abelian or not bool(ctx.g_simplicity.value):
         return 0
     if ctx.size > ctx.caps.enumeration:
         return 0
     done = 0
     ideals = []
-    if ev.simplicity.witness_ideal is not None:
-        ideals.append(ev.simplicity.witness_ideal)
+    if ctx.simplicity.witness_ideal is not None:
+        ideals.append(ctx.simplicity.witness_ideal)
     seed_elem = ctx.element_of_rank(1 + (ctx.size - 1) // 2)
     ideals.append(skew_ideal_closure(ctx, [seed_elem]))
     for ideal in ideals:

@@ -10,8 +10,8 @@ from contextlib import contextmanager
 import pytest
 
 from skewsimple import skew
-from skewsimple.criteria import (InstanceEvaluation, abelian_simplicity_check,
-                                 center_structure_check, necessary_conditions)
+from skewsimple.criteria import (abelian_simplicity_check, center_structure_check,
+                                 necessary_conditions)
 from skewsimple.dynamics import (abelian_freeness_check, dynamics_simplicity_check,
                                  faithful_minimal_check)
 from skewsimple.skew import commuting_witness_outside_A, is_simple, skew_center
@@ -44,7 +44,7 @@ def test_criterion_1_swap_instance():
         assert ctx.size == 16
         verdict = is_simple(ctx)
         assert verdict.value is True
-        report = abelian_simplicity_check(InstanceEvaluation(ctx))
+        report = abelian_simplicity_check(ctx)
         assert report.verdicts["g_simple_and_center_field"].value is True
         assert report.conclusions["abelian_equivalence"] is True
         assert not report.violations
@@ -73,7 +73,7 @@ def test_criterion_2_order_four_conjugation_over_f3(monkeypatch):
             patch.setattr(skew, "certify_simple", lambda ctx: False)
             verdict = skew._sweep_prime(conj_f3_context())
         assert (verdict.value, verdict.method) == (True, "full_sweep")
-        report = abelian_simplicity_check(InstanceEvaluation(ctx))
+        report = abelian_simplicity_check(ctx)
         assert report.conclusions["abelian_equivalence"] is True
         assert time.perf_counter() - start < 300.0
 
@@ -103,16 +103,15 @@ def test_criterion_4_nonabelian_converse_failure():
                       "commuting witness; non-simplicity by support-2 search"):
         start = time.perf_counter()
         ctx = natural_s3_context()
-        ev = InstanceEvaluation(ctx)
-        assert bool(ev.g_simplicity.value) and ev.sigma_injective  # (iv)
+        assert bool(ctx.g_simplicity.value) and ctx.sigma_injective  # (iv)
         witness = commuting_witness_outside_A(ctx)
         assert witness is not None
-        assert ev.max_commutative is False
+        assert ctx.max_commutative is False
         g = next(iter(witness.support))
         perm = ctx.group.permutations[g]
         payload = witness.coeffs[g]
         assert all((payload[x] != 0) <= (perm[x] == x) for x in range(3))
-        verdict = ev.simplicity
+        verdict = ctx.simplicity
         assert verdict.value is False and verdict.method == "witness_search"
         assert len(verdict.witness.support) <= 2
         assert verdict.witness_ideal.basis.rank < ctx.dim

@@ -221,6 +221,40 @@ def test_report_flags_tampered_witness(tmp_path):
     assert run_cli("report", str(out), "--no-verify").returncode == 0
 
 
+def _set_witness(check, verdict, witness):
+    def tamper(doc):
+        doc["checks"][check]["verdicts"][verdict]["witness"] = witness
+    return tamper
+
+
+# each must end in exit 2, not a traceback; the report is trivial_group_ring's
+MALFORMED_REPORTS = {
+    "element_names_unknown_group_element": (
+        _set_witness("abelian_simplicity", "simple", {"element": [["x", 1]]}), ()),
+    "group_element_unknown": (
+        _set_witness("necessary_conditions", "sigma_injective", {"group_element": "x"}), ()),
+    "element_not_a_list": (_set_witness("abelian_simplicity", "simple", {"element": 1}), ()),
+    "no_instance": (lambda doc: doc.pop("instance"), ()),
+    "no_instance_unverified": (lambda doc: doc.pop("instance"), ("--no-verify",)),
+    "checks_a_list": (lambda doc: doc.update(checks=list(doc["checks"].values())), ()),
+}
+
+
+@pytest.mark.parametrize("tamper,flags", list(MALFORMED_REPORTS.values()),
+                         ids=list(MALFORMED_REPORTS))
+def test_report_refuses_a_malformed_report_with_exit_2(tmp_path, tamper, flags):
+    from skewsimple.report import canonical_json, run_checks
+    spec = parse_instance((FIXTURES / "trivial_group_ring.json").read_text(encoding="utf-8"))
+    doc = json.loads(canonical_json(run_checks(spec)))
+    tamper(doc)
+    out = tmp_path / "report.json"
+    out.write_text(json.dumps(doc), encoding="utf-8")
+    result = run_cli("report", str(out), *flags)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("input error: ")
+    assert "Traceback" not in result.stderr
+
+
 def test_suite_smoke_run():
     result = run_cli("suite", "--count", "3", "--seed", "5", "--skip-catalogue")
     assert result.returncode == 0

@@ -112,6 +112,21 @@ def test_caps_override_applies():
         list(ctx.elements())
 
 
+def test_caps_are_read_once_per_build(monkeypatch):
+    # both overrides land on the one Caps the environment is read for
+    from skewsimple.config import Caps
+    reads = []
+    from_env = Caps.from_env
+    monkeypatch.setattr(Caps, "from_env", lambda: reads.append(1) or from_env())
+    doc = {"name": "capped", "caps": {"enumeration": 8, "witness_candidates": 5},
+           "ring": {"kind": "modular", "n": 2},
+           "group": {"kind": "cyclic_product", "orders": [2]}, "action": {"kind": "trivial"}}
+    ctx = parse_instance(json.dumps(doc)).build()
+    assert reads == [1]
+    assert ctx.caps == ctx.group.caps == ctx.ring.caps == Caps(enumeration=8,
+                                                                witness_candidates=5)
+
+
 def test_explicit_table_group_and_action():
     doc = {"name": "table_based",
            "ring": {"kind": "modular", "n": 3},

@@ -6,6 +6,7 @@ the first proper ideal, mirroring the oracle's definition word for word.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from conftest import (conj_f2_context, conj_f3_context, rotation_z3_context, swa
                       trivial_f2_z2_context, two_two_cycles_context)
 from naive import (module_generator_operators, naive_closure, naive_skew_span,
                    skew_operators)
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def naive_simplicity(ctx):
@@ -204,11 +207,34 @@ def test_field_test_runs_once_per_context(monkeypatch):
     monkeypatch.setattr(criteria, "field_obstruction",
                         lambda ctx: calls.append(ctx) or original(ctx))
     ctx = conj_f3_context()
-    report = criteria.necessary_conditions(criteria.InstanceEvaluation(ctx))
+    report = criteria.necessary_conditions(ctx)
     assert report.verdicts["center_is_field"].value is True
     assert report.verdicts["simple"].value is True
     assert certify_simple(ctx) is True
     assert calls == [ctx]
+
+
+SWAP_2PTS = {"name": "swap_2pts", "dynamics": {
+    "points": 2, "group": {"kind": "cyclic_product", "orders": [2]}, "act": [[0, 1], [1, 0]]}}
+
+
+@pytest.mark.parametrize("text,oracle", [
+    ((FIXTURES / "natural_s3.json").read_text(encoding="utf-8"), "_witness_search"),
+    (json.dumps(SWAP_2PTS), "_sweep_prime")], ids=["natural_s3", "swap_2pts"])
+def test_report_runs_the_oracle_once_per_context(monkeypatch, text, oracle):
+    # the algebra and dynamics checks of one report read one cached verdict
+    from skewsimple.instances import parse_instance
+    from skewsimple.report import DYNAMICS_CHECKS, run_checks
+    runs = []
+    for name in ("_sweep_prime", "_witness_search"):
+        original = getattr(skew, name)
+        monkeypatch.setattr(skew, name, lambda ctx, name=name, original=original:
+                            runs.append(name) or original(ctx))
+    report = run_checks(parse_instance(text))   # a fresh context
+    assert report["violations"] == []
+    assert report["checks"]["dynamics_simplicity"]["status"] == "ran"
+    assert set(DYNAMICS_CHECKS) < set(report["checks"])
+    assert runs == [oracle]
 
 
 def test_regular_z3_is_certified_at_the_first_closure(monkeypatch):

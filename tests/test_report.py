@@ -1,11 +1,13 @@
 import json
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 from skewsimple.instances import load_instance
-from skewsimple.report import (ALGEBRA_CHECKS, canonical_json, render_text,
-                               revalidate_report, run_checks)
+from skewsimple.report import (ALGEBRA_CHECKS, REPORT_SCHEMA, canonical_json,
+                               check_report_document, render_text, revalidate_report,
+                               run_checks)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -150,6 +152,56 @@ def test_centre_obstruction_revalidation_rejects_tampering(obstruction, problem)
     assert len(problems) == 1
     assert problems[0].startswith("necessary_conditions.center_is_field")
     assert problem in problems[0]
+
+
+# F_2^2 x| Z/2 with the trivial action: every ideal of A = F_2^2 is invariant
+F2X2_TRIVIAL = {"name": "f2x2_trivial", "ring": {"kind": "function", "points": 2, "q": 2},
+                "group": {"kind": "cyclic_product", "orders": [2]},
+                "action": {"kind": "trivial"}}
+
+
+def _f2x2_trivial_report() -> dict:
+    from skewsimple.instances import parse_instance
+    return json.loads(canonical_json(run_checks(parse_instance(json.dumps(F2X2_TRIVIAL)))))
+
+
+@pytest.mark.parametrize("coefficient,problem", [
+    ([1, 1], "generates everything"), ([0, 0], "is zero")])
+def test_g_simplicity_revalidation_rejects_tampering(coefficient, problem):
+    # claim the unit (1, 1), or zero, as the proper invariant ideal's generator
+    report = _f2x2_trivial_report()
+    verdict = report["checks"]["necessary_conditions"]["verdicts"]["g_simple"]
+    assert verdict == {"assertion": "g_simple", "method": "criterion", "value": False,
+                       "witness": {"coefficient": [0, 1]}}
+    assert revalidate_report(report) == []
+    verdict["witness"] = {"coefficient": coefficient}
+    problems = revalidate_report(report)
+    assert len(problems) == 1
+    assert problems[0].startswith("necessary_conditions.g_simple")
+    assert problem in problems[0]
+
+
+@pytest.mark.parametrize("check,verdict,witness,message", [
+    ("necessary_conditions", "g_simple", {"coefficient": 1}, "must be a list"),
+    ("necessary_conditions", "sigma_injective", {"group_element": "x"}, "unknown group element"),
+    ("abelian_simplicity", "simple", {"element": [["1", [1, 0]], ["e"]]}, "pairs"),
+    ("center_structure", "augmentation_multiplicative", {"pair": [[]]}, "two elements")])
+def test_a_witness_that_does_not_decode_is_refused(check, verdict, witness, message):
+    from skewsimple import DomainError
+    report = _f2x2_trivial_report()
+    # every witness is read for a False verdict; the augmentation holds here
+    report["checks"][check]["verdicts"][verdict].update(value=False, witness=witness)
+    with pytest.raises(DomainError, match=message) as err:
+        revalidate_report(report)
+    assert str(err.value).startswith(f"witness of {check}.{verdict}: ")
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
+def test_fresh_reports_have_the_shape_the_report_command_reads(path):
+    jsonschema.Draft202012Validator.check_schema(REPORT_SCHEMA)
+    report = run_checks(load_instance(path))
+    for timings in (False, True):
+        check_report_document(json.loads(canonical_json(report, timings=timings)))
 
 
 def test_check_and_report_build_the_instance_twice(monkeypatch):

@@ -1,5 +1,6 @@
 import random
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -48,7 +49,7 @@ def test_enumeration_order_and_counts():
 
 
 def test_enumeration_cap():
-    small = Caps.from_env().with_enumeration(10)
+    small = replace(Caps.from_env(), enumeration=10)
     ring = ModularRing(11, small)
     with pytest.raises(CapacityError) as err:
         enumerate_elements(ring)

@@ -1,5 +1,6 @@
 import random
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -321,7 +322,7 @@ def test_composite_characteristic_oracle():
 
 
 def test_oracle_refuses_over_cap_without_flag():
-    caps = Caps.from_env().with_enumeration(64)
+    caps = replace(Caps.from_env(), enumeration=64)
     ctx = swap_context(caps)
     assert ctx.size <= 64  # still within: use a bigger context instead
     ctx2 = natural_s3_context(caps=caps)
@@ -632,7 +633,7 @@ def test_rank_roundtrip(conj_f2_ctx):
 
 
 def test_elements_iteration_cap():
-    caps = Caps.from_env().with_enumeration(8)
+    caps = replace(Caps.from_env(), enumeration=8)
     ctx = swap_context(caps)
     with pytest.raises(CapacityError):
         list(ctx.elements())

@@ -1,7 +1,8 @@
 """The benchmark's layer tracer (``bench/tracer.py``) wraps package functions
-by name. Installing it around a fixture check, over F_3 and over F_2, shows
-that every name it patches exists, that the wrappers are the ones called,
-and that uninstalling puts every original back."""
+by name. Installing it around a fixture check, over F_3 and over F_2, and
+on a dynamics fixture, shows that every name it patches exists, that the
+wrappers are the ones called, and that uninstalling puts every original
+back."""
 
 from pathlib import Path
 
@@ -15,7 +16,7 @@ def _current(owner, attr):
     return owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
 
 
-def _trace_fixture_check(monkeypatch, name: str) -> None:
+def _trace_fixture_check(monkeypatch, name: str, spans=()) -> None:
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     from tracer import Tracer
 
@@ -35,7 +36,7 @@ def _trace_fixture_check(monkeypatch, name: str) -> None:
         assert _current(owner, attr) is original
     metrics = tracer.layer_metrics(1.0, 1)
     for name in ("closure.calls", "skew.operator_matrices_s", "report.run_checks.self_s",
-                 "instances.parse_instance.calls", "report.canonical_json.bytes"):
+                 "instances.parse_instance.calls", "report.canonical_json.bytes", *spans):
         assert metrics[name][0] > 0, name
 
 
@@ -46,3 +47,11 @@ def test_tracer_patches_existing_names_and_restores_them(monkeypatch):
 def test_tracer_counts_the_closures_over_f2(monkeypatch):
     # every closure of swap2 is over F_2, on packed rows
     _trace_fixture_check(monkeypatch, "swap2.json")
+
+
+def test_tracer_reaches_the_facts_cached_on_the_context(monkeypatch):
+    # the facts are decided through the module globals the tracer wraps
+    _trace_fixture_check(monkeypatch, "natural_s3.json", (
+        "dynamics.checks.self_s", "criteria.other_checks.self_s",
+        "actions.is_G_simple.self_s", "criteria.field_obstruction.self_s",
+        "skew.witness_search.self_s"))

@@ -116,7 +116,7 @@ def test_a_level_kernels_match_the_loops_on_conjugations_and_frobenius():
 
 
 def test_a_level_facts_are_decided_above_the_enumeration_cap():
-    ring = MatrixRing(2, 3, Caps().with_enumeration(16))
+    ring = MatrixRing(2, 3, Caps(enumeration=16))
     with pytest.raises(CapacityError):
         list(ring.payloads())
     assert [e.payload for e in center(ring)] == [(c, 0, 0, c) for c in range(3)]
@@ -155,7 +155,7 @@ def test_is_inner_refuses_at_once_when_the_centralizer_is_not_the_centres_size()
     ring = FunctionRing(2, 2)
     swap = RingAutomorphism.coordinate_permutation(ring, (1, 0))
     assert swap.centralizer.size == 1 and ring.center_basis.size == 4
-    ring.caps = Caps().with_enumeration(1)
+    ring.caps = Caps(enumeration=1)
     assert is_inner(swap) is None
 
 
