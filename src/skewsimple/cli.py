@@ -12,12 +12,11 @@ Exit codes: 0 all asserted implications hold, 1 a violation was found,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import __version__, canonical
 from .errors import InstanceParseError, SkewSimpleError
-from .instances import load_instance
+from .instances import decode_json, load_instance
 from .report import (canonical_json, check_report_document, render_text, revalidate_report,
                      run_checks)
 from .suite import run_dynamics_catalogue, run_randomized_suite
@@ -111,10 +110,13 @@ def _cmd_suite(args) -> int:
 def _cmd_report(args) -> int:
     try:
         with open(args.report, "r", encoding="utf-8") as fh:
-            report = json.load(fh)
-        check_report_document(report)
-        problems = [] if args.no_verify else revalidate_report(report)
-    except (OSError, json.JSONDecodeError, SkewSimpleError) as exc:
+            report = decode_json(fh.read())
+        if args.no_verify:
+            check_report_document(report)   # revalidate_report starts with it
+            problems = []
+        else:
+            problems = revalidate_report(report)
+    except (OSError, SkewSimpleError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if problems:

@@ -1,9 +1,9 @@
 """Instance files: JSON descriptions of algebraic or dynamical instances.
 
 An instance is either (ring, group, action) or a transformation group; the
-schema is published as INSTANCE_SCHEMA and validated before the semantic
-constructors run. Parsed specs serialize back to a canonical form that parses
-to an equal spec.
+schema is published as INSTANCE_SCHEMA, a JSON Schema 2020-12 document, and
+checked by ``skewsimple.schema`` before the semantic constructors run. Parsed
+specs serialize back to a canonical form that parses to an equal spec.
 """
 
 from __future__ import annotations
@@ -11,10 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field, replace
 
-import jsonschema
-from jsonschema.exceptions import best_match
-
-from . import canonical
+from . import canonical, schema
 from .actions import action_from_descriptor
 from .config import Caps
 from .dynamics import TransformationGroup
@@ -55,7 +52,7 @@ INSTANCE_SCHEMA = {
     "additionalProperties": False,
 }
 
-_VALIDATOR = jsonschema.Draft202012Validator(INSTANCE_SCHEMA)
+schema.check_schema(INSTANCE_SCHEMA)
 
 _GROUP_SCHEMA = {
     "cyclic_product": {"orders"},
@@ -178,17 +175,27 @@ def _int_list(values, name: str) -> list[int]:
     return values
 
 
-def parse_instance(text: str) -> InstanceSpec:
-    """Parse and validate an instance document; errors carry locations."""
+def decode_json(text: str):
+    """The document in ``text``; any text that is not a JSON document ends
+    in ``InstanceParseError``, with a location when json gives one."""
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceParseError(f"invalid JSON: {exc.msg}", line=exc.lineno,
                                  column=exc.colno) from exc
-    error = best_match(_VALIDATOR.iter_errors(raw))
-    if error is not None:
-        path = ".".join(str(p) for p in error.absolute_path)
-        raise InstanceParseError(f"schema violation: {error.message}", path=path) from error
+    except RecursionError as exc:
+        raise InstanceParseError("invalid JSON: nested too deeply") from exc
+    except ValueError as exc:   # an integer above the interpreter's digit limit
+        raise InstanceParseError(f"invalid JSON: {str(exc).partition(':')[0]}") from exc
+
+
+def parse_instance(text: str) -> InstanceSpec:
+    """Parse and validate an instance document; errors carry locations."""
+    raw = decode_json(text)
+    violation = schema.first_violation(INSTANCE_SCHEMA, raw)
+    if violation is not None:
+        path, message = violation
+        raise InstanceParseError(f"schema violation: {message}", path=path)
     has_algebra = any(k in raw for k in ("ring", "group", "action"))
     has_dynamics = "dynamics" in raw
     if has_algebra == has_dynamics:

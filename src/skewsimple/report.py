@@ -10,10 +10,7 @@ from __future__ import annotations
 import json
 import time
 
-import jsonschema
-from jsonschema.exceptions import best_match
-
-from . import __version__, canonical
+from . import __version__, canonical, schema
 from .actions import _payload as decode_payload
 from .criteria import (abelian_simplicity_check, catalogue_notes, center_containment_check,
                        center_structure_check, centralizer_kernel_check,
@@ -53,7 +50,7 @@ REPORT_SCHEMA = {
                    "notes": _STRINGS, "checks": {"type": "object", "additionalProperties": _CHECK}},
     "required": ["instance", "version", "selection", "checks", "violations"],
 }
-_REPORT_VALIDATOR = jsonschema.Draft202012Validator(REPORT_SCHEMA)
+schema.check_schema(REPORT_SCHEMA)
 
 
 def available_checks(spec: InstanceSpec) -> tuple[str, ...]:
@@ -173,12 +170,10 @@ def render_text(report: dict) -> str:
 def check_report_document(report) -> None:
     """Refuse, with ``InstanceParseError``, a saved report that does not
     have the shape of REPORT_SCHEMA or selects a check it does not hold."""
-    error = best_match(_REPORT_VALIDATOR.iter_errors(report))
-    if error is not None:   # a type error's message would repeat the whole value
-        detail = "not of type " + repr(error.validator_value) if error.validator == "type" \
-            else error.message
-        raise InstanceParseError(f"malformed report: {detail}",
-                                 path=".".join(map(str, error.absolute_path)))
+    violation = schema.first_violation(REPORT_SCHEMA, report)
+    if violation is not None:
+        path, message = violation
+        raise InstanceParseError(f"malformed report: {message}", path=path)
     missing = [name for name in report["selection"] if name not in report["checks"]]
     if missing:
         raise InstanceParseError(f"malformed report: selected checks {missing} are missing")
@@ -203,8 +198,10 @@ def revalidate_report(report: dict) -> list[str]:
     """Recheck every claimed witness against a rebuilt instance.
 
     Returns a list of problems; an empty list means all witnesses check out.
-    A witness that does not decode raises ``DomainError``.
+    A document that ``check_report_document`` refuses raises
+    ``InstanceParseError``; a witness that does not decode, ``DomainError``.
     """
+    check_report_document(report)
     try:
         spec = parse_instance(json.dumps(report["instance"]))
     except InstanceParseError as exc:

@@ -16,12 +16,15 @@ FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
 
 
-def run_cli(*args):
+def run_python(*args):
     # the package is imported from the source tree, installed or not
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "skewsimple.cli", *args],
-                          capture_output=True, text=True,
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+def run_cli(*args):
+    return run_python("-m", "skewsimple.cli", *args)
 
 
 def test_check_green_instance_exits_zero():
@@ -237,15 +240,21 @@ MALFORMED_REPORTS = {
     "no_instance": (lambda doc: doc.pop("instance"), ()),
     "no_instance_unverified": (lambda doc: doc.pop("instance"), ("--no-verify",)),
     "checks_a_list": (lambda doc: doc.update(checks=list(doc["checks"].values())), ()),
+    "check_entry_a_string": (lambda doc: doc["checks"].update(abelian_simplicity="ran"), ()),
+    "verdicts_a_list": (lambda doc: doc["checks"]["abelian_simplicity"].update(verdicts=[]), ()),
 }
+
+
+def _trivial_group_ring_report() -> dict:
+    from skewsimple.report import canonical_json, run_checks
+    spec = parse_instance((FIXTURES / "trivial_group_ring.json").read_text(encoding="utf-8"))
+    return json.loads(canonical_json(run_checks(spec)))
 
 
 @pytest.mark.parametrize("tamper,flags", list(MALFORMED_REPORTS.values()),
                          ids=list(MALFORMED_REPORTS))
 def test_report_refuses_a_malformed_report_with_exit_2(tmp_path, tamper, flags):
-    from skewsimple.report import canonical_json, run_checks
-    spec = parse_instance((FIXTURES / "trivial_group_ring.json").read_text(encoding="utf-8"))
-    doc = json.loads(canonical_json(run_checks(spec)))
+    doc = _trivial_group_ring_report()
     tamper(doc)
     out = tmp_path / "report.json"
     out.write_text(json.dumps(doc), encoding="utf-8")
@@ -253,6 +262,48 @@ def test_report_refuses_a_malformed_report_with_exit_2(tmp_path, tamper, flags):
     assert result.returncode == 2, result.stderr
     assert result.stderr.startswith("input error: ")
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("tamper", [tamper for tamper, _ in MALFORMED_REPORTS.values()],
+                         ids=list(MALFORMED_REPORTS))
+def test_revalidate_report_refuses_a_malformed_report(tamper):
+    # the library function checks the document itself, so no raw KeyError
+    # or AttributeError escapes it; a witness that does not decode is a
+    # DomainError, anything else is refused before the instance is rebuilt
+    from skewsimple import DomainError
+    from skewsimple.report import revalidate_report
+    doc = _trivial_group_ring_report()
+    tamper(doc)
+    with pytest.raises((InstanceParseError, DomainError)):
+        revalidate_report(doc)
+
+
+# json raises RecursionError on the first and ValueError on the second
+UNREADABLE = {
+    "nested_100000_deep": ('{"name": "x", "ring": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                           "invalid JSON: nested too deeply"),
+    "integer_of_5000_digits": ('{"name": "x", "seed": ' + "1" * 5000 + "}",
+                               "invalid JSON: Exceeds the limit"),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "report"])
+@pytest.mark.parametrize("text,message", list(UNREADABLE.values()), ids=list(UNREADABLE))
+def test_an_unreadable_file_exits_2(tmp_path, command, text, message):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    result = run_cli(command, str(path))
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith(f"input error: {message}")
+    assert "Traceback" not in result.stderr
+
+
+def test_start_up_does_not_import_jsonschema():
+    # the schemas are checked in-package; jsonschema is a test dependency
+    result = run_python("-c", "import sys, skewsimple.cli; "
+                              "print(sorted(m for m in sys.modules if 'jsonschema' in m))")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_suite_smoke_run():
