@@ -21,7 +21,8 @@ from .closure import INT64_LIMIT, ClosureEngine, HowellBasis, field_obstruction,
 from .errors import ActionValidationError, CapacityError, DomainError
 from .groups import GroupTable, Subgroup
 from .rings import (MAX_DIM, FunctionRing, MatrixRing, ModularRing, RingElement, RingSpec,
-                    TwoSidedIdeal, descriptor_int, engine_ideal, first_proper_ideal)
+                    TwoSidedIdeal, descriptor_int, engine_ideal, first_proper_ideal,
+                    vec_to_rank)
 
 # entries of the matrix products one step of the homomorphism-law check holds
 _LAW_BLOCK = 1 << 20
@@ -237,13 +238,14 @@ class ActionMap:
         if auto.structural:
             return None
         ring.check_enumerable("automorphism validation")
-        ranks = np.array([ring.rank(auto.apply(a)) for a in ring.payloads()], dtype=np.int64)
+        images = np.array([ring.to_vec(auto.apply(a)) for a in ring.payloads()], dtype=np.int64)
+        ranks = vec_to_rank(images, ring.char, ring.rank_columns)
         if not np.array_equal(np.sort(ranks), np.arange(ring.size)):
             return ActionViolation("automorphism not bijective", g)
         if auto.apply(ring.one) != ring.one:
             return ActionViolation("automorphism does not fix 1", g, None, ring.one)
         vecs = ring.payload_vectors
-        wrong = np.flatnonzero(((vecs @ auto.matrix().T) % ring.char != vecs[ranks]).any(axis=1))
+        wrong = np.flatnonzero(((vecs @ auto.matrix().T) % ring.char != images).any(axis=1))
         if wrong.size:
             return ActionViolation("automorphism not additive", g, None,
                                    ring.unrank(int(wrong[0])))
@@ -407,7 +409,7 @@ def action_from_descriptor(group: GroupTable, ring: RingSpec, desc: dict) -> Act
         units = desc["units"]
         if len(units) != group.order:
             raise DomainError(f"conjugation needs {group.order} units, got {len(units)}")
-        autos = [RingAutomorphism.conjugation(ring, _payload(ring, u)) for u in units]
+        autos = [RingAutomorphism.conjugation(ring, ring.payload_from_json(u)) for u in units]
         return ActionMap(group, ring, autos)
     if kind == "permutation":
         perms = desc["perms"]
@@ -429,33 +431,7 @@ def action_from_descriptor(group: GroupTable, ring: RingSpec, desc: dict) -> Act
         tables = desc["tables"]
         if len(tables) != group.order:
             raise DomainError(f"table action needs {group.order} tables, got {len(tables)}")
-        autos = [RingAutomorphism.from_table(ring, [_payload(ring, x) for x in tbl])
+        autos = [RingAutomorphism.from_table(ring, [ring.payload_from_json(x) for x in tbl])
                  for tbl in tables]
         return ActionMap(group, ring, autos)
     raise DomainError(f"unknown action kind {kind!r}")
-
-
-def _payload(ring: RingSpec, raw):
-    """Decode a JSON-level payload (int or nested list) for the given ring;
-    numbers that are not integers are refused (``descriptor_int``)."""
-    if isinstance(ring, ModularRing):
-        return descriptor_int(raw, "payload") % ring.n
-    if not isinstance(raw, (list, tuple)):
-        raise DomainError(f"a payload of {ring!r} must be a list")
-    if ring.descriptor[0] == "matrix":
-        k = ring.k
-        if len(raw) == k and all(isinstance(r, (list, tuple)) for r in raw):
-            raw = [x for row in raw for x in row]
-        flat = [descriptor_int(x, "payload entry") % ring.p for x in raw]
-        if len(flat) != k * k:
-            raise DomainError(f"matrix payload needs {k * k} entries, got {len(flat)}")
-        return tuple(flat)
-    if ring.descriptor[0] == "function":
-        vals = [descriptor_int(x, "payload entry") for x in raw]
-        if len(vals) != len(ring.points):
-            raise DomainError(
-                f"function payload needs {len(ring.points)} values, got {len(vals)}")
-        if any(not 0 <= v < ring.q for v in vals):
-            raise DomainError(f"function payload values must lie in 0..{ring.q - 1}")
-        return tuple(vals)
-    raise DomainError(f"cannot decode payload for {ring!r}")

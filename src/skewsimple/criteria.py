@@ -20,7 +20,7 @@ from . import closure
 from .errors import DomainError, PreconditionError
 from .groups import GroupTable
 from .rings import FunctionRing, MatrixRing, ModularRing, RingSpec
-from .skew import (SkewContext, SkewElement, _payload_json, augmentation,
+from .skew import (SkewContext, SkewElement, augmentation,
                    commuting_witness_outside_A, left_multiplication)
 from .skew import skew_center  # noqa: F401  (``bench/tracer.py`` wraps it under this name)
 
@@ -96,7 +96,7 @@ def necessary_conditions(ctx: SkewContext) -> CheckReport:
     report.verdicts["g_simple"] = CriterionVerdict(
         "g_simple", gs.value,
         witness=None if gs.value else {
-            "coefficient": _payload_json(ctx.ring, gs.witness.payload)})
+            "coefficient": ctx.ring.payload_json(gs.witness.payload)})
     report.verdicts["sigma_injective"] = CriterionVerdict(
         "sigma_injective", ctx.sigma_injective,
         witness=None if ctx.sigma_injective else {"group_element": ctx.group.name(

@@ -116,14 +116,17 @@ class GaloisField:
         self.p = p
         self.degree = m
         self.modulus = _smallest_irreducible(p, m)
+        # the base-p digits of each code, and the code of each digit tuple
+        self.digit_table = tuple(_digits(c, p, m) for c in range(q))
+        self.code_of = {d: c for c, d in enumerate(self.digit_table)}
         self._add, self._mul = self._build_tables()
         self._inv = self._build_inverses()
 
     def _build_tables(self):
-        q, p, m = self.q, self.p, self.degree
+        q, p = self.q, self.p
         add = [[0] * q for _ in range(q)]
         mul = [[0] * q for _ in range(q)]
-        digit = [_digits(c, p, m) for c in range(q)]
+        digit = self.digit_table
         for a in range(q):
             for b in range(a, q):
                 s = _code(tuple((x + y) % p for x, y in zip(digit[a], digit[b])), p)
@@ -152,9 +155,6 @@ class GaloisField:
     def neg(self, a: int) -> int:
         return _code(tuple((-d) % self.p for d in _digits(a, self.p, self.degree)), self.p)
 
-    def sub(self, a: int, b: int) -> int:
-        return self._add[a][self.neg(b)]
-
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
@@ -162,10 +162,10 @@ class GaloisField:
 
     def to_digits(self, a: int) -> tuple[int, ...]:
         """Additive F_p coordinates of an element code."""
-        return _digits(a, self.p, self.degree)
+        return self.digit_table[a]
 
     def from_digits(self, digits) -> int:
-        return _code(tuple(d % self.p for d in digits), self.p)
+        return self.code_of[tuple(d % self.p for d in digits)]
 
     def __repr__(self) -> str:
         return f"GaloisField({self.q})"

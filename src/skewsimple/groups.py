@@ -150,9 +150,16 @@ class GroupTable:
             raise CapacityError("group_order", self.caps.group_order, self.order, "group table")
         self.mul_table = tuple(tuple(int(x) for x in row) for row in mul)
         self.tag = tag
-        self.names = tuple(names) if names is not None else tuple(str(i) for i in range(self.order))
+        if names is None:
+            names = [str(i) for i in range(self.order)]
+        # reports name group elements, and read each name back to one index
+        if not isinstance(names, (list, tuple)) or not all(isinstance(s, str) for s in names):
+            raise DomainError("group element names must be a list of strings")
+        self.names = tuple(names)
         if len(self.names) != self.order:
             raise DomainError("names length does not match group order")
+        if len(set(self.names)) != self.order:
+            raise DomainError("group element names must be distinct")
         self._verify_axioms()
         self.inv_table = self._build_inverses()
 

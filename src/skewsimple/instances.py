@@ -107,7 +107,10 @@ class InstanceSpec:
             ctx.witness_search = bool(self.witness_search)
             return ctx
         desc = self.dynamics_desc
-        npoints = int(desc["points"])
+        npoints, q = int(desc["points"]), int(desc.get("q", 2))
+        # F_q^X has points * log_p q coordinates; refused before the action
+        # table, whose size grows with points, is built
+        check_dimension(descriptor_dim({"kind": "function", "points": npoints, "q": q}), group)
         if desc.get("natural"):
             if not hasattr(group, "permutations"):
                 raise InstanceParseError("natural dynamics need a permutation group",
@@ -120,8 +123,7 @@ class InstanceSpec:
                 raise InstanceParseError("dynamics need an action table or natural=true",
                                          path="dynamics.act")
             act = [_int_list(row, "act") for row in act]
-        tg = TransformationGroup(npoints, group, act, int(desc.get("q", 2)),
-                                 self.name, caps)
+        tg = TransformationGroup(npoints, group, act, q, self.name, caps)
         tg.context.witness_search = bool(self.witness_search)
         return tg
 

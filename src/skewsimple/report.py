@@ -11,7 +11,6 @@ import json
 import time
 
 from . import __version__, canonical, schema
-from .actions import _payload as decode_payload
 from .criteria import (abelian_simplicity_check, catalogue_notes, center_containment_check,
                        center_structure_check, centralizer_kernel_check,
                        commutative_simplicity_check, necessary_conditions,
@@ -190,7 +189,7 @@ def _decode_element(ctx: SkewContext, serialized) -> SkewElement:
     if not isinstance(serialized, list) or not all(
             isinstance(term, list) and len(term) == 2 for term in serialized):
         raise DomainError("an element must be a list of [group element, coefficient] pairs")
-    return ctx.element({_group_index(ctx, gname): decode_payload(ctx.ring, payload)
+    return ctx.element({_group_index(ctx, gname): ctx.ring.payload_from_json(payload)
                         for gname, payload in serialized})
 
 
@@ -255,7 +254,7 @@ def _check_witness(ctx: SkewContext, assertion: str, value, witness: dict) -> st
         return None
     if "coefficient" in witness and assertion == "g_simple" and value is False:
         from .actions import invariant_ideal_closure
-        payload = decode_payload(ring, witness["coefficient"])
+        payload = ring.payload_from_json(witness["coefficient"])
         if payload == ring.zero:
             return "claimed invariant-ideal witness is zero"
         ideal = invariant_ideal_closure(ctx.action, [payload])

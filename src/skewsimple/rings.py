@@ -3,6 +3,14 @@ function rings F_q^X, with exact payload arithmetic, enumeration, units,
 ideals, centre and twisted centralizers, and the sweep for the first nonzero
 element whose closure is a proper ideal.
 
+A family supplies its additive coordinates over Z/char (``to_vec``,
+``from_vec``, and ``rank_columns``: the coordinates from the most significant
+rank digit to the least), its product (``mul``, ``one``,
+``try_invert_payload``) and its presentation (``label``, ``payload_json``,
+``payload_from_json``). ``RingSpec`` derives ``add``, ``neg``, ``sub``,
+``zero``, ``rank`` and ``unrank`` from the coordinates, the order through the
+helpers ``rank_to_vec``/``vec_to_rank``, which ``skew`` reads over R's too.
+
 Payload encodings are canonical (ints for residues, flat row-major tuples for
 matrices, per-point code tuples for functions), so element equality is payload
 equality and enumeration order is lexicographic on payloads.
@@ -12,7 +20,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -69,37 +78,65 @@ def _check_modulus(n: int) -> None:
         raise CapacityError("modulus", INT64_LIMIT - 1, n, "int64 coordinates")
 
 
-class RingSpec:
-    """Common interface of the three coefficient ring families.
+@lru_cache(maxsize=64)
+def _places(char: int, columns: tuple[int, ...]) -> np.ndarray:
+    """The place value of each coordinate: char^k at the column holding the
+    rank digit k places from the least significant."""
+    places = np.zeros(len(columns), dtype=np.int64)
+    places[list(columns)] = char ** np.arange(len(columns) - 1, -1, -1, dtype=np.int64)
+    places.flags.writeable = False
+    return places
 
-    Subclasses provide payload-level arithmetic plus the additive coordinate
-    maps (``to_vec``/``from_vec`` over Z/char) that the closure engines use.
-    """
+
+def rank_to_vec(rank, char: int, columns: np.ndarray):
+    """The coordinate vector of a rank: its base-char digits, most
+    significant first, placed in ``columns``. A Python int gives a list; an
+    int64 array of ranks gives one vector per rank along a new last axis,
+    exact while char^len(columns) fits int64."""
+    if isinstance(rank, np.ndarray):
+        return (rank[..., None] // _places(char, tuple(columns.tolist()))) % char
+    vec = [0] * len(columns)
+    for c in reversed(columns.tolist()):
+        rank, vec[c] = divmod(rank, char)
+    return vec
+
+
+def vec_to_rank(vec, char: int, columns: np.ndarray):
+    """The rank of a coordinate vector, read as base-char digits in
+    ``columns`` order (most significant first); the inverse of
+    ``rank_to_vec``, on a sequence of ints or on an int64 array of vectors
+    along its last axis."""
+    if isinstance(vec, np.ndarray):
+        return vec @ _places(char, tuple(columns.tolist()))
+    rank = 0
+    for c in columns.tolist():
+        rank = rank * char + vec[c]
+    return rank
+
+
+class RingSpec:
+    """Common interface of the three coefficient ring families: what a
+    family supplies, and what is derived from its coordinates (see the
+    module docstring). ``from_vec`` reads each coordinate modulo char."""
 
     size: int
     char: int           # additive exponent: payload vectors live over Z/char
     dim: int            # length of the additive coordinate vector
+    rank_columns: np.ndarray
     is_commutative: bool
     descriptor: tuple
 
     def __init__(self, caps: Caps | None = None) -> None:
         self.caps = caps or Caps.from_env()
 
-    # payload arithmetic -------------------------------------------------
-    def add(self, a, b):
+    # supplied by each family ----------------------------------------------
+    def to_vec(self, a) -> tuple[int, ...]:
         raise NotImplementedError
 
-    def neg(self, a):
+    def from_vec(self, vec: Sequence[int]):
         raise NotImplementedError
 
     def mul(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    @property
-    def zero(self):
         raise NotImplementedError
 
     @property
@@ -110,6 +147,36 @@ class RingSpec:
         """Two-sided inverse payload, or None when a is not a unit."""
         raise NotImplementedError
 
+    def label(self, a) -> str:
+        raise NotImplementedError
+
+    def payload_json(self, a):
+        raise NotImplementedError
+
+    def payload_from_json(self, raw):
+        """Numbers that are not integers are refused (``descriptor_int``)."""
+        raise NotImplementedError
+
+    # derived from the coordinates -----------------------------------------
+    def add(self, a, b):
+        return self.from_vec([x + y for x, y in zip(self.to_vec(a), self.to_vec(b))])
+
+    def neg(self, a):
+        return self.from_vec([-x for x in self.to_vec(a)])
+
+    def sub(self, a, b):
+        return self.from_vec([x - y for x, y in zip(self.to_vec(a), self.to_vec(b))])
+
+    @cached_property
+    def zero(self):
+        return self.from_vec((0,) * self.dim)
+
+    def rank(self, a) -> int:
+        return vec_to_rank(self.to_vec(a), self.char, self.rank_columns)
+
+    def unrank(self, i: int):
+        return self.from_vec(rank_to_vec(i, self.char, self.rank_columns))
+
     # enumeration --------------------------------------------------------
     def check_enumerable(self, what: str = "ring enumeration") -> None:
         if self.size > self.caps.enumeration:
@@ -118,22 +185,12 @@ class RingSpec:
     def payloads(self) -> Iterator:
         """All payloads in canonical (lexicographic) order; cap-checked."""
         self.check_enumerable()
-        for i in range(self.size):
-            yield self.unrank(i)
-
-    def rank(self, a) -> int:
-        raise NotImplementedError
-
-    def unrank(self, i: int):
-        raise NotImplementedError
+        for lo in range(0, self.size, 4096):   # decoded 4096 at a time
+            ranks = np.arange(lo, min(lo + 4096, self.size), dtype=np.int64)
+            vecs = rank_to_vec(ranks, self.char, self.rank_columns)
+            yield from map(self.from_vec, vecs.tolist())
 
     # additive coordinates -----------------------------------------------
-    def to_vec(self, a) -> tuple[int, ...]:
-        raise NotImplementedError
-
-    def from_vec(self, vec: Sequence[int]):
-        raise NotImplementedError
-
     def additive_generators(self) -> tuple:
         """Canonical additive generating payloads (a Z/char module basis)."""
         return self._additive_generators
@@ -171,25 +228,10 @@ class RingSpec:
         return ClosureEngine(self.char, self.dim, self.ideal_operators)
 
     @cached_property
-    def rank_columns(self) -> np.ndarray:
-        """The coordinates holding a payload's rank digits, most significant
-        first. In every family a payload's vector is a fixed permutation of
-        its rank's base-char digits (function rings spell each point's code
-        little-endian), read off the payloads whose ranks are powers of char;
-        so ranks compare as these columns compare lexicographically."""
-        return np.array([self.to_vec(self.unrank(self.char ** k)).index(1)
-                         for k in range(self.dim - 1, -1, -1)], dtype=np.intp)
-
-    @cached_property
     def payload_vectors(self) -> np.ndarray:
-        """The coordinate vectors of all payloads in rank order, (size x dim):
-        each rank's base-char digits placed in ``rank_columns``."""
+        """The coordinate vectors of all payloads in rank order, (size x dim)."""
         self.check_enumerable("payload vectors")
-        places = self.char ** np.arange(self.dim - 1, -1, -1, dtype=np.int64)
-        vecs = np.zeros((self.size, self.dim), dtype=np.int64)
-        vecs[:, self.rank_columns] = (np.arange(self.size, dtype=np.int64)[:, None]
-                                      // places) % self.char
-        return vecs
+        return rank_to_vec(np.arange(self.size, dtype=np.int64), self.char, self.rank_columns)
 
     def members(self, basis: HowellBasis, what: str) -> list:
         """The payloads of a submodule of A's coordinates, in rank order;
@@ -225,10 +267,7 @@ class RingSpec:
                                          [1] * self.dim)
         return self.twisted_centralizer(eye)
 
-    # presentation --------------------------------------------------------
-    def label(self, a) -> str:
-        raise NotImplementedError
-
+    # elements ------------------------------------------------------------
     def element(self, payload) -> "RingElement":
         return RingElement(self, payload)
 
@@ -271,18 +310,18 @@ class ModularRing(RingSpec):
         self.is_commutative = True
         self.descriptor = ("modular", n)
 
-    def add(self, a, b):
-        return (a + b) % self.n
+    def to_vec(self, a):
+        return (a,)
 
-    def neg(self, a):
-        return (-a) % self.n
+    def from_vec(self, vec):
+        return vec[0] % self.n
+
+    @cached_property
+    def rank_columns(self) -> np.ndarray:
+        return np.zeros(1, dtype=np.intp)
 
     def mul(self, a, b):
         return (a * b) % self.n
-
-    @property
-    def zero(self):
-        return 0
 
     @property
     def one(self):
@@ -294,20 +333,14 @@ class ModularRing(RingSpec):
         except ValueError:
             return None
 
-    def rank(self, a) -> int:
-        return a
-
-    def unrank(self, i: int):
-        return i
-
-    def to_vec(self, a):
-        return (a,)
-
-    def from_vec(self, vec):
-        return vec[0] % self.n
-
     def label(self, a) -> str:
         return str(a)
+
+    def payload_json(self, a):
+        return a
+
+    def payload_from_json(self, raw):
+        return descriptor_int(raw, "payload") % self.n
 
 
 class MatrixRing(RingSpec):
@@ -328,13 +361,16 @@ class MatrixRing(RingSpec):
         self.is_commutative = k == 1
         self.descriptor = ("matrix", k, p)
 
-    def add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+    def to_vec(self, a):
+        return a
 
-    def neg(self, a):
-        p = self.p
-        return tuple((-x) % p for x in a)
+    def from_vec(self, vec):
+        return tuple(x % self.p for x in vec)
+
+    @cached_property
+    def rank_columns(self) -> np.ndarray:
+        """Row-major, as the payload's entries lie."""
+        return np.arange(self.dim, dtype=np.intp)
 
     def mul(self, a, b):
         k, p = self.k, self.p
@@ -346,10 +382,6 @@ class MatrixRing(RingSpec):
                     s += a[i * k + t] * b[t * k + j]
                 out[i * k + j] = s % p
         return tuple(out)
-
-    @property
-    def zero(self):
-        return (0,) * (self.k * self.k)
 
     @cached_property
     def one(self):
@@ -374,29 +406,26 @@ class MatrixRing(RingSpec):
                     aug[r] = [(x - c * y) % p for x, y in zip(aug[r], aug[col])]
         return tuple(aug[i][k + j] for i in range(k) for j in range(k))
 
-    def rank(self, a) -> int:
-        value = 0
-        for x in a:
-            value = value * self.p + x
-        return value
-
-    def unrank(self, i: int):
-        out = []
-        for _ in range(self.k * self.k):
-            out.append(i % self.p)
-            i //= self.p
-        return tuple(reversed(out))
-
-    def to_vec(self, a):
-        return a
-
-    def from_vec(self, vec):
-        return tuple(x % self.p for x in vec)
-
     def label(self, a) -> str:
         k = self.k
         rows = ["[" + ",".join(str(a[i * k + j]) for j in range(k)) + "]" for i in range(k)]
         return "[" + ",".join(rows) + "]"
+
+    def payload_json(self, a):
+        k = self.k
+        return [list(a[i * k:(i + 1) * k]) for i in range(k)]
+
+    def payload_from_json(self, raw):
+        """Rows of entries, or the k^2 entries flat in row-major order."""
+        if not isinstance(raw, (list, tuple)):
+            raise DomainError(f"a payload of {self!r} must be a list")
+        k = self.k
+        if len(raw) == k and all(isinstance(r, (list, tuple)) for r in raw):
+            raw = [x for row in raw for x in row]
+        flat = [descriptor_int(x, "payload entry") % self.p for x in raw]
+        if len(flat) != k * k:
+            raise DomainError(f"matrix payload needs {k * k} entries, got {len(flat)}")
+        return tuple(flat)
 
 
 class FunctionRing(RingSpec):
@@ -427,21 +456,25 @@ class FunctionRing(RingSpec):
         self.is_commutative = True
         self.descriptor = ("function", point_labels, q)
 
-    def add(self, a, b):
-        g = self.gf
-        return tuple(g.add(x, y) for x, y in zip(a, b))
+    def to_vec(self, a):
+        return tuple(chain.from_iterable(map(self.gf.digit_table.__getitem__, a)))
 
-    def neg(self, a):
-        g = self.gf
-        return tuple(g.neg(x) for x in a)
+    def from_vec(self, vec):
+        # each point's degree-many coordinates, reduced mod p, name its code
+        p = self.char
+        digits = iter([x % p for x in vec])
+        return tuple(map(self.gf.code_of.__getitem__, zip(*[digits] * self.gf.degree)))
+
+    @cached_property
+    def rank_columns(self) -> np.ndarray:
+        """Point by point, each point's code in base p from its high digit to
+        its low one (``to_vec`` spells a code low digit first)."""
+        m = self.gf.degree
+        return (np.arange(len(self.points))[:, None] * m + np.arange(m - 1, -1, -1)).ravel()
 
     def mul(self, a, b):
         g = self.gf
         return tuple(g.mul(x, y) for x, y in zip(a, b))
-
-    @property
-    def zero(self):
-        return (0,) * len(self.points)
 
     @property
     def one(self):
@@ -453,35 +486,22 @@ class FunctionRing(RingSpec):
         g = self.gf
         return tuple(g.inv(x) for x in a)
 
-    def rank(self, a) -> int:
-        value = 0
-        for x in a:
-            value = value * self.q + x
-        return value
-
-    def unrank(self, i: int):
-        out = []
-        for _ in range(len(self.points)):
-            out.append(i % self.q)
-            i //= self.q
-        return tuple(reversed(out))
-
-    def to_vec(self, a):
-        out: list[int] = []
-        for x in a:
-            out.extend(self.gf.to_digits(x))
-        return tuple(out)
-
-    def from_vec(self, vec):
-        m = self.gf.degree
-        return tuple(self.gf.from_digits(vec[i * m:(i + 1) * m]) for i in range(len(self.points)))
-
-    def indicator(self, point_index: int):
-        """The characteristic function of a single point."""
-        return tuple(1 if i == point_index else 0 for i in range(len(self.points)))
-
     def label(self, a) -> str:
         return "(" + ",".join(str(x) for x in a) + ")"
+
+    def payload_json(self, a):
+        return list(a)
+
+    def payload_from_json(self, raw):
+        """The code of the value at each point, in point order."""
+        if not isinstance(raw, (list, tuple)):
+            raise DomainError(f"a payload of {self!r} must be a list")
+        vals = [descriptor_int(x, "payload entry") for x in raw]
+        if len(vals) != len(self.points):
+            raise DomainError(f"function payload needs {len(self.points)} values, got {len(vals)}")
+        if any(not 0 <= v < self.q for v in vals):
+            raise DomainError(f"function payload values must lie in 0..{self.q - 1}")
+        return tuple(vals)
 
 
 def descriptor_int(value, name: str) -> int:

@@ -5,8 +5,9 @@ are none), and the constructive support-reduction / central-witness procedures.
 
 Elements are finite-support maps from group indices to nonzero coefficient
 payloads. |R| = |A|^|G| is finite, and every element has a canonical rank
-(mixed radix over coefficient ranks, identity slot most significant), which
-fixes sweep order, witness choice and report determinism.
+(mixed radix over coefficient ranks, identity slot most significant: the
+digits of R's coordinates in ``SkewContext.rank_columns``), which fixes sweep
+order, witness choice and report determinism.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .closure import (FLOAT64_EXACT, ClosureEngine, HowellBasis, check_int64, ke
 from .config import Caps
 from .errors import CapacityError, DomainError, PreconditionError
 from .groups import GroupTable, Subgroup
-from .rings import MAX_DIM, RingElement, RingSpec, _is_prime
+from .rings import MAX_DIM, RingElement, RingSpec, _is_prime, rank_to_vec, vec_to_rank
 
 
 def check_dimension(dim_a: int, group: GroupTable) -> None:
@@ -100,22 +101,10 @@ class SkewContext:
         return SkewElement(self, coeffs)
 
     def rank_of(self, r: "SkewElement") -> int:
-        size_a = self.ring.size
-        value = 0
-        for g in range(self.group.order):
-            a = r.coeffs.get(g, self.ring.zero)
-            value = value * size_a + self.ring.rank(a)
-        return value
+        return vec_to_rank(self.vec_of(r), self.char, self.rank_columns)
 
     def element_of_rank(self, i: int) -> "SkewElement":
-        size_a = self.ring.size
-        coeffs = {}
-        for g in range(self.group.order - 1, -1, -1):
-            digit = i % size_a
-            i //= size_a
-            if digit:
-                coeffs[g] = self.ring.unrank(digit)
-        return SkewElement(self, coeffs)
+        return self.element_of_vec(rank_to_vec(i, self.char, self.rank_columns))
 
     def elements(self) -> Iterator["SkewElement"]:
         """Every element of R in canonical rank order; cap-checked."""
@@ -371,7 +360,7 @@ class SkewElement:
 
     def serialize(self) -> list:
         group, ring = self.ctx.group, self.ctx.ring
-        return [[group.name(g), _payload_json(ring, a)] for g, a in sorted(self.coeffs.items())]
+        return [[group.name(g), ring.payload_json(a)] for g, a in sorted(self.coeffs.items())]
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -379,16 +368,6 @@ class SkewElement:
         ring, group = self.ctx.ring, self.ctx.group
         return " + ".join(f"{ring.label(a)}*u[{group.name(g)}]"
                           for g, a in sorted(self.coeffs.items()))
-
-
-def _payload_json(ring: RingSpec, payload):
-    kind = ring.descriptor[0]
-    if kind == "modular":
-        return payload
-    if kind == "matrix":
-        k = ring.k
-        return [[payload[i * k + j] for j in range(k)] for i in range(k)]
-    return list(payload)
 
 
 # elementary maps -------------------------------------------------------------
@@ -649,14 +628,12 @@ def _sweep_prime(ctx: SkewContext) -> SkewSimplicity:
     skip[0] = 1
     marks = np.frombuffer(skip, dtype=np.uint8)   # writes through to ``skip``
     transforms = None   # built once the first element has generated R
-    # rank = sum of the rank columns' digits at their places; within the cap
-    # every rank fits in int64
-    place = np.zeros(ctx.dim, dtype=np.int64)
-    place[ctx.rank_columns] = ctx.char ** np.arange(ctx.dim - 1, -1, -1, dtype=np.int64)
+    # within the cap every rank fits in int64
+    char, cols = ctx.char, ctx.rank_columns
     for i in range(1, size):
         if skip[i]:
             continue
-        vec = (i // place) % ctx.char   # the coordinates of the element of rank i
+        vec = np.array(rank_to_vec(i, char, cols))   # the coordinates of rank i
         basis = engine.closure([vec])
         if not basis.is_full:
             r = ctx.element_of_rank(i)
@@ -667,8 +644,8 @@ def _sweep_prime(ctx: SkewContext) -> SkewSimplicity:
             if certify_simple(ctx):
                 return SkewSimplicity(True, "certificate")
             transforms = _orbit_transforms(ctx)
-        images = ((transforms @ vec) % ctx.char).reshape(-1, ctx.dim)
-        marks[images @ place] = 1
+        images = ((transforms @ vec) % char).reshape(-1, ctx.dim)
+        marks[vec_to_rank(images, char, cols)] = 1
     return SkewSimplicity(True, "full_sweep")
 
 

@@ -27,6 +27,9 @@ The certificate's draws are one single-vector multiplication matrix and one
 product per term; the group laws and inverses are checked entry by entry in
 loop order; a coordinate permutation's matrix is built from the image of
 each additive generator.
+The additive structure (zero, sum, negation) and the canonical order of A
+are written out family by family on payloads, and the order of R composes
+the coefficient ranks slot by slot.
 """
 
 from __future__ import annotations
@@ -581,3 +584,73 @@ def naive_permutation_matrix(auto) -> np.ndarray:
     ring = auto.ring
     cols = [ring.to_vec(auto.apply(b)) for b in ring.additive_generators()]
     return np.array(cols, dtype=np.int64).T % ring.char
+
+
+# the additive structure and canonical order, written out family by family: a
+# residue is its own rank, and a matrix's entries or a function's point codes
+# are the base-p or base-q digits of its rank, the first most significant
+
+def naive_zero(ring):
+    kind = ring.descriptor[0]
+    if kind == "modular":
+        return 0
+    return (0,) * (ring.k * ring.k if kind == "matrix" else len(ring.points))
+
+
+def naive_add(ring, a, b):
+    kind = ring.descriptor[0]
+    if kind == "modular":
+        return (a + b) % ring.n
+    if kind == "matrix":
+        return tuple((x + y) % ring.p for x, y in zip(a, b))
+    return tuple(ring.gf.add(x, y) for x, y in zip(a, b))
+
+
+def naive_neg(ring, a):
+    kind = ring.descriptor[0]
+    if kind == "modular":
+        return (-a) % ring.n
+    if kind == "matrix":
+        return tuple((-x) % ring.p for x in a)
+    return tuple(ring.gf.neg(x) for x in a)
+
+
+def naive_rank(ring, a) -> int:
+    if ring.descriptor[0] == "modular":
+        return a
+    base = ring.p if ring.descriptor[0] == "matrix" else ring.q
+    value = 0
+    for x in a:
+        value = value * base + x
+    return value
+
+
+def naive_unrank(ring, i: int):
+    kind = ring.descriptor[0]
+    if kind == "modular":
+        return i
+    base, count = (ring.p, ring.k * ring.k) if kind == "matrix" else (ring.q, len(ring.points))
+    out = []
+    for _ in range(count):
+        out.append(i % base)
+        i //= base
+    return tuple(reversed(out))
+
+
+def naive_skew_rank(ctx, r) -> int:
+    """Mixed radix over the slots' coefficient ranks, identity slot first."""
+    ring = ctx.ring
+    value = 0
+    for g in range(ctx.group.order):
+        value = value * ring.size + naive_rank(ring, r.coeffs.get(g, naive_zero(ring)))
+    return value
+
+
+def naive_skew_unrank(ctx, i: int):
+    ring = ctx.ring
+    coeffs = {}
+    for g in range(ctx.group.order - 1, -1, -1):
+        i, digit = divmod(i, ring.size)
+        if digit:
+            coeffs[g] = naive_unrank(ring, digit)
+    return ctx.element(coeffs)

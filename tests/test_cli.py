@@ -16,15 +16,15 @@ FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
 
 
-def run_python(*args):
+def run_python(*args, **kwargs):
     # the package is imported from the source tree, installed or not
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          env={**os.environ, "PYTHONPATH": path}, **kwargs)
 
 
-def run_cli(*args):
-    return run_python("-m", "skewsimple.cli", *args)
+def run_cli(*args, **kwargs):
+    return run_python("-m", "skewsimple.cli", *args, **kwargs)
 
 
 def test_check_green_instance_exits_zero():
@@ -129,6 +129,68 @@ def test_dimension_is_refused_before_the_ring_is_built(monkeypatch):
     doc = {"name": "f1e6", "ring": {"kind": "function", "points": 10**6, "q": 2},
            "group": _Z2, "action": {"kind": "trivial"}}
     with pytest.raises(InstanceParseError, match="need 2000000, cap is 256"):
+        parse_instance(json.dumps(doc))
+
+
+@pytest.mark.parametrize("names,message", [
+    (["e", "e"], "group element names must be distinct"),
+    ([[1], [2]], "group element names must be a list of strings")])
+def test_table_groups_with_repeated_or_non_string_names_exit_2(tmp_path, names, message):
+    # a repeated name would make a report whose witnesses read back wrong
+    doc = {"name": "names", "ring": {"kind": "modular", "n": 2},
+           "group": {"kind": "table", "mul": [[0, 1], [1, 0]], "names": names},
+           "action": {"kind": "trivial"}}
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    result = run_cli("check", str(path))
+    assert result.returncode == 2
+    assert f"input error: invalid instance: {message}" in result.stderr
+
+
+def _limited_address_space():
+    # a refusal that comes too late fails here instead of filling the memory
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+
+class _GroupWithoutPermutations:
+    """Stands in for a permutation group whose permutations, from which the
+    natural action table is built, must not be read."""
+
+    def __init__(self, group):
+        self.order = group.order
+
+    @property
+    def permutations(self):
+        raise AssertionError("action table built before the dimension check")
+
+
+@pytest.mark.parametrize("how", [{"natural": True}, {"act": [[0, 1], [1, 0]]}],
+                         ids=["natural", "act"])
+def test_dynamics_dimension_is_refused_before_anything_is_built(tmp_path, monkeypatch, how):
+    # points * log_p q * |G| is read off the descriptor, so a billion points
+    # are refused without an action table, a ring or a transformation group
+    from skewsimple import instances
+    from skewsimple.rings import FunctionRing
+
+    def unbuildable(*args, **kwargs):
+        raise AssertionError("built before the dimension check")
+
+    doc = {"name": "billion", "dynamics": {"points": 10**9, "q": 4,
+                                           "group": {"kind": "symmetric", "degree": 2}, **how}}
+    path = tmp_path / "billion.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    result = run_cli("check", str(path), preexec_fn=_limited_address_space)
+    assert result.returncode == 2
+    assert "dimension cap exceeded for skew ring coordinates: need 4000000000, cap is 256" \
+        in result.stderr
+
+    real_group = instances.group_from_descriptor
+    monkeypatch.setattr(instances, "group_from_descriptor",
+                        lambda desc, caps=None: _GroupWithoutPermutations(real_group(desc, caps)))
+    monkeypatch.setattr(FunctionRing, "__init__", unbuildable)
+    monkeypatch.setattr(instances, "TransformationGroup", unbuildable)
+    with pytest.raises(InstanceParseError, match="need 4000000000, cap is 256"):
         parse_instance(json.dumps(doc))
 
 

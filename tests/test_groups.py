@@ -135,6 +135,20 @@ def test_cyclic_subgroup_and_normality():
     assert not s3.cyclic_subgroup(swap).is_normal()
 
 
+@pytest.mark.parametrize("names,message", [
+    (["e", "e"], "group element names must be distinct"),
+    ([[1], [2]], "group element names must be a list of strings"),
+    (["e", 1], "group element names must be a list of strings"),
+    ("ea", "group element names must be a list of strings"),
+    (["e"], "names length does not match group order"),
+])
+def test_element_names_are_distinct_strings(names, message):
+    # a report names group elements and reads each name back to one index
+    with pytest.raises(DomainError, match=message):
+        GroupTable([[0, 1], [1, 0]], names)
+    assert GroupTable([[0, 1], [1, 0]], ["e", "a"]).names == ("e", "a")
+
+
 def _verdict(mul):
     try:
         table = GroupTable(mul)

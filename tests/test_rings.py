@@ -1,4 +1,6 @@
+import json
 import random
+import re
 import time
 from dataclasses import replace
 
@@ -6,11 +8,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from skewsimple import (CapacityError, Caps, DomainError, FunctionRing, GroupTable,
-                        MatrixRing, ModularRing, center, enumerate_elements, ideal_closure,
-                        is_G_simple, trivial_action, try_invert)
+                        InstanceParseError, MatrixRing, ModularRing, center,
+                        enumerate_elements, ideal_closure, is_G_simple, trivial_action,
+                        try_invert)
+from skewsimple.instances import parse_instance
+from skewsimple.report import canonical_json, revalidate_report, run_checks
 from skewsimple.rings import PRIME_TEST_BOUND, _is_prime, descriptor_dim, ring_from_descriptor
 
-from naive import is_field
+from naive import is_field, naive_add, naive_neg, naive_rank, naive_unrank, naive_zero
 
 RINGS_SMALL = [ModularRing(6), MatrixRing(2, 2), FunctionRing(3, 2), FunctionRing(2, 4)]
 
@@ -217,6 +222,89 @@ def test_vec_roundtrip():
         for a in ring.payloads():
             assert ring.from_vec(ring.to_vec(a)) == a
             assert ring.unrank(ring.rank(a)) == a
+
+
+# the additive structure and order derive from each family's coordinates;
+# compared with the family-by-family references, also where ranks pass int64
+DERIVED_RINGS = [ModularRing(7), ModularRing(12), ModularRing(2**61 - 1), MatrixRing(1, 5),
+                 MatrixRing(2, 2), MatrixRing(2, 3), MatrixRing(5, 7),
+                 *(FunctionRing(3, q) for q in (2, 3, 4, 8, 9)), FunctionRing(30, 8)]
+
+
+@given(st.sampled_from(DERIVED_RINGS), st.data())
+def test_derived_additive_structure_and_order_match_the_family_references(ring, data):
+    i, j = (data.draw(st.integers(0, ring.size - 1)) for _ in range(2))
+    a, b = naive_unrank(ring, i), naive_unrank(ring, j)
+    assert ring.unrank(i) == a
+    assert ring.rank(a) == naive_rank(ring, a) == i
+    assert ring.add(a, b) == naive_add(ring, a, b)
+    assert ring.neg(a) == naive_neg(ring, a)
+    assert ring.sub(a, b) == naive_add(ring, a, naive_neg(ring, b))
+    assert ring.zero == naive_zero(ring)
+
+
+@pytest.mark.parametrize("ring", [ModularRing(6), MatrixRing(2, 2), FunctionRing(2, 4),
+                                  FunctionRing(2, 9), FunctionRing(1, 8)], ids=repr)
+def test_payloads_and_their_vectors_follow_the_reference_order(ring):
+    payloads = list(ring.payloads())
+    assert payloads == [naive_unrank(ring, i) for i in range(ring.size)]
+    assert ring.payload_vectors.tolist() == [list(ring.to_vec(a)) for a in payloads]
+
+
+SMALL_OF_EACH_FAMILY = [ModularRing(6), ModularRing(5), MatrixRing(1, 3), MatrixRing(2, 2),
+                        FunctionRing(2, 4), FunctionRing(["a", "b", "c"], 3)]
+
+
+@pytest.mark.parametrize("ring", SMALL_OF_EACH_FAMILY, ids=repr)
+def test_payload_json_round_trips(ring):
+    for a in ring.payloads():
+        raw = ring.payload_json(a)
+        assert json.loads(json.dumps(raw)) == raw
+        assert ring.payload_from_json(raw) == a
+
+
+def test_payload_json_shapes():
+    assert ModularRing(6).payload_json(5) == 5
+    assert MatrixRing(2, 3).payload_json((0, 1, 2, 0)) == [[0, 1], [2, 0]]
+    assert FunctionRing(3, 4).payload_json((3, 0, 1)) == [3, 0, 1]
+    # a matrix may also be written flat, row-major
+    assert MatrixRing(2, 3).payload_from_json([0, 1, 2, 0]) == (0, 1, 2, 0)
+
+
+_Z2 = {"kind": "cyclic_product", "orders": [2]}
+_F2X2 = {"kind": "function", "points": 2, "q": 2}
+# ring descriptor, one JSON payload, one unit of that ring, and the refusal
+MALFORMED_PAYLOADS = {
+    "modular_float": ({"kind": "modular", "n": 3}, 1.5, 1, "payload must be an integer, got 1.5"),
+    "modular_list": ({"kind": "modular", "n": 3}, [1], 1, "payload must be an integer, got [1]"),
+    "matrix_number": ({"kind": "matrix", "size": 2, "prime": 2}, 1, [[1, 0], [0, 1]],
+                      "a payload of MatrixRing(2, 2) must be a list"),
+    "matrix_short": ({"kind": "matrix", "size": 2, "prime": 2}, [[1, 0], [0]], [[1, 0], [0, 1]],
+                     "matrix payload needs 4 entries, got 3"),
+    "matrix_float_entry": ({"kind": "matrix", "size": 2, "prime": 2}, [[1, 0], [0, 0.5]],
+                           [[1, 0], [0, 1]], "payload entry must be an integer, got 0.5"),
+    "function_number": (_F2X2, 1, [1, 1],
+                        "a payload of FunctionRing(('x0', 'x1'), 2) must be a list"),
+    "function_long": (_F2X2, [1, 1, 1], [1, 1], "function payload needs 2 values, got 3"),
+    "function_out_of_range": (_F2X2, [1, 2], [1, 1], "function payload values must lie in 0..1"),
+    "function_string_entry": (_F2X2, [1, "1"], [1, 1],
+                              'payload entry must be an integer, got "1"'),
+}
+
+
+@pytest.mark.parametrize("ring,raw,unit,message", list(MALFORMED_PAYLOADS.values()),
+                         ids=list(MALFORMED_PAYLOADS))
+def test_malformed_payloads_are_refused_in_actions_and_reports(ring, raw, unit, message):
+    doc = {"name": "bad", "ring": ring, "group": _Z2,
+           "action": {"kind": "conjugation", "units": [raw, unit]}}
+    with pytest.raises(InstanceParseError, match=re.escape(f"invalid instance: {message}")):
+        parse_instance(json.dumps(doc))
+    doc["action"]["units"] = [unit, unit]
+    report = json.loads(canonical_json(run_checks(parse_instance(json.dumps(doc)))))
+    report["checks"]["necessary_conditions"]["verdicts"]["g_simple"].update(
+        value=False, witness={"coefficient": raw})
+    with pytest.raises(DomainError, match=re.escape(message)):
+        revalidate_report(report)
 
 
 def _trial_division(n, primes):

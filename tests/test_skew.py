@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from skewsimple import (CapacityError, Caps, DomainError, FunctionRing, GroupTable,
                         MatrixRing, ModularRing, PreconditionError, skew)
@@ -21,7 +22,8 @@ from skewsimple.skew import (SkewContext, SkewIdeal, augmentation, central_witne
 from conftest import (conj_f2_context, conj_f3_context, natural_s3_context,
                       rotation_z3_context, swap_context, trivial_f2_z2_context,
                       two_two_cycles_context)
-from naive import naive_certificate_draws, naive_orbit_transforms, naive_skew_span
+from naive import (naive_certificate_draws, naive_orbit_transforms, naive_skew_rank,
+                   naive_skew_span, naive_skew_unrank)
 
 
 def test_unit_monomials_invert_each_other():
@@ -630,6 +632,33 @@ def test_rank_roundtrip(conj_f2_ctx):
         r = conj_f2_ctx.element_of_rank(i)
         assert conj_f2_ctx.rank_of(r) == i
         assert conj_f2_ctx.element_of_vec(conj_f2_ctx.vec_of(r)) == r
+
+
+# R's order, read off its coordinates, against the slot-by-slot composition
+# of coefficient ranks; the trivial actions reach ranks past int64
+_RANKED_CONTEXTS = {
+    "conj_f3": conj_f3_context,
+    "natural_s3": natural_s3_context,
+    "rotation_z3": rotation_z3_context,
+    "z12_z2": lambda: _trivial_context(ModularRing(12), GroupTable.cyclic_product([2])),
+    "m3f5_z3": lambda: _trivial_context(MatrixRing(3, 5), GroupTable.cyclic_product([3])),
+    "f9x3_z2xz2": lambda: _trivial_context(FunctionRing(3, 9), GroupTable.cyclic_product([2, 2])),
+    "f8x12_z4": lambda: _trivial_context(FunctionRing(12, 8), GroupTable.cyclic_product([4])),
+}
+
+
+@pytest.fixture(scope="module")
+def ranked_contexts():
+    return {name: build() for name, build in _RANKED_CONTEXTS.items()}
+
+
+@given(st.sampled_from(sorted(_RANKED_CONTEXTS)), st.data())
+def test_skew_ranks_match_the_slot_by_slot_reference(ranked_contexts, name, data):
+    ctx = ranked_contexts[name]
+    i = data.draw(st.integers(0, ctx.size - 1))
+    r = naive_skew_unrank(ctx, i)
+    assert ctx.element_of_rank(i) == r
+    assert ctx.rank_of(r) == naive_skew_rank(ctx, r) == i
 
 
 def test_elements_iteration_cap():
