@@ -238,7 +238,9 @@ class ActionMap:
         if auto.structural:
             return None
         ring.check_enumerable("automorphism validation")
-        images = np.array([ring.to_vec(auto.apply(a)) for a in ring.payloads()], dtype=np.int64)
+        # the images in rank order: as a table lists them, else payload by payload
+        images = auto.params[0] if auto.kind == "table" else map(auto.apply, ring.payloads())
+        images = np.array([ring.to_vec(b) for b in images], dtype=np.int64)
         ranks = vec_to_rank(images, ring.char, ring.rank_columns)
         if not np.array_equal(np.sort(ranks), np.arange(ring.size)):
             return ActionViolation("automorphism not bijective", g)

@@ -142,7 +142,11 @@ class HowellBasis:
     @property
     def rows(self) -> list[np.ndarray]:
         """The Howell rows in pivot order (copies)."""
-        return list(self._matrix().copy())
+        return list(self.matrix())
+
+    def matrix(self) -> np.ndarray:
+        """The Howell rows as one (rank x dim) int64 array (a copy)."""
+        return self._matrix().copy()
 
     def _matrix(self) -> np.ndarray:
         """The Howell rows as one (rank x dim) int64 block."""
@@ -283,11 +287,18 @@ class HowellBasis:
     def iter_chunks(self):
         """All members, each once, as int64 arrays of consecutive rows of about
         CHUNK_BYTES each; members come in the lex order of their coefficient
-        vectors (the last coefficient varies fastest)."""
+        vectors (the last coefficient varies fastest).
+
+        A chunk is its coefficient vectors times the rows. Its integer entries
+        are at most rank*(n-1)^2, so the product is taken in float64 (a BLAS
+        product) while that is exact there, and in int64 otherwise."""
         if not self._rank:
             yield np.zeros((1, self.dim), dtype=np.int64)
             return
         mat = self._matrix()
+        exact = self._rank * (self.n - 1) ** 2 < FLOAT64_EXACT
+        dtype = np.float64 if exact else np.int64
+        mat = mat.astype(dtype, copy=False)
         radix = [self.n // d for d in self.divs]
         place = [1] * len(radix)   # members between steps of coefficient i
         for i in range(len(radix) - 2, -1, -1):
@@ -298,8 +309,10 @@ class HowellBasis:
         size = self.size
         for start in range(0, size, step):
             idx = np.arange(start, min(start + step, size), dtype=np.int64)
-            coeff = (idx[:, None] // place_arr) % radix_arr
-            yield (coeff @ mat) % self.n
+            coeff = ((idx[:, None] // place_arr) % radix_arr).astype(dtype, copy=False)
+            chunk = (coeff @ mat).astype(np.int64, copy=False)
+            chunk %= self.n
+            yield chunk
 
     def iter_vectors(self):
         """All members as tuples, in the order of ``iter_chunks``."""

@@ -92,12 +92,20 @@ class SkewContext:
         return tuple(out)
 
     def element_of_vec(self, vec: Sequence[int]) -> "SkewElement":
-        d = self.ring.dim
+        """The element with these coordinates, read modulo char: the vector
+        becomes a list of ints once, and only slots with a nonzero entry are
+        decoded (a slot whose entries are multiples of char decodes to zero
+        and is dropped too)."""
+        ring, d = self.ring, self.ring.dim
+        zero, from_vec = ring.zero, ring.from_vec
+        vals = vec.tolist() if isinstance(vec, np.ndarray) else list(map(int, vec))
         coeffs = {}
-        for g in range(self.group.order):
-            a = self.ring.from_vec(tuple(int(x) for x in vec[g * d:(g + 1) * d]))
-            if a != self.ring.zero:
-                coeffs[g] = a
+        for g, lo in enumerate(range(0, self.dim, d)):
+            slot = vals[lo:lo + d]
+            if any(slot):
+                a = from_vec(slot)
+                if a != zero:
+                    coeffs[g] = a
         return SkewElement(self, coeffs)
 
     def rank_of(self, r: "SkewElement") -> int:
@@ -489,18 +497,17 @@ def _coefficient_blocks(ctx: SkewContext, vecs: Sequence[Sequence[int]]) -> np.n
 def is_center_unit(r: SkewElement) -> bool:
     """Whether the central element r is a unit of the centre Z.
 
-    Z is a finite commutative ring, so r is a unit exactly when x -> r x is
-    injective on Z, that is when the products of r with the rows of Z's Howell
-    basis span a submodule as large as Z.
+    The inverse of a central unit of R commutes with everything r does, so
+    for central r being a unit of Z is being a unit of R. R is finite, so
+    that holds exactly when x -> r x is onto, that is when the columns of
+    L_r span (Z/char)^dim. No generating set of that module has fewer than
+    dim members, so the first column already in the span of those before it
+    settles the answer. This reads nothing of ``center_basis``.
     """
     ctx = r.ctx
-    n = ctx.char
-    op = left_multiplication(ctx, ctx.vec_of(r))
-    centre = ctx.center_basis
-    image = HowellBasis(n, ctx.dim)
-    for row in centre.rows:
-        image.insert((op @ row) % n)
-    return image.size == centre.size
+    image = HowellBasis(ctx.char, ctx.dim)
+    columns = np.ascontiguousarray(left_multiplication(ctx, ctx.vec_of(r)).T)
+    return all(image.insert(col) for col in columns) and image.is_full
 
 
 # ideals and the simplicity oracle ---------------------------------------------
@@ -870,33 +877,50 @@ def support_reduce(ctx: SkewContext, r: SkewElement) -> SkewElement:
 def _find_support_slice(ctx: SkewContext, ideal: SkewIdeal,
                         allowed_support: frozenset[int]) -> SkewElement | None:
     """First element of the ideal with support inside the allowed set and
-    identity coefficient equal to 1.
+    identity coefficient equal to 1, or None when there is none.
 
-    Solved over F_p: a G-simple coefficient ring has prime characteristic.
+    It is c.B for the ideal's RREF rows B and the coefficients c solving
+    c.B = t on the constrained columns (the blocks of e and of every g
+    outside the allowed set, t being vec(1) on e's block and zero on the
+    others): the solution zero on the system's free columns, as
+    ``closure.solve`` returns it. A G-simple coefficient ring has prime
+    characteristic, so the rows are over F_p and every pivot is 1.
+
+    That solution is read off the rows. A row whose pivot lies in a
+    constrained block has a 1 at that column, where every other row has a
+    0, so the equation there fixes its coefficient to t's value at the
+    pivot. The same 1 makes the row a pivot column of the system that
+    takes part in no dependency among the others, so the free columns are
+    those the remaining rows (pivots in allowed blocks) leave free on
+    their own. What those rows must still produce is the residual, t minus
+    the fixed rows' combination, on the constrained columns (zero at the
+    fixed pivots). When it is zero their coefficients are zero, which is
+    the solution zero on the free columns; otherwise ``closure.solve`` runs
+    on those rows alone, and its answer, or None, is the whole system's.
     """
-    d = ctx.ring.dim
-    # solve linearly: coefficients c with c.B zero outside the allowed
-    # blocks and equal to vec(1) on the identity block
-    rows = ideal.basis.rows
-    if not rows:
+    p, d = ctx.char, ctx.ring.dim
+    basis = ideal.basis
+    if not basis.rank:
         return None
-    B = np.stack(rows)
-    cols = []
-    target = []
-    one_vec = ctx.ring.to_vec(ctx.ring.one)
-    for g in range(ctx.group.order):
-        block = range(g * d, (g + 1) * d)
-        if g == 0:
-            cols.extend(block)
-            target.extend(one_vec)
-        elif g not in allowed_support:
-            cols.extend(block)
-            target.extend([0] * d)
-    A = B[:, cols].T % ctx.char
-    sol = solve(ctx.char, A, np.array(target, dtype=np.int64))
-    if sol is None:
-        return None
-    return ctx.element_of_vec((sol @ B) % ctx.char)
+    B = basis.matrix()
+    pivots = np.array(basis.pivots, dtype=np.intp)
+    blocks = np.ones(ctx.group.order, dtype=bool)
+    blocks[[g for g in allowed_support if g]] = False
+    constrained = np.repeat(blocks, d)
+    target = np.zeros(ctx.dim, dtype=np.int64)
+    target[:d] = ctx.ring.to_vec(ctx.ring.one)
+    fixed = constrained[pivots]
+    coeffs = np.zeros(len(pivots), dtype=np.int64)
+    coeffs[fixed] = target[pivots[fixed]]
+    constrained[pivots[fixed]] = False   # the fixed pivots' equations hold
+    residual = ((target - coeffs[fixed] @ B[fixed]) % p)[constrained]
+    if residual.any():
+        free = ~fixed
+        sol = solve(p, B[free][:, constrained].T, residual)
+        if sol is None:
+            return None
+        coeffs[free] = sol
+    return ctx.element_of_vec((coeffs @ B) % p)
 
 
 def smallest_member(ideal: SkewIdeal) -> SkewElement:
@@ -904,7 +928,8 @@ def smallest_member(ideal: SkewIdeal) -> SkewElement:
 
     Members are enumerated chunkwise as vectors and compared on their
     support size, then on ``SkewContext.rank_columns``, which orders like
-    the rank.
+    the rank. Within a chunk only the members of least support can win, so
+    only those are sorted on the columns.
     """
     ctx = ideal.ctx
     order, cols = ctx.group.order, ctx.rank_columns
@@ -912,10 +937,12 @@ def smallest_member(ideal: SkewIdeal) -> SkewElement:
     for chunk in ideal.basis.iter_chunks():
         support = np.count_nonzero(chunk.reshape(len(chunk), order, -1).any(axis=2), axis=1)
         support[support == 0] = order + 1   # the zero member never wins
-        i = np.lexsort(np.vstack([chunk[:, cols[::-1]].T, support]))[0]
-        key = (int(support[i]), *chunk[i, cols].tolist())
+        least = support.min()
+        candidates = chunk[support == least]
+        i = np.lexsort(candidates[:, cols[::-1]].T)[0]
+        key = (int(least), *candidates[i, cols].tolist())
         if best_key is None or key < best_key:
-            best_key, best_vec = key, chunk[i]
+            best_key, best_vec = key, candidates[i]
     if best_key[0] > order:
         raise DomainError("the zero ideal has no nonzero member")
     return ctx.element_of_vec(best_vec)

@@ -14,7 +14,9 @@ The centre references run over every element of the materialized centre or
 ideal: the field test multiplies every pair of central elements, the
 coefficient laws and the containment check visit every central element, and
 the smallest ideal member is found by building each member as a
-``SkewElement``. Centrality is tested by multiplying the element with every
+``SkewElement``, over the members of a Howell basis listed by
+``itertools.product`` over its coefficients. A central element is a unit of
+the centre when its multiples of the centre's basis span all of it. Centrality is tested by multiplying the element with every
 coefficient generator and every unit monomial on both sides.
 The A-level references walk every payload of A: the centre, the fixed ring
 and the units implementing an automorphism by conjugation; the field test
@@ -22,20 +24,24 @@ on an explicit element set multiplies every pair.
 The Howell reference inserts into a list of rows, one row at a time: every
 reduction and every update of the rows above is a loop over the rows, and
 closures apply the operators one by one. The linear solver clears a pivot
-column row by row, and the unit-orbit transforms are one product each.
+column row by row, the support slice of the constructive procedures is one
+solve over every row of the ideal, and the unit-orbit transforms are one
+product each.
 The certificate's draws are one single-vector multiplication matrix and one
 product per term; the group laws and inverses are checked entry by entry in
 loop order; a coordinate permutation's matrix is built from the image of
 each additive generator.
 The additive structure (zero, sum, negation) and the canonical order of A
 are written out family by family on payloads, and the order of R composes
-the coefficient ranks slot by slot.
+the coefficient ranks slot by slot; an element of R is decoded from its
+coordinates slot by slot.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from itertools import product
 from math import gcd
 from typing import Callable, Iterable, Sequence
 
@@ -231,6 +237,38 @@ def naive_has_inverse(a, elements, *, one) -> bool:
     return any(a * b == one for b in elements)
 
 
+def naive_is_center_unit(r) -> bool:
+    """Whether the central element r is a unit of the centre Z: x -> r x is
+    injective on Z, that is the products of r with the rows of Z's Howell
+    basis span a submodule as large as Z (the reference for
+    ``skew.is_center_unit``, which decides a unit of R instead)."""
+    from skewsimple.closure import HowellBasis
+    from skewsimple.skew import left_multiplication
+
+    ctx = r.ctx
+    n = ctx.char
+    op = left_multiplication(ctx, ctx.vec_of(r))
+    centre = ctx.center_basis
+    image = HowellBasis(n, ctx.dim)
+    for row in centre.rows:
+        image.insert((op @ row) % n)
+    return image.size == centre.size
+
+
+def naive_element_of_vec(ctx, vec):
+    """The element with the given coordinates, decoded slot by slot from a
+    tuple of ints, zero coefficients dropped."""
+    from skewsimple.skew import SkewElement
+
+    d = ctx.ring.dim
+    coeffs = {}
+    for g in range(ctx.group.order):
+        a = ctx.ring.from_vec(tuple(int(x) for x in vec[g * d:(g + 1) * d]))
+        if a != ctx.ring.zero:
+            coeffs[g] = a
+    return SkewElement(ctx, coeffs)
+
+
 def naive_field_obstruction(elements, *, zero, one):
     """A nonzero member with no inverse in the set, or None when it is a field."""
     members = set(elements)
@@ -384,10 +422,21 @@ def naive_center_laws(ctx, centre) -> tuple[bool, bool]:
     return laws_ok, fixed_ok
 
 
+def naive_span_members(basis) -> list[Vector]:
+    """Every member of a Howell basis's span, as tuples: sum c_i row_i for
+    each coefficient vector with 0 <= c_i < n / pivot_i, the coefficient
+    vectors from ``itertools.product`` (the last coefficient varies fastest)
+    and the sums in Python integers."""
+    n, dim = basis.n, basis.dim
+    rows = [[int(x) for x in row] for row in basis.rows]
+    return [tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) % n for j in range(dim))
+            for coeffs in product(*[range(n // d) for d in basis.divs])]
+
+
 def naive_smallest_member(ctx, ideal):
     """The nonzero member of smallest (support size, rank), member by member."""
     best = best_key = None
-    for vec in ideal.iter_vectors():
+    for vec in naive_span_members(ideal.basis):
         r = ctx.element_of_vec(vec)
         if r.is_zero():
             continue
@@ -654,3 +703,32 @@ def naive_skew_unrank(ctx, i: int):
         if digit:
             coeffs[g] = naive_unrank(ring, digit)
     return ctx.element(coeffs)
+
+
+def naive_find_support_slice(ctx, ideal, allowed_support):
+    """The first element of the ideal with support inside the allowed set
+    and identity coefficient 1, or None: one ``closure.solve`` of c.B = t
+    over every RREF row of the ideal, t being vec(1) on the identity block
+    and zero on each block outside the allowed set (the reference for
+    ``skew._find_support_slice``)."""
+    from skewsimple.closure import solve
+
+    d = ctx.ring.dim
+    rows = ideal.basis.rows
+    if not rows:
+        return None
+    B = np.stack(rows)
+    cols, target = [], []
+    one_vec = ctx.ring.to_vec(ctx.ring.one)
+    for g in range(ctx.group.order):
+        block = range(g * d, (g + 1) * d)
+        if g == 0:
+            cols.extend(block)
+            target.extend(one_vec)
+        elif g not in allowed_support:
+            cols.extend(block)
+            target.extend([0] * d)
+    sol = solve(ctx.char, B[:, cols].T % ctx.char, np.array(target, dtype=np.int64))
+    if sol is None:
+        return None
+    return ctx.element_of_vec((sol @ B) % ctx.char)

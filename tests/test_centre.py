@@ -8,30 +8,37 @@ containment check and the smallest-member selection of ``central_witness``
 must answer exactly as the loops in ``naive.py``; the least members read off
 the Howell rows must be the first nonzero ones of the sorted enumeration;
 the centralizer's slot kernels and the centre's basis, with everything read
-off them, must equal the payload-by-payload loops there; and ``is_central``
-must answer as the commutation loop there.
+off them, must equal the payload-by-payload loops there; ``is_central``
+must answer as the commutation loop there, and ``is_center_unit`` as the
+centre-basis test there; and the support slice of ``support_reduce``, read
+off the ideal's rows, must be the element one full solve there finds.
 """
+
+import random
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
-from skewsimple import GroupTable, ModularRing
+from skewsimple import GroupTable, ModularRing, skew
 from skewsimple.actions import is_G_simple, kernel, trivial_action
 from skewsimple.closure import HowellBasis
 from skewsimple.criteria import (InstanceSampler, _augmentation_violation,
                                  center_containment_check, center_structure_check,
                                  centralizer_kernel_check, field_obstruction)
 from skewsimple.dynamics import catalogue
-from skewsimple.skew import (SkewContext, SkewElement, augmentation, central_witness,
-                             centralizer_components, commuting_witness_outside_A, is_central,
+from skewsimple.skew import (SkewContext, SkewElement, _find_support_slice, augmentation,
+                             central_witness, centralizer_components,
+                             commuting_witness_outside_A, is_center_unit, is_central,
                              is_max_commutative_A, skew_center, skew_ideal_closure,
                              smallest_member, support_reduce)
+from skewsimple.suite import SWEEPS, _derive_seed
 
 from conftest import swap_context
 from naive import (naive_augmentation_violation, naive_center_classes,
                    naive_center_containment, naive_center_laws, naive_centralizer_components,
-                   naive_field_obstruction, naive_has_inverse, naive_is_central,
-                   naive_smallest_member)
+                   naive_field_obstruction, naive_find_support_slice, naive_has_inverse,
+                   naive_is_center_unit, naive_is_central, naive_smallest_member)
 
 # ideals up to this size are enumerated member by member for the reference
 _NAIVE_IDEAL_LIMIT = 1024
@@ -159,8 +166,6 @@ def test_is_central_matches_the_product_loop():
     # the one-product test against the commutation loop of naive.py, on the
     # centre's basis rows, the ring generators and seeded random elements of
     # every context with |R| <= 4096
-    import random
-
     rng = random.Random(12)
     contexts = [T.context for T in catalogue()]
     contexts += [inst.ctx for inst in InstanceSampler(0, 4096).draw_many(200)]
@@ -178,3 +183,78 @@ def test_is_central_matches_the_product_loop():
             checked += 1
             central += expected
     assert 0 < central < checked
+
+
+def test_is_center_unit_matches_the_centre_basis_reference():
+    # the unit test on R (the columns of L_r span everything) against the
+    # reference that maps the centre's basis (naive.py), on every central
+    # element of the small centres and seeded combinations of the basis rows
+    # of the larger ones, non-units included
+    rng = random.Random(23)
+    checked = units = nonzero_nonunits = 0
+    for _, ctx in CASES:
+        centre = ctx.center_basis
+        if centre.size <= 64:
+            elements = skew_center(ctx)
+        else:
+            rows = centre.rows
+            elements = [ctx.element_of_vec(sum(rng.randrange(ctx.char) * row for row in rows)
+                                           % ctx.char) for _ in range(32)]
+        if ctx.center_obstruction is not None:
+            elements.append(ctx.center_obstruction)
+        for r in elements:
+            expected = naive_is_center_unit(r)
+            assert is_center_unit(r) is expected, (ctx, r)
+            checked += 1
+            units += expected
+            nonzero_nonunits += not expected and not r.is_zero()
+    assert units and nonzero_nonunits and checked > units + nonzero_nonunits
+
+
+def _constructive_contexts(seed: int, count: int = 20) -> list:
+    """The contexts of the suite's sweeps at this seed (``count`` draws per
+    sweep) under the constructive procedures' hypotheses, within the cap."""
+    contexts = []
+    for name, (predicate, _) in SWEEPS.items():
+        sampler = InstanceSampler(_derive_seed(seed, name), max_size=4096)
+        for _ in range(count):
+            ctx = sampler.draw(predicate).ctx
+            if (ctx.group.is_abelian and ctx.g_simplicity.value
+                    and ctx.size <= ctx.caps.enumeration):
+                contexts.append(ctx)
+    return contexts
+
+
+def test_support_slice_matches_the_full_solve():
+    # the slice read off the RREF rows against one solve over every row
+    # (naive.py), on the ideals the suite's constructive probe closes and on
+    # those of their generators, for the support the reduction asks for and
+    # for seeded random supports; both ways of finishing must occur: a zero
+    # residual, and one that needs the solve over the remaining rows
+    rng = random.Random(7)
+    calls = read_off = solved = 0
+    with patch.object(skew, "solve", wraps=skew.solve) as counted:
+        for seed in (0, 5):
+            for ctx in _constructive_contexts(seed):
+                order = ctx.group.order
+                ideals = [skew_ideal_closure(ctx, [ctx.element_of_rank(1 + (ctx.size - 1) // 2)])]
+                if ctx.simplicity.witness_ideal is not None:
+                    ideals.append(ctx.simplicity.witness_ideal)
+                for ideal in ideals:
+                    supports = [frozenset(g for g in range(order) if rng.random() < 0.5)
+                                for _ in range(4)]
+                    for gen in ideal.generators:
+                        h_inv = ctx.group.inv_table[min(gen.support)]
+                        supports.append(frozenset(ctx.group.mul_table[g][h_inv]
+                                                  for g in gen.support))
+                    for allowed in supports:
+                        before = counted.call_count
+                        found = _find_support_slice(ctx, ideal, allowed)
+                        assert found == naive_find_support_slice(ctx, ideal, allowed), \
+                            (ctx, ideal.generators, allowed)
+                        if ideal.basis.rank:
+                            calls += 1
+                            solved += counted.call_count - before == 1
+                            read_off += counted.call_count == before
+    assert calls == read_off + solved
+    assert read_off and solved

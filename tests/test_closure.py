@@ -1,15 +1,16 @@
 import itertools
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from skewsimple import CapacityError
-from skewsimple.closure import (BitBasis, ClosureEngine, HowellBasis, _minimal_polynomial,
-                                kernel_basis, kernel_rows, solve)
+from skewsimple import CapacityError, closure
+from skewsimple.closure import (FLOAT64_EXACT, BitBasis, ClosureEngine, HowellBasis,
+                                _minimal_polynomial, kernel_basis, kernel_rows, solve)
 
 from naive import (NaiveHowell, abelian_span, naive_closure, naive_gauss_solve,
-                   tuple_add_mod)
+                   naive_span_members, tuple_add_mod)
 
 
 def test_abelian_span_plain_subgroup():
@@ -235,6 +236,45 @@ def test_f2_members_come_in_the_order_of_the_int64_block():
                        tuple((basis.rows[0] + basis.rows[1]) % 2)]
     ordered = basis.sorted_members(np.arange(9), 16, "test")
     assert [tuple(v) for v in ordered.tolist()] == sorted(members)
+
+
+# a modulus whose chunk products, at most rank*(n-1)^2, pass 2^53 from rank 1
+# on, so that ``iter_chunks`` takes them in int64; its spans are drawn from
+# multiples of n/6 and stay small
+_WIDE_N = 6 * 2**25
+
+
+@st.composite
+def enumeration_problems(draw):
+    n = draw(st.sampled_from([2, 3, 4, 6, 9, 251, _WIDE_N]))
+    dim = draw(st.integers(1, 4))
+    scale = n // 6 if n == _WIDE_N else 1
+    entry = st.integers(0, (n - 1) // scale).map(lambda x: x * scale)
+    seeds = draw(st.lists(st.tuples(*[entry] * dim), max_size=1 if n == 251 else 3))
+    chunk_bytes = draw(st.sampled_from([8, 96, 512, closure.CHUNK_BYTES]))
+    return n, dim, seeds, chunk_bytes
+
+
+@settings(max_examples=300)
+@given(enumeration_problems())
+@example((_WIDE_N, 3, [(_WIDE_N // 6, 0, _WIDE_N // 2), (0, _WIDE_N // 3, 0)], 96))
+@example((251, 2, [(3, 250)], 96))
+def test_iter_chunks_enumerate_the_coefficient_product(problem):
+    # the members, their order and the chunk boundaries against the
+    # coefficient vectors listed by itertools.product, summed in Python ints
+    n, dim, seeds, chunk_bytes = problem
+    basis = HowellBasis(n, dim)   # inside check_int64 for every drawn n
+    for seed in seeds:
+        basis.insert(np.array(seed, dtype=np.int64))
+    if n == _WIDE_N and basis.rank:
+        assert basis.rank * (n - 1) ** 2 >= FLOAT64_EXACT
+    members = naive_span_members(basis)
+    step = max(1, chunk_bytes // (8 * (basis.rank + dim)))
+    with patch.object(closure, "CHUNK_BYTES", chunk_bytes):
+        chunks = list(basis.iter_chunks())
+    assert all(chunk.dtype == np.int64 for chunk in chunks)
+    assert [list(map(tuple, chunk.tolist())) for chunk in chunks] == \
+        [members[i:i + step] for i in range(0, len(members), step)]
 
 
 @st.composite

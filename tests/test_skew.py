@@ -22,8 +22,8 @@ from skewsimple.skew import (SkewContext, SkewIdeal, augmentation, central_witne
 from conftest import (conj_f2_context, conj_f3_context, natural_s3_context,
                       rotation_z3_context, swap_context, trivial_f2_z2_context,
                       two_two_cycles_context)
-from naive import (naive_certificate_draws, naive_orbit_transforms, naive_skew_rank,
-                   naive_skew_span, naive_skew_unrank)
+from naive import (naive_certificate_draws, naive_element_of_vec, naive_orbit_transforms,
+                   naive_skew_rank, naive_skew_span, naive_skew_unrank)
 
 
 def test_unit_monomials_invert_each_other():
@@ -659,6 +659,23 @@ def test_skew_ranks_match_the_slot_by_slot_reference(ranked_contexts, name, data
     r = naive_skew_unrank(ctx, i)
     assert ctx.element_of_rank(i) == r
     assert ctx.rank_of(r) == naive_skew_rank(ctx, r) == i
+
+
+@given(st.sampled_from(sorted(_RANKED_CONTEXTS)), st.data())
+def test_element_of_vec_matches_the_slot_by_slot_decoding(ranked_contexts, name, data):
+    # any integer coordinates, many of them zero or multiples of char, given
+    # as a list, a tuple of numpy integers or an int64 array
+    ctx = ranked_contexts[name]
+    n = ctx.char
+    entry = st.sampled_from([0, 0, 0, n, -n]) | st.integers(-2 * n, 2 * n)
+    vec = data.draw(st.lists(entry, min_size=ctx.dim, max_size=ctx.dim))
+    expected = naive_element_of_vec(ctx, vec)
+    arr = np.array(vec, dtype=np.int64)
+    for given_vec in (vec, tuple(arr), arr):
+        got = ctx.element_of_vec(given_vec)
+        assert got == expected
+        assert all(type(x) is int for a in got.coeffs.values()
+                   for x in ctx.ring.to_vec(a))
 
 
 def test_elements_iteration_cap():
