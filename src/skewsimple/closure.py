@@ -20,17 +20,22 @@ new row clears its pivot column from the rows above with one outer-product
 update. While some pivot is a non-unit the basis takes the sequential Howell
 steps instead; a Bezout merge that leaves every pivot a unit brings it back,
 as a Howell form whose pivots are units is the reduced row echelon form. The
-engine stacks its operators into one matrix, so every inserted vector's
-images come from one product; it is taken in float64 whenever its integer
-entries, at most dim*(n-1)^2, are exact there, and in int64 otherwise.
+engine holds its operators as one ``BlockMonomialStack``: each operator moves
+coordinate blocks by a permutation through one small matrix per block, as
+multiplication by a monomial of a skew group ring does, and a dense matrix is
+the case of one block. Every inserted vector's images come from one batched
+block product and a gather, taken in float64 whenever the product's integer
+entries, at most size*(n-1)^2 for blocks of the given size, are exact there,
+and in int64 otherwise.
 
 Over exactly n == 2 the constructor returns a ``BitBasis`` instead, and the
 engine and ``kernel_basis`` work on packed bits: a vector of F_2^dim is a
 Python int with bit j holding coordinate j, so a row's lowest set bit is its
 pivot, reduction and placement are XORs, and the images of a vector under
-every operator are the XOR of the packed operator columns at its set bits.
-Every other modulus, prime or not, stays on the int64 block. The RREF over a
-prime is unique, so both give the same rows.
+every operator are the XOR of the packed operator columns at its set bits
+(the stack's images of the unit vectors, packed a chunk at a time, so no
+dense matrix is held). Every other modulus, prime or not, stays on the int64
+block. The RREF over a prime is unique, so both give the same rows.
 
 ``field_obstruction`` is the one field test on such spans: given the basis
 of a commutative subring, its unit and its left multiplication, it returns a
@@ -441,32 +446,110 @@ def _unpack_rows(rows: list[int], dim: int) -> np.ndarray:
     return np.unpackbits(bits, axis=1, count=dim, bitorder="little").astype(np.int64)
 
 
-class ClosureEngine:
-    """Operator-stable submodule closures over Z/n."""
+class BlockMonomialStack:
+    """A stack of block-monomial linear operators on (Z/n)^dim.
 
-    def __init__(self, n: int, dim: int, operators: Sequence[np.ndarray]) -> None:
+    The coordinates fall into ``blocks`` blocks of ``size`` each (dim =
+    blocks * size). Operator k sends block s to block ``targets[k, s]``
+    through the size x size matrix ``matrices[k, s]``, and each row
+    ``targets[k]`` is a permutation of the blocks: block t of the image of v
+    is matrices[k, s] @ v_s for the one s with targets[k, s] = t. A dense
+    dim x dim matrix is the case of one block (``dense``). The stack holds
+    K * blocks * size^2 entries where the dense matrices hold K * dim^2.
+
+    ``apply`` gives the images of a vector under every operator, in stack
+    order, as one batched product and one gather: the matrices that read
+    block s are stacked into one (K*size x size) matrix, which multiplies
+    v_s, and the products are gathered into their target blocks. Each entry
+    of a block product sums size products of reduced entries, so it is an
+    integer of at most size*(n-1)^2: the product is taken in float64 (a BLAS
+    product) while that is below 2^53, and in int64 otherwise. The stack
+    refuses the (n, dim) pairs ``check_int64`` refuses, as the engine does,
+    so the int64 product never wraps either.
+    """
+
+    def __init__(self, n: int, targets: np.ndarray, matrices: np.ndarray) -> None:
+        matrices = np.asarray(matrices, dtype=np.int64)   # (K, blocks, size, size)
+        count, blocks, size = matrices.shape[:3]
+        check_int64(n, blocks * size)
+        self.n = n
+        self.blocks, self.size, self.dim = blocks, size, blocks * size
+        self.targets = np.asarray(targets, dtype=np.intp)   # (K, blocks)
+        self.matrices = matrices % n
+        dtype = np.float64 if size * (n - 1) ** 2 < FLOAT64_EXACT else np.int64
+        # [s] stacks the matrices reading block s, operator by operator
+        self._by_source = np.ascontiguousarray(self.matrices.transpose(1, 0, 2, 3),
+                                               dtype=dtype).reshape(blocks, count * size, size)
+        # block t of operator k is product (s, k), s = sources[k, t] the block
+        # sent to t
+        operators = np.arange(count)[:, None]
+        self._sources = sources = np.empty_like(self.targets)
+        sources[operators, self.targets] = np.arange(blocks)
+        products = np.arange(blocks * count * size).reshape(blocks, count, size)
+        self._gather = products[sources, operators].ravel()
+
+    @classmethod
+    def dense(cls, n: int, dim: int, matrices: Sequence[np.ndarray]) -> "BlockMonomialStack":
+        """The dim x dim matrices as a stack of one block each."""
+        mats = np.asarray(matrices, dtype=np.int64).reshape(-1, 1, dim, dim)
+        return cls(n, np.zeros((len(mats), 1), dtype=np.intp), mats)
+
+    def __len__(self) -> int:
+        return len(self.targets)
+
+    @property
+    def T(self) -> "BlockMonomialStack":
+        """The transposed operators: each sends block t = targets[k, s] back
+        to s through the transpose of matrices[k, s]."""
+        sources, rows = self._sources, np.arange(len(self))[:, None]
+        return BlockMonomialStack(self.n, sources,
+                                  self.matrices[rows, sources].transpose(0, 1, 3, 2))
+
+    def apply(self, vecs: np.ndarray) -> np.ndarray:
+        """The images of vecs (..., dim), entries in 0..n-1, under every
+        operator, as an int64 array (..., K, dim) reduced modulo n."""
+        vecs = np.asarray(vecs)
+        lead = vecs.shape[:-1]
+        # [s] holds block s of every vector as a column
+        columns = vecs.reshape(-1, self.blocks, self.size).transpose(1, 2, 0)
+        products = (self._by_source @ columns).reshape(-1, columns.shape[2])
+        images = products.take(self._gather, axis=0).astype(np.int64, copy=False)
+        images %= self.n
+        return images.T.reshape(*lead, len(self), self.dim)
+
+
+class ClosureEngine:
+    """Operator-stable submodule closures over Z/n, under a
+    ``BlockMonomialStack`` (dense matrices are taken as the one-block
+    stack)."""
+
+    def __init__(self, n: int, dim: int,
+                 operators: "BlockMonomialStack | Sequence[np.ndarray]") -> None:
         check_int64(n, dim)
         self.n = n
         self.dim = dim
-        # all operators as one matrix, so one product maps a vector by each;
-        # in float64 (a BLAS product) while its entries, integers of at most
-        # dim*(n-1)^2, are exact there
-        stacked = np.zeros((0, dim), dtype=np.int64)
-        if len(operators):
-            stacked = np.concatenate([np.asarray(op, dtype=np.int64) for op in operators])
-            stacked %= n
-        exact = dim * (n - 1) ** 2 < FLOAT64_EXACT
-        self._stacked = stacked.astype(np.float64) if exact else stacked
-        # over F_2, column j of the stack packed into an int: the images of a
-        # packed v under every operator are the XOR of the columns at v's bits
-        self._columns = _pack_rows(stacked.T) if n == 2 else None
+        if not isinstance(operators, BlockMonomialStack):
+            operators = BlockMonomialStack.dense(n, dim, operators)
+        self._ops = operators
+        # over F_2, column j of the stacked operators packed into an int: the
+        # images of a packed v under every operator are the XOR of the
+        # columns at v's bits; built from the images of the unit vectors, a
+        # chunk of about CHUNK_BYTES at a time
+        self._columns = None
+        if n == 2:
+            width = len(operators) * dim
+            step = max(1, CHUNK_BYTES // (8 * max(1, width)))
+            self._columns = []
+            for lo in range(0, dim, step):
+                units = np.eye(min(step, dim - lo), dim, lo, dtype=np.int64)
+                self._columns += _pack_rows(operators.apply(units).reshape(len(units), width))
 
     def closure(self, seeds: Iterable[Sequence[int]]) -> HowellBasis:
         """Howell basis of the operator-stable span of the seed vectors; a
         full span is final and ends the worklist."""
         if self._columns is not None:
             return self._closure_bits(seeds)
-        n, dim, stacked = self.n, self.dim, self._stacked
+        n, dim, ops = self.n, self.dim, self._ops
         basis = HowellBasis(n, dim)
         pending = [np.asarray(s, dtype=np.int64) % n for s in seeds]
         while pending:
@@ -476,8 +559,7 @@ class ClosureEngine:
             if basis.is_full:
                 break
             # operators act on the inserted vector; linearity covers the rest
-            images = (stacked @ vec).astype(np.int64, copy=False) % n
-            pending.extend(images.reshape(-1, dim))
+            pending.extend(ops.apply(vec))
         return basis
 
     def _closure_bits(self, seeds: Iterable[Sequence[int]]) -> BitBasis:
@@ -486,7 +568,7 @@ class ClosureEngine:
         dim, columns = self.dim, self._columns
         basis = BitBasis(2, dim)
         word = (1 << dim) - 1
-        shifts = range(0, len(self._stacked), dim)
+        shifts = range(0, len(self._ops) * dim, dim)
         pending = [_pack(np.asarray(s, dtype=np.int64) & 1) for s in seeds]
         while pending:
             vec = pending.pop()

@@ -20,8 +20,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .actions import ActionMap, GSimplicity, is_G_simple, is_outer_action, kernel
-from .closure import (FLOAT64_EXACT, ClosureEngine, HowellBasis, check_int64, kernel_basis,
-                      kernel_rows, solve)
+from .closure import (FLOAT64_EXACT, BlockMonomialStack, ClosureEngine, HowellBasis,
+                      check_int64, kernel_basis, kernel_rows, solve)
 from .config import Caps
 from .errors import CapacityError, DomainError, PreconditionError
 from .groups import GroupTable, Subgroup
@@ -161,26 +161,36 @@ class SkewContext:
         return mul[:, inv], np.arange(order)[:, None] * order + mul[inv, :]
 
     @cached_property
-    def ideal_operator_matrices(self) -> list[np.ndarray]:
-        """Left/right multiplication by each ring generator of R, as
-        interleaved (L, R) pairs: first b_t u_e for the basis payloads b_t,
-        then u_g for g in ``group.generators``.
+    def ideal_operator_matrices(self) -> BlockMonomialStack:
+        """Left/right multiplication by each ring generator of R, as one
+        block-monomial stack (a coordinate block per slot) of interleaved
+        (L, R) pairs: first b_t u_e for the basis payloads b_t, then u_g for
+        g in ``group.generators``.
 
-        L_{xy} = L_x L_y, so a submodule stable under these is stable under
-        multiplication by all of R, that is, it is a two-sided ideal.
+        (b_t u_e)(a u_g) = b_t a u_g and (a u_g)(b_t u_e) = a sigma_g(b_t) u_g
+        keep every slot, through L(b_t) and R(sigma_g(b_t)); u_h (a u_g) =
+        sigma_h(a) u_{hg} and (a u_g) u_h = a u_{gh} move slot g to hg and
+        to gh, through S_h and the identity. L_{xy} = L_x L_y, so a submodule
+        stable under these is stable under multiplication by all of R, that
+        is, it is a two-sided ideal.
         """
-        gens = [tuple(int(i == t) for i in range(self.dim)) for t in range(self.ring.dim)]
-        gens += [self.vec_of(self.unit_monomial(g)) for g in self.group.generators]
-        pairs = zip(left_multiplications(self, gens), right_multiplications(self, gens))
-        return [op for pair in pairs for op in pair]
-
-    @cached_property
-    def generator_commutators(self) -> np.ndarray:
-        """L_x - R_x for each ring generator x of ``ideal_operator_matrices``,
-        stacked into one (generators * dim) x dim matrix over Z/char: r is
-        central exactly when this sends vec(r) to zero."""
-        ops = self.ideal_operator_matrices
-        return np.concatenate([ops[k] - ops[k + 1] for k in range(0, len(ops), 2)]) % self.char
+        n, d, order = self.char, self.ring.dim, self.group.order
+        check_int64(n, self.dim)   # before any product over Z/n is taken
+        lefts, rights, autos = self.structure_constants
+        gens = list(self.group.generators)
+        mul = np.array(self.group.mul_table, dtype=np.intp)
+        mats = np.empty((2 * (d + len(gens)), order, d, d), dtype=np.int64)
+        mats[0:2 * d:2] = lefts.reshape(d, 1, d, d)
+        # [t, g] = R(S_g b_t), S_g b_t being column t of S_g
+        mats[1:2 * d:2] = ((autos.transpose(2, 0, 1).reshape(-1, d) @ rights) % n).reshape(
+            d, order, d, d)
+        mats[2 * d::2] = autos[gens][:, None]
+        mats[2 * d + 1::2] = np.eye(d, dtype=np.int64)
+        targets = np.empty(mats.shape[:2], dtype=np.intp)
+        targets[:2 * d] = np.arange(order)
+        targets[2 * d::2] = mul[gens]
+        targets[2 * d + 1::2] = mul[:, gens].T
+        return BlockMonomialStack(n, targets, mats)
 
     @cached_property
     def engine(self) -> ClosureEngine:
@@ -190,7 +200,7 @@ class SkewContext:
     def dual_engine(self) -> ClosureEngine:
         """Closures under the transposed operators; the annihilator of an
         ideal (its orthogonal complement) is stable under them."""
-        return ClosureEngine(self.char, self.dim, [op.T for op in self.ideal_operator_matrices])
+        return ClosureEngine(self.char, self.dim, self.ideal_operator_matrices.T)
 
     @cached_property
     def unit_monomial_matrices(self) -> tuple[np.ndarray, np.ndarray]:
@@ -245,12 +255,10 @@ class SkewContext:
         the classes, its Howell form is the union of theirs, and every basis
         row lies in one class."""
         n, rows = self.char, self.centralizer_rows
-        # the commutators with u_g follow those with the dim_A basis payloads
-        commutators = self.generator_commutators[self.ring.dim * self.dim:]
-        images = np.zeros((len(rows), 0), dtype=np.int64)
-        if len(commutators):
-            images = (np.stack(rows) @ commutators.T) % n
-        return kernel_basis(n, rows, images)
+        # the (L, R) pairs of the u_g follow those of the dim_A basis payloads
+        products = self.ideal_operator_matrices.apply(np.stack(rows))[:, 2 * self.ring.dim:]
+        images = (products[:, 0::2] - products[:, 1::2]) % n
+        return kernel_basis(n, rows, images.reshape(len(rows), -1))
 
     # per-instance facts, each decided once and kept here -----------------------
     @cached_property
@@ -974,11 +982,12 @@ def is_central(r: SkewElement) -> bool:
     """Whether r commutes with a ring-generating set of R (the basis payloads
     b_t u_e and u_g, g in ``group.generators``), hence with all of R.
 
-    One product: the stacked commutators L_x - R_x of those generators
-    (``SkewContext.generator_commutators``) must send vec(r) to zero. This
-    is the definition of central, not a membership test in
-    ``center_basis``, so it checks the centre machinery independently.
+    One application of the generators' multiplications
+    (``SkewContext.ideal_operator_matrices``) to vec(r): L_x vec(r) must
+    equal R_x vec(r) for each generator x. This is the definition of
+    central, not a membership test in ``center_basis``, so it checks the
+    centre machinery independently.
     """
     ctx = r.ctx
-    vec = np.asarray(ctx.vec_of(r), dtype=np.int64)
-    return not ((ctx.generator_commutators @ vec) % ctx.char).any()
+    products = ctx.ideal_operator_matrices.apply(np.asarray(ctx.vec_of(r), dtype=np.int64))
+    return not (products[0::2] != products[1::2]).any()

@@ -72,6 +72,26 @@ def rotation_z3_context(q=2, caps=None):
     return SkewContext(ring, grp, ActionMap(grp, ring, autos), caps)
 
 
+def fixture_contexts():
+    """The contexts of the five instance fixtures, in file name order."""
+    from pathlib import Path
+
+    from skewsimple.instances import parse_instance
+    for path in sorted((Path(__file__).parent / "fixtures").glob("*.json")):
+        built = parse_instance(path.read_text(encoding="utf-8")).build()
+        yield built if isinstance(built, SkewContext) else built.context
+
+
+def stack_reference_contexts():
+    """The catalogue, fixture and sampled contexts the block-monomial stack
+    and the centre are checked on against their dense references: 225."""
+    from skewsimple.criteria import InstanceSampler
+    from skewsimple.dynamics import catalogue
+    contexts = [T.context for T in catalogue()]
+    contexts += list(fixture_contexts())
+    return contexts + [inst.ctx for inst in InstanceSampler(0, 4096).draw_many(200)]
+
+
 @pytest.fixture(scope="session")
 def dynamics_catalogue():
     from skewsimple.dynamics import catalogue

@@ -17,7 +17,10 @@ the smallest ideal member is found by building each member as a
 ``SkewElement``, over the members of a Howell basis listed by
 ``itertools.product`` over its coefficients. A central element is a unit of
 the centre when its multiples of the centre's basis span all of it. Centrality is tested by multiplying the element with every
-coefficient generator and every unit monomial on both sides.
+coefficient generator and every unit monomial on both sides, and by the
+dense commutators L_x - R_x of the ring generators, whose kernel on the
+centralizer of A is the centre's reference basis; those generators' dense
+multiplication matrices are the reference for the block-monomial stack.
 The A-level references walk every payload of A: the centre, the fixed ring
 and the units implementing an automorphism by conjugation; the field test
 on an explicit element set multiplies every pair.
@@ -528,6 +531,55 @@ def naive_is_central(r) -> bool:
         if u * r != r * u:
             return False
     return True
+
+
+def naive_ideal_operators(ctx) -> list[np.ndarray]:
+    """The dense matrices of left and right multiplication by each ring
+    generator, b_t u_e for the basis payloads b_t and then u_g for g in
+    ``group.generators``, as interleaved (L, R) pairs built one matrix per
+    generator by ``left_multiplication`` and ``right_multiplication`` (the
+    reference for ``SkewContext.ideal_operator_matrices``)."""
+    from skewsimple.skew import left_multiplication, right_multiplication
+
+    gens = [tuple(int(i == t) for i in range(ctx.dim)) for t in range(ctx.ring.dim)]
+    gens += [ctx.vec_of(ctx.unit_monomial(g)) for g in ctx.group.generators]
+    return [op for vec in gens
+            for op in (left_multiplication(ctx, vec), right_multiplication(ctx, vec))]
+
+
+def naive_dense_stack(stack) -> np.ndarray:
+    """The dense (K x dim x dim) matrices of a block-monomial stack, placed
+    block by block: matrices[k, s] reduced modulo n at block row
+    targets[k, s] and block column s of operator k."""
+    count, blocks, size = stack.matrices.shape[:3]
+    dense = np.zeros((count, stack.dim, stack.dim), dtype=np.int64)
+    for k in range(count):
+        for s in range(blocks):
+            t = int(stack.targets[k, s])
+            dense[k, t * size:(t + 1) * size, s * size:(s + 1) * size] = (
+                stack.matrices[k, s] % stack.n)
+    return dense
+
+
+def naive_generator_commutators(ctx) -> np.ndarray:
+    """L_x - R_x for each ring generator x of ``naive_ideal_operators``,
+    stacked into one (generators * dim) x dim matrix over Z/char: r is
+    central exactly when it sends vec(r) to zero (the dense reference for
+    ``skew.is_central`` and ``SkewContext.center_basis``)."""
+    ops = naive_ideal_operators(ctx)
+    return np.concatenate([ops[k] - ops[k + 1] for k in range(0, len(ops), 2)]) % ctx.char
+
+
+def naive_center_basis(ctx):
+    """The centre as the kernel of the dense commutators with the u_g, g in
+    ``group.generators``, on the centralizer of A (the reference for
+    ``SkewContext.center_basis``)."""
+    from skewsimple.closure import kernel_basis
+
+    rows = ctx.centralizer_rows
+    commutators = naive_generator_commutators(ctx)[ctx.ring.dim * ctx.dim:]
+    images = (np.stack(rows) @ commutators.T) % ctx.char
+    return kernel_basis(ctx.char, rows, images)
 
 
 def naive_gauss_solve(p: int, A, b):

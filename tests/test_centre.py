@@ -8,10 +8,12 @@ containment check and the smallest-member selection of ``central_witness``
 must answer exactly as the loops in ``naive.py``; the least members read off
 the Howell rows must be the first nonzero ones of the sorted enumeration;
 the centralizer's slot kernels and the centre's basis, with everything read
-off them, must equal the payload-by-payload loops there; ``is_central``
-must answer as the commutation loop there, and ``is_center_unit`` as the
-centre-basis test there; and the support slice of ``support_reduce``, read
-off the ideal's rows, must be the element one full solve there finds.
+off them, must equal the payload-by-payload loops there, and the centre's
+basis the kernel of the dense commutators there; ``is_central`` must answer
+as the commutation loop and the dense commutators there, and
+``is_center_unit`` as the centre-basis test there; and the support slice of
+``support_reduce``, read off the ideal's rows, must be the element one full
+solve there finds.
 """
 
 import random
@@ -34,11 +36,12 @@ from skewsimple.skew import (SkewContext, SkewElement, _find_support_slice, augm
                              smallest_member, support_reduce)
 from skewsimple.suite import SWEEPS, _derive_seed
 
-from conftest import swap_context
-from naive import (naive_augmentation_violation, naive_center_classes,
+from conftest import stack_reference_contexts, swap_context
+from naive import (naive_augmentation_violation, naive_center_basis, naive_center_classes,
                    naive_center_containment, naive_center_laws, naive_centralizer_components,
-                   naive_field_obstruction, naive_find_support_slice, naive_has_inverse,
-                   naive_is_center_unit, naive_is_central, naive_smallest_member)
+                   naive_field_obstruction, naive_find_support_slice, naive_generator_commutators,
+                   naive_has_inverse, naive_is_center_unit, naive_is_central,
+                   naive_smallest_member)
 
 # ideals up to this size are enumerated member by member for the reference
 _NAIVE_IDEAL_LIMIT = 1024
@@ -163,7 +166,7 @@ def test_center_laws_detect_injected_non_central_choice():
 
 
 def test_is_central_matches_the_product_loop():
-    # the one-product test against the commutation loop of naive.py, on the
+    # the stack's test against the commutation loop of naive.py, on the
     # centre's basis rows, the ring generators and seeded random elements of
     # every context with |R| <= 4096
     rng = random.Random(12)
@@ -179,6 +182,30 @@ def test_is_central_matches_the_product_loop():
         elements += [ctx.element_of_rank(rng.randrange(ctx.size)) for _ in range(8)]
         for r in elements:
             expected = naive_is_central(r)
+            assert is_central(r) is expected, (ctx, r)
+            checked += 1
+            central += expected
+    assert 0 < central < checked
+
+
+def test_centre_and_centrality_match_the_dense_commutators():
+    # the centre's basis, and is_central on its rows, the ring generators and
+    # seeded coordinate vectors, against the kernel and the products of the
+    # dense commutators L_x - R_x of the ring generators (naive.py)
+    rng = np.random.default_rng(31)
+    checked = central = 0
+    for ctx in stack_reference_contexts():
+        n = ctx.char
+        centre, reference = ctx.center_basis, naive_center_basis(ctx)
+        assert (centre.key(), centre.pivots, centre.divs) == (
+            reference.key(), reference.pivots, reference.divs), ctx
+        commutators = naive_generator_commutators(ctx)
+        vecs = list(centre.matrix()) + list(rng.integers(0, n, size=(6, ctx.dim)))
+        vecs += [ctx.vec_of(ctx.monomial(b, 0)) for b in ctx.ring.additive_generators()]
+        vecs += [ctx.vec_of(ctx.unit_monomial(g)) for g in ctx.group.generators]
+        for vec in vecs:
+            r = ctx.element_of_vec(vec)
+            expected = not ((commutators @ np.asarray(ctx.vec_of(r))) % n).any()
             assert is_central(r) is expected, (ctx, r)
             checked += 1
             central += expected

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from skewsimple import CapacityError, closure
-from skewsimple.closure import (FLOAT64_EXACT, BitBasis, ClosureEngine, HowellBasis,
-                                _minimal_polynomial, kernel_basis, kernel_rows, solve)
+from skewsimple.closure import (FLOAT64_EXACT, BitBasis, BlockMonomialStack, ClosureEngine,
+                                HowellBasis, _minimal_polynomial, kernel_basis, kernel_rows,
+                                solve)
 
-from naive import (NaiveHowell, abelian_span, naive_closure, naive_gauss_solve,
-                   naive_span_members, tuple_add_mod)
+from naive import (NaiveHowell, abelian_span, naive_closure, naive_dense_stack,
+                   naive_gauss_solve, naive_span_members, tuple_add_mod)
 
 
 def test_abelian_span_plain_subgroup():
@@ -427,6 +428,87 @@ def test_int64_wrap_is_refused():
             ClosureEngine(n, dim, [])
         with pytest.raises(CapacityError):
             HowellBasis(n, dim)
+
+
+@st.composite
+def block_stacks(draw):
+    """A random stack of block-monomial operators over Z/n: per operator a
+    permutation of the blocks and one matrix per block."""
+    n = draw(st.integers(2, 12))
+    blocks, size = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    count = draw(st.integers(0, 4))
+    targets = [draw(st.permutations(range(blocks))) for _ in range(count)]
+    entries = draw(st.lists(st.integers(0, 4 * n), min_size=count * blocks * size * size,
+                            max_size=count * blocks * size * size))
+    matrices = np.array(entries, dtype=np.int64).reshape(count, blocks, size, size)
+    vecs = draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * (blocks * size)),
+                         min_size=1, max_size=3))
+    return n, np.array(targets, dtype=np.intp).reshape(count, blocks), matrices, vecs
+
+
+@given(block_stacks())
+def test_block_stack_matches_its_dense_matrices(problem):
+    # the stack's dense form, its transpose, its images and the closures it
+    # drives against the matrices placed block by block; over F_2 the closures
+    # run on the packed columns the stack's images of unit vectors give
+    n, targets, matrices, vecs = problem
+    stack = BlockMonomialStack(n, targets, matrices)
+    dense = naive_dense_stack(stack)
+    dim = stack.dim
+    assert len(stack) == len(dense)
+    assert np.array_equal(naive_dense_stack(stack.T), dense.transpose(0, 2, 1))
+    arr = np.array(vecs, dtype=np.int64)
+    assert np.array_equal(stack.apply(arr), np.einsum("kij,cj->cki", dense, arr) % n)
+    assert np.array_equal(stack.apply(arr[0]), (dense @ arr[0]) % n)
+    for ops, ref_ops in ((stack, dense), (stack.T, dense.transpose(0, 2, 1))):
+        basis = ClosureEngine(n, dim, ops).closure(vecs)
+        ref = naive_closure(n, dim, list(ref_ops), vecs)
+        assert (basis.key(), basis.pivots, basis.divs) == (ref.key(), ref.pivots, ref.divs)
+
+
+def test_block_stack_columns_over_f2_come_in_chunks():
+    # the packed columns are the same whether the unit vectors come one per
+    # chunk or all in one, and they are the columns of the dense stack
+    rng = np.random.default_rng(5)
+    targets = np.stack([rng.permutation(4) for _ in range(3)])
+    stack = BlockMonomialStack(2, targets, rng.integers(0, 2, size=(3, 4, 3, 3)))
+    whole = ClosureEngine(2, 12, stack)._columns
+    with patch.object(closure, "CHUNK_BYTES", 1):
+        assert ClosureEngine(2, 12, stack)._columns == whole
+    assert whole == closure._pack_rows(naive_dense_stack(stack).transpose(2, 0, 1).reshape(12, -1))
+
+
+def test_block_stack_refuses_what_check_int64_refuses():
+    # a block product sums only `size` terms, yet the stack refuses exactly
+    # the (n, dim) pairs check_int64 refuses, whatever the block size
+    for n, dim in ((2147483647, 3), (4294967311, 2), (3037000501, 1), (10**15 + 37, 1)):
+        for size in {1, dim}:
+            shape = (0, dim // size, size, size)
+            with pytest.raises(CapacityError):
+                BlockMonomialStack(n, np.zeros(shape[:2], dtype=np.intp), np.zeros(shape))
+    for n, dim in ((2147483647, 2), (3037000499, 1)):
+        for size in {1, dim}:
+            stack = BlockMonomialStack(n, np.arange(dim // size)[None],
+                                       np.full((1, dim // size, size, size), n - 1))
+            assert stack.dim == dim
+
+
+@pytest.mark.parametrize("n,size", [
+    (2**26, 2),          # 2*(n-1)^2 just below 2^53: the float64 product, at its limit
+    (2**26 + 1, 2),      # just above: the int64 product
+    (94906266, 1),       # (n-1)^2 just below 2^53 for blocks of one coordinate
+    (94906267, 1),       # just above
+    (2147483647, 1),     # blocks of one coordinate near the int64 limit
+])
+def test_block_products_are_exact_at_the_float64_limit(n, size):
+    # the largest entries, in two blocks swapped, against Python's integers:
+    # a block product is exact in float64 while size*(n-1)^2 < 2^53
+    top = np.full((1, 2, size, size), n - 1, dtype=np.int64)
+    stack = BlockMonomialStack(n, np.array([[1, 0]]), top)
+    vec = np.full(2 * size, n - 1, dtype=np.int64)
+    exact = [(size * (n - 1) ** 2) % n] * (2 * size)
+    assert stack.apply(vec).tolist() == [exact]
+    assert (size * (n - 1) ** 2 < FLOAT64_EXACT) == (stack._by_source.dtype == np.float64)
 
 
 def test_kernel_rows_of_a_matrix():

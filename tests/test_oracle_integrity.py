@@ -5,6 +5,7 @@ element is closed independently, with no skipping and no early exits beyond
 the first proper ideal, mirroring the oracle's definition word for word.
 """
 
+import itertools
 import json
 from pathlib import Path
 
@@ -19,10 +20,11 @@ from skewsimple.dynamics import catalogue
 from skewsimple.rings import _is_prime
 from skewsimple.skew import SkewContext, certificate_draws, certify_simple, is_simple
 
-from conftest import (conj_f2_context, conj_f3_context, rotation_z3_context, swap_context,
-                      trivial_f2_z2_context, two_two_cycles_context)
-from naive import (module_generator_operators, naive_closure, naive_skew_span,
-                   skew_operators)
+from conftest import (conj_f2_context, conj_f3_context, fixture_contexts, rotation_z3_context,
+                      stack_reference_contexts, swap_context, trivial_f2_z2_context,
+                      two_two_cycles_context)
+from naive import (module_generator_operators, naive_closure, naive_dense_stack,
+                   naive_ideal_operators, naive_skew_span, skew_operators)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -396,24 +398,57 @@ def reference_contexts():
 
 
 def test_engines_match_module_generator_closures():
-    # the engines close under the ring generators b_t u_e and u_g (g a group
-    # generator); the reference closes under L and R of every module
-    # generator b*u_h, built from SkewElement products. Both must give the
-    # same ideal, and the transposed operators the same annihilator closures.
+    # the engines close under the block-monomial stack of the ring generators
+    # b_t u_e and u_g (g a group generator). One reference closes under L and
+    # R of every module generator b*u_h, built from SkewElement products;
+    # the other under the dense matrices of the same ring generators, one
+    # block each. All must give the same ideal, and the transposed operators
+    # the same annihilator closures.
     rng = np.random.default_rng(8)
     count = 0
-    for ctx in reference_contexts():
+    for ctx in itertools.chain(reference_contexts(), fixture_contexts()):
         count += 1
         n, dim = ctx.char, ctx.dim
         ops = module_generator_operators(ctx)
         reference = ClosureEngine(n, dim, ops)
         dual_reference = ClosureEngine(n, dim, [op.T for op in ops])
+        dense = naive_ideal_operators(ctx)
+        dense_engine = ClosureEngine(n, dim, dense)
+        dense_dual = ClosureEngine(n, dim, [op.T for op in dense])
         seeds = [[tuple(int(i == 0) for i in range(dim))], list(rng.integers(0, n, size=(1, dim)))]
         seeds += [[ctx.vec_of(ctx.one - ctx.unit_monomial(g))] for g in ctx.group.generators[:1]]
         for seed in seeds:
-            for engine, ref in ((ctx.engine, reference), (ctx.dual_engine, dual_reference)):
-                assert engine.closure(seed).key() == ref.closure(seed).key()
-    assert count == 256
+            for engine, refs in ((ctx.engine, (reference, dense_engine)),
+                                 (ctx.dual_engine, (dual_reference, dense_dual))):
+                basis = engine.closure(seed)
+                for ref in refs:
+                    closed = ref.closure(seed)
+                    assert (basis.key(), basis.pivots, basis.divs) == (
+                        closed.key(), closed.pivots, closed.divs), ctx
+    assert count == 261
+
+
+def test_operator_stack_expands_to_the_generator_multiplications():
+    # every operator of the block-monomial stack, expanded to a dense matrix,
+    # is the multiplication matrix of its generator built one at a time, and
+    # its transpose the transposed matrix; its images of seeded vectors are
+    # those matrices' products. On the catalogue, the fixtures and sampled
+    # instances.
+    rng = np.random.default_rng(24)
+    contexts = stack_reference_contexts()
+    for ctx in contexts:
+        n = ctx.char
+        stack = ctx.ideal_operator_matrices
+        dense = np.stack(naive_ideal_operators(ctx))
+        assert len(stack) == len(dense) == 2 * (ctx.ring.dim + len(ctx.group.generators))
+        assert np.array_equal(naive_dense_stack(stack), dense), ctx
+        assert np.array_equal(naive_dense_stack(stack.T), dense.transpose(0, 2, 1)), ctx
+        vecs = rng.integers(0, n, size=(3, ctx.dim))
+        expected = np.einsum("kij,cj->cki", dense, vecs) % n
+        assert np.array_equal(stack.apply(vecs), expected), ctx
+        assert np.array_equal(stack.apply(vecs[0]), expected[0]), ctx
+        assert np.array_equal(stack.T.apply(vecs), np.einsum("kji,cj->cki", dense, vecs) % n)
+    assert len(contexts) == 225
 
 
 class _NoMemo(dict):
@@ -522,7 +557,7 @@ def test_engine_matches_reference_closure():
         for r in seeds:
             vec = ctx.vec_of(r)
             basis = ctx.engine.closure([vec])
-            ref = naive_closure(ctx.char, ctx.dim, ctx.ideal_operator_matrices, [vec])
+            ref = naive_closure(ctx.char, ctx.dim, naive_ideal_operators(ctx), [vec])
             assert (basis.key(), basis.pivots, basis.divs) == (
                 ref.key(), ref.pivots, ref.divs), ctx
             compared += 1
