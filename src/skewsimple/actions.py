@@ -285,13 +285,10 @@ class ActionMap:
         a nonzero non-unit of Z(A)^G, p*1 in composite characteristic, or
         None when Z(A)^G is a field."""
         ring = self.ring
-        n, d = ring.char, ring.dim
         fixed = self.fixed_space(ring.center_basis.rows)
-        # x -> z x is sum_s z_s lefts[s], one product on the flattened lefts
-        lefts = ring.structure_constants[0].reshape(d, d * d)
-        obstruction = field_obstruction(
-            n, fixed.rows, np.array(ring.to_vec(ring.one), dtype=np.int64),
-            lambda z: (z @ lefts).reshape(d, d) % n)
+        obstruction = field_obstruction(ring.char, fixed.matrix(),
+                                        np.array(ring.to_vec(ring.one), dtype=np.int64),
+                                        ring.products)
         return fixed, obstruction
 
     @cached_property

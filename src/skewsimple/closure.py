@@ -34,13 +34,15 @@ Python int with bit j holding coordinate j, so a row's lowest set bit is its
 pivot, reduction and placement are XORs, and the images of a vector under
 every operator are the XOR of the packed operator columns at its set bits
 (the stack's images of the unit vectors, packed a chunk at a time, so no
-dense matrix is held). Every other modulus, prime or not, stays on the int64
-block. The RREF over a prime is unique, so both give the same rows.
+dense matrix is held; ``ClosureEngine.T`` transposes them as a bit matrix).
+Every other modulus, prime or not, stays on the int64 block. The RREF over a
+prime is unique, so both give the same rows.
 
 ``field_obstruction`` is the one field test on such spans: given the basis
-of a commutative subring, its unit and its left multiplication, it returns a
-nonzero non-unit or None. It decides both the centre of a skew ring and the
-fixed centre Z(A)^G of an action, from kernels alone.
+of a commutative subring, its unit and the algebra's product on stacked
+coordinate rows, it returns a nonzero non-unit or None. It decides both the
+centre of a skew ring and the fixed centre Z(A)^G of an action, from kernels
+and batched products alone.
 
 The Howell basis is the only elimination here: ``solve`` reads a linear
 system's solution off one kernel, and ``HowellBasis.least_member`` a span's
@@ -440,10 +442,31 @@ def _pack_rows(mat: np.ndarray) -> list[int]:
 
 def _unpack_rows(rows: list[int], dim: int) -> np.ndarray:
     """The (len(rows) x dim) int64 0/1 block of packed rows."""
+    return _unpack_bits(rows, dim).astype(np.int64)
+
+
+def _unpack_bits(rows: list[int], dim: int) -> np.ndarray:
+    """The (len(rows) x dim) uint8 0/1 block of packed rows."""
     width = (dim + 7) // 8
     data = b"".join(row.to_bytes(width, "little") for row in rows)
     bits = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), width)
-    return np.unpackbits(bits, axis=1, count=dim, bitorder="little").astype(np.int64)
+    return np.unpackbits(bits, axis=1, count=dim, bitorder="little")
+
+
+def _transposed_columns(columns: list[int], dim: int, count: int) -> list[int]:
+    """The packed columns of the transposed operators, from those of the
+    operators (``ClosureEngine``): bit k*dim + i of column j of the
+    transposes is bit k*dim + j of column i. The bits are unpacked and
+    transposed a chunk of operators at a time, about CHUNK_BYTES of them."""
+    step = max(1, CHUNK_BYTES // (dim * dim))
+    out = [0] * dim
+    for lo in range(0, count, step):
+        width = min(step, count - lo) * dim
+        shift, mask = lo * dim, (1 << width) - 1
+        bits = _unpack_bits([(col >> shift) & mask for col in columns], width)
+        rows = _pack_rows(bits.reshape(dim, -1, dim).transpose(2, 1, 0).reshape(dim, width))
+        out = [acc | (row << shift) for acc, row in zip(out, rows)]
+    return out
 
 
 class BlockMonomialStack:
@@ -530,19 +553,34 @@ class ClosureEngine:
         self.dim = dim
         if not isinstance(operators, BlockMonomialStack):
             operators = BlockMonomialStack.dense(n, dim, operators)
+        self._count = len(operators)
         self._ops = operators
         # over F_2, column j of the stacked operators packed into an int: the
         # images of a packed v under every operator are the XOR of the
         # columns at v's bits; built from the images of the unit vectors, a
-        # chunk of about CHUNK_BYTES at a time
+        # chunk of about CHUNK_BYTES at a time, and the only form kept
         self._columns = None
         if n == 2:
-            width = len(operators) * dim
+            width = self._count * dim
             step = max(1, CHUNK_BYTES // (8 * max(1, width)))
             self._columns = []
             for lo in range(0, dim, step):
                 units = np.eye(min(step, dim - lo), dim, lo, dtype=np.int64)
                 self._columns += _pack_rows(operators.apply(units).reshape(len(units), width))
+            self._ops = None
+
+    @property
+    def T(self) -> "ClosureEngine":
+        """The engine of the transposed operators, in the same order. Over
+        F_2 its packed columns are this engine's, transposed as a bit matrix
+        operator by operator, with no pass over the unit vectors; over other
+        moduli it closes under the transposed stack."""
+        if self._columns is None:
+            return ClosureEngine(self.n, self.dim, self._ops.T)
+        dual = ClosureEngine.__new__(ClosureEngine)
+        dual.n, dual.dim, dual._count, dual._ops = self.n, self.dim, self._count, None
+        dual._columns = _transposed_columns(self._columns, self.dim, self._count)
+        return dual
 
     def closure(self, seeds: Iterable[Sequence[int]]) -> HowellBasis:
         """Howell basis of the operator-stable span of the seed vectors; a
@@ -568,7 +606,7 @@ class ClosureEngine:
         dim, columns = self.dim, self._columns
         basis = BitBasis(2, dim)
         word = (1 << dim) - 1
-        shifts = range(0, len(self._ops) * dim, dim)
+        shifts = range(0, self._count * dim, dim)
         pending = [_pack(np.asarray(s, dtype=np.int64) & 1) for s in seeds]
         while pending:
             vec = pending.pop()
@@ -652,63 +690,77 @@ def solve(p: int, A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     return x if not ((A @ x - b) % p).any() else None
 
 
-def field_obstruction(n: int, rows, one: np.ndarray, left_mul) -> np.ndarray | None:
+def rowwise(fn, xs: np.ndarray, ys: np.ndarray, row_bytes: int) -> np.ndarray:
+    """fn(x, y) on consecutive chunks of the rows of xs and ys, stacked: about
+    CHUNK_BYTES / row_bytes rows at a time, so that no intermediate of fn,
+    row_bytes for each row, grows with the number of rows. A single row of
+    xs stands for every row of ys."""
+    step = max(1, CHUNK_BYTES // row_bytes)
+    if len(ys) <= step:
+        return fn(xs, ys)
+    return np.concatenate([fn(xs if len(xs) == 1 else xs[lo:lo + step], ys[lo:lo + step])
+                           for lo in range(0, len(ys), step)])
+
+
+def field_obstruction(n: int, rows: np.ndarray, one: np.ndarray, mul) -> np.ndarray | None:
     """A nonzero element of a commutative ring Z that is not a unit of Z, or
     None when Z is a field; decided on Z's basis, without enumerating Z, so
     at any |Z|.
 
-    Z is a subring of an algebra over Z/n, spanned by the Howell rows, with
-    unit ``one``; ``left_mul(z)`` is the matrix of x -> z x on the algebra's
-    coordinates. In composite characteristic n the obstruction is p*1, with
-    p the least prime dividing n. Over a prime p, a Z of rank 1 is F_p*1,
-    a field. Otherwise phi(z) = z^p is F_p-linear on Z, and Z is a field
-    exactly when phi is injective and its fixed space is the scalars
-    (Berlekamp 1967). The obstruction is then the first RREF
-    row of ker phi when that kernel is nonzero; otherwise it is z - c*1, with
-    z the first RREF row of ker(phi - id) that is not a scalar and c the
-    least value making z - c*1 a non-unit (the least root of z's minimal
-    polynomial).
+    Z is a subring of an algebra over Z/n, spanned by the Howell rows (the
+    rows of an array), with unit ``one``; ``mul(xs, ys)`` is the algebra's
+    product on stacked coordinate rows, the coordinates of x y for each pair
+    of rows (a single row of xs standing for every row of ys). In composite
+    characteristic n the obstruction is p*1, with p the least prime dividing
+    n. Over a prime p, a Z of rank 1 is F_p*1, a field. Otherwise phi(z) =
+    z^p is F_p-linear on Z, and Z is a field exactly when phi is injective
+    and its fixed space is the scalars (Berlekamp 1967). phi of every basis
+    row comes from the same batched products, by square-and-multiply. The
+    obstruction is then the first RREF row of ker phi when that kernel is
+    nonzero; otherwise it is z - c*1, with z the first RREF row of
+    ker(phi - id) that is not a scalar and c the least value making z - c*1
+    a non-unit (the least root of z's minimal polynomial, whose powers of z
+    come from the same product).
     """
     p = next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
     if p != n:
         return (p * one) % n
     if len(rows) == 1:
         return None
-    images = [_power(p, left_mul, z, p) for z in rows]
+    rows = np.asarray(rows, dtype=np.int64)
+    images = _power(mul, rows, p)
     nilpotent = kernel_rows(p, rows, images)
     if nilpotent:
         return nilpotent[0]
-    fixed = kernel_rows(p, rows, [(f - z) % p for f, z in zip(images, rows)])
+    fixed = kernel_rows(p, rows, (images - rows) % p)
     if len(fixed) == 1:
         return None
     scalars = HowellBasis(p, len(one))
     scalars.insert(one)
     z = next(f for f in fixed if not scalars.contains(f))
-    c = _least_root(p, _minimal_polynomial(p, left_mul, z, one))
+    c = _least_root(p, _minimal_polynomial(p, mul, z, one))
     return (z - c * one) % p
 
 
-def _power(n: int, left_mul, z: np.ndarray, e: int) -> np.ndarray:
-    """The coordinates of z^e (e >= 2) for z in a commutative subring, by
-    square-and-multiply."""
-    by_z = left_mul(z)
-    out = z
-    for k, bit in enumerate(bin(e)[3:]):
-        out = ((by_z if k == 0 else left_mul(out)) @ out) % n
+def _power(mul, zs: np.ndarray, e: int) -> np.ndarray:
+    """The coordinates of z^e (e >= 2) for every row z of zs, elements of a
+    commutative subring, by square-and-multiply on all rows at once."""
+    out = zs
+    for bit in bin(e)[3:]:
+        out = mul(out, out)
         if bit == "1":
-            out = (by_z @ out) % n
+            out = mul(zs, out)
     return out
 
 
-def _minimal_polynomial(p: int, left_mul, z: np.ndarray, one: np.ndarray) -> list[int]:
+def _minimal_polynomial(p: int, mul, z: np.ndarray, one: np.ndarray) -> list[int]:
     """Coefficients s_0..s_{k-1} with z^k = sum s_i z^i and k least, over F_p:
     z^k is the first power already in the span of those before it."""
-    by_z = left_mul(z)
     span = HowellBasis(p, len(one))
     span.insert(one)
     powers = [one]
     while True:
-        nxt = (by_z @ powers[-1]) % p
+        nxt = mul(z[None], powers[-1][None])[0]
         if not span.insert(nxt):
             return [int(c) for c in solve(p, np.stack(powers, axis=1), nxt)]
         powers.append(nxt)

@@ -20,8 +20,7 @@ from . import closure
 from .errors import DomainError, PreconditionError
 from .groups import GroupTable
 from .rings import FunctionRing, MatrixRing, ModularRing, RingSpec
-from .skew import (SkewContext, SkewElement, augmentation,
-                   commuting_witness_outside_A, left_multiplication)
+from .skew import SkewContext, SkewElement, augmentation, commuting_witness_outside_A
 from .skew import skew_center  # noqa: F401  (``bench/tracer.py`` wraps it under this name)
 
 @dataclass
@@ -67,10 +66,9 @@ class CheckReport:
 def field_obstruction(ctx: SkewContext) -> SkewElement | None:
     """A nonzero element of the centre Z that is not a unit of Z, or None
     when Z is a field: ``closure.field_obstruction`` on Z's Howell basis and
-    the left multiplications of R, so decided at any |A|."""
+    R's batched product (``SkewContext.products``), so decided at any |A|."""
     one = np.array(ctx.vec_of(ctx.one), dtype=np.int64)
-    z = closure.field_obstruction(ctx.char, ctx.center_basis.rows, one,
-                                  lambda vec: left_multiplication(ctx, vec))
+    z = closure.field_obstruction(ctx.char, ctx.center_basis.matrix(), one, ctx.products)
     return None if z is None else ctx.element_of_vec(z)
 
 

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .closure import INT64_LIMIT, ClosureEngine, HowellBasis, kernel_basis
+from .closure import INT64_LIMIT, ClosureEngine, HowellBasis, kernel_basis, rowwise
 from .config import Caps
 from .errors import CapacityError, DomainError
 from .gf import MAX_FIELD_ORDER, GaloisField, field, prime_power
@@ -212,6 +212,22 @@ class RingSpec:
         rights = lefts if self.is_commutative else np.array(
             [[self.to_vec(self.mul(c, b)) for c in gens] for b in gens])
         return tuple(m.astype(np.int64).transpose(0, 2, 1) % self.char for m in (lefts, rights))
+
+    def products(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """The coordinates of x y for each pair of rows x of xs and y of ys
+        (entries in 0..char-1; a single row of xs stands for every row), as
+        an int64 array reduced modulo char: L(x) y, with L(x) = sum_s x_s
+        lefts[s] read off the structure constants. Each sum has at most dim
+        terms of at most (char-1)^2; rows go through in chunks
+        (``closure.rowwise``)."""
+        n, d = self.char, self.dim
+        lefts = self.structure_constants[0].reshape(d, d * d)
+
+        def chunk(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+            by_x = ((x @ lefts) % n).reshape(-1, d, d)
+            return (by_x @ y[:, :, None])[:, :, 0] % n
+
+        return rowwise(chunk, xs, ys, 8 * d * (d + 1))
 
     @cached_property
     def ideal_operators(self) -> list[np.ndarray]:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .actions import ActionMap, GSimplicity, is_G_simple, is_outer_action, kernel
 from .closure import (FLOAT64_EXACT, BlockMonomialStack, ClosureEngine, HowellBasis,
-                      check_int64, kernel_basis, kernel_rows, solve)
+                      check_int64, kernel_basis, kernel_rows, rowwise, solve)
 from .config import Caps
 from .errors import CapacityError, DomainError, PreconditionError
 from .groups import GroupTable, Subgroup
@@ -150,13 +150,18 @@ class SkewContext:
         return lefts.reshape(d, d * d), rights.reshape(d, d * d), np.stack(autos)
 
     @cached_property
+    def _group_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """G's multiplication and inverse tables as index arrays."""
+        return (np.array(self.group.mul_table, dtype=np.intp),
+                np.array(self.group.inv_table, dtype=np.intp))
+
+    @cached_property
     def _block_sources(self) -> tuple[np.ndarray, np.ndarray]:
         """(left, right) gather indices: block (k, g) of L_r is the block of
         h = left[k, g] = k g^-1 (so hg = k), and block (k, g) of R_r is the
         block of (g, h) with h = g^-1 k (so gh = k), at index right[g, k] of
         the flattened (g, h) grid."""
-        mul = np.array(self.group.mul_table, dtype=np.int64)
-        inv = np.array(self.group.inv_table, dtype=np.int64)
+        mul, inv = self._group_arrays
         order = self.group.order
         return mul[:, inv], np.arange(order)[:, None] * order + mul[inv, :]
 
@@ -178,7 +183,7 @@ class SkewContext:
         check_int64(n, self.dim)   # before any product over Z/n is taken
         lefts, rights, autos = self.structure_constants
         gens = list(self.group.generators)
-        mul = np.array(self.group.mul_table, dtype=np.intp)
+        mul = self._group_arrays[0]
         mats = np.empty((2 * (d + len(gens)), order, d, d), dtype=np.int64)
         mats[0:2 * d:2] = lefts.reshape(d, 1, d, d)
         # [t, g] = R(S_g b_t), S_g b_t being column t of S_g
@@ -198,16 +203,76 @@ class SkewContext:
 
     @cached_property
     def dual_engine(self) -> ClosureEngine:
-        """Closures under the transposed operators; the annihilator of an
-        ideal (its orthogonal complement) is stable under them."""
-        return ClosureEngine(self.char, self.dim, self.ideal_operator_matrices.T)
+        """Closures under the transposed operators (``ClosureEngine.T``); the
+        annihilator of an ideal (its orthogonal complement) is stable under
+        them."""
+        return self.engine.T
 
     @cached_property
     def unit_monomial_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Matrices of r -> u_g r and r -> r u_h, stacked over g (used to mark
-        unit orbits)."""
-        units = [self.vec_of(self.unit_monomial(g)) for g in range(self.group.order)]
-        return left_multiplications(self, units), right_multiplications(self, units)
+        """(slots, sigmas): what the sweep reads the unit orbits with
+        (``_orbit_images``). c u_g r u_h = sum_k c sigma_g(r_k) u_{gkh}, so
+        row (g, c) of the sigma stack is (c S_g)^T, for the units c of
+        Z/char, and the slot table lists, in the order g, h, c and then slot
+        t, where the coordinates of the product (g, c, k) with g k h = t lie
+        among the products of the blocks r_k with the stack, flattened."""
+        n, d, order = self.char, self.ring.dim, self.group.order
+        mul, inv = self._group_arrays
+        scalars = np.array(_scalar_units(n), dtype=np.int64)
+        autos = self.structure_constants[2].transpose(0, 2, 1)
+        sigmas = (scalars[:, None, None] * autos[:, None]) % n
+        # [g, h, t] = g^-1 t h^-1, the slot k that g k h = t reads
+        sources = mul[mul[inv][:, None, :], inv[None, :, None]]
+        rows = np.arange(order * len(scalars)).reshape(order, 1, -1, 1) * order
+        blocks = rows + sources[:, :, None, :]   # [g, h, c, t]
+        return (blocks[..., None] * d + np.arange(d)).ravel(), sigmas
+
+    @cached_property
+    def _product_operands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lefts, autos, sources) for ``products``, in float64 while its
+        sums, at most dim*(char-1)^2, are exact there and in int64 otherwise;
+        sources[g, t] = g^-1 t."""
+        n = self.char
+        check_int64(n, self.dim)
+        dtype = np.float64 if self.dim * (n - 1) ** 2 < FLOAT64_EXACT else np.int64
+        lefts, _, autos = self.structure_constants
+        mul, inv = self._group_arrays
+        return lefts.astype(dtype), autos.astype(dtype), mul[inv]
+
+    def products(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """The coordinates of x y for each pair of rows x of xs and y of ys
+        (entries in 0..char-1; a single row of xs stands for every row), as
+        an int64 array reduced modulo char.
+
+        x y = sum_{g,h} x_g sigma_g(y_h) u_{gh}, and x_g sigma_g(y_h) =
+        L(x_g) S_g y_h, with L the left multiplication of A (its structure
+        constants) and S_g the matrix of sigma_g. So slot t of x y is the sum
+        over g of L(x_g) S_g y_{g^-1 t}: one product over (g, j), whose sums
+        have dim terms of at most (char-1)^2. Rows go through in chunks
+        (``closure.rowwise``)."""
+        n, d, order, dim = self.char, self.ring.dim, self.group.order, self.dim
+        lefts, autos, sources = self._product_operands
+        xs, ys = np.asarray(xs), np.asarray(ys)
+        # every operand is non-negative, so fmod is the remainder modulo n
+
+        def left_blocks(x: np.ndarray) -> np.ndarray:
+            blocks = x.reshape(-1, d).astype(lefts.dtype) @ lefts   # L(x_g)
+            np.fmod(blocks, n, out=blocks)
+            blocks = blocks.reshape(-1, order, d, d) @ autos   # [r, g] = L(x_g) S_g
+            np.fmod(blocks, n, out=blocks)
+            return blocks.transpose(0, 2, 1, 3).reshape(-1, d, dim)   # [r, i, (g, j)]
+
+        def chunk(by_x: np.ndarray, y: np.ndarray) -> np.ndarray:
+            # [r, (g, j), t] = entry j of y_{g^-1 t}
+            shifted = y.astype(lefts.dtype).reshape(-1, order, d)[:, sources]
+            out = by_x @ shifted.transpose(0, 1, 3, 2).reshape(-1, dim, order)
+            np.fmod(out, n, out=out)
+            return out.transpose(0, 2, 1).astype(np.int64, order="C").reshape(-1, dim)
+
+        if len(xs) == 1:   # one x for every y: its blocks are built once
+            return rowwise(chunk, left_blocks(xs), ys, 16 * order * dim)
+        return rowwise(lambda x, y: chunk(left_blocks(x), y), xs, ys,
+                       8 * order * (d * d + 2 * dim))
 
     @cached_property
     def rank_columns(self) -> np.ndarray:
@@ -514,7 +579,9 @@ def is_center_unit(r: SkewElement) -> bool:
     """
     ctx = r.ctx
     image = HowellBasis(ctx.char, ctx.dim)
-    columns = np.ascontiguousarray(left_multiplication(ctx, ctx.vec_of(r)).T)
+    # column i of L_r is r e_i
+    columns = ctx.products(np.array([ctx.vec_of(r)], dtype=np.int64),
+                           np.eye(ctx.dim, dtype=np.int64))
     return all(image.insert(col) for col in columns) and image.is_full
 
 
@@ -642,7 +709,7 @@ def _sweep_prime(ctx: SkewContext) -> SkewSimplicity:
     skip = bytearray(size)
     skip[0] = 1
     marks = np.frombuffer(skip, dtype=np.uint8)   # writes through to ``skip``
-    transforms = None   # built once the first element has generated R
+    orbits = False   # built once the first element has generated R
     # within the cap every rank fits in int64
     char, cols = ctx.char, ctx.rank_columns
     for i in range(1, size):
@@ -653,27 +720,24 @@ def _sweep_prime(ctx: SkewContext) -> SkewSimplicity:
         if not basis.is_full:
             r = ctx.element_of_rank(i)
             return SkewSimplicity(False, "full_sweep", r, _witness_ideal(ctx, r, basis))
-        if transforms is None:
+        if not orbits:
             # rank 1 is always closed first; the certificate only ever proves
             # simplicity, so a proper ideal is still found by the sweep
             if certify_simple(ctx):
                 return SkewSimplicity(True, "certificate")
-            transforms = _orbit_transforms(ctx)
-        images = ((transforms @ vec) % char).reshape(-1, ctx.dim)
-        marks[vec_to_rank(images, char, cols)] = 1
+            orbits = True
+        marks[vec_to_rank(_orbit_images(ctx, vec), char, cols)] = 1
     return SkewSimplicity(True, "full_sweep")
 
 
-def _orbit_transforms(ctx: SkewContext) -> np.ndarray:
-    """Every unit-monomial and scalar transform r -> c u_g r u_h, stacked:
-    one product maps vec(r) to all its images, each generating the ideal r
-    generates."""
-    n = ctx.char
-    lefts, rights = ctx.unit_monomial_matrices
-    scalars = np.array(_scalar_units(n), dtype=np.int64)
-    products = (lefts[:, None] @ rights[None]) % n   # [g, h] = L_g R_h
-    # in the order g, h, c: the transform c L_g R_h
-    return ((scalars[:, None, None] * products[:, :, None]) % n).reshape(-1, ctx.dim)
+def _orbit_images(ctx: SkewContext, vec: np.ndarray) -> np.ndarray:
+    """The coordinates of every c u_g r u_h, for vec = vec(r) and the units c
+    of Z/char, as rows in the order g, h, c; each generates the ideal r
+    generates. One batched product of r's blocks with the sigma stack and
+    one gather into the slots (``SkewContext.unit_monomial_matrices``)."""
+    slots, sigmas = ctx.unit_monomial_matrices
+    products = (vec.reshape(ctx.group.order, ctx.ring.dim) @ sigmas) % ctx.char
+    return products.ravel()[slots].reshape(-1, ctx.dim)
 
 
 # ``bench/tracer.py`` wraps the sweep under both names
@@ -765,18 +829,21 @@ def certificate_draws(ctx: SkewContext) -> Iterator[np.ndarray]:
     """The seeded elements theta = sum_k L_{a_k} R_{b_k} of the enveloping
     algebra E, as matrices over F_char (x -> sum_k a_k x b_k).
 
-    The coordinates are drawn in the order a_1, b_1, a_2, b_2, ...; the terms
-    of one theta are one stacked product, in float64 (a BLAS product) while
-    its entries, integers of at most dim*(char-1)^2, are exact there."""
+    The coordinates are drawn in the order a_1, b_1, a_2, b_2, ...; theta is
+    built one term at a time, so only one pair of dense matrices is held,
+    each product in float64 (a BLAS product) while its entries, integers of
+    at most dim*(char-1)^2, are exact there."""
     p, dim = ctx.char, ctx.dim
     dtype = np.float64 if dim * (p - 1) ** 2 < FLOAT64_EXACT else np.int64
     rng = random.Random(CERTIFICATE_SEED)
     for _ in range(CERTIFICATE_DRAWS):
         coords = [[rng.randrange(p) for _ in range(dim)] for _ in range(2 * CERTIFICATE_TERMS)]
-        lefts = left_multiplications(ctx, coords[0::2]).astype(dtype, copy=False)
-        rights = right_multiplications(ctx, coords[1::2]).astype(dtype, copy=False)
-        terms = (lefts @ rights).astype(np.int64, copy=False) % p
-        yield terms.sum(axis=0) % p
+        theta = np.zeros((dim, dim), dtype=np.int64)
+        for a, b in zip(coords[0::2], coords[1::2]):
+            left = left_multiplication(ctx, a).astype(dtype, copy=False)
+            right = right_multiplication(ctx, b).astype(dtype, copy=False)
+            theta += (left @ right).astype(np.int64, copy=False) % p
+        yield theta % p
 
 
 def certify_simple(ctx: SkewContext) -> bool:

@@ -29,7 +29,8 @@ reduction and every update of the rows above is a loop over the rows, and
 closures apply the operators one by one. The linear solver clears a pivot
 column row by row, the support slice of the constructive procedures is one
 solve over every row of the ideal, and the unit-orbit transforms are one
-product each.
+product each of the unit monomials' dense multiplication matrices. The field
+test of a centre takes the dense matrix of x -> z x for one z at a time.
 The certificate's draws are one single-vector multiplication matrix and one
 product per term; the group laws and inverses are checked entry by entry in
 loop order; a coordinate permutation's matrix is built from the image of
@@ -615,12 +616,66 @@ def naive_gauss_solve(p: int, A, b):
 
 def naive_orbit_transforms(ctx) -> np.ndarray:
     """Every transform r -> c u_g r u_h (c a unit of Z/char), one product per
-    g, h and c, stacked in that order (the reference for
-    ``skew._orbit_transforms``)."""
+    g, h and c of the dense multiplication matrices of the unit monomials,
+    stacked in that order (the reference for ``skew._orbit_images``: the
+    images of vec(r) are these transforms times vec(r))."""
+    from skewsimple.skew import left_multiplications, right_multiplications
+
     n = ctx.char
-    lefts, rights = ctx.unit_monomial_matrices
+    monomials = [ctx.vec_of(ctx.unit_monomial(g)) for g in range(ctx.group.order)]
+    lefts = left_multiplications(ctx, monomials)
+    rights = right_multiplications(ctx, monomials)
     units = [c for c in range(1, n) if gcd(c, n) == 1]
     return np.concatenate([(c * (lg @ rh)) % n for lg in lefts for rh in rights for c in units])
+
+
+def naive_dense_field_obstruction(n: int, rows, one: np.ndarray, left_mul) -> np.ndarray | None:
+    """The field test of ``closure.field_obstruction`` with x -> z x given as
+    a dense matrix ``left_mul(z)`` for one z at a time: z^p by
+    square-and-multiply on each basis row alone, and the minimal
+    polynomial's powers one matrix product each (the reference for the
+    batched products)."""
+    from math import isqrt
+
+    from skewsimple.closure import HowellBasis, _least_root, kernel_rows, solve
+
+    def power(z, e):
+        by_z = left_mul(z)
+        out = z
+        for k, bit in enumerate(bin(e)[3:]):
+            out = ((by_z if k == 0 else left_mul(out)) @ out) % n
+            if bit == "1":
+                out = (by_z @ out) % n
+        return out
+
+    def minimal_polynomial(z):
+        by_z = left_mul(z)
+        span = HowellBasis(n, len(one))
+        span.insert(one)
+        powers = [one]
+        while True:
+            nxt = (by_z @ powers[-1]) % n
+            if not span.insert(nxt):
+                return [int(c) for c in solve(n, np.stack(powers, axis=1), nxt)]
+            powers.append(nxt)
+
+    p = next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
+    if p != n:
+        return (p * one) % n
+    if len(rows) == 1:
+        return None
+    images = [power(z, p) for z in rows]
+    nilpotent = kernel_rows(p, rows, images)
+    if nilpotent:
+        return nilpotent[0]
+    fixed = kernel_rows(p, rows, [(f - z) % p for f, z in zip(images, rows)])
+    if len(fixed) == 1:
+        return None
+    scalars = HowellBasis(p, len(one))
+    scalars.insert(one)
+    z = next(f for f in fixed if not scalars.contains(f))
+    c = _least_root(p, minimal_polynomial(z))
+    return (z - c * one) % p
 
 
 def naive_certificate_draws(ctx) -> list[np.ndarray]:

@@ -611,6 +611,9 @@ def test_minimal_polynomial_matches_the_first_dependent_power(p):
     def left_mul(z):
         return np.kron(z.reshape(3, 3), np.eye(3, dtype=np.int64)) % p
 
+    def mul(xs, ys):   # the product on stacked rows, one matrix at a time
+        return np.stack([(left_mul(x) @ y) % p for x, y in zip(xs, ys)])
+
     for _ in range(12):
         z = rng.integers(0, p, size=9)
         if rng.random() < 0.3:
@@ -623,7 +626,7 @@ def test_minimal_polynomial_matches_the_first_dependent_power(p):
             if coeffs is not None:
                 break
             powers.append(nxt)
-        assert _minimal_polynomial(p, left_mul, z, one) == list(coeffs)
+        assert _minimal_polynomial(p, mul, z, one) == list(coeffs)
 
 
 @settings(max_examples=300)

@@ -16,7 +16,8 @@ from skewsimple.skew import (SkewContext, SkewIdeal, augmentation, central_witne
                              centralizer_components, centralizer_of_A, coeff_at_e,
                              commuting_witness_outside_A, is_central,
                              is_max_commutative_A, is_simple, left_multiplication,
-                             right_multiplication, skew_center, skew_ideal_closure,
+                             left_multiplications, right_multiplication,
+                             right_multiplications, skew_center, skew_ideal_closure,
                              support, support_reduce)
 
 from conftest import (conj_f2_context, conj_f3_context, natural_s3_context,
@@ -460,7 +461,8 @@ OPERATOR_CASES = {
 def test_right_multiplication_matches_products(make):
     ctx = make()
     n = ctx.char
-    lefts, rights = ctx.unit_monomial_matrices
+    units = [ctx.vec_of(ctx.unit_monomial(g)) for g in ctx.group.elements()]
+    lefts, rights = left_multiplications(ctx, units), right_multiplications(ctx, units)
     rng = random.Random(3)
     for _ in range(10):
         r = ctx.element_of_vec([rng.randrange(n) for _ in range(ctx.dim)])
@@ -756,16 +758,20 @@ def test_orbit_transforms_wait_for_the_first_full_closure():
 
 
 def test_orbit_transforms_match_one_product_each():
-    # several scalar units over F_3, Z/5 and Z/6; F_4 and S3 over F_2
+    # several scalar units over F_3, Z/5 and Z/6; F_4 and S3 over F_2: the
+    # images read off the sigma stack are the dense transforms' products
     group = GroupTable.cyclic_product([2])
     contexts = [conj_f3_context(), natural_s3_context(), rotation_z3_context(q=4),
                 _fresh_catalogue_context("through_quotient_Z4")]
     contexts += [SkewContext(ModularRing(n), group, trivial_action(group, ModularRing(n)))
                  for n in (5, 6)]
+    rng = np.random.default_rng(25)
     for ctx in contexts:
-        transforms = skew._orbit_transforms(ctx)
-        assert transforms.dtype == np.int64
-        assert np.array_equal(transforms, naive_orbit_transforms(ctx))
+        transforms = naive_orbit_transforms(ctx)
+        for vec in rng.integers(0, ctx.char, size=(8, ctx.dim)):
+            images = skew._orbit_images(ctx, vec)
+            assert images.dtype == np.int64
+            assert np.array_equal(images, ((transforms @ vec) % ctx.char).reshape(-1, ctx.dim))
 
 
 def test_witness_search_enumerates_no_later_family_once_decided(monkeypatch):
