@@ -51,6 +51,7 @@ least member off its rows, without enumerating it.
 
 from __future__ import annotations
 
+import copy
 from bisect import bisect_left, insort
 from math import gcd, isqrt
 from typing import Iterable, Sequence
@@ -577,8 +578,7 @@ class ClosureEngine:
         moduli it closes under the transposed stack."""
         if self._columns is None:
             return ClosureEngine(self.n, self.dim, self._ops.T)
-        dual = ClosureEngine.__new__(ClosureEngine)
-        dual.n, dual.dim, dual._count, dual._ops = self.n, self.dim, self._count, None
+        dual = copy.copy(self)
         dual._columns = _transposed_columns(self._columns, self.dim, self._count)
         return dual
 

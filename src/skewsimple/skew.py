@@ -269,8 +269,6 @@ class SkewContext:
             np.fmod(out, n, out=out)
             return out.transpose(0, 2, 1).astype(np.int64, order="C").reshape(-1, dim)
 
-        if len(xs) == 1:   # one x for every y: its blocks are built once
-            return rowwise(chunk, left_blocks(xs), ys, 16 * order * dim)
         return rowwise(lambda x, y: chunk(left_blocks(x), y), xs, ys,
                        8 * order * (d * d + 2 * dim))
 
@@ -578,10 +576,15 @@ def is_center_unit(r: SkewElement) -> bool:
     settles the answer. This reads nothing of ``center_basis``.
     """
     ctx = r.ctx
+    d, order = ctx.ring.dim, ctx.group.order
+    mul, inv = ctx._group_arrays
+    # column (h, j) of L_r is r (b_j u_h) = (r b_j) u_h, and y u_h has y_g in
+    # slot gh: so slot t of it is block t h^-1 of r b_j, one of d products
+    firsts = ctx.products(np.array([ctx.vec_of(r)], dtype=np.int64),
+                          np.eye(d, ctx.dim, dtype=np.int64)).reshape(d, order, d)
+    sources = mul[np.arange(order)[None, :], inv[:, None]]   # [h, t] = t h^-1
+    columns = firsts[:, sources].transpose(1, 0, 2, 3).reshape(ctx.dim, ctx.dim)
     image = HowellBasis(ctx.char, ctx.dim)
-    # column i of L_r is r e_i
-    columns = ctx.products(np.array([ctx.vec_of(r)], dtype=np.int64),
-                           np.eye(ctx.dim, dtype=np.int64))
     return all(image.insert(col) for col in columns) and image.is_full
 
 
@@ -709,7 +712,7 @@ def _sweep_prime(ctx: SkewContext) -> SkewSimplicity:
     skip = bytearray(size)
     skip[0] = 1
     marks = np.frombuffer(skip, dtype=np.uint8)   # writes through to ``skip``
-    orbits = False   # built once the first element has generated R
+    certificate_tried = False
     # within the cap every rank fits in int64
     char, cols = ctx.char, ctx.rank_columns
     for i in range(1, size):
@@ -720,12 +723,12 @@ def _sweep_prime(ctx: SkewContext) -> SkewSimplicity:
         if not basis.is_full:
             r = ctx.element_of_rank(i)
             return SkewSimplicity(False, "full_sweep", r, _witness_ideal(ctx, r, basis))
-        if not orbits:
+        if not certificate_tried:
             # rank 1 is always closed first; the certificate only ever proves
             # simplicity, so a proper ideal is still found by the sweep
             if certify_simple(ctx):
                 return SkewSimplicity(True, "certificate")
-            orbits = True
+            certificate_tried = True
         marks[vec_to_rank(_orbit_images(ctx, vec), char, cols)] = 1
     return SkewSimplicity(True, "full_sweep")
 

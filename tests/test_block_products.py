@@ -69,13 +69,17 @@ def test_products_in_chunks_match_one_chunk(monkeypatch):
 
 
 def test_orbit_images_match_the_dense_transforms():
-    # every in-cap context, where the sweep marks orbits: row for row
+    # every in-cap context, where the sweep marks orbits: row for row, and
+    # on the unit vectors every entry of every transform
     rng = np.random.default_rng(25)
     checked = 0
     for ctx in _contexts():
         if ctx.size > ctx.caps.enumeration:
             continue
         transforms = naive_orbit_transforms(ctx)
+        units = np.stack([skew._orbit_images(ctx, e)
+                          for e in np.eye(ctx.dim, dtype=np.int64)], axis=-1)
+        assert np.array_equal(units, transforms.reshape(-1, ctx.dim, ctx.dim)), ctx
         for vec in rng.integers(0, ctx.char, size=(3, ctx.dim)):
             expected = ((transforms @ vec) % ctx.char).reshape(-1, ctx.dim)
             assert np.array_equal(skew._orbit_images(ctx, vec), expected), ctx

@@ -765,9 +765,14 @@ def test_orbit_transforms_match_one_product_each():
                 _fresh_catalogue_context("through_quotient_Z4")]
     contexts += [SkewContext(ModularRing(n), group, trivial_action(group, ModularRing(n)))
                  for n in (5, 6)]
+    # the images are linear in vec: on the unit vectors they are the columns
+    # of every transform, entry for entry
     rng = np.random.default_rng(25)
     for ctx in contexts:
         transforms = naive_orbit_transforms(ctx)
+        units = np.stack([skew._orbit_images(ctx, e)
+                          for e in np.eye(ctx.dim, dtype=np.int64)], axis=-1)
+        assert np.array_equal(units, transforms.reshape(-1, ctx.dim, ctx.dim))
         for vec in rng.integers(0, ctx.char, size=(8, ctx.dim)):
             images = skew._orbit_images(ctx, vec)
             assert images.dtype == np.int64
