@@ -26,7 +26,7 @@ multiplication by a monomial of a skew group ring does, and a dense matrix is
 the case of one block. Every inserted vector's images come from one batched
 block product and a gather, taken in float64 whenever the product's integer
 entries, at most size*(n-1)^2 for blocks of the given size, are exact there,
-and in int64 otherwise.
+and in int64 otherwise (``exact_dtype``).
 
 Over exactly n == 2 the constructor returns a ``BitBasis`` instead, and the
 engine and ``kernel_basis`` work on packed bits: a vector of F_2^dim is a
@@ -80,6 +80,13 @@ def check_int64(n: int, dim: int) -> None:
     if need >= INT64_LIMIT:
         raise CapacityError("int64", INT64_LIMIT - 1, need,
                             f"arithmetic over Z/{n} in dimension {dim}")
+
+
+def exact_dtype(terms: int, n: int) -> type:
+    """The dtype of a product whose entries sum terms products of entries in
+    0..n-1, integers of at most terms*(n-1)^2: float64 (a BLAS product) while
+    that is exact there, int64 otherwise."""
+    return np.float64 if terms * (n - 1) ** 2 < FLOAT64_EXACT else np.int64
 
 
 def _normalizer(c: int, n: int) -> tuple[int, int]:
@@ -297,16 +304,13 @@ class HowellBasis:
         CHUNK_BYTES each; members come in the lex order of their coefficient
         vectors (the last coefficient varies fastest).
 
-        A chunk is its coefficient vectors times the rows. Its integer entries
-        are at most rank*(n-1)^2, so the product is taken in float64 (a BLAS
-        product) while that is exact there, and in int64 otherwise."""
+        A chunk is its coefficient vectors times the rows, a product of rank
+        terms (``exact_dtype``)."""
         if not self._rank:
             yield np.zeros((1, self.dim), dtype=np.int64)
             return
-        mat = self._matrix()
-        exact = self._rank * (self.n - 1) ** 2 < FLOAT64_EXACT
-        dtype = np.float64 if exact else np.int64
-        mat = mat.astype(dtype, copy=False)
+        dtype = exact_dtype(self._rank, self.n)
+        mat = self._matrix().astype(dtype, copy=False)
         radix = [self.n // d for d in self.divs]
         place = [1] * len(radix)   # members between steps of coefficient i
         for i in range(len(radix) - 2, -1, -1):
@@ -485,9 +489,8 @@ class BlockMonomialStack:
     order, as one batched product and one gather: the matrices that read
     block s are stacked into one (K*size x size) matrix, which multiplies
     v_s, and the products are gathered into their target blocks. Each entry
-    of a block product sums size products of reduced entries, so it is an
-    integer of at most size*(n-1)^2: the product is taken in float64 (a BLAS
-    product) while that is below 2^53, and in int64 otherwise. The stack
+    of a block product sums size products of reduced entries, so the
+    product is taken in ``exact_dtype(size, n)``. The stack
     refuses the (n, dim) pairs ``check_int64`` refuses, as the engine does,
     so the int64 product never wraps either.
     """
@@ -500,7 +503,7 @@ class BlockMonomialStack:
         self.blocks, self.size, self.dim = blocks, size, blocks * size
         self.targets = np.asarray(targets, dtype=np.intp)   # (K, blocks)
         self.matrices = matrices % n
-        dtype = np.float64 if size * (n - 1) ** 2 < FLOAT64_EXACT else np.int64
+        dtype = exact_dtype(size, n)
         # [s] stacks the matrices reading block s, operator by operator
         self._by_source = np.ascontiguousarray(self.matrices.transpose(1, 0, 2, 3),
                                                dtype=dtype).reshape(blocks, count * size, size)
@@ -693,12 +696,11 @@ def solve(p: int, A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
 def rowwise(fn, xs: np.ndarray, ys: np.ndarray, row_bytes: int) -> np.ndarray:
     """fn(x, y) on consecutive chunks of the rows of xs and ys, stacked: about
     CHUNK_BYTES / row_bytes rows at a time, so that no intermediate of fn,
-    row_bytes for each row, grows with the number of rows. A single row of
-    xs stands for every row of ys."""
+    row_bytes for each row, grows with the number of rows."""
     step = max(1, CHUNK_BYTES // row_bytes)
     if len(ys) <= step:
         return fn(xs, ys)
-    return np.concatenate([fn(xs if len(xs) == 1 else xs[lo:lo + step], ys[lo:lo + step])
+    return np.concatenate([fn(xs[lo:lo + step], ys[lo:lo + step])
                            for lo in range(0, len(ys), step)])
 
 
@@ -710,17 +712,16 @@ def field_obstruction(n: int, rows: np.ndarray, one: np.ndarray, mul) -> np.ndar
     Z is a subring of an algebra over Z/n, spanned by the Howell rows (the
     rows of an array), with unit ``one``; ``mul(xs, ys)`` is the algebra's
     product on stacked coordinate rows, the coordinates of x y for each pair
-    of rows (a single row of xs standing for every row of ys). In composite
-    characteristic n the obstruction is p*1, with p the least prime dividing
-    n. Over a prime p, a Z of rank 1 is F_p*1, a field. Otherwise phi(z) =
-    z^p is F_p-linear on Z, and Z is a field exactly when phi is injective
-    and its fixed space is the scalars (Berlekamp 1967). phi of every basis
-    row comes from the same batched products, by square-and-multiply. The
-    obstruction is then the first RREF row of ker phi when that kernel is
-    nonzero; otherwise it is z - c*1, with z the first RREF row of
-    ker(phi - id) that is not a scalar and c the least value making z - c*1
-    a non-unit (the least root of z's minimal polynomial, whose powers of z
-    come from the same product).
+    of rows. In composite characteristic n the obstruction is p*1, with p
+    the least prime dividing n. Over a prime p, a Z of rank 1 is F_p*1, a
+    field. Otherwise phi(z) = z^p is F_p-linear on Z, and Z is a field
+    exactly when phi is injective and its fixed space is the scalars
+    (Berlekamp 1967). phi of every basis row comes from the same batched
+    products, by square-and-multiply. The obstruction is then the first RREF
+    row of ker phi when that kernel is nonzero; otherwise it is z - c*1,
+    with z the first RREF row of ker(phi - id) that is not a scalar and c
+    the least value making z - c*1 a non-unit (the least root of z's minimal
+    polynomial, whose powers of z come from the same product).
     """
     p = next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
     if p != n:

@@ -53,6 +53,21 @@ class CheckReport:
     def violations(self) -> list[str]:
         return [key for key, value in self.conclusions.items() if value is False]
 
+    def oracle_verdict(self, ctx: SkewContext, undetermined: tuple[str, ...],
+                       witness: bool = False,
+                       note: str = "simplicity undetermined at this size") -> bool | None:
+        """Record the oracle's "simple" verdict, with its note (and its
+        witness when asked), and return its value; an undetermined verdict
+        also sets the named conclusions to None and adds the note."""
+        simplicity = ctx.simplicity
+        self.verdicts["simple"] = CriterionVerdict(
+            "simple", simplicity.value, method="oracle", note=simplicity.note,
+            witness=_element_json(simplicity.witness) if witness and simplicity.witness else None)
+        if simplicity.value is None:
+            self.conclusions.update(dict.fromkeys(undetermined))
+            self.notes.append(note)
+        return simplicity.value
+
     def as_json(self) -> dict:
         return {
             "name": self.name,
@@ -99,16 +114,11 @@ def necessary_conditions(ctx: SkewContext) -> CheckReport:
         "sigma_injective", ctx.sigma_injective,
         witness=None if ctx.sigma_injective else {"group_element": ctx.group.name(
             min(g for g in ctx.kernel.members if g != 0))})
-    simple = ctx.simplicity.value
-    report.verdicts["simple"] = CriterionVerdict("simple", simple, method="oracle",
-                                                 note=ctx.simplicity.note)
-    if simple is None:
-        report.conclusions["simple_implies_necessary"] = None
-        report.notes.append("simplicity undetermined at this size")
-    elif simple:
+    simple = report.oracle_verdict(ctx, ("simple_implies_necessary",))
+    if simple:
         report.conclusions["simple_implies_necessary"] = (
             obstruction is None and bool(gs.value) and ctx.sigma_injective)
-    else:
+    elif simple is False:
         report.conclusions["simple_implies_necessary"] = True
         report.notes.append("vacuous: the ring is not simple")
     return report
@@ -122,21 +132,14 @@ def abelian_simplicity_check(ctx: SkewContext) -> CheckReport:
     well, simple iff (G-simple and injective).
     """
     report = CheckReport("abelian_simplicity")
-    simple = ctx.simplicity.value
+    simple = report.oracle_verdict(ctx, ("simple_implies_conditions",), witness=True)
     cond_field = bool(ctx.g_simplicity.value) and ctx.center_is_field
     cond_inj = bool(ctx.g_simplicity.value) and ctx.sigma_injective
-    report.verdicts["simple"] = CriterionVerdict(
-        "simple", simple, method="oracle",
-        witness=None if not ctx.simplicity.witness else _element_json(ctx.simplicity.witness),
-        note=ctx.simplicity.note)
     report.verdicts["g_simple_and_center_field"] = CriterionVerdict(
         "g_simple_and_center_field", cond_field)
     report.verdicts["g_simple_and_injective"] = CriterionVerdict(
         "g_simple_and_injective", cond_inj)
-    if simple is None:
-        report.conclusions["simple_implies_conditions"] = None
-        report.notes.append("simplicity undetermined at this size")
-    else:
+    if simple is not None:
         report.conclusions["simple_implies_conditions"] = (
             True if not simple else (cond_field and cond_inj))
     if ctx.group.is_abelian and simple is not None:
@@ -165,19 +168,14 @@ def commutative_simplicity_check(ctx: SkewContext) -> CheckReport:
     if not ctx.ring.is_commutative:
         raise DomainError("commutative simplicity check requires a commutative coefficient ring")
     report = CheckReport("commutative_simplicity")
-    simple = ctx.simplicity.value
+    simple = report.oracle_verdict(ctx, ("commutative_equivalence",))
     maxc = ctx.max_commutative
     witness = None if maxc else commuting_witness_outside_A(ctx)
-    report.verdicts["simple"] = CriterionVerdict(
-        "simple", simple, method="oracle", note=ctx.simplicity.note)
     report.verdicts["g_simple"] = CriterionVerdict("g_simple", ctx.g_simplicity.value)
     report.verdicts["max_commutative"] = CriterionVerdict(
         "max_commutative", maxc,
         witness=None if witness is None else _element_json(witness))
-    if simple is None:
-        report.conclusions["commutative_equivalence"] = None
-        report.notes.append("simplicity undetermined at this size")
-    else:
+    if simple is not None:
         report.conclusions["commutative_equivalence"] = (
             simple == (bool(ctx.g_simplicity.value) and bool(maxc)))
     return report
@@ -191,14 +189,9 @@ def outer_simplicity_check(ctx: SkewContext) -> CheckReport:
         raise PreconditionError("action outer",
                                 "some non-identity element acts by an inner automorphism")
     report = CheckReport("outer_simplicity")
-    simple = ctx.simplicity.value
-    report.verdicts["simple"] = CriterionVerdict("simple", simple, method="oracle",
-                                                 note=ctx.simplicity.note)
+    simple = report.oracle_verdict(ctx, ("outer_equivalence",))
     report.verdicts["g_simple"] = CriterionVerdict("g_simple", ctx.g_simplicity.value)
-    if simple is None:
-        report.conclusions["outer_equivalence"] = None
-        report.notes.append("simplicity undetermined at this size")
-    else:
+    if simple is not None:
         report.conclusions["outer_equivalence"] = simple == bool(ctx.g_simplicity.value)
     return report
 

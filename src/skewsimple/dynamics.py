@@ -172,20 +172,20 @@ def dynamics_simplicity_check(T: TransformationGroup) -> CheckReport:
     """
     report = CheckReport("dynamics_simplicity")
     ctx = T.context
-    simple = ctx.simplicity.value
+    a_simple = report.oracle_verdict(
+        ctx, ("simple_iff_max_commutative", "simple_implies_rest"),
+        note="simplicity undetermined at this size; "
+             "equivalences asserted on the decided assertions only")
     g_simple = bool(ctx.g_simplicity.value)
     max_comm = bool(ctx.max_commutative)
     center_field = ctx.center_is_field
     injective = ctx.sigma_injective
     minimal = T.is_minimal()
     faithful = T.is_faithful()
-    a_simple = simple
     a_maxcomm = g_simple and max_comm
     a_center = g_simple and center_field
     a_inj = g_simple and injective
     a_dyn = minimal and faithful
-    report.verdicts["simple"] = CriterionVerdict(
-        "simple", simple, method="oracle", note=ctx.simplicity.note)
     report.verdicts["g_simple_and_max_commutative"] = CriterionVerdict(
         "g_simple_and_max_commutative", a_maxcomm)
     report.verdicts["g_simple_and_center_field"] = CriterionVerdict(
@@ -194,12 +194,7 @@ def dynamics_simplicity_check(T: TransformationGroup) -> CheckReport:
         "g_simple_and_injective", a_inj)
     report.verdicts["minimal_and_faithful"] = CriterionVerdict(
         "minimal_and_faithful", a_dyn)
-    if a_simple is None:
-        report.conclusions["simple_iff_max_commutative"] = None
-        report.conclusions["simple_implies_rest"] = None
-        report.notes.append("simplicity undetermined at this size; "
-                            "equivalences asserted on the decided assertions only")
-    else:
+    if a_simple is not None:
         report.conclusions["simple_iff_max_commutative"] = a_simple == a_maxcomm
         report.conclusions["simple_implies_rest"] = (
             True if not a_simple else (a_center and a_inj and a_dyn))

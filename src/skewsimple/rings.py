@@ -215,11 +215,10 @@ class RingSpec:
 
     def products(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """The coordinates of x y for each pair of rows x of xs and y of ys
-        (entries in 0..char-1; a single row of xs stands for every row), as
-        an int64 array reduced modulo char: L(x) y, with L(x) = sum_s x_s
-        lefts[s] read off the structure constants. Each sum has at most dim
-        terms of at most (char-1)^2; rows go through in chunks
-        (``closure.rowwise``)."""
+        (entries in 0..char-1), as an int64 array reduced modulo char: L(x)
+        y, with L(x) = sum_s x_s lefts[s] read off the structure constants.
+        Each sum has at most dim terms of at most (char-1)^2; rows go through
+        in chunks (``closure.rowwise``)."""
         n, d = self.char, self.dim
         lefts = self.structure_constants[0].reshape(d, d * d)
 

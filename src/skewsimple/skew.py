@@ -20,8 +20,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .actions import ActionMap, GSimplicity, is_G_simple, is_outer_action, kernel
-from .closure import (FLOAT64_EXACT, BlockMonomialStack, ClosureEngine, HowellBasis,
-                      check_int64, kernel_basis, kernel_rows, rowwise, solve)
+from .closure import (BlockMonomialStack, ClosureEngine, HowellBasis, check_int64,
+                      exact_dtype, kernel_basis, kernel_rows, rowwise, solve)
 from .config import Caps
 from .errors import CapacityError, DomainError, PreconditionError
 from .groups import GroupTable, Subgroup
@@ -150,20 +150,60 @@ class SkewContext:
         return lefts.reshape(d, d * d), rights.reshape(d, d * d), np.stack(autos)
 
     @cached_property
-    def _group_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """G's multiplication and inverse tables as index arrays."""
-        return (np.array(self.group.mul_table, dtype=np.intp),
-                np.array(self.group.inv_table, dtype=np.intp))
+    def _group_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """G's multiplication and inverse tables as index arrays, and the
+        table of quotients [g, t] = g^-1 t."""
+        mul = np.array(self.group.mul_table, dtype=np.intp)
+        inv = np.array(self.group.inv_table, dtype=np.intp)
+        return mul, inv, mul[inv]
 
     @cached_property
     def _block_sources(self) -> tuple[np.ndarray, np.ndarray]:
         """(left, right) gather indices: block (k, g) of L_r is the block of
         h = left[k, g] = k g^-1 (so hg = k), and block (k, g) of R_r is the
-        block of (g, h) with h = g^-1 k (so gh = k), at index right[g, k] of
-        the flattened (g, h) grid."""
-        mul, inv = self._group_arrays
-        order = self.group.order
-        return mul[:, inv], np.arange(order)[:, None] * order + mul[inv, :]
+        block of (h, g) with h = g^-1 k (so gh = k), at index right[g, k] of
+        the flattened (h, g) grid."""
+        mul, inv, quotients = self._group_arrays
+        return mul[:, inv], quotients * self.group.order + np.arange(self.group.order)[:, None]
+
+    @cached_property
+    def _block_operands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``structure_constants`` in ``closure.exact_dtype`` for sums of dim
+        terms: no product of the block builders or of ``products`` sums more
+        than dim products of entries in 0..char-1. Refuses the moduli whose
+        int64 products can wrap, before any such product is taken."""
+        check_int64(self.char, self.dim)
+        dtype = exact_dtype(self.dim, self.char)
+        return tuple(m.astype(dtype) for m in self.structure_constants)
+
+    # every operand is non-negative, so fmod is the remainder modulo char
+    def left_blocks(self, xs: np.ndarray) -> np.ndarray:
+        """[r, h] = L(x_h) S_h for the rows x of xs (entries in 0..char-1),
+        reduced modulo char in the dtype of ``_block_operands``: L the left
+        multiplication of A (its structure constants), x_h the coefficient
+        vector of slot h and S_h the matrix of sigma_h."""
+        n, d = self.char, self.ring.dim
+        lefts, _, autos = self._block_operands
+        blocks = xs.reshape(-1, d).astype(lefts.dtype, copy=False) @ lefts   # L(x_h)
+        np.fmod(blocks, n, out=blocks)
+        blocks = blocks.reshape(-1, self.group.order, d, d) @ autos
+        np.fmod(blocks, n, out=blocks)
+        return blocks
+
+    def right_blocks(self, cs: np.ndarray) -> np.ndarray:
+        """[i, k] = R(S_k c_i) for the rows c_i of cs, coefficient vectors
+        (entries in 0..char-1), reduced modulo char in the dtype of
+        ``_block_operands``: R the right multiplication of A and S_k the
+        matrix of sigma_k."""
+        n, d = self.char, self.ring.dim
+        _, rights, autos = self._block_operands
+        # [i, (k, j)] = entry j of S_k c_i
+        images = cs.reshape(-1, d).astype(rights.dtype, copy=False) @ autos.transpose(
+            2, 0, 1).reshape(d, -1)
+        np.fmod(images, n, out=images)
+        blocks = images.reshape(-1, d) @ rights
+        np.fmod(blocks, n, out=blocks)
+        return blocks.reshape(-1, self.group.order, d, d)
 
     @cached_property
     def ideal_operator_matrices(self) -> BlockMonomialStack:
@@ -180,19 +220,17 @@ class SkewContext:
         is, it is a two-sided ideal.
         """
         n, d, order = self.char, self.ring.dim, self.group.order
-        check_int64(n, self.dim)   # before any product over Z/n is taken
-        lefts, rights, autos = self.structure_constants
-        gens = list(self.group.generators)
+        lefts, _, autos = self.structure_constants
+        gens = np.array(self.group.generators, dtype=np.intp)
         mul = self._group_arrays[0]
         mats = np.empty((2 * (d + len(gens)), order, d, d), dtype=np.int64)
         mats[0:2 * d:2] = lefts.reshape(d, 1, d, d)
-        # [t, g] = R(S_g b_t), S_g b_t being column t of S_g
-        mats[1:2 * d:2] = ((autos.transpose(2, 0, 1).reshape(-1, d) @ rights) % n).reshape(
-            d, order, d, d)
+        eye = np.eye(d)
+        mats[1:2 * d:2] = self.right_blocks(eye)   # [t, g] = R(S_g b_t)
         mats[2 * d::2] = autos[gens][:, None]
-        mats[2 * d + 1::2] = np.eye(d, dtype=np.int64)
+        mats[2 * d + 1::2] = eye
         targets = np.empty(mats.shape[:2], dtype=np.intp)
-        targets[:2 * d] = np.arange(order)
+        targets[:2 * d] = mul[0]   # e g = g: every slot stays
         targets[2 * d::2] = mul[gens]
         targets[2 * d + 1::2] = mul[:, gens].T
         return BlockMonomialStack(n, targets, mats)
@@ -217,60 +255,38 @@ class SkewContext:
         t, where the coordinates of the product (g, c, k) with g k h = t lie
         among the products of the blocks r_k with the stack, flattened."""
         n, d, order = self.char, self.ring.dim, self.group.order
-        mul, inv = self._group_arrays
+        mul, inv, quotients = self._group_arrays
         scalars = np.array(_scalar_units(n), dtype=np.int64)
         autos = self.structure_constants[2].transpose(0, 2, 1)
         sigmas = (scalars[:, None, None] * autos[:, None]) % n
         # [g, h, t] = g^-1 t h^-1, the slot k that g k h = t reads
-        sources = mul[mul[inv][:, None, :], inv[None, :, None]]
+        sources = mul[quotients[:, None, :], inv[None, :, None]]
         rows = np.arange(order * len(scalars)).reshape(order, 1, -1, 1) * order
         blocks = rows + sources[:, :, None, :]   # [g, h, c, t]
         return (blocks[..., None] * d + np.arange(d)).ravel(), sigmas
 
-    @cached_property
-    def _product_operands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(lefts, autos, sources) for ``products``, in float64 while its
-        sums, at most dim*(char-1)^2, are exact there and in int64 otherwise;
-        sources[g, t] = g^-1 t."""
-        n = self.char
-        check_int64(n, self.dim)
-        dtype = np.float64 if self.dim * (n - 1) ** 2 < FLOAT64_EXACT else np.int64
-        lefts, _, autos = self.structure_constants
-        mul, inv = self._group_arrays
-        return lefts.astype(dtype), autos.astype(dtype), mul[inv]
-
     def products(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """The coordinates of x y for each pair of rows x of xs and y of ys
-        (entries in 0..char-1; a single row of xs stands for every row), as
-        an int64 array reduced modulo char.
+        (entries in 0..char-1), as an int64 array reduced modulo char.
 
         x y = sum_{g,h} x_g sigma_g(y_h) u_{gh}, and x_g sigma_g(y_h) =
-        L(x_g) S_g y_h, with L the left multiplication of A (its structure
-        constants) and S_g the matrix of sigma_g. So slot t of x y is the sum
-        over g of L(x_g) S_g y_{g^-1 t}: one product over (g, j), whose sums
-        have dim terms of at most (char-1)^2. Rows go through in chunks
+        L(x_g) S_g y_h (``left_blocks``). So slot t of x y is the sum over g
+        of L(x_g) S_g y_{g^-1 t}: one product over (g, j), whose sums have
+        dim terms of at most (char-1)^2. Rows go through in chunks
         (``closure.rowwise``)."""
         n, d, order, dim = self.char, self.ring.dim, self.group.order, self.dim
-        lefts, autos, sources = self._product_operands
-        xs, ys = np.asarray(xs), np.asarray(ys)
-        # every operand is non-negative, so fmod is the remainder modulo n
+        sources = self._group_arrays[2]   # [g, t] = g^-1 t
 
-        def left_blocks(x: np.ndarray) -> np.ndarray:
-            blocks = x.reshape(-1, d).astype(lefts.dtype) @ lefts   # L(x_g)
-            np.fmod(blocks, n, out=blocks)
-            blocks = blocks.reshape(-1, order, d, d) @ autos   # [r, g] = L(x_g) S_g
-            np.fmod(blocks, n, out=blocks)
-            return blocks.transpose(0, 2, 1, 3).reshape(-1, d, dim)   # [r, i, (g, j)]
-
-        def chunk(by_x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        def chunk(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+            by_x = self.left_blocks(x)
+            by_x = by_x.transpose(0, 2, 1, 3).reshape(-1, d, dim)   # [r, i, (g, j)]
             # [r, (g, j), t] = entry j of y_{g^-1 t}
-            shifted = y.astype(lefts.dtype).reshape(-1, order, d)[:, sources]
+            shifted = y.astype(by_x.dtype).reshape(-1, order, d)[:, sources]
             out = by_x @ shifted.transpose(0, 1, 3, 2).reshape(-1, dim, order)
             np.fmod(out, n, out=out)
             return out.transpose(0, 2, 1).astype(np.int64, order="C").reshape(-1, dim)
 
-        return rowwise(lambda x, y: chunk(left_blocks(x), y), xs, ys,
-                       8 * order * (d * d + 2 * dim))
+        return rowwise(chunk, np.asarray(xs), np.asarray(ys), 8 * order * (d * d + 2 * dim))
 
     @cached_property
     def rank_columns(self) -> np.ndarray:
@@ -529,39 +545,30 @@ def right_multiplication(ctx: SkewContext, vec: Sequence[int]) -> np.ndarray:
 
 
 # r = sum_h r_h u_h sends a u_g to r_h sigma_h(a) u_{hg} on the left and to
-# a sigma_g(r_h) u_{gh} on the right. So block (hg, g) of L_r is L(r_h) S_h and
-# block (gh, g) of R_r is R(S_g r_h), with L and R the multiplications of A
-# (its structure constants) and S_g the matrix of sigma_g.
+# a sigma_g(r_h) u_{gh} on the right. So block (hg, g) of L_r is L(r_h) S_h
+# (``SkewContext.left_blocks``) and block (gh, g) of R_r is R(S_g r_h)
+# (``SkewContext.right_blocks``).
 
 def left_multiplications(ctx: SkewContext, vecs: Sequence[Sequence[int]]) -> np.ndarray:
     """The matrices of x -> r x over Z/char for each r in vecs, stacked."""
-    n, d = ctx.char, ctx.ring.dim
-    x = _coefficient_blocks(ctx, vecs)
-    lefts, _, autos = ctx.structure_constants
-    m, order = x.shape[:2]
-    blocks = ((x.reshape(-1, d) @ lefts) % n).reshape(m, order, d, d)   # [r, h] = L(r_h)
-    blocks = (blocks @ autos) % n   # [r, h] = L(r_h) S_h
-    source = ctx._block_sources[0]
-    return blocks[:, source].transpose(0, 1, 3, 2, 4).reshape(m, ctx.dim, ctx.dim)
+    blocks = ctx.left_blocks(_coefficient_blocks(ctx, vecs))   # [r, h]
+    return _assemble(ctx, blocks[:, ctx._block_sources[0]].transpose(0, 1, 3, 2, 4))
 
 
 def right_multiplications(ctx: SkewContext, vecs: Sequence[Sequence[int]]) -> np.ndarray:
     """The matrices of x -> x r over Z/char for each r in vecs, stacked."""
-    n, d = ctx.char, ctx.ring.dim
     x = _coefficient_blocks(ctx, vecs)
-    _, rights, autos = ctx.structure_constants
-    m, order = x.shape[:2]
-    images = (x[:, None] @ autos.transpose(0, 2, 1)[None]) % n   # [r, g, h] = S_g r_h
-    blocks = ((images.reshape(-1, d) @ rights) % n).reshape(m, order * order, d, d)
-    source = ctx._block_sources[1]
-    return blocks[:, source].transpose(0, 2, 3, 1, 4).reshape(m, ctx.dim, ctx.dim)
+    blocks = ctx.right_blocks(x).reshape(len(x), -1, ctx.ring.dim, ctx.ring.dim)   # [r, (h, g)]
+    return _assemble(ctx, blocks[:, ctx._block_sources[1]].transpose(0, 2, 3, 1, 4))
+
+
+def _assemble(ctx: SkewContext, blocks: np.ndarray) -> np.ndarray:
+    """The int64 (dim x dim) matrices whose block (k, g) is blocks[r, k, :, g]."""
+    return np.ascontiguousarray(blocks, dtype=np.int64).reshape(-1, ctx.dim, ctx.dim)
 
 
 def _coefficient_blocks(ctx: SkewContext, vecs: Sequence[Sequence[int]]) -> np.ndarray:
-    """vecs as an array [r, h] of coefficient vectors reduced modulo char;
-    refuses moduli whose int64 products can wrap (every product in the
-    builders sums at most dim terms)."""
-    check_int64(ctx.char, ctx.dim)
+    """vecs as an array [r, h] of coefficient vectors reduced modulo char."""
     return np.asarray(vecs, dtype=np.int64).reshape(-1, ctx.group.order, ctx.ring.dim) % ctx.char
 
 
@@ -576,15 +583,8 @@ def is_center_unit(r: SkewElement) -> bool:
     settles the answer. This reads nothing of ``center_basis``.
     """
     ctx = r.ctx
-    d, order = ctx.ring.dim, ctx.group.order
-    mul, inv = ctx._group_arrays
-    # column (h, j) of L_r is r (b_j u_h) = (r b_j) u_h, and y u_h has y_g in
-    # slot gh: so slot t of it is block t h^-1 of r b_j, one of d products
-    firsts = ctx.products(np.array([ctx.vec_of(r)], dtype=np.int64),
-                          np.eye(d, ctx.dim, dtype=np.int64)).reshape(d, order, d)
-    sources = mul[np.arange(order)[None, :], inv[:, None]]   # [h, t] = t h^-1
-    columns = firsts[:, sources].transpose(1, 0, 2, 3).reshape(ctx.dim, ctx.dim)
     image = HowellBasis(ctx.char, ctx.dim)
+    columns = np.ascontiguousarray(left_multiplication(ctx, ctx.vec_of(r)).T)
     return all(image.insert(col) for col in columns) and image.is_full
 
 
@@ -834,10 +834,9 @@ def certificate_draws(ctx: SkewContext) -> Iterator[np.ndarray]:
 
     The coordinates are drawn in the order a_1, b_1, a_2, b_2, ...; theta is
     built one term at a time, so only one pair of dense matrices is held,
-    each product in float64 (a BLAS product) while its entries, integers of
-    at most dim*(char-1)^2, are exact there."""
+    each product of dim terms in ``closure.exact_dtype``."""
     p, dim = ctx.char, ctx.dim
-    dtype = np.float64 if dim * (p - 1) ** 2 < FLOAT64_EXACT else np.int64
+    dtype = exact_dtype(dim, p)
     rng = random.Random(CERTIFICATE_SEED)
     for _ in range(CERTIFICATE_DRAWS):
         coords = [[rng.randrange(p) for _ in range(dim)] for _ in range(2 * CERTIFICATE_TERMS)]

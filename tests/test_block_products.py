@@ -33,8 +33,7 @@ def _rows(rng: random.Random, n: int, count: int, dim: int) -> np.ndarray:
 @given(st.integers(0, 224), st.integers(1, 4), st.integers(0, 2**32 - 1))
 def test_batched_product_matches_element_products(index, count, seed):
     # x y for each pair of rows equals SkewElement.__mul__ and the dense
-    # L_x y; a single row of xs stands for every row; A's product equals
-    # RingSpec.mul on payloads
+    # L_x y; A's product equals RingSpec.mul on payloads
     ctx = _contexts()[index]
     n, dim, ring = ctx.char, ctx.dim, ctx.ring
     rng = random.Random(seed)
@@ -44,8 +43,6 @@ def test_batched_product_matches_element_products(index, count, seed):
     for x, y, xy in zip(xs, ys, out):
         assert tuple(xy) == ctx.vec_of(ctx.element_of_vec(x) * ctx.element_of_vec(y))
         assert np.array_equal(xy, (left_multiplication(ctx, x) @ y) % n)
-    assert np.array_equal(ctx.products(xs[:1], ys),
-                          np.stack([ctx.products(xs[:1], y[None])[0] for y in ys]))
     a, b = _rows(rng, n, count, ring.dim), _rows(rng, n, count, ring.dim)
     for x, y, xy in zip(a, b, ring.products(a, b)):
         assert tuple(xy) == ring.to_vec(ring.mul(ring.from_vec(x), ring.from_vec(y)))
@@ -59,12 +56,10 @@ def test_products_in_chunks_match_one_chunk(monkeypatch):
     for ctx in contexts:
         xs, ys = _rows(rng, ctx.char, 3, ctx.dim), _rows(rng, ctx.char, 3, ctx.dim)
         a, b = _rows(rng, ctx.char, 3, ctx.ring.dim), _rows(rng, ctx.char, 3, ctx.ring.dim)
-        expected.append((xs, ys, a, b, ctx.products(xs, ys), ctx.products(xs[:1], ys),
-                         ctx.ring.products(a, b)))
+        expected.append((xs, ys, a, b, ctx.products(xs, ys), ctx.ring.products(a, b)))
     monkeypatch.setattr(closure, "CHUNK_BYTES", 1)
-    for ctx, (xs, ys, a, b, both, broadcast, ring_rows) in zip(contexts, expected):
+    for ctx, (xs, ys, a, b, both, ring_rows) in zip(contexts, expected):
         assert np.array_equal(ctx.products(xs, ys), both), ctx
-        assert np.array_equal(ctx.products(xs[:1], ys), broadcast), ctx
         assert np.array_equal(ctx.ring.products(a, b), ring_rows), ctx
 
 

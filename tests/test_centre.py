@@ -11,7 +11,9 @@ the centralizer's slot kernels and the centre's basis, with everything read
 off them, must equal the payload-by-payload loops there, and the centre's
 basis the kernel of the dense commutators there; ``is_central`` must answer
 as the commutation loop and the dense commutators there, and
-``is_center_unit`` as the centre-basis test there; and the support slice of
+``is_center_unit`` as the centre-basis test there and, on small centres, as
+a search for an inverse among the centre's elements (nonabelian groups with
+a centre that is not a field included); and the support slice of
 ``support_reduce``, read off the ideal's rows, must be the element one full
 solve there finds.
 """
@@ -28,7 +30,7 @@ from skewsimple.closure import HowellBasis
 from skewsimple.criteria import (InstanceSampler, _augmentation_violation,
                                  center_containment_check, center_structure_check,
                                  centralizer_kernel_check, field_obstruction)
-from skewsimple.dynamics import catalogue
+from skewsimple.dynamics import TransformationGroup, catalogue
 from skewsimple.skew import (SkewContext, SkewElement, _find_support_slice, augmentation,
                              central_witness, centralizer_components,
                              commuting_witness_outside_A, is_center_unit, is_central,
@@ -212,17 +214,52 @@ def test_centre_and_centrality_match_the_dense_commutators():
     assert 0 < central < checked
 
 
+def _obstructed_nonabelian_cases() -> list:
+    """Nonabelian groups acting on F_q^X through a proper quotient, so that
+    the centre is not a field and sigma moves the coefficients: S3 and S4
+    by their sign on two points, S3 beside a fixed point, and S4 on the
+    three ways to pair up four points."""
+    s3, s4 = GroupTable.symmetric(3), GroupTable.symmetric(4)
+
+    def by_sign(group):
+        return tuple((0, 1) if _is_even(p) else (1, 0) for p in group.permutations)
+
+    pairings = [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]
+
+    def on_pairings(p):
+        moved = [tuple(sorted(tuple(sorted(p[x] for x in pair)) for pair in pairing))
+                 for pairing in pairings]
+        return tuple(pairings.index(m) for m in moved)
+
+    return [TransformationGroup(*spec).context for spec in (
+        (2, s3, by_sign(s3), 2, "sign_S3"), (2, s3, by_sign(s3), 3, "sign_S3_q3"),
+        (2, s4, by_sign(s4), 2, "sign_S4"),
+        (4, s3, tuple((*p, 3) for p in s3.permutations), 3, "natural_S3_and_fixed_q3"),
+        (3, s4, tuple(on_pairings(p) for p in s4.permutations), 2, "S4_on_pairings"))]
+
+
+def _is_even(p) -> bool:
+    return sum(p[i] > p[j] for i in range(len(p)) for j in range(i + 1, len(p))) % 2 == 0
+
+
 def test_is_center_unit_matches_the_centre_basis_reference():
     # the unit test on R (the columns of L_r span everything) against the
     # reference that maps the centre's basis (naive.py), on every central
     # element of the small centres and seeded combinations of the basis rows
-    # of the larger ones, non-units included
+    # of the larger ones, non-units included; on the small centres also
+    # against an inverse looked for among the centre's elements, which reads
+    # no multiplication matrix
     rng = random.Random(23)
-    checked = units = nonzero_nonunits = 0
-    for _, ctx in CASES:
+    checked = units = nonzero_nonunits = inverse_checked = 0
+    obstructed = _obstructed_nonabelian_cases()
+    for ctx in obstructed:
+        assert not ctx.group.is_abelian and ctx.center_obstruction is not None, ctx
+    for ctx in [ctx for _, ctx in CASES] + obstructed:
         centre = ctx.center_basis
-        if centre.size <= 64:
+        small = centre.size <= 64
+        if small:
             elements = skew_center(ctx)
+            members = list(elements)
         else:
             rows = centre.rows
             elements = [ctx.element_of_vec(sum(rng.randrange(ctx.char) * row for row in rows)
@@ -232,10 +269,14 @@ def test_is_center_unit_matches_the_centre_basis_reference():
         for r in elements:
             expected = naive_is_center_unit(r)
             assert is_center_unit(r) is expected, (ctx, r)
+            if small:
+                assert naive_has_inverse(r, members, one=ctx.one) is expected, (ctx, r)
+                inverse_checked += 1
             checked += 1
             units += expected
             nonzero_nonunits += not expected and not r.is_zero()
     assert units and nonzero_nonunits and checked > units + nonzero_nonunits
+    assert inverse_checked > checked // 2
 
 
 def _constructive_contexts(seed: int, count: int = 20) -> list:
