@@ -106,7 +106,8 @@ def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
 
 
 class GaloisField:
-    """GF(q) with add/mul/inv lookup tables over integer element codes."""
+    """GF(q) over integer element codes: mul/inv lookup tables, and addition
+    and negation on the base-p digits."""
 
     def __init__(self, q: int) -> None:
         if q > MAX_FIELD_ORDER:
@@ -119,21 +120,18 @@ class GaloisField:
         # the base-p digits of each code, and the code of each digit tuple
         self.digit_table = tuple(_digits(c, p, m) for c in range(q))
         self.code_of = {d: c for c, d in enumerate(self.digit_table)}
-        self._add, self._mul = self._build_tables()
+        self._mul = self._build_mul_table()
         self._inv = self._build_inverses()
 
-    def _build_tables(self):
+    def _build_mul_table(self):
         q, p = self.q, self.p
-        add = [[0] * q for _ in range(q)]
         mul = [[0] * q for _ in range(q)]
         digit = self.digit_table
         for a in range(q):
             for b in range(a, q):
-                s = _code(tuple((x + y) % p for x, y in zip(digit[a], digit[b])), p)
-                add[a][b] = add[b][a] = s
                 prod = _poly_rem(_poly_mul(digit[a], digit[b], p), self.modulus, p)
                 mul[a][b] = mul[b][a] = _code(prod, p)
-        return tuple(map(tuple, add)), tuple(map(tuple, mul))
+        return tuple(map(tuple, mul))
 
     def _build_inverses(self):
         inv = [None] * self.q
@@ -147,7 +145,8 @@ class GaloisField:
         return tuple(inv)
 
     def add(self, a: int, b: int) -> int:
-        return self._add[a][b]
+        digit = self.digit_table
+        return _code(tuple((x + y) % self.p for x, y in zip(digit[a], digit[b])), self.p)
 
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]

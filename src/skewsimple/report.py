@@ -19,8 +19,7 @@ from .dynamics import (TransformationGroup, abelian_freeness_check, dynamics_sim
                        faithful_minimal_check)
 from .errors import CapacityError, DomainError, InstanceParseError, PreconditionError
 from .instances import InstanceSpec, parse_instance
-from .skew import (SkewContext, SkewElement, augmentation, is_center_unit, is_central,
-                   skew_ideal_closure)
+from .skew import SkewContext, SkewElement, augmentation, is_central, skew_ideal_closure
 from .skew import skew_center  # noqa: F401  (``bench/tracer.py`` wraps it under this name)
 
 ALGEBRA_CHECKS = (
@@ -193,10 +192,25 @@ def _decode_element(ctx: SkewContext, serialized) -> SkewElement:
                         for gname, payload in serialized})
 
 
+# the verdicts whose writer attaches a witness to every False value, each with
+# the key that witness is read under
+WITNESS_KEYS = {
+    ("necessary_conditions", "center_is_field"): "element",
+    ("necessary_conditions", "g_simple"): "coefficient",
+    ("necessary_conditions", "sigma_injective"): "group_element",
+    ("abelian_simplicity", "simple"): "element",
+    ("commutative_simplicity", "max_commutative"): "element",
+    ("center_containment", "center_in_identity_component"): "element",
+    ("center_structure", "augmentation_multiplicative"): "pair",
+}
+
+
 def revalidate_report(report: dict) -> list[str]:
     """Recheck every claimed witness against a rebuilt instance.
 
     Returns a list of problems; an empty list means all witnesses check out.
+    A False value of a verdict in WITNESS_KEYS with no witness under its key
+    is a problem too.
     A document that ``check_report_document`` refuses raises
     ``InstanceParseError``; a witness that does not decode, ``DomainError``.
     """
@@ -213,7 +227,13 @@ def revalidate_report(report: dict) -> list[str]:
             continue
         for vname, verdict in entry.get("verdicts", {}).items():
             witness = verdict.get("witness")
-            if witness is None or not isinstance(witness, dict):
+            if not isinstance(witness, dict):
+                witness = {}
+            key = WITNESS_KEYS.get((cname, vname))
+            if verdict["value"] is False and key is not None and key not in witness:
+                problems.append(f"{cname}.{vname}: false without a witness")
+                continue
+            if not witness:
                 continue
             try:
                 issue = _check_witness(ctx, vname, verdict["value"], witness)
@@ -237,9 +257,10 @@ def _check_witness(ctx: SkewContext, assertion: str, value, witness: dict) -> st
                 return "claimed centre obstruction is zero"
             if not is_central(elem):
                 return "claimed centre obstruction is not central"
-            if is_center_unit(elem):
-                return "claimed centre obstruction is invertible in the centre"
-            return None
+            # for central z, RzR = zR, which is R exactly when z is a unit of
+            # R (R is finite), that is of Z
+            return None if not skew_ideal_closure(ctx, [elem]).is_full else \
+                "claimed centre obstruction is invertible in the centre"
         if assertion == "max_commutative" and value is False:
             if elem.support <= {0}:
                 return "claimed commuting witness lies in the coefficient ring"

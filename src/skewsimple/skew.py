@@ -534,58 +534,27 @@ def skew_center(ctx: SkewContext) -> list[SkewElement]:
     return ctx.members(ctx.center_basis, "centre materialization")
 
 
-def left_multiplication(ctx: SkewContext, vec: Sequence[int]) -> np.ndarray:
-    """The matrix of x -> r x over Z/char, for r with coordinate vector vec."""
-    return left_multiplications(ctx, [vec])[0]
-
-
-def right_multiplication(ctx: SkewContext, vec: Sequence[int]) -> np.ndarray:
-    """The matrix of x -> x r over Z/char, for r with coordinate vector vec."""
-    return right_multiplications(ctx, [vec])[0]
-
-
 # r = sum_h r_h u_h sends a u_g to r_h sigma_h(a) u_{hg} on the left and to
 # a sigma_g(r_h) u_{gh} on the right. So block (hg, g) of L_r is L(r_h) S_h
 # (``SkewContext.left_blocks``) and block (gh, g) of R_r is R(S_g r_h)
 # (``SkewContext.right_blocks``).
 
-def left_multiplications(ctx: SkewContext, vecs: Sequence[Sequence[int]]) -> np.ndarray:
-    """The matrices of x -> r x over Z/char for each r in vecs, stacked."""
-    blocks = ctx.left_blocks(_coefficient_blocks(ctx, vecs))   # [r, h]
-    return _assemble(ctx, blocks[:, ctx._block_sources[0]].transpose(0, 1, 3, 2, 4))
+def left_multiplication(ctx: SkewContext, vec: Sequence[int]) -> np.ndarray:
+    """The matrix of x -> r x over Z/char, for r with coordinate vector vec."""
+    blocks = ctx.left_blocks(np.asarray(vec, dtype=np.int64) % ctx.char)[0]   # [h]
+    return _assemble(ctx, blocks[ctx._block_sources[0]].transpose(0, 2, 1, 3))
 
 
-def right_multiplications(ctx: SkewContext, vecs: Sequence[Sequence[int]]) -> np.ndarray:
-    """The matrices of x -> x r over Z/char for each r in vecs, stacked."""
-    x = _coefficient_blocks(ctx, vecs)
-    blocks = ctx.right_blocks(x).reshape(len(x), -1, ctx.ring.dim, ctx.ring.dim)   # [r, (h, g)]
-    return _assemble(ctx, blocks[:, ctx._block_sources[1]].transpose(0, 2, 3, 1, 4))
+def right_multiplication(ctx: SkewContext, vec: Sequence[int]) -> np.ndarray:
+    """The matrix of x -> x r over Z/char, for r with coordinate vector vec."""
+    blocks = ctx.right_blocks(np.asarray(vec, dtype=np.int64) % ctx.char)   # [h, g]
+    d = ctx.ring.dim
+    return _assemble(ctx, blocks.reshape(-1, d, d)[ctx._block_sources[1]].transpose(1, 2, 0, 3))
 
 
 def _assemble(ctx: SkewContext, blocks: np.ndarray) -> np.ndarray:
-    """The int64 (dim x dim) matrices whose block (k, g) is blocks[r, k, :, g]."""
-    return np.ascontiguousarray(blocks, dtype=np.int64).reshape(-1, ctx.dim, ctx.dim)
-
-
-def _coefficient_blocks(ctx: SkewContext, vecs: Sequence[Sequence[int]]) -> np.ndarray:
-    """vecs as an array [r, h] of coefficient vectors reduced modulo char."""
-    return np.asarray(vecs, dtype=np.int64).reshape(-1, ctx.group.order, ctx.ring.dim) % ctx.char
-
-
-def is_center_unit(r: SkewElement) -> bool:
-    """Whether the central element r is a unit of the centre Z.
-
-    The inverse of a central unit of R commutes with everything r does, so
-    for central r being a unit of Z is being a unit of R. R is finite, so
-    that holds exactly when x -> r x is onto, that is when the columns of
-    L_r span (Z/char)^dim. No generating set of that module has fewer than
-    dim members, so the first column already in the span of those before it
-    settles the answer. This reads nothing of ``center_basis``.
-    """
-    ctx = r.ctx
-    image = HowellBasis(ctx.char, ctx.dim)
-    columns = np.ascontiguousarray(left_multiplication(ctx, ctx.vec_of(r)).T)
-    return all(image.insert(col) for col in columns) and image.is_full
+    """The int64 dim x dim matrix whose block (k, g) is blocks[k, :, g]."""
+    return np.ascontiguousarray(blocks, dtype=np.int64).reshape(ctx.dim, ctx.dim)
 
 
 # ideals and the simplicity oracle ---------------------------------------------

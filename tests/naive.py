@@ -244,8 +244,9 @@ def naive_has_inverse(a, elements, *, one) -> bool:
 def naive_is_center_unit(r) -> bool:
     """Whether the central element r is a unit of the centre Z: x -> r x is
     injective on Z, that is the products of r with the rows of Z's Howell
-    basis span a submodule as large as Z (the reference for
-    ``skew.is_center_unit``, which decides a unit of R instead)."""
+    basis span a submodule as large as Z (the reference for the unit test of
+    ``report._check_witness``, which asks whether the ideal RrR = rR is all
+    of R instead)."""
     from skewsimple.closure import HowellBasis
     from skewsimple.skew import left_multiplication
 
@@ -619,12 +620,12 @@ def naive_orbit_transforms(ctx) -> np.ndarray:
     g, h and c of the dense multiplication matrices of the unit monomials,
     stacked in that order (the reference for ``skew._orbit_images``: the
     images of vec(r) are these transforms times vec(r))."""
-    from skewsimple.skew import left_multiplications, right_multiplications
+    from skewsimple.skew import left_multiplication, right_multiplication
 
     n = ctx.char
     monomials = [ctx.vec_of(ctx.unit_monomial(g)) for g in range(ctx.group.order)]
-    lefts = left_multiplications(ctx, monomials)
-    rights = right_multiplications(ctx, monomials)
+    lefts = [left_multiplication(ctx, vec) for vec in monomials]
+    rights = [right_multiplication(ctx, vec) for vec in monomials]
     units = [c for c in range(1, n) if gcd(c, n) == 1]
     return np.concatenate([(c * (lg @ rh)) % n for lg in lefts for rh in rights for c in units])
 

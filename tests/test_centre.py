@@ -10,10 +10,11 @@ the Howell rows must be the first nonzero ones of the sorted enumeration;
 the centralizer's slot kernels and the centre's basis, with everything read
 off them, must equal the payload-by-payload loops there, and the centre's
 basis the kernel of the dense commutators there; ``is_central`` must answer
-as the commutation loop and the dense commutators there, and
-``is_center_unit`` as the centre-basis test there and, on small centres, as
-a search for an inverse among the centre's elements (nonabelian groups with
-a centre that is not a field included); and the support slice of
+as the commutation loop and the dense commutators there, and the ideal of a
+central element be everything exactly when the centre-basis test there
+finds a unit and, on small centres, a search for an inverse among the
+centre's elements finds one (nonabelian groups with a centre that is not a
+field included); and the support slice of
 ``support_reduce``, read off the ideal's rows, must be the element one full
 solve there finds.
 """
@@ -33,7 +34,7 @@ from skewsimple.criteria import (InstanceSampler, _augmentation_violation,
 from skewsimple.dynamics import TransformationGroup, catalogue
 from skewsimple.skew import (SkewContext, SkewElement, _find_support_slice, augmentation,
                              central_witness, centralizer_components,
-                             commuting_witness_outside_A, is_center_unit, is_central,
+                             commuting_witness_outside_A, is_central,
                              is_max_commutative_A, skew_center, skew_ideal_closure,
                              smallest_member, support_reduce)
 from skewsimple.suite import SWEEPS, _derive_seed
@@ -242,13 +243,13 @@ def _is_even(p) -> bool:
     return sum(p[i] > p[j] for i in range(len(p)) for j in range(i + 1, len(p))) % 2 == 0
 
 
-def test_is_center_unit_matches_the_centre_basis_reference():
-    # the unit test on R (the columns of L_r span everything) against the
-    # reference that maps the centre's basis (naive.py), on every central
-    # element of the small centres and seeded combinations of the basis rows
-    # of the larger ones, non-units included; on the small centres also
-    # against an inverse looked for among the centre's elements, which reads
-    # no multiplication matrix
+def test_a_central_ideal_is_full_exactly_at_the_centre_units():
+    # the unit test report.py runs on a central r (its ideal RrR = rR is
+    # everything) against the reference that maps the centre's basis
+    # (naive.py), on every central element of the small centres and seeded
+    # combinations of the basis rows of the larger ones, non-units included;
+    # on the small centres also against an inverse looked for among the
+    # centre's elements, which reads no multiplication matrix
     rng = random.Random(23)
     checked = units = nonzero_nonunits = inverse_checked = 0
     obstructed = _obstructed_nonabelian_cases()
@@ -268,7 +269,7 @@ def test_is_center_unit_matches_the_centre_basis_reference():
             elements.append(ctx.center_obstruction)
         for r in elements:
             expected = naive_is_center_unit(r)
-            assert is_center_unit(r) is expected, (ctx, r)
+            assert skew_ideal_closure(ctx, [r]).is_full is expected, (ctx, r)
             if small:
                 assert naive_has_inverse(r, members, one=ctx.one) is expected, (ctx, r)
                 inverse_checked += 1

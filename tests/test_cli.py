@@ -286,6 +286,18 @@ def test_report_flags_tampered_witness(tmp_path):
     assert run_cli("report", str(out), "--no-verify").returncode == 0
 
 
+def test_report_flags_a_dropped_witness(tmp_path):
+    out = tmp_path / "report.json"
+    run_cli("check", str(FIXTURES / "trivial_group_ring.json"), "--format", "json",
+            "--out", str(out))
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    del doc["checks"]["necessary_conditions"]["verdicts"]["sigma_injective"]["witness"]
+    out.write_text(json.dumps(doc), encoding="utf-8")
+    result = run_cli("report", str(out))
+    assert result.returncode == 1
+    assert "necessary_conditions.sigma_injective: false without a witness" in result.stderr
+
+
 def _set_witness(check, verdict, witness):
     def tamper(doc):
         doc["checks"][check]["verdicts"][verdict]["witness"] = witness

@@ -5,7 +5,7 @@ import jsonschema
 import pytest
 
 from skewsimple.instances import load_instance
-from skewsimple.report import (ALGEBRA_CHECKS, REPORT_SCHEMA, canonical_json,
+from skewsimple.report import (ALGEBRA_CHECKS, REPORT_SCHEMA, WITNESS_KEYS, canonical_json,
                                check_report_document, render_text, revalidate_report,
                                run_checks)
 
@@ -63,11 +63,38 @@ def test_render_text_mentions_conclusions():
     assert "violations: none" in text
 
 
-def test_witness_revalidation_clean():
-    for name in ("swap2", "inner_conjugation_f2", "trivial_group_ring", "natural_s3"):
-        spec = load_instance(FIXTURES / f"{name}.json")
-        report = run_checks(spec)
-        assert revalidate_report(json.loads(canonical_json(report))) == []
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
+def test_witness_revalidation_clean(path):
+    report = run_checks(load_instance(path))
+    assert revalidate_report(json.loads(canonical_json(report))) == []
+
+
+@pytest.fixture(scope="module")
+def fixture_reports() -> dict:
+    return {path.stem: json.loads(canonical_json(run_checks(load_instance(path))))
+            for path in sorted(FIXTURES.glob("*.json"))}
+
+
+@pytest.mark.parametrize("check,verdict", sorted(WITNESS_KEYS),
+                         ids=[".".join(key) for key in sorted(WITNESS_KEYS)])
+def test_a_false_verdict_without_its_witness_is_flagged(fixture_reports, check, verdict):
+    # on each fixture report, drop the witness of a False value, or flip a
+    # True one to False: either leaves one problem, naming the verdict
+    tampered = 0
+    for name, report in fixture_reports.items():
+        entry = report["checks"].get(check, {})
+        if entry.get("status") != "ran":
+            continue
+        doc = json.loads(json.dumps(report))
+        claim = doc["checks"][check]["verdicts"][verdict]
+        if claim["value"] is False:
+            del claim["witness"]
+        else:
+            assert claim["value"] is True and "witness" not in claim, name
+            claim["value"] = False
+        assert revalidate_report(doc) == [f"{check}.{verdict}: false without a witness"], name
+        tampered += 1
+    assert tampered
 
 
 def test_witness_revalidation_detects_tampering():
@@ -137,11 +164,25 @@ def test_fixture_reports_match_golden_bytes(path):
     assert canonical_json(run_checks(load_instance(path))) == golden.read_text()
 
 
-@pytest.mark.parametrize("obstruction,problem", [
-    ("one", "invertible in the centre"), ("zero", "is zero")])
-def test_centre_obstruction_revalidation_rejects_tampering(obstruction, problem):
-    # the centre of M2(F2) x| Z/2 is not a field; claim a unit (or zero) instead
-    spec = load_instance(FIXTURES / "inner_conjugation_f2.json")
+# R = F_3^8[Z/8] is commutative, so its centre (all of R, dim 64) is no field
+TRIVIAL_Z8_F3 = {"name": "trivial_z8_f3", "witness_search": True,
+                 "ring": {"kind": "function", "points": 8, "q": 3},
+                 "group": {"kind": "cyclic_product", "orders": [8]},
+                 "action": {"kind": "trivial"}}
+INNER_CONJUGATION_F2 = (FIXTURES / "inner_conjugation_f2.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("text,obstruction,problem", [
+    pytest.param(INNER_CONJUGATION_F2, "one", "invertible in the centre",
+                 id="one-invertible in the centre"),
+    pytest.param(INNER_CONJUGATION_F2, "zero", "is zero", id="zero-is zero"),
+    pytest.param(json.dumps(TRIVIAL_Z8_F3), "one", "invertible in the centre",
+                 id="dim_64-one-invertible in the centre")])
+def test_centre_obstruction_revalidation_rejects_tampering(text, obstruction, problem):
+    # the centre of M2(F2) x| Z/2 (of F_3^8[Z/8]) is not a field; claim a
+    # unit (or zero) instead
+    from skewsimple.instances import parse_instance
+    spec = parse_instance(text)
     report = json.loads(canonical_json(run_checks(spec)))
     verdict = report["checks"]["necessary_conditions"]["verdicts"]["center_is_field"]
     assert verdict["value"] is False

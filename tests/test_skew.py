@@ -16,8 +16,7 @@ from skewsimple.skew import (SkewContext, SkewIdeal, augmentation, central_witne
                              centralizer_components, centralizer_of_A, coeff_at_e,
                              commuting_witness_outside_A, is_central,
                              is_max_commutative_A, is_simple, left_multiplication,
-                             left_multiplications, right_multiplication,
-                             right_multiplications, skew_center, skew_ideal_closure,
+                             right_multiplication, skew_center, skew_ideal_closure,
                              support, support_reduce)
 
 from conftest import (conj_f2_context, conj_f3_context, natural_s3_context,
@@ -462,7 +461,8 @@ def test_right_multiplication_matches_products(make):
     ctx = make()
     n = ctx.char
     units = [ctx.vec_of(ctx.unit_monomial(g)) for g in ctx.group.elements()]
-    lefts, rights = left_multiplications(ctx, units), right_multiplications(ctx, units)
+    lefts = [left_multiplication(ctx, vec) for vec in units]
+    rights = [right_multiplication(ctx, vec) for vec in units]
     rng = random.Random(3)
     for _ in range(10):
         r = ctx.element_of_vec([rng.randrange(n) for _ in range(ctx.dim)])

@@ -4,8 +4,8 @@ places.
 On R's side, ``SkewContext.left_blocks`` (L(x_h) S_h) and
 ``SkewContext.right_blocks`` (R(S_k c)) are the only builders: they read the
 constants through ``SkewContext._block_operands``, and everything else that
-multiplies in R (``products``, the dense ``left_multiplications`` and
-``right_multiplications``, ``is_center_unit``) goes through them. The
+multiplies in R (``products``, and the dense ``left_multiplication`` and
+``right_multiplication`` of the certificate's theta) goes through them. The
 generators' stack ``ideal_operator_matrices`` reads L(b_t) and S_g straight
 off the constants, since those blocks are the constants themselves, and the
 sweep's sigma stack reads S_g. On A's side ``RingSpec`` reads its own
@@ -67,9 +67,8 @@ def test_only_the_listed_functions_read_the_structure_constants():
     assert reader_sites() == READERS
 
 
-def test_the_dense_builders_and_the_unit_test_read_them_through_the_block_builders():
-    for name in ("left_multiplications", "right_multiplications", "is_center_unit",
-                 "SkewContext.products"):
+def test_the_dense_builders_read_them_through_the_block_builders():
+    for name in ("left_multiplication", "right_multiplication", "SkewContext.products"):
         assert ("skew.py", name) not in READERS
 
 
