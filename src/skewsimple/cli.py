@@ -26,6 +26,13 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skewsimple",
@@ -47,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     suite = sub.add_parser("suite", help="dynamics catalogue plus randomized sweeps")
     suite.add_argument("--seed", type=int, default=0)
-    suite.add_argument("--count", type=int, default=200,
+    suite.add_argument("--count", type=non_negative_int, default=200,
                        help="instances per randomized sweep")
     suite.add_argument("--cap", type=int, default=4096,
                        help="largest |R| the randomized sampler accepts")
@@ -87,7 +94,11 @@ def _cmd_suite(args) -> int:
         cat = run_dynamics_catalogue()
         doc["dynamics_catalogue"] = cat
         violations.extend(cat["violations"])
-    sweeps = run_randomized_suite(args.seed, args.count, args.cap)
+    try:
+        sweeps = run_randomized_suite(args.seed, args.count, args.cap)
+    except SkewSimpleError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     doc["randomized"] = sweeps
     violations.extend(sweeps["violations"])
     doc["violations"] = violations

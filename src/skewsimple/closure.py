@@ -32,11 +32,12 @@ Over exactly n == 2 the constructor returns a ``BitBasis`` instead, and the
 engine and ``kernel_basis`` work on packed bits: a vector of F_2^dim is a
 Python int with bit j holding coordinate j, so a row's lowest set bit is its
 pivot, reduction and placement are XORs, and the images of a vector under
-every operator are the XOR of the packed operator columns at its set bits
-(the stack's images of the unit vectors, packed a chunk at a time, so no
-dense matrix is held; ``ClosureEngine.T`` transposes them as a bit matrix).
-Every other modulus, prime or not, stays on the int64 block. The RREF over a
-prime is unique, so both give the same rows.
+every operator are the XOR of the packed operator columns at its set bits.
+Column (s, c) is read off the blocks: column c of each operator's matrix at
+source block s, placed at that operator's target block, a chunk of columns
+at a time, so no dense matrix is held. Every other modulus, prime or not,
+stays on the int64 block. The RREF over a prime is unique, so both give the
+same rows.
 
 ``field_obstruction`` is the one field test on such spans: given the basis
 of a commutative subring, its unit and the algebra's product on stacked
@@ -51,7 +52,6 @@ least member off its rows, without enumerating it.
 
 from __future__ import annotations
 
-import copy
 from bisect import bisect_left, insort
 from math import gcd, isqrt
 from typing import Iterable, Sequence
@@ -447,31 +447,10 @@ def _pack_rows(mat: np.ndarray) -> list[int]:
 
 def _unpack_rows(rows: list[int], dim: int) -> np.ndarray:
     """The (len(rows) x dim) int64 0/1 block of packed rows."""
-    return _unpack_bits(rows, dim).astype(np.int64)
-
-
-def _unpack_bits(rows: list[int], dim: int) -> np.ndarray:
-    """The (len(rows) x dim) uint8 0/1 block of packed rows."""
     width = (dim + 7) // 8
     data = b"".join(row.to_bytes(width, "little") for row in rows)
     bits = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), width)
-    return np.unpackbits(bits, axis=1, count=dim, bitorder="little")
-
-
-def _transposed_columns(columns: list[int], dim: int, count: int) -> list[int]:
-    """The packed columns of the transposed operators, from those of the
-    operators (``ClosureEngine``): bit k*dim + i of column j of the
-    transposes is bit k*dim + j of column i. The bits are unpacked and
-    transposed a chunk of operators at a time, about CHUNK_BYTES of them."""
-    step = max(1, CHUNK_BYTES // (dim * dim))
-    out = [0] * dim
-    for lo in range(0, count, step):
-        width = min(step, count - lo) * dim
-        shift, mask = lo * dim, (1 << width) - 1
-        bits = _unpack_bits([(col >> shift) & mask for col in columns], width)
-        rows = _pack_rows(bits.reshape(dim, -1, dim).transpose(2, 1, 0).reshape(dim, width))
-        out = [acc | (row << shift) for acc, row in zip(out, rows)]
-    return out
+    return np.unpackbits(bits, axis=1, count=dim, bitorder="little").astype(np.int64)
 
 
 class BlockMonomialStack:
@@ -545,6 +524,28 @@ class BlockMonomialStack:
         return images.T.reshape(*lead, len(self), self.dim)
 
 
+def _packed_columns(stack: BlockMonomialStack) -> list[int]:
+    """Column j = (s, c) of the stacked operators of an F_2 stack, packed into
+    an int whose bit k*dim + i is entry i of column j of operator k: column c
+    of matrices[k, s], placed at block targets[k, s]. The bits come a chunk of
+    columns at a time, about CHUNK_BYTES of them in one uint8 array, filled
+    by one assignment and packed by one ``_pack_rows``."""
+    count, dim = len(stack), stack.dim
+    width = count * dim
+    step = max(1, CHUNK_BYTES // max(1, width))
+    operators = np.arange(count)
+    columns: list[int] = []
+    for lo in range(0, dim, step):
+        js = np.arange(lo, min(lo + step, dim))
+        sources, cs = np.divmod(js, stack.size)
+        bits = np.zeros((len(js), count, stack.blocks, stack.size), dtype=np.uint8)
+        # [u, k, targets[k, s_u]] = column c_u of matrices[k, s_u]
+        bits[np.arange(len(js))[:, None], operators, stack.targets[:, sources].T] = (
+            stack.matrices[:, sources, :, cs] & 1)
+        columns += _pack_rows(bits.reshape(len(js), width))
+    return columns
+
+
 class ClosureEngine:
     """Operator-stable submodule closures over Z/n, under a
     ``BlockMonomialStack`` (dense matrices are taken as the one-block
@@ -561,29 +562,8 @@ class ClosureEngine:
         self._ops = operators
         # over F_2, column j of the stacked operators packed into an int: the
         # images of a packed v under every operator are the XOR of the
-        # columns at v's bits; built from the images of the unit vectors, a
-        # chunk of about CHUNK_BYTES at a time, and the only form kept
-        self._columns = None
-        if n == 2:
-            width = self._count * dim
-            step = max(1, CHUNK_BYTES // (8 * max(1, width)))
-            self._columns = []
-            for lo in range(0, dim, step):
-                units = np.eye(min(step, dim - lo), dim, lo, dtype=np.int64)
-                self._columns += _pack_rows(operators.apply(units).reshape(len(units), width))
-            self._ops = None
-
-    @property
-    def T(self) -> "ClosureEngine":
-        """The engine of the transposed operators, in the same order. Over
-        F_2 its packed columns are this engine's, transposed as a bit matrix
-        operator by operator, with no pass over the unit vectors; over other
-        moduli it closes under the transposed stack."""
-        if self._columns is None:
-            return ClosureEngine(self.n, self.dim, self._ops.T)
-        dual = copy.copy(self)
-        dual._columns = _transposed_columns(self._columns, self.dim, self._count)
-        return dual
+        # columns at v's bits
+        self._columns = _packed_columns(operators) if n == 2 else None
 
     def closure(self, seeds: Iterable[Sequence[int]]) -> HowellBasis:
         """Howell basis of the operator-stable span of the seed vectors; a

@@ -17,7 +17,7 @@ import numpy as np
 from .actions import ActionMap, RingAutomorphism, trivial_action
 from .actions import is_G_simple  # noqa: F401  (``bench/tracer.py`` wraps it under this name)
 from . import closure
-from .errors import DomainError, PreconditionError
+from .errors import CapacityError, DomainError, PreconditionError
 from .groups import GroupTable
 from .rings import FunctionRing, MatrixRing, ModularRing, RingSpec
 from .skew import SkewContext, SkewElement, augmentation, commuting_witness_outside_A
@@ -383,15 +383,21 @@ class InstanceSampler:
         self.max_size = max_size
         self._groups = [(tag, build()) for tag, build in _GROUP_CATALOGUE]
         self._counter = 0
+        self._least_refused: int | None = None   # least |R| above max_size in this draw
 
     def draw(self, predicate=None, attempts: int = 800) -> AlgebraInstance:
+        """An instance meeting the predicate; ``CapacityError`` naming
+        max_size when none of ``attempts`` draws does, whose need is the least
+        |R| a draw turned away (max_size + 1 if none was too large)."""
+        self._least_refused = None
         for _ in range(attempts):
             inst = self._draw_once()
             if inst is None:
                 continue
             if predicate is None or predicate(inst):
                 return inst
-        raise RuntimeError("instance sampler exhausted its attempt budget")
+        raise CapacityError("max_size", self.max_size, self._least_refused or self.max_size + 1,
+                            f"a sampled instance in {attempts} draws")
 
     def draw_many(self, count: int, predicate=None) -> list[AlgebraInstance]:
         return [self.draw(predicate) for _ in range(count)]
@@ -410,7 +416,9 @@ class InstanceSampler:
             npts = rng.randint(1, 4)
             q = rng.choice([2, 2, 3, 4])
             ring = FunctionRing(npts, q)
-        if ring.size**group.order > self.max_size:
+        size = ring.size**group.order
+        if size > self.max_size:
+            self._least_refused = min(size, self._least_refused or size)
             return None
         action = self._draw_action(group, ring)
         if action is None:

@@ -210,7 +210,9 @@ def revalidate_report(report: dict) -> list[str]:
 
     Returns a list of problems; an empty list means all witnesses check out.
     A False value of a verdict in WITNESS_KEYS with no witness under its key
-    is a problem too.
+    is a problem too. A check whose status is not "ran" is run again on the
+    rebuilt instance, and a status other than the saved one is a problem, as
+    is an entry naming a check the instance's kind does not have.
     A document that ``check_report_document`` refuses raises
     ``InstanceParseError``; a witness that does not decode, ``DomainError``.
     """
@@ -220,10 +222,19 @@ def revalidate_report(report: dict) -> list[str]:
     except InstanceParseError as exc:
         raise InstanceParseError(f"cannot rebuild instance: {exc}") from exc
     built = spec.build()
-    ctx = built.context if isinstance(built, TransformationGroup) else built
+    dyn = built if isinstance(built, TransformationGroup) else None
+    ctx = built if dyn is None else dyn.context
+    allowed = available_checks(spec)
     problems: list[str] = []
     for cname, entry in report.get("checks", {}).items():
-        if entry.get("status") != "ran":
+        if cname not in allowed:
+            problems.append(f"{cname}: not a check of {spec.kind} instances")
+            continue
+        status = entry.get("status")
+        if status != "ran":
+            rerun = _run_one(cname, ctx, dyn)["status"]
+            if rerun != status:
+                problems.append(f"{cname}: saved status {status!r}, a rerun gives {rerun!r}")
             continue
         for vname, verdict in entry.get("verdicts", {}).items():
             witness = verdict.get("witness")

@@ -241,10 +241,10 @@ class SkewContext:
 
     @cached_property
     def dual_engine(self) -> ClosureEngine:
-        """Closures under the transposed operators (``ClosureEngine.T``); the
-        annihilator of an ideal (its orthogonal complement) is stable under
-        them."""
-        return self.engine.T
+        """Closures under the transposed operators, the engine of the
+        transposed stack (``BlockMonomialStack.T``); the annihilator of an
+        ideal (its orthogonal complement) is stable under them."""
+        return ClosureEngine(self.char, self.dim, self.ideal_operator_matrices.T)
 
     @cached_property
     def unit_monomial_matrices(self) -> tuple[np.ndarray, np.ndarray]:

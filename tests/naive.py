@@ -20,7 +20,8 @@ the centre when its multiples of the centre's basis span all of it. Centrality i
 coefficient generator and every unit monomial on both sides, and by the
 dense commutators L_x - R_x of the ring generators, whose kernel on the
 centralizer of A is the centre's reference basis; those generators' dense
-multiplication matrices are the reference for the block-monomial stack.
+multiplication matrices are the reference for the block-monomial stack,
+and its images of the unit vectors for its packed columns over F_2.
 The A-level references walk every payload of A: the centre, the fixed ring
 and the units implementing an automorphism by conjugation; the field test
 on an explicit element set multiplies every pair.
@@ -561,6 +562,17 @@ def naive_dense_stack(stack) -> np.ndarray:
             dense[k, t * size:(t + 1) * size, s * size:(s + 1) * size] = (
                 stack.matrices[k, s] % stack.n)
     return dense
+
+
+def naive_packed_columns(stack) -> list[int]:
+    """The packed columns of an F_2 block-monomial stack from its images of
+    the unit vectors, all in one ``apply``: column j packs the images of e_j
+    under every operator, operator k at bits k*dim to (k+1)*dim - 1 (the
+    reference for ``closure._packed_columns``)."""
+    from skewsimple.closure import _pack_rows
+
+    eye = np.eye(stack.dim, dtype=np.int64)
+    return _pack_rows(stack.apply(eye).reshape(stack.dim, -1))
 
 
 def naive_generator_commutators(ctx) -> np.ndarray:

@@ -1,7 +1,8 @@
-"""R's batched product, the sweep's orbit images, the F_2 dual engine and the
-field obstructions of both centres, read off A's structure constants, the
-sigma stack and G's table, against their dense references: on the
-catalogue, the five fixtures and ``InstanceSampler(0, 4096).draw_many(200)``.
+"""R's batched product, the sweep's orbit images, the F_2 packed columns, the
+dual engine and the field obstructions of both centres, read off A's
+structure constants, the sigma stack and G's table, against their dense
+references: on the catalogue, the five fixtures and
+``InstanceSampler(0, 4096).draw_many(200)``.
 """
 
 import random
@@ -12,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewsimple import closure, skew
-from skewsimple.closure import ClosureEngine
 from skewsimple.skew import left_multiplication
 
 from conftest import stack_reference_contexts
-from naive import naive_dense_field_obstruction, naive_orbit_transforms
+from naive import (naive_closure, naive_dense_field_obstruction, naive_dense_stack,
+                   naive_orbit_transforms, naive_packed_columns)
 
 
 @lru_cache(maxsize=1)
@@ -82,31 +83,34 @@ def test_orbit_images_match_the_dense_transforms():
     assert checked == 216
 
 
-def test_dual_engine_matches_the_transposed_stack(monkeypatch):
-    # over F_2 the packed columns of engine.T are those of the engine of the
-    # transposed stack, also when transposed one operator at a time; over
-    # every modulus its closures are that engine's
-    rng = np.random.default_rng(26)
+def test_packed_columns_match_the_unit_vector_construction():
+    # over F_2 the columns read off the blocks are the packed images of the
+    # unit vectors, for the stack, its transpose and both engines
     f2 = 0
     for ctx in _contexts():
-        n, dim, stack = ctx.char, ctx.dim, ctx.ideal_operator_matrices
-        reference = ClosureEngine(n, dim, stack.T)
-        dual = ctx.engine.T
-        if n == 2:
-            f2 += 1
-            assert dual._columns == reference._columns, ctx
+        if ctx.char != 2:
+            continue
+        f2 += 1
+        stack = ctx.ideal_operator_matrices
+        expected = naive_packed_columns(stack)
+        assert closure._packed_columns(stack) == ctx.engine._columns == expected, ctx
+        expected = naive_packed_columns(stack.T)
+        assert closure._packed_columns(stack.T) == ctx.dual_engine._columns == expected, ctx
+    assert f2 == 141
+
+
+def test_dual_engine_matches_the_transposed_stack():
+    # the dual engine's closures are those of the transposed dense matrices,
+    # operator by operator, over every modulus
+    rng = np.random.default_rng(26)
+    for ctx in _contexts():
+        n, dim = ctx.char, ctx.dim
+        transposed = list(naive_dense_stack(ctx.ideal_operator_matrices).transpose(0, 2, 1))
         seeds = [[np.eye(dim, dtype=np.int64)[0]], list(rng.integers(0, n, size=(1, dim)))]
         for seed in seeds:
-            basis, expected = dual.closure(seed), reference.closure(seed)
+            basis, expected = ctx.dual_engine.closure(seed), naive_closure(n, dim, transposed, seed)
             assert (basis.key(), basis.pivots, basis.divs) == (
                 expected.key(), expected.pivots, expected.divs), ctx
-    assert f2 == 141
-    monkeypatch.setattr(closure, "CHUNK_BYTES", 1)
-    for ctx in _contexts()[:40]:
-        if ctx.char == 2:
-            stack = ctx.ideal_operator_matrices
-            assert (ClosureEngine(2, ctx.dim, stack).T._columns
-                    == ClosureEngine(2, ctx.dim, stack.T)._columns), ctx
 
 
 def test_field_obstructions_match_the_dense_reference():

@@ -298,6 +298,21 @@ def test_report_flags_a_dropped_witness(tmp_path):
     assert "necessary_conditions.sigma_injective: false without a witness" in result.stderr
 
 
+def test_report_flags_a_check_hidden_behind_its_status(tmp_path):
+    out = tmp_path / "report.json"
+    run_cli("check", str(FIXTURES / "trivial_group_ring.json"), "--format", "json",
+            "--out", str(out))
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    entry = doc["checks"]["abelian_simplicity"]
+    del entry["verdicts"]["simple"]["witness"]
+    entry["status"] = "not_applicable"
+    out.write_text(json.dumps(doc), encoding="utf-8")
+    result = run_cli("report", str(out))
+    assert result.returncode == 1
+    assert ("abelian_simplicity: saved status 'not_applicable', a rerun gives 'ran'"
+            in result.stderr)
+
+
 def _set_witness(check, verdict, witness):
     def tamper(doc):
         doc["checks"][check]["verdicts"][verdict]["witness"] = witness
@@ -384,6 +399,20 @@ def test_suite_smoke_run():
     result = run_cli("suite", "--count", "3", "--seed", "5", "--skip-catalogue")
     assert result.returncode == 0
     assert "total violations: 0" in result.stdout
+
+
+@pytest.mark.parametrize("cap", ["3", "4"])
+def test_suite_with_a_cap_too_small_for_the_sampler_exits_2(cap):
+    result = run_cli("suite", "--cap", cap, "--count", "2", "--skip-catalogue")
+    assert result.returncode == 2
+    assert result.stderr.startswith("input error: max_size cap exceeded")
+    assert f"cap is {cap}" in result.stderr and "Traceback" not in result.stderr
+
+
+def test_suite_refuses_a_negative_count():
+    result = run_cli("suite", "--count", "-3", "--skip-catalogue")
+    assert result.returncode == 2
+    assert "argument --count: must not be negative, got -3" in result.stderr
 
 
 # numbers that are not integers were truncated (2.5 built Z2, true built Z1)

@@ -11,7 +11,8 @@ from skewsimple.closure import (FLOAT64_EXACT, BitBasis, BlockMonomialStack, Clo
                                 solve)
 
 from naive import (NaiveHowell, abelian_span, naive_closure, naive_dense_stack,
-                   naive_gauss_solve, naive_span_members, tuple_add_mod)
+                   naive_gauss_solve, naive_packed_columns, naive_span_members,
+                   tuple_add_mod)
 
 
 def test_abelian_span_plain_subgroup():
@@ -450,7 +451,8 @@ def block_stacks(draw):
 def test_block_stack_matches_its_dense_matrices(problem):
     # the stack's dense form, its transpose, its images and the closures it
     # drives against the matrices placed block by block; over F_2 the closures
-    # run on the packed columns the stack's images of unit vectors give
+    # run on the packed columns read off the blocks, which are those the
+    # stack's images of the unit vectors give
     n, targets, matrices, vecs = problem
     stack = BlockMonomialStack(n, targets, matrices)
     dense = naive_dense_stack(stack)
@@ -461,21 +463,30 @@ def test_block_stack_matches_its_dense_matrices(problem):
     assert np.array_equal(stack.apply(arr), np.einsum("kij,cj->cki", dense, arr) % n)
     assert np.array_equal(stack.apply(arr[0]), (dense @ arr[0]) % n)
     for ops, ref_ops in ((stack, dense), (stack.T, dense.transpose(0, 2, 1))):
+        if n == 2:
+            assert closure._packed_columns(ops) == naive_packed_columns(ops)
         basis = ClosureEngine(n, dim, ops).closure(vecs)
         ref = naive_closure(n, dim, list(ref_ops), vecs)
         assert (basis.key(), basis.pivots, basis.divs) == (ref.key(), ref.pivots, ref.divs)
 
 
 def test_block_stack_columns_over_f2_come_in_chunks():
-    # the packed columns are the same whether the unit vectors come one per
-    # chunk or all in one, and they are the columns of the dense stack
+    # the packed columns are the same whether they come one per chunk or all
+    # in one, and they are the columns of the dense stack: for a stack of
+    # several blocks, a one-block dense stack and a stack of no operators
     rng = np.random.default_rng(5)
     targets = np.stack([rng.permutation(4) for _ in range(3)])
-    stack = BlockMonomialStack(2, targets, rng.integers(0, 2, size=(3, 4, 3, 3)))
-    whole = ClosureEngine(2, 12, stack)._columns
+    stacks = [BlockMonomialStack(2, targets, rng.integers(0, 2, size=(3, 4, 3, 3))),
+              BlockMonomialStack.dense(2, 12, rng.integers(0, 2, size=(3, 12, 12))),
+              BlockMonomialStack(2, np.zeros((0, 4), dtype=np.intp), np.zeros((0, 4, 3, 3)))]
+    wholes = [ClosureEngine(2, 12, stack)._columns for stack in stacks]
     with patch.object(closure, "CHUNK_BYTES", 1):
-        assert ClosureEngine(2, 12, stack)._columns == whole
-    assert whole == closure._pack_rows(naive_dense_stack(stack).transpose(2, 0, 1).reshape(12, -1))
+        for stack, whole in zip(stacks, wholes):
+            assert ClosureEngine(2, 12, stack)._columns == whole
+    for stack, whole in zip(stacks, wholes):
+        dense = naive_dense_stack(stack).transpose(2, 0, 1).reshape(12, -1)
+        assert whole == closure._pack_rows(dense) == naive_packed_columns(stack)
+    assert wholes[2] == [0] * 12
 
 
 def test_block_stack_refuses_what_check_int64_refuses():

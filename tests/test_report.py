@@ -97,6 +97,45 @@ def test_a_false_verdict_without_its_witness_is_flagged(fixture_reports, check, 
     assert tampered
 
 
+def test_a_check_hidden_behind_its_status_is_flagged(fixture_reports):
+    # marking a check not_applicable does not hide its dropped witness: the
+    # check is rerun, and it runs
+    doc = json.loads(json.dumps(fixture_reports["trivial_group_ring"]))
+    entry = doc["checks"]["abelian_simplicity"]
+    del entry["verdicts"]["simple"]["witness"]
+    entry["status"] = "not_applicable"
+    assert revalidate_report(doc) == [
+        "abelian_simplicity: saved status 'not_applicable', a rerun gives 'ran'"]
+
+
+def test_every_status_other_than_ran_is_rerun(fixture_reports):
+    # on each fixture report, every entry that did not run, given another
+    # status, leaves one problem naming it
+    statuses = ("precondition_failed", "not_applicable", "capacity_exceeded", None)
+    tampered = 0
+    for name, report in fixture_reports.items():
+        for check, entry in report["checks"].items():
+            if entry["status"] == "ran":
+                continue
+            for status in statuses:
+                if status == entry["status"]:
+                    continue
+                doc = json.loads(json.dumps(report))
+                doc["checks"][check]["status"] = status
+                assert revalidate_report(doc) == [
+                    f"{check}: saved status {status!r}, a rerun gives {entry['status']!r}"], name
+                tampered += 1
+    assert tampered == 21
+
+
+def test_a_check_the_instance_does_not_have_is_flagged(fixture_reports):
+    doc = json.loads(json.dumps(fixture_reports["trivial_group_ring"]))
+    doc["checks"]["faithful_minimal"] = {"status": "not_applicable"}
+    doc["checks"]["no_such_check"] = {"status": "ran"}
+    assert revalidate_report(doc) == ["faithful_minimal: not a check of algebra instances",
+                                      "no_such_check: not a check of algebra instances"]
+
+
 def test_witness_revalidation_detects_tampering():
     spec = load_instance(FIXTURES / "trivial_group_ring.json")
     report = json.loads(canonical_json(run_checks(spec)))
