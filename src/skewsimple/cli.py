@@ -90,11 +90,10 @@ def _cmd_check(args) -> int:
 def _cmd_suite(args) -> int:
     violations: list[str] = []
     doc: dict = {"seed": args.seed, "count": args.count}
-    if not args.skip_catalogue:
-        cat = run_dynamics_catalogue()
-        doc["dynamics_catalogue"] = cat
-        violations.extend(cat["violations"])
     try:
+        if not args.skip_catalogue:
+            doc["dynamics_catalogue"] = cat = run_dynamics_catalogue()
+            violations.extend(cat["violations"])
         sweeps = run_randomized_suite(args.seed, args.count, args.cap)
     except SkewSimpleError as exc:
         print(f"input error: {exc}", file=sys.stderr)

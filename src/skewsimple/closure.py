@@ -20,13 +20,13 @@ new row clears its pivot column from the rows above with one outer-product
 update. While some pivot is a non-unit the basis takes the sequential Howell
 steps instead; a Bezout merge that leaves every pivot a unit brings it back,
 as a Howell form whose pivots are units is the reduced row echelon form. The
-engine holds its operators as one ``BlockMonomialStack``: each operator moves
+engine takes its operators as one ``BlockMonomialStack``: each operator moves
 coordinate blocks by a permutation through one small matrix per block, as
 multiplication by a monomial of a skew group ring does, and a dense matrix is
 the case of one block. Every inserted vector's images come from one batched
-block product and a gather, taken in float64 whenever the product's integer
-entries, at most size*(n-1)^2 for blocks of the given size, are exact there,
-and in int64 otherwise (``exact_dtype``).
+block product and a gather (built at the stack's first ``apply``), taken in
+float64 whenever the product's integer entries, at most size*(n-1)^2, are
+exact there, and in int64 otherwise (``exact_dtype``).
 
 Over exactly n == 2 the constructor returns a ``BitBasis`` instead, and the
 engine and ``kernel_basis`` work on packed bits: a vector of F_2^dim is a
@@ -35,9 +35,9 @@ pivot, reduction and placement are XORs, and the images of a vector under
 every operator are the XOR of the packed operator columns at its set bits.
 Column (s, c) is read off the blocks: column c of each operator's matrix at
 source block s, placed at that operator's target block, a chunk of columns
-at a time, so no dense matrix is held. Every other modulus, prime or not,
-stays on the int64 block. The RREF over a prime is unique, so both give the
-same rows.
+at a time; the engine keeps those columns, not the stack, which it never
+applies. Every other modulus, prime or not, stays on the int64 block. The
+RREF over a prime is unique, so both give the same rows.
 
 ``field_obstruction`` is the one field test on such spans: given the basis
 of a commutative subring, its unit and the algebra's product on stacked
@@ -53,6 +53,7 @@ least member off its rows, without enumerating it.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from functools import cached_property
 from math import gcd, isqrt
 from typing import Iterable, Sequence
 
@@ -469,30 +470,36 @@ class BlockMonomialStack:
     block s are stacked into one (K*size x size) matrix, which multiplies
     v_s, and the products are gathered into their target blocks. Each entry
     of a block product sums size products of reduced entries, so the
-    product is taken in ``exact_dtype(size, n)``. The stack
+    product is taken in ``exact_dtype(size, n)``. The stacked matrices (a
+    second copy) and the gather are built at the first ``apply``. The stack
     refuses the (n, dim) pairs ``check_int64`` refuses, as the engine does,
     so the int64 product never wraps either.
     """
 
     def __init__(self, n: int, targets: np.ndarray, matrices: np.ndarray) -> None:
         matrices = np.asarray(matrices, dtype=np.int64)   # (K, blocks, size, size)
-        count, blocks, size = matrices.shape[:3]
+        blocks, size = matrices.shape[1:3]
         check_int64(n, blocks * size)
         self.n = n
         self.blocks, self.size, self.dim = blocks, size, blocks * size
         self.targets = np.asarray(targets, dtype=np.intp)   # (K, blocks)
         self.matrices = matrices % n
-        dtype = exact_dtype(size, n)
-        # [s] stacks the matrices reading block s, operator by operator
-        self._by_source = np.ascontiguousarray(self.matrices.transpose(1, 0, 2, 3),
-                                               dtype=dtype).reshape(blocks, count * size, size)
-        # block t of operator k is product (s, k), s = sources[k, t] the block
-        # sent to t
-        operators = np.arange(count)[:, None]
-        self._sources = sources = np.empty_like(self.targets)
-        sources[operators, self.targets] = np.arange(blocks)
-        products = np.arange(blocks * count * size).reshape(blocks, count, size)
-        self._gather = products[sources, operators].ravel()
+        # [k, t] = s, the block that operator k sends to t
+        self._sources = np.empty_like(self.targets)
+        self._sources[np.arange(len(matrices))[:, None], self.targets] = np.arange(blocks)
+
+    @cached_property
+    def _by_source(self) -> np.ndarray:
+        """[s] stacks the matrices reading block s, operator by operator."""
+        count, blocks, size = self.matrices.shape[:3]
+        return np.ascontiguousarray(self.matrices.transpose(1, 0, 2, 3), dtype=exact_dtype(
+            size, self.n)).reshape(blocks, count * size, size)
+
+    @cached_property
+    def _gather(self) -> np.ndarray:
+        """Block t of operator k is product (s, k), s = sources[k, t]."""
+        products = np.arange(len(self) * self.dim).reshape(self.blocks, len(self), self.size)
+        return products[self._sources, np.arange(len(self))[:, None]].ravel()
 
     @classmethod
     def dense(cls, n: int, dim: int, matrices: Sequence[np.ndarray]) -> "BlockMonomialStack":
@@ -549,26 +556,25 @@ def _packed_columns(stack: BlockMonomialStack) -> list[int]:
 class ClosureEngine:
     """Operator-stable submodule closures over Z/n, under a
     ``BlockMonomialStack`` (dense matrices are taken as the one-block
-    stack)."""
+    stack); over F_2 the engine keeps only the stack's packed columns."""
 
     def __init__(self, n: int, dim: int,
                  operators: "BlockMonomialStack | Sequence[np.ndarray]") -> None:
         check_int64(n, dim)
-        self.n = n
-        self.dim = dim
+        self.n, self.dim = n, dim
         if not isinstance(operators, BlockMonomialStack):
             operators = BlockMonomialStack.dense(n, dim, operators)
         self._count = len(operators)
-        self._ops = operators
-        # over F_2, column j of the stacked operators packed into an int: the
-        # images of a packed v under every operator are the XOR of the
-        # columns at v's bits
-        self._columns = _packed_columns(operators) if n == 2 else None
+        if n == 2:
+            # the stacked operators' columns, packed, and not the stack
+            self._columns = _packed_columns(operators)
+        else:
+            self._ops = operators
 
     def closure(self, seeds: Iterable[Sequence[int]]) -> HowellBasis:
         """Howell basis of the operator-stable span of the seed vectors; a
         full span is final and ends the worklist."""
-        if self._columns is not None:
+        if self.n == 2:
             return self._closure_bits(seeds)
         n, dim, ops = self.n, self.dim, self._ops
         basis = HowellBasis(n, dim)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from .errors import DomainError
+
 DEFAULT_ENUMERATION_CAP = 1 << 16
 DEFAULT_GROUP_ORDER_CAP = 64
 DEFAULT_WITNESS_CANDIDATE_BUDGET = 20000
@@ -19,9 +21,9 @@ def _env_int(name: str, default: int) -> int:
     try:
         value = int(raw)
     except ValueError as exc:
-        raise ValueError(f"{_ENV_PREFIX}{name} must be an integer, got {raw!r}") from exc
+        raise DomainError(f"{_ENV_PREFIX}{name} must be an integer, got {raw!r}") from exc
     if value < 1:
-        raise ValueError(f"{_ENV_PREFIX}{name} must be positive, got {value}")
+        raise DomainError(f"{_ENV_PREFIX}{name} must be positive, got {value}")
     return value
 
 

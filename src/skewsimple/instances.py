@@ -81,8 +81,13 @@ class InstanceSpec:
         return "dynamics" if self.dynamics_desc is not None else "algebra"
 
     def caps(self) -> Caps:
-        """The environment's caps with this instance's overrides applied."""
-        return replace(Caps.from_env(), **{k: int(v) for k, v in self.caps_override.items()})
+        """The environment's caps, which this instance's overrides may only lower."""
+        caps, override = Caps.from_env(), {k: int(v) for k, v in self.caps_override.items()}
+        for name, value in override.items():
+            if value > getattr(caps, name):
+                raise InstanceParseError(f"a file may only lower a cap: {value} is above "
+                                         f"{getattr(caps, name)}", path=f"caps.{name}")
+        return replace(caps, **override)
 
     def build(self):
         """Live objects: a SkewContext or a TransformationGroup, built (and

@@ -138,18 +138,6 @@ class SkewContext:
                 for b in self.ring.additive_generators()]
 
     @cached_property
-    def structure_constants(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(lefts, rights, autos) over Z/char. Row s of lefts (of rights) is
-        the dim_A x dim_A matrix of a -> b_s a (of a -> a b_s) on A, for the
-        basis payload b_s, read row by row, so that (x @ lefts) holds the
-        matrix of left multiplication by x; autos[g] is the matrix of sigma_g.
-        """
-        d = self.ring.dim
-        lefts, rights = self.ring.structure_constants
-        autos = [auto.matrix() for auto in self.action.autos]
-        return lefts.reshape(d, d * d), rights.reshape(d, d * d), np.stack(autos)
-
-    @cached_property
     def _group_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """G's multiplication and inverse tables as index arrays, and the
         table of quotients [g, t] = g^-1 t."""
@@ -158,23 +146,18 @@ class SkewContext:
         return mul, inv, mul[inv]
 
     @cached_property
-    def _block_sources(self) -> tuple[np.ndarray, np.ndarray]:
-        """(left, right) gather indices: block (k, g) of L_r is the block of
-        h = left[k, g] = k g^-1 (so hg = k), and block (k, g) of R_r is the
-        block of (h, g) with h = g^-1 k (so gh = k), at index right[g, k] of
-        the flattened (h, g) grid."""
-        mul, inv, quotients = self._group_arrays
-        return mul[:, inv], quotients * self.group.order + np.arange(self.group.order)[:, None]
-
-    @cached_property
     def _block_operands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``structure_constants`` in ``closure.exact_dtype`` for sums of dim
-        terms: no product of the block builders or of ``products`` sums more
-        than dim products of entries in 0..char-1. Refuses the moduli whose
-        int64 products can wrap, before any such product is taken."""
+        """(lefts, rights, autos) over Z/char, in ``closure.exact_dtype`` for
+        sums of dim terms, the most any product of the block builders or of
+        ``products`` sums. Row s of lefts (of rights) is the dim_A x dim_A
+        matrix of a -> b_s a (of a -> a b_s) on A, for the basis payload b_s,
+        read row by row, so that (x @ lefts) holds the matrix of left
+        multiplication by x; autos[g] is the matrix of sigma_g. The moduli
+        whose int64 products can wrap are refused before anything is read."""
         check_int64(self.char, self.dim)
-        dtype = exact_dtype(self.dim, self.char)
-        return tuple(m.astype(dtype) for m in self.structure_constants)
+        d, dtype = self.ring.dim, exact_dtype(self.dim, self.char)
+        lefts, rights = (m.reshape(d, d * d).astype(dtype) for m in self.ring.structure_constants)
+        return lefts, rights, np.stack([auto.matrix() for auto in self.action.autos]).astype(dtype)
 
     # every operand is non-negative, so fmod is the remainder modulo char
     def left_blocks(self, xs: np.ndarray) -> np.ndarray:
@@ -220,7 +203,7 @@ class SkewContext:
         is, it is a two-sided ideal.
         """
         n, d, order = self.char, self.ring.dim, self.group.order
-        lefts, _, autos = self.structure_constants
+        lefts, _, autos = self._block_operands
         gens = np.array(self.group.generators, dtype=np.intp)
         mul = self._group_arrays[0]
         mats = np.empty((2 * (d + len(gens)), order, d, d), dtype=np.int64)
@@ -257,7 +240,7 @@ class SkewContext:
         n, d, order = self.char, self.ring.dim, self.group.order
         mul, inv, quotients = self._group_arrays
         scalars = np.array(_scalar_units(n), dtype=np.int64)
-        autos = self.structure_constants[2].transpose(0, 2, 1)
+        autos = self._block_operands[2].astype(np.int64).transpose(0, 2, 1)
         sigmas = (scalars[:, None, None] * autos[:, None]) % n
         # [g, h, t] = g^-1 t h^-1, the slot k that g k h = t reads
         sources = mul[quotients[:, None, :], inv[None, :, None]]
@@ -542,19 +525,23 @@ def skew_center(ctx: SkewContext) -> list[SkewElement]:
 def left_multiplication(ctx: SkewContext, vec: Sequence[int]) -> np.ndarray:
     """The matrix of x -> r x over Z/char, for r with coordinate vector vec."""
     blocks = ctx.left_blocks(np.asarray(vec, dtype=np.int64) % ctx.char)[0]   # [h]
-    return _assemble(ctx, blocks[ctx._block_sources[0]].transpose(0, 2, 1, 3))
+    return _assemble(ctx, ctx._group_arrays[0], blocks[:, None])   # h at (hg, g)
 
 
 def right_multiplication(ctx: SkewContext, vec: Sequence[int]) -> np.ndarray:
     """The matrix of x -> x r over Z/char, for r with coordinate vector vec."""
     blocks = ctx.right_blocks(np.asarray(vec, dtype=np.int64) % ctx.char)   # [h, g]
-    d = ctx.ring.dim
-    return _assemble(ctx, blocks.reshape(-1, d, d)[ctx._block_sources[1]].transpose(1, 2, 0, 3))
+    return _assemble(ctx, ctx._group_arrays[0].T, blocks)   # [h, g] at (gh, g)
 
 
-def _assemble(ctx: SkewContext, blocks: np.ndarray) -> np.ndarray:
-    """The int64 dim x dim matrix whose block (k, g) is blocks[k, :, g]."""
-    return np.ascontiguousarray(blocks, dtype=np.int64).reshape(ctx.dim, ctx.dim)
+def _assemble(ctx: SkewContext, rows: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """The int64 dim x dim matrix with block (rows[h, g], g) = blocks[h, g]."""
+    d, order = ctx.ring.dim, ctx.group.order
+    out = np.empty((order, d, order, d), dtype=np.int64)
+    # index arrays apart put their axes first: out[k, :, g] is block (k, g),
+    # and row e of G's table (e g = g) lists the g
+    out[rows, :, ctx._group_arrays[0][0]] = blocks
+    return out.reshape(ctx.dim, ctx.dim)
 
 
 # ideals and the simplicity oracle ---------------------------------------------

@@ -13,6 +13,7 @@ from skewsimple import InstanceParseError
 from skewsimple.instances import parse_instance
 
 FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).parent.parent / "src"
 
 
@@ -407,6 +408,36 @@ def test_suite_with_a_cap_too_small_for_the_sampler_exits_2(cap):
     assert result.returncode == 2
     assert result.stderr.startswith("input error: max_size cap exceeded")
     assert f"cap is {cap}" in result.stderr and "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("skip", [False, True], ids=["catalogue", "skip_catalogue"])
+def test_suite_with_a_malformed_cap_variable_exits_2(monkeypatch, skip):
+    monkeypatch.setenv("SKEWSIMPLE_ENUMERATION_CAP", "abc")
+    result = run_cli("suite", "--count", "1", *(["--skip-catalogue"] if skip else []))
+    assert result.returncode == 2
+    assert result.stderr.startswith(
+        "input error: SKEWSIMPLE_ENUMERATION_CAP must be an integer, got 'abc'")
+    assert "Traceback" not in result.stderr
+
+
+def test_a_file_that_raises_its_own_cap_exits_2(tmp_path):
+    # check refuses the instance before the sweep allocates a mark array of
+    # 10^30 entries; report refuses a golden report whose instance raises
+    # its cap when it rebuilds the instance
+    hostile = {"name": "hostile", "caps": {"enumeration": 10**30},
+               "ring": {"kind": "function", "points": 8, "q": 16}, "group": _Z2,
+               "action": {"kind": "trivial"}}
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(hostile), encoding="utf-8")
+    report = json.loads((GOLDEN / "swap2.json").read_text(encoding="utf-8"))
+    report["instance"]["caps"] = {"enumeration": (1 << 16) + 1}
+    saved = tmp_path / "report.json"
+    saved.write_text(json.dumps(report), encoding="utf-8")
+    for args in (("check", str(path), "--checks", "abelian_simplicity"), ("report", str(saved))):
+        result = run_cli(*args)
+        assert result.returncode == 2, result.stderr
+        assert "may only lower a cap" in result.stderr and "(at caps.enumeration)" in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 def test_suite_refuses_a_negative_count():

@@ -9,6 +9,7 @@ from skewsimple import CapacityError, closure
 from skewsimple.closure import (FLOAT64_EXACT, BitBasis, BlockMonomialStack, ClosureEngine,
                                 HowellBasis, _minimal_polynomial, kernel_basis, kernel_rows,
                                 solve)
+from skewsimple.dynamics import catalogue
 
 from naive import (NaiveHowell, abelian_span, naive_closure, naive_dense_stack,
                    naive_gauss_solve, naive_packed_columns, naive_span_members,
@@ -487,6 +488,39 @@ def test_block_stack_columns_over_f2_come_in_chunks():
         dense = naive_dense_stack(stack).transpose(2, 0, 1).reshape(12, -1)
         assert whole == closure._pack_rows(dense) == naive_packed_columns(stack)
     assert wholes[2] == [0] * 12
+
+
+def test_only_apply_builds_the_stacked_matrices_and_the_gather():
+    # an F_2 engine reads its stack block by block to pack its columns, keeps
+    # only the columns and never applies the stack; over F_3 the engine
+    # applies it, and its first closure builds both
+    rng = np.random.default_rng(7)
+    targets = np.stack([rng.permutation(4) for _ in range(3)])
+    seed = np.eye(12, dtype=np.int64)[0]
+    for n in (2, 3):
+        stack = BlockMonomialStack(n, targets, rng.integers(0, n, size=(3, 4, 3, 3)))
+        engine = ClosureEngine(n, 12, stack)
+        assert not {"_by_source", "_gather"} & stack.__dict__.keys()
+        assert hasattr(engine, "_ops") == (n == 3)
+        engine.closure([seed])
+        engine.closure([seed])
+        built = {"_by_source", "_gather"} & stack.__dict__.keys()
+        assert built == ({"_by_source", "_gather"} if n == 3 else set())
+
+
+def test_the_engines_of_a_context_apply_its_stack_over_f3_only():
+    # on fresh catalogue contexts, closures through the engine and the dual
+    # engine leave the generators' stack unapplied over F_2; over F_3 the
+    # engine's first closure applies it
+    fields = set()
+    for T in catalogue():
+        ctx = T.context
+        stack, seed = ctx.ideal_operator_matrices, np.eye(ctx.dim, dtype=np.int64)[:1]
+        ctx.engine.closure(seed), ctx.dual_engine.closure(seed)
+        assert ("_by_source" in stack.__dict__) == ("_gather" in stack.__dict__) == (
+            ctx.char == 3), T.name
+        fields.add(ctx.char)
+    assert fields == {2, 3}
 
 
 def test_block_stack_refuses_what_check_int64_refuses():

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from skewsimple import CapacityError, InstanceParseError
+from skewsimple import CapacityError, DomainError, InstanceParseError
 from skewsimple.dynamics import TransformationGroup
 from skewsimple.instances import INSTANCE_SCHEMA, load_instance, parse_instance
 from skewsimple.skew import SkewContext
@@ -112,6 +112,34 @@ def test_caps_override_applies():
         list(ctx.elements())
 
 
+HOSTILE = {"name": "hostile", "caps": {"enumeration": 10**30},
+           "ring": {"kind": "function", "points": 8, "q": 16},
+           "group": {"kind": "cyclic_product", "orders": [2]}, "action": {"kind": "trivial"}}
+
+
+def test_a_file_may_only_lower_a_cap(monkeypatch):
+    # a cap raised past the run's own is refused at its path, before the
+    # sweep would allocate a mark array of that size; the environment raises
+    # it, and a file may then lower the raised cap
+    with pytest.raises(InstanceParseError) as err:
+        parse_instance(json.dumps(HOSTILE))
+    assert err.value.path == "caps.enumeration"
+    assert "may only lower a cap: 1000000000000000000000000000000 is above 65536" in str(err.value)
+    for name in ("enumeration", "witness_candidates"):
+        doc = {**HOSTILE, "caps": {name: 10**6}, "ring": {"kind": "modular", "n": 2}}
+        with pytest.raises(InstanceParseError) as err:
+            parse_instance(json.dumps(doc))
+        assert err.value.path == f"caps.{name}"
+    monkeypatch.setenv("SKEWSIMPLE_ENUMERATION_CAP", str(10**31))
+    spec = parse_instance(json.dumps(HOSTILE))
+    assert spec.caps().enumeration == 10**30
+    monkeypatch.delenv("SKEWSIMPLE_ENUMERATION_CAP")
+    with pytest.raises(InstanceParseError):
+        spec.caps()
+    doc = {**HOSTILE, "caps": {"enumeration": 1 << 16}, "ring": {"kind": "modular", "n": 2}}
+    assert parse_instance(json.dumps(doc)).caps().enumeration == 1 << 16
+
+
 def test_caps_are_read_once_per_build(monkeypatch):
     # both overrides land on the one Caps the environment is read for
     from skewsimple.config import Caps
@@ -147,6 +175,9 @@ def test_env_var_cap_override(monkeypatch):
         Caps.from_env()
     monkeypatch.setenv("SKEWSIMPLE_ENUMERATION_CAP", "-3")
     with pytest.raises(ValueError):
+        Caps.from_env()
+    # a package error, which every command maps to an input error
+    with pytest.raises(DomainError, match="must be positive, got -3"):
         Caps.from_env()
 
 

@@ -8,6 +8,13 @@ sit well below what the dense stacks took (4.0 MB on ``natural_S4`` and
 83 MB for the regular Z16 on F_2^16, Python 3.11, numpy 2.4) and well above
 what the stack takes (1.0 MB and 6.4 MB).
 
+An engine over F_2 keeps only its packed operator columns, dim * K * dim
+bits, and not the stack it packed them from, and a stack builds the second,
+stacked copy of its matrices that ``apply`` multiplies with only at the
+first ``apply``. On F_4^64 (128 dense operators at dim 128) the engine held
+32.3 MB when it kept both and holds 0.14 MB; the F_2 dual at dim 256 held
+2.5 MB and holds 0.3 MB.
+
 The certificate's theta is built one term L_a R_b at a time, so one draw
 holds one pair of dense matrices: 3.3 MB at dim 256, where stacking the
 three terms' blocks took 6.4 MB. The centre's field test runs on batched
@@ -17,20 +24,52 @@ products, with no dense multiplication matrix.
 import tracemalloc
 
 from skewsimple import GroupTable
+from skewsimple.closure import ClosureEngine
 from skewsimple.dynamics import TransformationGroup, catalogue, regular_action
+from skewsimple.rings import FunctionRing
 from skewsimple.skew import certificate_draws, is_simple
 
 MB = 1 << 20
 
 
-def _peak(fn) -> int:
-    """The peak of traced memory while fn runs, in bytes."""
+def _held(build) -> tuple[int, int]:
+    """The traced memory build's result holds once built, and the peak while
+    it is built, in bytes."""
     tracemalloc.start()
     try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
+        built = build()
+        held, peak = tracemalloc.get_traced_memory()
+        del built
+        return held, peak
     finally:
         tracemalloc.stop()
+
+
+def _peak(fn) -> int:
+    """The peak of traced memory while fn runs, in bytes."""
+    return _held(fn)[1]
+
+
+def _regular_z16(q: int):
+    group = GroupTable.cyclic_product([16])
+    return TransformationGroup(16, group, regular_action(group), q, "regular_Z16").context
+
+
+def test_an_f2_engine_of_dense_operators_holds_its_columns_only():
+    # F_4^64 is A = F_2^128 with 128 dense ideal operators: 16 MB in int64
+    ring = FunctionRing(64, 4)
+    ops = ring.ideal_operators
+    held, peak = _held(lambda: ClosureEngine(ring.char, ring.dim, ops))
+    assert held < 1 * MB
+    assert peak < 40 * MB
+
+
+def test_the_f2_dual_at_dim_256_holds_its_columns_only():
+    ctx = _regular_z16(2)
+    ctx.ideal_operator_matrices
+    held, peak = _held(lambda: ctx.dual_engine)
+    assert held < 1 * MB
+    assert peak < 3 * MB
 
 
 def test_engines_and_centre_of_natural_s4_stay_small():
@@ -45,17 +84,15 @@ def test_engines_and_centre_of_natural_s4_stay_small():
 
 def test_simplicity_of_the_regular_z16_on_f2_16_stays_small():
     # dim 256: the oracle runs the field test, the certificate and both engines
-    group = GroupTable.cyclic_product([16])
-    ctx = TransformationGroup(16, group, regular_action(group), 2, "regular_Z16").context
+    ctx = _regular_z16(2)
     verdict = []
     assert _peak(lambda: verdict.append(is_simple(ctx))) < 20 * MB
     assert (verdict[0].value, verdict[0].method) == (True, "certificate")
 
 
 def test_one_certificate_draw_at_dim_256_stays_small():
-    group = GroupTable.cyclic_product([16])
-    ctx = TransformationGroup(16, group, regular_action(group), 2, "regular_Z16").context
-    ctx.structure_constants, ctx._block_sources   # built once per context
+    ctx = _regular_z16(2)
+    ctx._block_operands   # built once per context
     assert _peak(lambda: next(certificate_draws(ctx))) < 4.5 * MB
 
 

@@ -1,14 +1,16 @@
 """A's structure constants are turned into multiplication blocks in few
 places.
 
-On R's side, ``SkewContext.left_blocks`` (L(x_h) S_h) and
-``SkewContext.right_blocks`` (R(S_k c)) are the only builders: they read the
-constants through ``SkewContext._block_operands``, and everything else that
-multiplies in R (``products``, and the dense ``left_multiplication`` and
-``right_multiplication`` of the certificate's theta) goes through them. The
-generators' stack ``ideal_operator_matrices`` reads L(b_t) and S_g straight
-off the constants, since those blocks are the constants themselves, and the
-sweep's sigma stack reads S_g. On A's side ``RingSpec`` reads its own
+On R's side, ``SkewContext._block_operands`` is the one reader of A's
+constants and the sigma_g, and holds the one copy of them.
+``SkewContext.left_blocks`` (L(x_h) S_h) and ``SkewContext.right_blocks``
+(R(S_k c)) are the only builders: they read the constants through
+``_block_operands``, and everything else that multiplies in R (``products``,
+and the dense ``left_multiplication`` and ``right_multiplication`` of the
+certificate's theta) goes through them. The generators' stack
+``ideal_operator_matrices`` reads L(b_t) and S_g straight off
+``_block_operands``, since those blocks are the constants themselves, and the
+sweep's sigma stack reads S_g there. On A's side ``RingSpec`` reads its own
 constants for its product, its ideal operators and its twisted centralizers.
 A new reader of either attribute needs a deliberate edit of READERS.
 """
@@ -26,12 +28,11 @@ READERS = {
     ("rings.py", "RingSpec.ideal_operators"): {"structure_constants"},
     ("rings.py", "RingSpec.twisted_centralizer"): {"structure_constants"},
     # S_g and A's own constants, stacked once per context
-    ("skew.py", "SkewContext.structure_constants"): {"structure_constants"},
     ("skew.py", "SkewContext._block_operands"): {"structure_constants"},
     ("skew.py", "SkewContext.left_blocks"): {"_block_operands"},
     ("skew.py", "SkewContext.right_blocks"): {"_block_operands"},
-    ("skew.py", "SkewContext.ideal_operator_matrices"): {"structure_constants"},
-    ("skew.py", "SkewContext.unit_monomial_matrices"): {"structure_constants"},
+    ("skew.py", "SkewContext.ideal_operator_matrices"): {"_block_operands"},
+    ("skew.py", "SkewContext.unit_monomial_matrices"): {"_block_operands"},
 }
 
 
