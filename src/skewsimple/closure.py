@@ -477,13 +477,14 @@ class BlockMonomialStack:
     """
 
     def __init__(self, n: int, targets: np.ndarray, matrices: np.ndarray) -> None:
-        matrices = np.asarray(matrices, dtype=np.int64)   # (K, blocks, size, size)
-        blocks, size = matrices.shape[1:3]
+        self.targets = np.asarray(targets, dtype=np.intp)   # (K, blocks)
+        matrices = np.array(matrices, dtype=np.int64)   # one copy, reduced in place
+        blocks, size = self.targets.shape[1], matrices.shape[-1]
         check_int64(n, blocks * size)
         self.n = n
         self.blocks, self.size, self.dim = blocks, size, blocks * size
-        self.targets = np.asarray(targets, dtype=np.intp)   # (K, blocks)
-        self.matrices = matrices % n
+        matrices = matrices.reshape(len(self.targets), blocks, size, size)
+        self.matrices = np.remainder(matrices, n, out=matrices)
         # [k, t] = s, the block that operator k sends to t
         self._sources = np.empty_like(self.targets)
         self._sources[np.arange(len(matrices))[:, None], self.targets] = np.arange(blocks)
@@ -504,7 +505,7 @@ class BlockMonomialStack:
     @classmethod
     def dense(cls, n: int, dim: int, matrices: Sequence[np.ndarray]) -> "BlockMonomialStack":
         """The dim x dim matrices as a stack of one block each."""
-        mats = np.asarray(matrices, dtype=np.int64).reshape(-1, 1, dim, dim)
+        mats = matrices if len(matrices) else np.empty((0, dim, dim))
         return cls(n, np.zeros((len(mats), 1), dtype=np.intp), mats)
 
     def __len__(self) -> int:

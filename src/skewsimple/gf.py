@@ -77,22 +77,9 @@ def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
     for deg in range(1, m // 2 + 1):
         for code in range(p**deg):
             divisor = _digits(code, p, deg) + (1,)
-            if _poly_divides(divisor, modulus, p):
+            if not any(_poly_rem(modulus, divisor, p)):
                 return False
     return True
-
-
-def _poly_divides(divisor: tuple[int, ...], poly: tuple[int, ...], p: int) -> bool:
-    work = list(poly)
-    d = len(divisor) - 1
-    inv_lead = pow(divisor[-1], -1, p)
-    for i in range(len(work) - 1, d - 1, -1):
-        c = work[i]
-        if c:
-            factor = (c * inv_lead) % p
-            for j in range(d + 1):
-                work[i - d + j] = (work[i - d + j] - factor * divisor[j]) % p
-    return all(c == 0 for c in work)
 
 
 def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:

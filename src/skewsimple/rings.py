@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .closure import INT64_LIMIT, ClosureEngine, HowellBasis, kernel_basis, rowwise
+from .closure import INT64_LIMIT, ClosureEngine, HowellBasis, exact_dtype, kernel_basis, rowwise
 from .config import Caps
 from .errors import CapacityError, DomainError
 from .gf import MAX_FIELD_ORDER, GaloisField, field, prime_power
@@ -40,7 +40,7 @@ _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_TEST_BOUND = 3317044064679887385961981
 
 # the most coordinates of a skew ring A x| G built here (|G| * dim_A), hence
-# of a ring whose structure constants, 2 dim^3 entries, are built
+# of a ring whose structure constants, at most 2 dim^3 entries, are built
 MAX_DIM = 256
 
 
@@ -202,38 +202,60 @@ class RingSpec:
 
     @cached_property
     def structure_constants(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lefts, rights) over Z/char: lefts[s] (rights[s]) is the dim x dim
-        matrix of a -> b_s a (of a -> a b_s), b_s the s-th additive generator.
-        Refused above MAX_DIM coordinates, before anything is built."""
+        """(lefts, rights), A's constants over Z/char, held once in
+        ``closure.exact_dtype(MAX_DIM, char)``: row s of lefts (of rights) is
+        the matrix of a -> b_s a (of a -> a b_s), b_s the s-th additive
+        generator, read row by row (``left_matrices``); rights is lefts for a
+        commutative ring. Refused above MAX_DIM coordinates, before anything
+        is built."""
         if self.dim > MAX_DIM:
             raise CapacityError("dimension", MAX_DIM, self.dim, "structure constants")
-        gens = self.additive_generators()
-        lefts = np.array([[self.to_vec(self.mul(b, c)) for c in gens] for b in gens])
-        rights = lefts if self.is_commutative else np.array(
-            [[self.to_vec(self.mul(c, b)) for c in gens] for b in gens])
-        return tuple(m.astype(np.int64).transpose(0, 2, 1) % self.char for m in (lefts, rights))
+        d, gens = self.dim, self.additive_generators()
+
+        def table(mul) -> np.ndarray:
+            out = np.empty((d, d, d), dtype=exact_dtype(MAX_DIM, self.char))
+            for s, b in enumerate(gens):   # [s, i, c] = coordinate i of mul(b_s, b_c)
+                out[s] = np.array([self.to_vec(mul(b, c)) for c in gens]).T
+            return np.remainder(out, self.char, out=out).reshape(d, d * d)
+
+        lefts = table(self.mul)
+        return lefts, lefts if self.is_commutative else table(lambda b, c: self.mul(c, b))
+
+    def left_matrices(self, xs: np.ndarray) -> np.ndarray:
+        """L(x) = sum_s x_s lefts[s], the matrix of a -> x a, for each row x
+        of xs (entries in 0..char-1), stacked (rows x dim x dim) and reduced
+        modulo char in the dtype of ``structure_constants``."""
+        return self._combine(xs, self.structure_constants[0])
+
+    def right_matrices(self, cs: np.ndarray) -> np.ndarray:
+        """R(c), the matrix of a -> a c, for each row c of cs, as in
+        ``left_matrices``."""
+        return self._combine(cs, self.structure_constants[1])
+
+    def _combine(self, xs: np.ndarray, constants: np.ndarray) -> np.ndarray:
+        # sums of dim terms, exact in the constants' dtype; fmod of non-negatives
+        out = np.asarray(xs).reshape(-1, self.dim).astype(constants.dtype, copy=False) @ constants
+        return np.fmod(out, self.char, out=out).reshape(-1, self.dim, self.dim)
 
     def products(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """The coordinates of x y for each pair of rows x of xs and y of ys
-        (entries in 0..char-1), as an int64 array reduced modulo char: L(x)
-        y, with L(x) = sum_s x_s lefts[s] read off the structure constants.
-        Each sum has at most dim terms of at most (char-1)^2; rows go through
-        in chunks (``closure.rowwise``)."""
-        n, d = self.char, self.dim
-        lefts = self.structure_constants[0].reshape(d, d * d)
+        """The coordinates of x y = L(x) y (``left_matrices``) for each pair
+        of rows x of xs and y of ys (entries in 0..char-1), as an int64 array
+        reduced modulo char. Rows go through in chunks (``closure.rowwise``)."""
+        d = self.dim
 
         def chunk(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-            by_x = ((x @ lefts) % n).reshape(-1, d, d)
-            return (by_x @ y[:, :, None])[:, :, 0] % n
+            by_x = self.left_matrices(x)
+            out = (by_x @ y.astype(by_x.dtype)[:, :, None])[:, :, 0]
+            return np.fmod(out, self.char, out=out).astype(np.int64)
 
         return rowwise(chunk, xs, ys, 8 * d * (d + 1))
 
     @cached_property
     def ideal_operators(self) -> list[np.ndarray]:
-        """Left and right multiplication by each additive generator, in
-        pairs (left alone when the ring is commutative): a submodule stable
-        under these is a two-sided ideal."""
-        lefts, rights = self.structure_constants
+        """Left and right multiplication by each additive generator, views of
+        the structure constants in pairs (left alone when the ring is
+        commutative): a submodule stable under these is a two-sided ideal."""
+        lefts, rights = (m.reshape(self.dim, self.dim, self.dim) for m in self.structure_constants)
         pairs = zip(lefts) if self.is_commutative else zip(lefts, rights)
         return [op for pair in pairs for op in pair]
 
@@ -258,17 +280,16 @@ class RingSpec:
     def twisted_centralizer(self, S: np.ndarray) -> HowellBasis:
         """{a : b a = a S(b) for every b}, for the additive map with matrix S
         over Z/char, as a Howell basis: the kernel of a -> (b_t a - a S(b_t))_t
-        over the basis payloads b_t, which suffices as both sides are linear
-        in b. S = id gives the centre; S = sigma_g gives the slot C_g of the
-        centralizer of A in A x| G, and sigma_g is inner exactly when C_g
-        holds a unit."""
+        over the basis payloads b_t (lefts[t] less ``right_matrices`` of the
+        S(b_t)), which suffices as both sides are linear in b. S = id gives
+        the centre; S = sigma_g gives the slot C_g of the centralizer of A in
+        A x| G, and sigma_g is inner exactly when C_g holds a unit."""
         n, d = self.char, self.dim
-        lefts, rights = self.structure_constants
-        # a -> a S(b_t) is the sum over s of S[s, t] times a -> a b_s
-        commutators = lefts - (S.T @ rights.reshape(d, d * d)).reshape(d, d, d)
+        # row t of S.T is S(b_t), so a -> a S(b_t) is its right matrix
+        commutators = self.structure_constants[0].reshape(d, d, d) - self.right_matrices(S.T)
         # row i of the images is the commutators applied to e_i, side by side
         images = commutators.transpose(2, 0, 1).reshape(d, d * d) % n
-        return kernel_basis(n, np.eye(d, dtype=np.int64), images)
+        return kernel_basis(n, np.eye(d, dtype=np.int64), images.astype(np.int64))
 
     @cached_property
     def center_basis(self) -> HowellBasis:

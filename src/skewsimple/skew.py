@@ -146,47 +146,38 @@ class SkewContext:
         return mul, inv, mul[inv]
 
     @cached_property
-    def _block_operands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(lefts, rights, autos) over Z/char, in ``closure.exact_dtype`` for
-        sums of dim terms, the most any product of the block builders or of
-        ``products`` sums. Row s of lefts (of rights) is the dim_A x dim_A
-        matrix of a -> b_s a (of a -> a b_s) on A, for the basis payload b_s,
-        read row by row, so that (x @ lefts) holds the matrix of left
-        multiplication by x; autos[g] is the matrix of sigma_g. The moduli
-        whose int64 products can wrap are refused before anything is read."""
+    def _block_operands(self) -> np.ndarray:
+        """The sigma stack: autos[g] is the dim_A x dim_A matrix of sigma_g
+        over Z/char, in the dtype of A's structure constants
+        (``closure.exact_dtype(MAX_DIM, char)``), which is exact for the sums
+        of at most dim terms that the block builders and ``products`` take.
+        The moduli whose int64 products can wrap are refused before anything
+        is read."""
         check_int64(self.char, self.dim)
-        d, dtype = self.ring.dim, exact_dtype(self.dim, self.char)
-        lefts, rights = (m.reshape(d, d * d).astype(dtype) for m in self.ring.structure_constants)
-        return lefts, rights, np.stack([auto.matrix() for auto in self.action.autos]).astype(dtype)
+        return np.stack([auto.matrix() for auto in self.action.autos]).astype(
+            exact_dtype(MAX_DIM, self.char))
 
     # every operand is non-negative, so fmod is the remainder modulo char
     def left_blocks(self, xs: np.ndarray) -> np.ndarray:
         """[r, h] = L(x_h) S_h for the rows x of xs (entries in 0..char-1),
-        reduced modulo char in the dtype of ``_block_operands``: L the left
-        multiplication of A (its structure constants), x_h the coefficient
-        vector of slot h and S_h the matrix of sigma_h."""
-        n, d = self.char, self.ring.dim
-        lefts, _, autos = self._block_operands
-        blocks = xs.reshape(-1, d).astype(lefts.dtype, copy=False) @ lefts   # L(x_h)
-        np.fmod(blocks, n, out=blocks)
-        blocks = blocks.reshape(-1, self.group.order, d, d) @ autos
-        np.fmod(blocks, n, out=blocks)
-        return blocks
+        reduced modulo char in the dtype of ``_block_operands``: L(x_h) the
+        left multiplication of A by the coefficient vector of slot h
+        (``RingSpec.left_matrices``) and S_h the matrix of sigma_h."""
+        autos = self._block_operands
+        blocks = self.ring.left_matrices(xs).reshape(-1, self.group.order, *autos.shape[1:]) @ autos
+        return np.fmod(blocks, self.char, out=blocks)
 
     def right_blocks(self, cs: np.ndarray) -> np.ndarray:
         """[i, k] = R(S_k c_i) for the rows c_i of cs, coefficient vectors
         (entries in 0..char-1), reduced modulo char in the dtype of
-        ``_block_operands``: R the right multiplication of A and S_k the
-        matrix of sigma_k."""
-        n, d = self.char, self.ring.dim
-        _, rights, autos = self._block_operands
+        ``_block_operands``: R the right multiplication of A
+        (``RingSpec.right_matrices``) and S_k the matrix of sigma_k."""
+        d, autos = self.ring.dim, self._block_operands
         # [i, (k, j)] = entry j of S_k c_i
-        images = cs.reshape(-1, d).astype(rights.dtype, copy=False) @ autos.transpose(
+        images = cs.reshape(-1, d).astype(autos.dtype, copy=False) @ autos.transpose(
             2, 0, 1).reshape(d, -1)
-        np.fmod(images, n, out=images)
-        blocks = images.reshape(-1, d) @ rights
-        np.fmod(blocks, n, out=blocks)
-        return blocks.reshape(-1, self.group.order, d, d)
+        np.fmod(images, self.char, out=images)
+        return self.ring.right_matrices(images).reshape(-1, self.group.order, d, d)
 
     @cached_property
     def ideal_operator_matrices(self) -> BlockMonomialStack:
@@ -203,11 +194,11 @@ class SkewContext:
         is, it is a two-sided ideal.
         """
         n, d, order = self.char, self.ring.dim, self.group.order
-        lefts, _, autos = self._block_operands
+        autos = self._block_operands
         gens = np.array(self.group.generators, dtype=np.intp)
         mul = self._group_arrays[0]
         mats = np.empty((2 * (d + len(gens)), order, d, d), dtype=np.int64)
-        mats[0:2 * d:2] = lefts.reshape(d, 1, d, d)
+        mats[0:2 * d:2] = self.ring.structure_constants[0].reshape(d, 1, d, d)   # L(b_t)
         eye = np.eye(d)
         mats[1:2 * d:2] = self.right_blocks(eye)   # [t, g] = R(S_g b_t)
         mats[2 * d::2] = autos[gens][:, None]
@@ -240,7 +231,7 @@ class SkewContext:
         n, d, order = self.char, self.ring.dim, self.group.order
         mul, inv, quotients = self._group_arrays
         scalars = np.array(_scalar_units(n), dtype=np.int64)
-        autos = self._block_operands[2].astype(np.int64).transpose(0, 2, 1)
+        autos = self._block_operands.astype(np.int64).transpose(0, 2, 1)
         sigmas = (scalars[:, None, None] * autos[:, None]) % n
         # [g, h, t] = g^-1 t h^-1, the slot k that g k h = t reads
         sources = mul[quotients[:, None, :], inv[None, :, None]]

@@ -39,7 +39,8 @@ each additive generator.
 The additive structure (zero, sum, negation) and the canonical order of A
 are written out family by family on payloads, and the order of R composes
 the coefficient ranks slot by slot; an element of R is decoded from its
-coordinates slot by slot.
+coordinates slot by slot. The modulus of GF(p^m) is the least monic
+polynomial missing from the list of all products of two monic factors.
 """
 
 from __future__ import annotations
@@ -852,3 +853,27 @@ def naive_find_support_slice(ctx, ideal, allowed_support):
     if sol is None:
         return None
     return ctx.element_of_vec((sol @ B) % ctx.char)
+
+
+def naive_field_modulus(p: int, m: int) -> tuple[int, ...]:
+    """The modulus GF(p^m) should pick: the least monic polynomial of degree
+    m over F_p that is not a product of two monic factors of lower degree,
+    least by the code sum c_i p^i of its lower coefficients. Coefficients are
+    little-endian; the products are listed by multiplying out every pair of
+    monic factors of degrees i and m - i."""
+
+    def monic(deg):
+        return [low + (1,) for low in product(range(p), repeat=deg)]
+
+    reducible = set()
+    for i in range(1, m):
+        for a in monic(i):
+            for b in monic(m - i):
+                out = [0] * (m + 1)
+                for j, x in enumerate(a):
+                    for k, y in enumerate(b):
+                        out[j + k] = (out[j + k] + x * y) % p
+                reducible.add(tuple(out))
+    return next(low + (1,) for low in (tuple(code // p**i % p for i in range(m))
+                                       for code in range(p**m))
+                if low + (1,) not in reducible)

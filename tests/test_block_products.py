@@ -127,12 +127,15 @@ def test_field_obstructions_match_the_dense_reference():
             obstructed += 1
             assert ctx.vec_of(z) == tuple(expected.tolist()), ctx
         ring, action = ctx.ring, ctx.action
-        d = ring.dim
-        lefts = ring.structure_constants[0].reshape(d, d * d)
+        gens = ring.additive_generators()
+
+        def dense_left(z):   # column c is z b_c, from RingSpec.mul on payloads
+            a = ring.from_vec(z.tolist())
+            return np.array([ring.to_vec(ring.mul(a, b)) for b in gens], dtype=np.int64).T
+
         fixed, obstruction = action.fixed_center
         expected = naive_dense_field_obstruction(
-            ring.char, fixed.rows, np.array(ring.to_vec(ring.one), dtype=np.int64),
-            lambda z: (z @ lefts).reshape(d, d) % ring.char)
+            ring.char, fixed.rows, np.array(ring.to_vec(ring.one), dtype=np.int64), dense_left)
         assert (obstruction is None) == (expected is None), ctx
         if obstruction is not None:
             assert obstruction.tolist() == expected.tolist(), ctx
@@ -154,3 +157,22 @@ def test_batched_product_is_exact_past_float64():
         xs, ys = _rows(rng, p, 4, ctx.dim), _rows(rng, p, 4, ctx.dim)
         for x, y, xy in zip(xs, ys, ctx.products(xs, ys)):
             assert tuple(xy) == ctx.vec_of(ctx.element_of_vec(x) * ctx.element_of_vec(y))
+    # A = M_2(F_p) on both sides of the dtype rule of A's structure
+    # constants: float64 at p = 1000003, int64 at p = 100000007. Products,
+    # L(x) and R(x) agree with RingSpec.mul on payloads, the unit rows giving
+    # b_s a and a b_s
+    from skewsimple import MatrixRing
+
+    for p, dtype in ((1000003, np.float64), (100000007, np.int64)):
+        ring = MatrixRing(2, p)
+        assert closure.exact_dtype(skew.MAX_DIM, p) is dtype
+        assert ring.structure_constants[0].dtype == dtype
+        xs, ys = _rows(rng, p, 4, ring.dim), _rows(rng, p, 4, ring.dim)
+        for x, y, xy in zip(xs, ys, ring.products(xs, ys)):
+            assert tuple(xy) == ring.mul(ring.from_vec(x), ring.from_vec(y))
+        xs = np.concatenate([np.eye(ring.dim, dtype=np.int64), xs])
+        gens = ring.additive_generators()
+        for x, left, right in zip(xs, ring.left_matrices(xs), ring.right_matrices(xs)):
+            a = ring.from_vec(x)
+            assert left.tolist() == [list(col) for col in zip(*(ring.mul(a, b) for b in gens))]
+            assert right.tolist() == [list(col) for col in zip(*(ring.mul(b, a) for b in gens))]

@@ -1,6 +1,8 @@
 import pytest
 
-from skewsimple.gf import field, prime_power
+from skewsimple.gf import MAX_FIELD_ORDER, field, prime_power
+
+from naive import naive_field_modulus
 
 
 def test_prime_power_splits():
@@ -63,3 +65,17 @@ def test_gf4_is_not_z4():
             n += 1
         orders.add(n)
     assert orders == {1, 3}  # multiplicative group is cyclic of order 3
+
+
+def test_every_field_takes_the_least_irreducible_modulus():
+    # the modulus fixes every element code of F_q, and with them the report
+    # bytes; it is the least monic polynomial with no factorization
+    orders = []
+    for q in range(2, MAX_FIELD_ORDER + 1):
+        try:
+            p, m = prime_power(q)
+        except ValueError:
+            continue
+        orders.append(q)
+        assert field(q).modulus == naive_field_modulus(p, m), q
+    assert len(orders) == 70

@@ -1,18 +1,20 @@
-"""A's structure constants are turned into multiplication blocks in few
-places.
+"""A's structure constants are held once and turned into multiplication
+matrices in few places.
 
-On R's side, ``SkewContext._block_operands`` is the one reader of A's
-constants and the sigma_g, and holds the one copy of them.
-``SkewContext.left_blocks`` (L(x_h) S_h) and ``SkewContext.right_blocks``
-(R(S_k c)) are the only builders: they read the constants through
-``_block_operands``, and everything else that multiplies in R (``products``,
-and the dense ``left_multiplication`` and ``right_multiplication`` of the
-certificate's theta) goes through them. The generators' stack
-``ideal_operator_matrices`` reads L(b_t) and S_g straight off
-``_block_operands``, since those blocks are the constants themselves, and the
-sweep's sigma stack reads S_g there. On A's side ``RingSpec`` reads its own
-constants for its product, its ideal operators and its twisted centralizers.
-A new reader of either attribute needs a deliberate edit of READERS.
+``RingSpec.structure_constants`` is the one copy, in the dtype of the
+products taken with it, and ``RingSpec.left_matrices`` (L(x)) and
+``RingSpec.right_matrices`` (R(c)) are the only builders: A's ``products``
+and R's ``left_blocks`` (L(x_h) S_h) and ``right_blocks`` (R(S_k c)) go
+through them, and everything else that multiplies in R (``products``, and the
+dense ``left_multiplication`` and ``right_multiplication`` of the
+certificate's theta) goes through the block builders. Two functions read the
+copy directly, as its blocks are the matrices they need:
+``RingSpec.ideal_operators`` (L(b_s) and R(b_s)) and R's generators' stack
+``SkewContext.ideal_operator_matrices`` (L(b_t)); ``twisted_centralizer``
+reads the L(b_t) there too. ``SkewContext._block_operands`` holds only the
+sigma stack, which the block builders, the generators' stack and the sweep's
+sigma stack read. A new reader of either attribute needs a deliberate edit of
+READERS.
 """
 
 import ast
@@ -24,14 +26,15 @@ ATTRIBUTES = {"structure_constants", "_block_operands"}
 
 # (module, enclosing function) -> the attributes it reads
 READERS = {
-    ("rings.py", "RingSpec.products"): {"structure_constants"},
+    ("rings.py", "RingSpec.left_matrices"): {"structure_constants"},
+    ("rings.py", "RingSpec.right_matrices"): {"structure_constants"},
     ("rings.py", "RingSpec.ideal_operators"): {"structure_constants"},
     ("rings.py", "RingSpec.twisted_centralizer"): {"structure_constants"},
-    # S_g and A's own constants, stacked once per context
-    ("skew.py", "SkewContext._block_operands"): {"structure_constants"},
+    # L(b_t) straight off the ring's copy, and S_g
+    ("skew.py", "SkewContext.ideal_operator_matrices"): {"structure_constants",
+                                                         "_block_operands"},
     ("skew.py", "SkewContext.left_blocks"): {"_block_operands"},
     ("skew.py", "SkewContext.right_blocks"): {"_block_operands"},
-    ("skew.py", "SkewContext.ideal_operator_matrices"): {"_block_operands"},
     ("skew.py", "SkewContext.unit_monomial_matrices"): {"_block_operands"},
 }
 
@@ -69,8 +72,10 @@ def test_only_the_listed_functions_read_the_structure_constants():
 
 
 def test_the_dense_builders_read_them_through_the_block_builders():
-    for name in ("left_multiplication", "right_multiplication", "SkewContext.products"):
+    for name in ("left_multiplication", "right_multiplication", "SkewContext.products",
+                 "SkewContext._block_operands"):
         assert ("skew.py", name) not in READERS
+    assert ("rings.py", "RingSpec.products") not in READERS
 
 
 def test_the_scan_sees_reads_in_nested_scopes():
