@@ -4,9 +4,10 @@ An ActionMap stores one RingAutomorphism per group element and exposes the
 kernel, fixed ring, G-simplicity verdict and the inner/outer classification.
 The fixed ring, the fixed centre Z(A)^G and the classification are kernels of
 linear maps on A's coordinates, so none enumerates A. G-simplicity is the
-field test of Z(A)^G, decided at any |A|; only a witness under the
-enumeration cap comes from a sweep of A. Validation is lazy and cached;
-anything that relies on the homomorphism law revalidates first.
+field test of Z(A)^G, decided at any |A|; its witness is built only when
+read, and under the enumeration cap it comes from a sweep of A. Validation
+is lazy and cached; anything that relies on the homomorphism law
+revalidates first.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .closure import INT64_LIMIT, ClosureEngine, HowellBasis, field_obstruction, kernel_basis
+from .closure import (INT64_LIMIT, ClosureEngine, FieldTest, HowellBasis, field_obstruction,
+                      kernel_basis)
 from .errors import ActionValidationError, CapacityError, DomainError
 from .groups import GroupTable, Subgroup
 from .rings import (MAX_DIM, FunctionRing, MatrixRing, ModularRing, RingElement, RingSpec,
@@ -279,46 +281,35 @@ class ActionMap:
         return kernel_basis(ring.char, rows, images % ring.char)
 
     @cached_property
-    def fixed_center(self) -> tuple[HowellBasis, np.ndarray | None]:
+    def fixed_center(self) -> tuple[HowellBasis, FieldTest]:
         """Z(A)^G, the fixed space of the centre, as a Howell basis, with its
-        field obstruction (``closure.field_obstruction``): the coordinates of
-        a nonzero non-unit of Z(A)^G, p*1 in composite characteristic, or
-        None when Z(A)^G is a field."""
+        field test (``closure.field_obstruction``): whether Z(A)^G is a
+        field, decided here, and, read only by the witness of an action that
+        is not G-simple above the cap, the coordinates of a nonzero non-unit
+        of Z(A)^G, p*1 in composite characteristic."""
         ring = self.ring
         fixed = self.fixed_space(ring.center_basis.rows)
-        obstruction = field_obstruction(ring.char, fixed.matrix(),
+        return fixed, field_obstruction(ring.char, fixed.matrix(),
                                         np.array(ring.to_vec(ring.one), dtype=np.int64),
                                         ring.products)
-        return fixed, obstruction
 
     @cached_property
     def g_simplicity(self) -> "GSimplicity":
-        """The G-simplicity verdict with its witness (see ``is_G_simple``).
+        """The G-simplicity verdict (see ``is_G_simple``), whose witness is
+        built when first read (``GSimplicity``).
 
         Every supported A is semisimple in prime characteristic: its ideals
         are sums of its simple blocks, which G permutes, so the G-stable
         ideals match the idempotents of Z(A)^G, and A is G-simple iff char A
-        is prime and Z(A)^G is a field. A nonzero non-unit z of Z(A)^G
-        generates the proper G-stable ideal zA (a unit z would have its
-        inverse in Z(A)^G), and so does p*1 in composite characteristic.
-        Under the enumeration cap the witness is the canonical one, the first
-        payload whose invariant closure is proper (``first_proper_ideal``);
-        above it, the obstruction z.
+        is prime and Z(A)^G is a field. That decision is the field test of
+        ``fixed_center``; no sweep of A and no closure is run for it.
         """
         ring = self.ring
         if not isinstance(ring, (ModularRing, MatrixRing, FunctionRing)):
             raise DomainError(f"G-simplicity by the fixed centre assumes a semisimple "
                               f"ring in prime characteristic or Z/n, not {ring!r}")
         self.ensure_valid()
-        obstruction = self.fixed_center[1]
-        if obstruction is None:
-            return GSimplicity(True)
-        if ring.size <= ring.caps.enumeration:
-            ideal = first_proper_ideal(ring, self.ideal_engine, "G-simplicity witness")
-        else:
-            ideal = engine_ideal(ring, self.ideal_engine, [ring.from_vec(obstruction.tolist())])
-        assert ideal is not None and not ideal.is_full, "a field obstruction generated A"
-        return GSimplicity(False, ring.element(ideal.generators[0]), ideal)
+        return GSimplicity(self, self.fixed_center[1].is_field)
 
     def __repr__(self) -> str:
         kinds = {a.kind for a in self.autos}
@@ -343,14 +334,40 @@ def fixed_ring(action: ActionMap) -> list[RingElement]:
     return [ring.element(a) for a in ring.members(fixed, "fixed ring")]
 
 
-@dataclass(frozen=True)
 class GSimplicity:
     """G-simplicity verdict; on failure, a generator of a proper invariant
-    ideal, with that ideal."""
+    ideal (``witness``) with that ideal (``witness_ideal``), built the first
+    time either is read, since most readers need only ``value``.
 
-    value: bool
-    witness: RingElement | None = None
-    witness_ideal: TwoSidedIdeal | None = None
+    A nonzero non-unit z of Z(A)^G generates the proper G-stable ideal zA (a
+    unit z would have its inverse in Z(A)^G), and so does p*1 in composite
+    characteristic. Under the enumeration cap the witness is the canonical
+    one, the first payload whose invariant closure is proper
+    (``first_proper_ideal``); above it, that obstruction of the fixed centre.
+    """
+
+    def __init__(self, action: ActionMap, value: bool) -> None:
+        self.action = action
+        self.value = value
+
+    @cached_property
+    def witness_ideal(self) -> TwoSidedIdeal | None:
+        if self.value:
+            return None
+        action = self.action
+        ring = action.ring
+        if ring.size <= ring.caps.enumeration:
+            ideal = first_proper_ideal(ring, action.ideal_engine, "G-simplicity witness")
+        else:
+            z = action.fixed_center[1].obstruction
+            ideal = engine_ideal(ring, action.ideal_engine, [ring.from_vec(z.tolist())])
+        assert ideal is not None and not ideal.is_full, "a field obstruction generated A"
+        return ideal
+
+    @cached_property
+    def witness(self) -> RingElement | None:
+        ideal = self.witness_ideal
+        return None if ideal is None else self.action.ring.element(ideal.generators[0])
 
 
 def invariant_ideal_closure(action: ActionMap, generators) -> TwoSidedIdeal:
@@ -363,7 +380,7 @@ def is_G_simple(action: ActionMap) -> GSimplicity:
     """Whether the only action-stable ideals are zero and the whole ring.
 
     Decided once per action by the field test of the fixed centre, and kept
-    as ``ActionMap.g_simplicity``.
+    as ``ActionMap.g_simplicity``; its witness is built on first read.
     """
     return action.g_simplicity
 

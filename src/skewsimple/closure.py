@@ -41,9 +41,10 @@ RREF over a prime is unique, so both give the same rows.
 
 ``field_obstruction`` is the one field test on such spans: given the basis
 of a commutative subring, its unit and the algebra's product on stacked
-coordinate rows, it returns a nonzero non-unit or None. It decides both the
-centre of a skew ring and the fixed centre Z(A)^G of an action, from kernels
-and batched products alone.
+coordinate rows, it decides whether the subring is a field and returns that
+decision as a ``FieldTest``, whose nonzero non-unit is built only when read.
+It decides both the centre of a skew ring and the fixed centre Z(A)^G of an
+action, from kernels and batched products alone.
 
 The Howell basis is the only elimination here: ``solve`` reads a linear
 system's solution off one kernel, and ``HowellBasis.least_member`` a span's
@@ -691,10 +692,24 @@ def rowwise(fn, xs: np.ndarray, ys: np.ndarray, row_bytes: int) -> np.ndarray:
                            for lo in range(0, len(ys), step)])
 
 
-def field_obstruction(n: int, rows: np.ndarray, one: np.ndarray, mul) -> np.ndarray | None:
-    """A nonzero element of a commutative ring Z that is not a unit of Z, or
-    None when Z is a field; decided on Z's basis, without enumerating Z, so
-    at any |Z|.
+class FieldTest:
+    """Whether a commutative ring Z is a field (``is_field``), decided at
+    once; when it is not, ``obstruction``, a nonzero non-unit of Z, is built
+    by ``build`` the first time it is read, and is None for a field."""
+
+    def __init__(self, build=None) -> None:
+        self.is_field = build is None
+        self._build = build
+
+    @cached_property
+    def obstruction(self):
+        return None if self._build is None else self._build()
+
+
+def field_obstruction(n: int, rows: np.ndarray, one: np.ndarray, mul) -> FieldTest:
+    """The field test of a commutative ring Z on Z's basis, without
+    enumerating Z, so at any |Z|: the decision now, and the obstruction, a
+    nonzero element of Z that is not a unit of Z, on first read.
 
     Z is a subring of an algebra over Z/n, spanned by the Howell rows (the
     rows of an array), with unit ``one``; ``mul(xs, ys)`` is the algebra's
@@ -708,26 +723,31 @@ def field_obstruction(n: int, rows: np.ndarray, one: np.ndarray, mul) -> np.ndar
     row of ker phi when that kernel is nonzero; otherwise it is z - c*1,
     with z the first RREF row of ker(phi - id) that is not a scalar and c
     the least value making z - c*1 a non-unit (the least root of z's minimal
-    polynomial, whose powers of z come from the same product).
+    polynomial, whose powers of z come from the same product). Only that
+    last step waits for a reader.
     """
     p = next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
     if p != n:
-        return (p * one) % n
+        return FieldTest(lambda: (p * one) % n)
     if len(rows) == 1:
-        return None
+        return FieldTest()
     rows = np.asarray(rows, dtype=np.int64)
     images = _power(mul, rows, p)
     nilpotent = kernel_rows(p, rows, images)
     if nilpotent:
-        return nilpotent[0]
+        return FieldTest(lambda: nilpotent[0])
     fixed = kernel_rows(p, rows, (images - rows) % p)
     if len(fixed) == 1:
-        return None
-    scalars = HowellBasis(p, len(one))
-    scalars.insert(one)
-    z = next(f for f in fixed if not scalars.contains(f))
-    c = _least_root(p, _minimal_polynomial(p, mul, z, one))
-    return (z - c * one) % p
+        return FieldTest()
+
+    def shifted() -> np.ndarray:
+        scalars = HowellBasis(p, len(one))
+        scalars.insert(one)
+        z = next(f for f in fixed if not scalars.contains(f))
+        c = _least_root(p, _minimal_polynomial(p, mul, z, one))
+        return (z - c * one) % p
+
+    return FieldTest(shifted)
 
 
 def _power(mul, zs: np.ndarray, e: int) -> np.ndarray:

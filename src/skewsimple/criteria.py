@@ -78,13 +78,15 @@ class CheckReport:
         }
 
 
-def field_obstruction(ctx: SkewContext) -> SkewElement | None:
-    """A nonzero element of the centre Z that is not a unit of Z, or None
-    when Z is a field: ``closure.field_obstruction`` on Z's Howell basis and
-    R's batched product (``SkewContext.products``), so decided at any |A|."""
+def field_obstruction(ctx: SkewContext) -> closure.FieldTest:
+    """Whether the centre Z is a field: ``closure.field_obstruction`` on Z's
+    Howell basis and R's batched product (``SkewContext.products``), so
+    decided at any |A|. Its obstruction, the coordinates of a nonzero
+    element of Z that is not a unit of Z, is built on first read; the
+    context runs this once (``SkewContext.center_field_test``) and reads it
+    as an element in ``SkewContext.center_obstruction``."""
     one = np.array(ctx.vec_of(ctx.one), dtype=np.int64)
-    z = closure.field_obstruction(ctx.char, ctx.center_basis.matrix(), one, ctx.products)
-    return None if z is None else ctx.element_of_vec(z)
+    return closure.field_obstruction(ctx.char, ctx.center_basis.matrix(), one, ctx.products)
 
 
 def InstanceEvaluation(ctx: SkewContext) -> SkewContext:  # noqa: N802

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .actions import ActionMap, GSimplicity, is_G_simple, is_outer_action, kernel
-from .closure import (BlockMonomialStack, ClosureEngine, HowellBasis, check_int64,
+from .closure import (BlockMonomialStack, ClosureEngine, FieldTest, HowellBasis, check_int64,
                       exact_dtype, kernel_basis, kernel_rows, rowwise, solve)
 from .config import Caps
 from .errors import CapacityError, DomainError, PreconditionError
@@ -341,15 +341,22 @@ class SkewContext:
         return is_max_commutative_A(self) if self.ring.is_commutative else None
 
     @cached_property
-    def center_obstruction(self) -> "SkewElement | None":
-        """``criteria.field_obstruction`` of this context: a nonzero non-unit
-        of the centre, or None when the centre is a field."""
+    def center_field_test(self) -> FieldTest:
+        """``criteria.field_obstruction`` of this context, run once: whether
+        the centre is a field, with its obstruction built on first read."""
         from . import criteria   # criteria builds on this module; read at call time
         return criteria.field_obstruction(self)
 
     @property
     def center_is_field(self) -> bool:
-        return self.center_obstruction is None
+        return self.center_field_test.is_field
+
+    @cached_property
+    def center_obstruction(self) -> "SkewElement | None":
+        """A nonzero non-unit of the centre, or None when the centre is a
+        field: the obstruction of ``center_field_test``, built here."""
+        z = self.center_field_test.obstruction
+        return None if z is None else self.element_of_vec(z)
 
     def __repr__(self) -> str:
         return f"SkewContext({self.ring!r} x| {self.group!r}, size={self.size})"
@@ -699,13 +706,15 @@ def _witness_search(ctx: SkewContext) -> SkewSimplicity:
     and claim simplicity only by ``certify_simple``.
 
     The structured candidates come first (the G-simplicity witness, a
-    member of a proper invariant ideal, decided at any |A|; one for each
-    kernel member; one for each nonzero member of a commuting component C_g,
-    g != e), each family enumerated only once the families before it have
-    decided nothing, and skipped when what it enumerates is above the cap.
+    member of a proper invariant ideal, decided at any |A| and built when
+    this search first reads it; one for each kernel member; one for each
+    nonzero member of a commuting component C_g, g != e), each family
+    enumerated only once the families before it have decided nothing, and
+    skipped when what it enumerates is above the cap.
     Then the centre: a simple ring has a field as its centre, and a nonzero
-    central non-unit z (``ctx.center_obstruction``) generates a proper
-    ideal, for zR = R would make z a unit of Z. Then the certificate.
+    central non-unit z (``ctx.center_obstruction``, built only when the
+    centre is not a field) generates a proper ideal, for zR = R would make
+    z a unit of Z. Then the certificate.
     Undetermined when none decides.
     """
     engine = ctx.engine
@@ -812,14 +821,15 @@ def certify_simple(ctx: SkewContext) -> bool:
     transposed operators. R is never simple in composite characteristic.
 
     The centre of a simple ring is a field, so Z is tested first (the cached
-    ``SkewContext.center_obstruction``) and a centre that is not a field
-    ends the search before any theta is drawn. Every theta commutes with
-    multiplication by Z, so ker theta and ker theta^T are Z-spaces and, when
-    Z is a field of F_p-dimension k, their F_p-dimensions are multiples of k.
-    A theta of nullity k then serves as well, with v and w the first kernel
-    rows: its kernels are one-dimensional over Z, and every ideal and every
-    annihilator is a Z-space, so the argument above holds word for word over
-    Z. Z comes from its basis alone, so this holds at any |A|.
+    decision ``SkewContext.center_is_field``, which builds no obstruction)
+    and a centre that is not a field ends the search before any theta is
+    drawn. Every theta commutes with multiplication by Z, so ker theta and
+    ker theta^T are Z-spaces and, when Z is a field of F_p-dimension k,
+    their F_p-dimensions are multiples of k. A theta of nullity k then
+    serves as well, with v and w the first kernel rows: its kernels are
+    one-dimensional over Z, and every ideal and every annihilator is a
+    Z-space, so the argument above holds word for word over Z. Z comes from
+    its basis alone, so this holds at any |A|.
 
     Before the field test, a cheaper gate: a g != e acting trivially and
     commuting with ``group.generators`` makes u_g central, and then 1 - u_g
@@ -858,7 +868,7 @@ def _has_central_unit_monomial(ctx: SkewContext) -> bool:
 
 def _center_field_degree(ctx: SkewContext) -> int:
     """The F_p-dimension of the centre Z when Z is a field, 0 when it is not."""
-    return 0 if ctx.center_obstruction is not None else ctx.center_basis.rank
+    return ctx.center_basis.rank if ctx.center_is_field else 0
 
 
 # constructive procedures -------------------------------------------------------

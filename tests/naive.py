@@ -643,6 +643,17 @@ def naive_orbit_transforms(ctx) -> np.ndarray:
     return np.concatenate([(c * (lg @ rh)) % n for lg in lefts for rh in rights for c in units])
 
 
+def naive_ring_left_multiplication(ring) -> Callable:
+    """z -> the matrix of x -> z x on A's coordinates, column c being z b_c
+    from ``RingSpec.mul`` on payloads (the reference for A's product)."""
+    gens = ring.additive_generators()
+
+    def left(z):
+        a = ring.from_vec(z.tolist())
+        return np.array([ring.to_vec(ring.mul(a, b)) for b in gens], dtype=np.int64).T
+    return left
+
+
 def naive_dense_field_obstruction(n: int, rows, one: np.ndarray, left_mul) -> np.ndarray | None:
     """The field test of ``closure.field_obstruction`` with x -> z x given as
     a dense matrix ``left_mul(z)`` for one z at a time: z^p by

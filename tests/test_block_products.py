@@ -17,7 +17,7 @@ from skewsimple.skew import left_multiplication
 
 from conftest import stack_reference_contexts
 from naive import (naive_closure, naive_dense_field_obstruction, naive_dense_stack,
-                   naive_orbit_transforms, naive_packed_columns)
+                   naive_orbit_transforms, naive_packed_columns, naive_ring_left_multiplication)
 
 
 @lru_cache(maxsize=1)
@@ -127,15 +127,12 @@ def test_field_obstructions_match_the_dense_reference():
             obstructed += 1
             assert ctx.vec_of(z) == tuple(expected.tolist()), ctx
         ring, action = ctx.ring, ctx.action
-        gens = ring.additive_generators()
-
-        def dense_left(z):   # column c is z b_c, from RingSpec.mul on payloads
-            a = ring.from_vec(z.tolist())
-            return np.array([ring.to_vec(ring.mul(a, b)) for b in gens], dtype=np.int64).T
-
-        fixed, obstruction = action.fixed_center
+        fixed, test = action.fixed_center
+        obstruction = test.obstruction
+        assert test.is_field == (obstruction is None), ctx
         expected = naive_dense_field_obstruction(
-            ring.char, fixed.rows, np.array(ring.to_vec(ring.one), dtype=np.int64), dense_left)
+            ring.char, fixed.rows, np.array(ring.to_vec(ring.one), dtype=np.int64),
+            naive_ring_left_multiplication(ring))
         assert (obstruction is None) == (expected is None), ctx
         if obstruction is not None:
             assert obstruction.tolist() == expected.tolist(), ctx

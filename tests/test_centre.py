@@ -71,7 +71,8 @@ SMALL_CASES = [(name, ctx) for name, ctx in CASES if ctx.size <= 64]
 @pytest.mark.parametrize("ctx", [ctx for _, ctx in CASES], ids=[name for name, _ in CASES])
 def test_centre_work_matches_naive(ctx):
     centre = skew_center(ctx)
-    bad = field_obstruction(ctx)
+    bad = ctx.center_obstruction
+    assert field_obstruction(ctx).is_field == (bad is None)
     assert (bad is None) == (naive_field_obstruction(centre, zero=ctx.zero, one=ctx.one) is None)
     if bad is not None:
         assert not bad.is_zero() and is_central(bad)

@@ -177,7 +177,9 @@ def test_field_obstruction(conj_f2_ctx):
     from skewsimple.skew import is_central, skew_center
     centre = skew_center(conj_f2_ctx)
     assert naive_field_obstruction(centre, zero=conj_f2_ctx.zero, one=conj_f2_ctx.one)
-    bad = field_obstruction(conj_f2_ctx)
+    test = field_obstruction(conj_f2_ctx)
+    assert not test.is_field
+    bad = conj_f2_ctx.element_of_vec(test.obstruction)
     assert bad is not None and not bad.is_zero() and is_central(bad)
     assert (bad * bad).is_zero()  # a nonzero kernel of z -> z^2 gives a nilpotent
     assert not naive_has_inverse(bad, centre, one=conj_f2_ctx.one)
